@@ -6,7 +6,8 @@ The package has four layers:
 - ``pca_engine``: sample eigenvalues, scores, and loadings via the n x n
   Gram matrix.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
-  decomposition, eigenvalue ratios, angles, and tail leakage.
+  decomposition, and ``spike_diagnostics``, which turns one overlap matrix
+  into eigenvalue ratios, angles, cross-spike overlaps, and tail leakage.
 - ``limit_dist`` and ``runner``: the sqrt(n / chi2_n) rescaling law,
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
@@ -44,6 +45,7 @@ from .asymptotics import (
     eigenvalue_ratio,
     ratio_decomposition,
     score_ratio_table,
+    spike_diagnostics,
     spike_overlaps,
     tail_leakage,
 )
@@ -96,6 +98,7 @@ __all__ = [
     "eigenvalue_ratio",
     "ratio_decomposition",
     "score_ratio_table",
+    "spike_diagnostics",
     "spike_overlaps",
     "tail_leakage",
     "KsOutcome",

@@ -3,7 +3,9 @@
 Everything here quantifies how the dual-PCA output relates to the
 generating population: per-cell score ratios and their common-scaling
 summary, the exact three-term decomposition of a signed ratio, eigenvalue
-ratios, eigenvector angles, cross-spike overlaps, and tail leakage.
+ratios, eigenvector angles, cross-spike overlaps, and tail leakage.  The
+last four come from one overlap matrix through ``spike_diagnostics``, which
+the public per-index functions and the Monte Carlo runner share.
 
 All component indices j, k are 0-based (j = 0 is the leading spike).
 Inner products u_j'u_k are computed in the dual form
@@ -61,6 +63,16 @@ class RatioDecomposition:
     noise: float
     total: float
     noise_bound: float
+
+
+@dataclass(frozen=True)
+class OverlapDiagnostics:
+    """Per-spike diagnostics from one overlap matrix; see spike_diagnostics."""
+
+    angles: np.ndarray
+    cross_overlaps: np.ndarray
+    leakage: np.ndarray
+    eig_ratios: np.ndarray
 
 
 def score_ratio_table(
@@ -160,6 +172,39 @@ def eigenvalue_ratio(pca: PcaResult, population_eigenvalues, j: int) -> float:
     return float(pca.sample_eigenvalues[j] / lam[j])
 
 
+def spike_diagnostics(
+    overlaps: np.ndarray,
+    population_eigenvalues,
+    sample_eigenvalues,
+) -> OverlapDiagnostics:
+    """Angles, weighted cross overlaps, leakage and eigenvalue ratios.
+
+    ``overlaps`` is the r x m matrix O[j, k] = u_hat_j' u_k returned by
+    ``spike_overlaps``.  Sample component j is paired with population
+    direction j for j < q = min(r, m): ``angles`` (q) = arccos(min(1,
+    |O[j, j]|)), ``cross_overlaps`` (q x m) = sqrt(lambda_k / lambda_j)
+    |O[j, k]|, and ``eig_ratios`` (q) = sample over population eigenvalue.
+    ``leakage`` (r) = 1 - O[j] @ O[j] is given for every row.
+    """
+    o = np.asarray(overlaps, dtype=float)
+    r, m = o.shape
+    q = min(r, m)
+    lam = np.asarray(population_eigenvalues, dtype=float)
+    w = np.asarray(sample_eigenvalues, dtype=float)
+    if lam.size < m or w.size < q:
+        raise ValueError(
+            f"need {m} population and {q} sample eigenvalues, got {lam.size} and {w.size}"
+        )
+    # fmin, like min(1, .) on floats, maps a NaN overlap to 1.
+    angles = np.arccos(np.fmin(1.0, np.abs(np.diagonal(o[:q, :q]))))
+    return OverlapDiagnostics(
+        angles=angles,
+        cross_overlaps=np.sqrt(lam[:m] / lam[:q, None]) * np.abs(o[:q]),
+        leakage=np.array([1.0 - row @ row for row in o]),
+        eig_ratios=w[:q] / lam[:q],
+    )
+
+
 def angle_to_population(
     pca: PcaResult,
     basis_m: np.ndarray,
@@ -167,8 +212,10 @@ def angle_to_population(
     x: Optional[np.ndarray] = None,
 ) -> float:
     """Angle in [0, pi/2] between sample loading j and population direction j."""
-    overlap = spike_overlaps(pca, basis_m, x=x)[j, j]
-    return float(np.arccos(min(1.0, abs(overlap))))
+    overlaps = spike_overlaps(pca, basis_m, x=x)
+    # The angle does not depend on the eigenvalues; unit ones stand in.
+    diags = spike_diagnostics(overlaps, np.ones(overlaps.shape[1]), pca.sample_eigenvalues)
+    return float(diags.angles[j])
 
 
 def cross_spike_overlap(
@@ -182,9 +229,9 @@ def cross_spike_overlap(
     """Eigenvalue-weighted overlap sqrt(lambda_k / lambda_j) |u_hat_j' u_k|."""
     if j == k:
         raise ValueError("cross-spike overlap needs j != k")
-    lam = np.asarray(population_eigenvalues, dtype=float)
-    overlap = spike_overlaps(pca, basis_m, x=x)[j, k]
-    return float(math.sqrt(lam[k] / lam[j]) * abs(overlap))
+    overlaps = spike_overlaps(pca, basis_m, x=x)
+    diags = spike_diagnostics(overlaps, population_eigenvalues, pca.sample_eigenvalues)
+    return float(diags.cross_overlaps[j, k])
 
 
 def tail_leakage(
@@ -203,8 +250,10 @@ def tail_leakage(
     basis_m = np.asarray(basis_m, dtype=float)
     if m is None:
         m = basis_m.shape[1]
-    overlaps = spike_overlaps(pca, basis_m[:, :m], x=x)[j]
-    return float(1.0 - overlaps @ overlaps)
+    overlaps = spike_overlaps(pca, basis_m[:, :m], x=x)
+    # The leakage does not depend on the eigenvalues; unit ones stand in.
+    diags = spike_diagnostics(overlaps, np.ones(m), pca.sample_eigenvalues)
+    return float(diags.leakage[j])
 
 
 def ratio_decomposition(

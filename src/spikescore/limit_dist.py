@@ -1,34 +1,24 @@
 """Limiting-law machinery for the score-ratio asymptotics.
 
 The score ratio converges to a random rescaling distributed as
-sqrt(n / chi2_n).  This module provides the chi-square CDF (via the
-regularized lower incomplete gamma, implemented with the classic
-series / continued-fraction split), the CDF and quantiles of the
-rescaling law, and a one-sample Kolmogorov-Smirnov test against any
-reference CDF.
+sqrt(n / chi2_n).  This module provides the chi-square CDF, the CDF and
+quantiles of the rescaling law, and a one-sample Kolmogorov-Smirnov test
+against any reference CDF.  The special functions come from
+``scipy.special``: the regularized incomplete gamma, the chi-square upper
+tail and its inverse, and the Kolmogorov survival function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-
-# Relative termination for the incomplete-gamma series and continued
-# fraction; both converge well past this for a <= 5e3, x <= 1e6.
-_GAMMA_TOL = 1e-14
-_GAMMA_MAX_ITER = 10_000
+from scipy.special import chdtrc, chdtri, gammainc, kolmogorov
 
 # Asymptotic two-sided Kolmogorov critical constant at alpha = 0.01.
 KS_CRITICAL_CONSTANT_01 = 1.628
-
-# Below this value of sqrt(M) * D the truncated Kolmogorov series is
-# useless, but the true survival value is 1 to four decimals already.
-_KS_SERIES_FLOOR = 0.3
-_KS_SERIES_TERMS = 100
 
 
 @dataclass(frozen=True)
@@ -64,67 +54,6 @@ class KsOutcome:
     p_value_approx: float
 
 
-def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
-    """Regularized P(a, x) by power series; requires x < a + 1."""
-    out = np.zeros_like(x)
-    active = x > 0
-    if not active.any():
-        return out
-    xs = x[active]
-    term = np.full_like(xs, 1.0 / a)
-    total = term.copy()
-    ap = a
-    for _ in range(_GAMMA_MAX_ITER):
-        ap += 1.0
-        term = term * xs / ap
-        total += term
-        if np.all(np.abs(term) < np.abs(total) * _GAMMA_TOL):
-            break
-    else:
-        raise ArithmeticError(f"incomplete gamma series failed to converge (a={a})")
-    log_prefix = -xs + a * np.log(xs) - math.lgamma(a)
-    out[active] = total * np.exp(log_prefix)
-    return out
-
-
-def _upper_gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
-    """Regularized Q(a, x) by Lentz continued fraction; requires x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / tiny)
-    dd = 1.0 / b
-    h = dd.copy()
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b = b + 2.0
-        dd = an * dd + b
-        dd[np.abs(dd) < tiny] = tiny
-        c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        dd = 1.0 / dd
-        delta = dd * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < _GAMMA_TOL):
-            break
-    else:
-        raise ArithmeticError(
-            f"incomplete gamma continued fraction failed to converge (a={a})"
-        )
-    log_prefix = -x + a * np.log(x) - math.lgamma(a)
-    return np.exp(log_prefix) * h
-
-
-def _regularized_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
-    """P(a, x) for scalar a > 0 and an array of x >= 0."""
-    p = np.empty_like(x)
-    series = x < a + 1.0
-    if series.any():
-        p[series] = _lower_gamma_series(a, x[series])
-    if (~series).any():
-        p[~series] = 1.0 - _upper_gamma_cf(a, x[~series])
-    return np.clip(p, 0.0, 1.0)
-
-
 def chi_square_cdf(x, n: int):
     """CDF of the chi-square distribution with n degrees of freedom.
 
@@ -136,50 +65,35 @@ def chi_square_cdf(x, n: int):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("chi-square CDF is only defined for x >= 0")
-    result = _regularized_lower_gamma(n / 2.0, np.atleast_1d(arr) / 2.0)
-    if arr.ndim == 0:
-        return float(result[0])
-    return result.reshape(arr.shape)
+    result = gammainc(n / 2.0, arr / 2.0)
+    return float(result) if arr.ndim == 0 else result
 
 
 def r_cdf(r, law: RLaw):
     """CDF of the rescaling law: P(sqrt(n / chi2_n) <= r).
 
-    By the monotone map this equals 1 - F_chi2(n / r**2).  Accepts a scalar
-    or array of r > 0.
+    By the monotone map this is the chi-square upper tail at n / r**2,
+    which is evaluated directly so that the lower tail of the law keeps its
+    relative accuracy.  Accepts a scalar or array of r > 0.
     """
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("the rescaling law lives on r > 0")
-    result = 1.0 - chi_square_cdf(law.n / np.atleast_1d(arr) ** 2, law.n)
-    if arr.ndim == 0:
-        return float(result[0])
-    return result.reshape(arr.shape)
+    result = chdtrc(law.n, law.n / arr**2)
+    return float(result) if arr.ndim == 0 else result
 
 
 def r_quantile(p: float, law: RLaw) -> float:
-    """Inverse of r_cdf via bracketed root-finding."""
+    """Inverse of r_cdf: sqrt(n / q), where q is the chi-square upper-tail
+    quantile at level p."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
-    lo, hi = 0.5, 2.0
-    while r_cdf(lo, law) > p:
-        lo *= 0.5
-        if lo < 1e-150:
-            raise ArithmeticError("quantile bracketing failed at the lower end")
-    while r_cdf(hi, law) < p:
-        hi *= 2.0
-        if hi > 1e150:
-            raise ArithmeticError("quantile bracketing failed at the upper end")
-    return float(brentq(lambda r: r_cdf(r, law) - p, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    return math.sqrt(law.n / chdtri(law.n, p))
 
 
 def _kolmogorov_survival(t: float) -> float:
-    """Two-sided Kolmogorov survival function, truncated alternating series."""
-    if t < _KS_SERIES_FLOOR:
-        return 1.0
-    k = np.arange(1, _KS_SERIES_TERMS + 1)
-    terms = (-1.0) ** (k - 1) * np.exp(-2.0 * (k * t) ** 2)
-    return float(np.clip(2.0 * terms.sum(), 0.0, 1.0))
+    """Two-sided asymptotic Kolmogorov survival function P(K > t)."""
+    return float(kolmogorov(t))
 
 
 def ks_test(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsOutcome:
@@ -187,8 +101,8 @@ def ks_test(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsOutcome:
 
     ``cdf`` must accept a numpy array and return the reference CDF values.
     The decision at alpha = 0.01 uses the asymptotic critical value
-    1.628 / sqrt(M); the approximate p-value comes from the Kolmogorov
-    series at sqrt(M) * D.
+    1.628 / sqrt(M); the approximate p-value is the asymptotic Kolmogorov
+    survival function at sqrt(M) * D.
     """
     s = np.asarray(samples, dtype=float).ravel()
     m = s.size

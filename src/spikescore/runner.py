@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import sys
 import time
 import warnings
@@ -30,6 +29,7 @@ from .asymptotics import (
     DEFAULT_DENOMINATOR_GUARD,
     comparable_sample_scores,
     score_ratio_table,
+    spike_diagnostics,
     spike_overlaps,
 )
 from .limit_dist import RLaw, ks_test, r_cdf
@@ -280,32 +280,27 @@ def compute_replicate(
     s_pop = population_score_matrix(data)
     s_hat = comparable_sample_scores(pca, m)
     table = score_ratio_table(s_hat, s_pop, guard)
-    lam = resolve_eigenvalues(spec)[:m]
     overlaps = spike_overlaps(pca, basis_vectors(spec), x=data.values)
-    diags = []
-    for j in range(m):
-        row = overlaps[j]
-        cross = tuple(
-            float(math.sqrt(lam[k] / lam[j]) * abs(row[k])) for k in range(m) if k != j
+    spike = spike_diagnostics(overlaps, resolve_eigenvalues(spec), pca.sample_eigenvalues)
+    diags = tuple(
+        SpikeDiagnostics(
+            j=j,
+            median_ratio=float(table.medians[j]),
+            rel_spread=float(table.rel_spreads[j]),
+            eig_ratio=float(spike.eig_ratios[j]),
+            angle_rad=float(spike.angles[j]),
+            leakage=float(spike.leakage[j]),
+            cross_overlaps=tuple(np.delete(spike.cross_overlaps[j], j).tolist()),
+            n_excluded=int(table.n_excluded[j]),
         )
-        diags.append(
-            SpikeDiagnostics(
-                j=j,
-                median_ratio=float(table.medians[j]),
-                rel_spread=float(table.rel_spreads[j]),
-                eig_ratio=float(pca.sample_eigenvalues[j] / lam[j]),
-                angle_rad=float(np.arccos(min(1.0, abs(row[j])))),
-                leakage=float(1.0 - row @ row),
-                cross_overlaps=cross,
-                n_excluded=int(table.n_excluded[j]),
-            )
-        )
+        for j in range(m)
+    )
     t3 = time.perf_counter()
     timings = {"generate": t1 - t0, "pca": t2 - t1, "diagnostics": t3 - t2}
     return ReplicateRecord(
         grid_value=int(grid_value),
         replicate=int(replicate),
-        spikes=tuple(diags),
+        spikes=diags,
         timings=timings,
     )
 
@@ -355,6 +350,16 @@ def _versions() -> dict:
     }
 
 
+def _skipped(key: dict, sample_size: int, reason: str) -> dict:
+    return {**key, "skipped": True, "sample_size": int(sample_size), "reason": reason}
+
+
+def _nanmean(values: list) -> float:
+    """Mean of the non-NaN values; NaN, without a warning, if there are none."""
+    v = np.asarray(values, dtype=float)
+    return float(np.nanmean(v)) if (~np.isnan(v)).any() else float("nan")
+
+
 def _trend_rows(records: list, grid: tuple, m: int) -> list:
     rows = []
     for g in grid:
@@ -367,8 +372,7 @@ def _trend_rows(records: list, grid: tuple, m: int) -> list:
             ("mean_eig_ratio", "eig_ratio"),
         ):
             row[name] = [
-                float(np.nanmean([getattr(r.spikes[j], attr) for r in recs]))
-                for j in range(m)
+                _nanmean([getattr(r.spikes[j], attr) for r in recs]) for j in range(m)
             ]
         rows.append(row)
     return rows
@@ -408,78 +412,56 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
 
     ks_outcomes = []
     consistency = []
-    checks_passed = True
     check_notes = []
-    if config.mode == MODE_HDLSS:
-        n = int(config.template.n)
-        law = RLaw(n)
-        for g in grid:
-            for j in range(m):
-                medians = np.array(
-                    [r.spikes[j].median_ratio for r in records if r.grid_value == g]
-                )
-                medians = medians[np.isfinite(medians)]
+    law = RLaw(int(config.template.n)) if config.mode == MODE_HDLSS else None
+    for g in grid:
+        recs = [r for r in records if r.grid_value == g]
+        for j in range(m):
+            key = {"grid": g, "j": j + 1}
+            medians = np.array([r.spikes[j].median_ratio for r in recs])
+            medians = medians[np.isfinite(medians)]
+            if config.mode == MODE_HDLSS:
                 if medians.size < 10:
-                    ks_outcomes.append(
-                        {
-                            "grid": g,
-                            "j": j + 1,
-                            "skipped": True,
-                            "sample_size": int(medians.size),
-                            "reason": "KS needs at least 10 replicates",
-                        }
-                    )
-                    continue
-                outcome = ks_test(medians, lambda r: r_cdf(r, law))
-                ks_outcomes.append(
-                    {
-                        "grid": g,
-                        "j": j + 1,
-                        "statistic": outcome.statistic,
-                        "sample_size": outcome.sample_size,
-                        "critical_value_01": outcome.critical_value_01,
-                        "rejected_at_01": outcome.rejected_at_01,
-                        "p_value_approx": outcome.p_value_approx,
-                    }
-                )
-        rejected = [o for o in ks_outcomes if o.get("rejected_at_01")]
-        if rejected:
-            checks_passed = False
-            check_notes.append(
-                f"{len(rejected)} KS outcome(s) rejected the rescaling law at alpha=0.01"
-            )
-    elif config.mode == MODE_GROWING_N:
-        for g in grid:
-            for j in range(m):
-                medians = np.array(
-                    [r.spikes[j].median_ratio for r in records if r.grid_value == g]
-                )
-                medians = medians[np.isfinite(medians)]
-                eig = np.array(
-                    [r.spikes[j].eig_ratio for r in records if r.grid_value == g]
-                )
+                    reason = "KS needs at least 10 replicates"
+                    ks_outcomes.append(_skipped(key, medians.size, reason))
+                else:
+                    outcome = ks_test(medians, lambda r: r_cdf(r, law))
+                    ks_outcomes.append({**key, **dataclasses.asdict(outcome)})
+            elif medians.size == 0:
+                consistency.append(_skipped(key, 0, "no finite median ratio"))
+            else:
+                err = np.abs(medians - 1.0)
+                eig = np.array([r.spikes[j].eig_ratio for r in recs])
                 consistency.append(
                     {
-                        "grid": g,
-                        "j": j + 1,
-                        "mean_abs_median_err": float(np.mean(np.abs(medians - 1.0))),
-                        "max_abs_median_err": float(np.max(np.abs(medians - 1.0))),
+                        **key,
+                        "mean_abs_median_err": float(np.mean(err)),
+                        "max_abs_median_err": float(np.max(err)),
                         "mean_eig_ratio": float(np.mean(eig)),
                         "sample_size": int(medians.size),
                     }
                 )
-        if len(grid) >= 2:
-            for j in range(m):
-                errs = [
-                    row["mean_abs_median_err"]
-                    for row in consistency
-                    if row["j"] == j + 1
-                ]
-                if any(b >= a for a, b in zip(errs, errs[1:])):
-                    checks_passed = False
-                    check_notes.append(
-                        f"spike {j + 1}: mean |median - 1| not strictly decreasing: {errs}"
-                    )
+    rejected = [o for o in ks_outcomes if o.get("rejected_at_01")]
+    if rejected:
+        check_notes.append(
+            f"{len(rejected)} KS outcome(s) rejected the rescaling law at alpha=0.01"
+        )
+    skipped = [row for row in consistency if row.get("skipped")]
+    if skipped:
+        check_notes.append(
+            f"{len(skipped)} (grid, spike) point(s) had no finite median ratio "
+            f"and were left out of the decrease check"
+        )
+    for j in range(m):
+        errs = [
+            row["mean_abs_median_err"]
+            for row in consistency
+            if row["j"] == j + 1 and not row.get("skipped")
+        ]
+        if any(b >= a for a, b in zip(errs, errs[1:])):
+            check_notes.append(
+                f"spike {j + 1}: mean |median - 1| not strictly decreasing: {errs}"
+            )
 
     trend = _trend_rows(records, grid, m)
     out_dir = Path(config.output_dir)
@@ -495,7 +477,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         ks_outcomes=ks_outcomes,
         consistency=consistency,
         trend=trend,
-        checks={"passed": checks_passed, "detail": "; ".join(check_notes) or "ok"},
+        checks={"passed": not check_notes, "detail": "; ".join(check_notes) or "ok"},
         failures={"count": len(failure_detail), "total": total, "detail": failure_detail},
         versions=_versions(),
         total_runtime_s=time.perf_counter() - start,

@@ -10,6 +10,7 @@ from spikescore.asymptotics import (
     eigenvalue_ratio,
     ratio_decomposition,
     score_ratio_table,
+    spike_diagnostics,
     spike_overlaps,
     tail_leakage,
 )
@@ -222,6 +223,38 @@ class TestTailLeakage:
         overlaps = spike_overlaps(pca, basis, x=data.values)[0]
         assert leak + overlaps @ overlaps == pytest.approx(1.0, abs=1e-10)
         assert -1e-10 <= leak <= 1.0
+
+
+class TestSpikeDiagnostics:
+    def test_matches_per_entry_formulas(self):
+        # Bitwise against the scalar formulas, including an overlap above 1
+        # from rounding and a NaN row from a zero sample eigenvalue.
+        rng = np.random.default_rng(5)
+        o = rng.uniform(-1.0, 1.0, size=(3, 3))
+        o[0, 0] = 1.0 + 1e-15
+        o[2] = np.nan
+        lam = np.array([9.0, 5.0, 2.0, 1.0])
+        w = np.array([8.5, 4.0, 0.0])
+        out = spike_diagnostics(o, lam, w)
+        for j in range(3):
+            row = o[j]
+            assert out.angles[j] == np.arccos(min(1.0, abs(row[j])))
+            assert out.eig_ratios[j] == w[j] / lam[j]
+            np.testing.assert_array_equal(out.leakage[j], 1.0 - row @ row)
+            for k in range(3):
+                np.testing.assert_array_equal(
+                    out.cross_overlaps[j, k], np.sqrt(lam[k] / lam[j]) * abs(row[k])
+                )
+
+    def test_rectangular_and_validation(self):
+        o = np.array([[0.6, 0.8, 0.0]])
+        out = spike_diagnostics(o, [3.0, 2.0, 1.0], [2.5])
+        assert out.angles.shape == (1,) and out.leakage.shape == (1,)
+        assert out.cross_overlaps.shape == (1, 3)
+        assert out.leakage[0] == pytest.approx(0.0, abs=1e-15)
+        for lam, w in (([3.0, 2.0], [2.5]), ([3.0, 2.0, 1.0], [])):
+            with pytest.raises(ValueError, match="eigenvalues"):
+                spike_diagnostics(o, lam, w)
 
 
 class TestSpikeOverlaps:

@@ -148,6 +148,15 @@ class TestRQuantile:
         errs = [abs(r_quantile(0.5, RLaw(n)) - 1.0) for n in (10, 100, 1000)]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_lower_tail_closed_form_two_dof(self):
+        # For n = 2, F(r) = exp(-1/r**2): 3.7e-44 at r = 0.1, and the
+        # 1e-14 quantile is 1 / sqrt(14 ln 10).
+        law = RLaw(2)
+        assert r_cdf(0.1, law) == pytest.approx(math.exp(-100), rel=1e-12)
+        assert r_quantile(1e-14, law) == pytest.approx(
+            1 / math.sqrt(14 * math.log(10)), rel=1e-12
+        )
+
     def test_domain_errors(self):
         law = RLaw(4)
         for p in (0.0, 1.0, -0.5, 2.0):

@@ -8,6 +8,12 @@ import pytest
 from scipy.cluster.vq import kmeans2
 
 import spikescore.runner as rn
+from spikescore.asymptotics import (
+    angle_to_population,
+    cross_spike_overlap,
+    eigenvalue_ratio,
+    tail_leakage,
+)
 from spikescore.pca_engine import dual_pca
 from spikescore.runner import (
     MODE_GROWING_N,
@@ -27,7 +33,9 @@ from spikescore.spike_model import (
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
+    basis_vectors,
     generate_sample,
+    resolve_eigenvalues,
 )
 
 TINY_CONFIG = """
@@ -292,6 +300,33 @@ class TestGrowingNSweep:
         spec = cfg.template.spec_at(MODE_GROWING_N, 40)
         assert spec.d == 40 and spec.n == 40
 
+    def test_point_without_finite_median_is_skipped(self, tmp_path):
+        # A guard above every population score excludes every cell, so no
+        # grid point has a finite median ratio; the sweep must still write
+        # its outputs and fail its check with a note.
+        cfg = ExperimentConfig(
+            mode=MODE_GROWING_N,
+            template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),)),
+            n_grid=(20, 40),
+            replicates=3,
+            guard=1e6,
+            output_dir=tmp_path,
+            workers=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_growing_n_sweep(cfg)
+        assert report.consistency == [
+            {"grid": g, "j": 1, "skipped": True, "sample_size": 0,
+             "reason": "no finite median ratio"}
+            for g in (20, 40)
+        ]
+        assert report.checks["passed"] is False
+        assert "no finite median ratio" in report.checks["detail"]
+        assert (tmp_path / "records.csv").exists()
+        saved = json.loads((tmp_path / "report.json").read_text())
+        assert saved["consistency"] == report.consistency
+
     def test_coupling_factor(self):
         template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),), d_over_n=0.5)
         spec = template.spec_at(MODE_GROWING_N, 100)
@@ -301,6 +336,29 @@ class TestGrowingNSweep:
         template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),))
         with pytest.raises(ValueError, match="template.n"):
             template.spec_at(MODE_HDLSS, 100)
+
+
+class TestRunnerMatchesApi:
+    def test_record_equals_public_diagnostics(self):
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
+            n=10,
+            basis=RandomOrthogonal(seed=4),
+        )
+        record = compute_replicate(template, MODE_HDLSS, 300, 1, master_seed=21)
+        # The replicate stream compute_replicate draws from, regenerated.
+        spec = template.spec_at(MODE_HDLSS, 300)
+        data = generate_sample(spec, np.random.SeedSequence((21, 300, 1)))
+        pca = dual_pca(data.values, divisor="n", rank=2)
+        basis = basis_vectors(spec)
+        lam = resolve_eigenvalues(spec)[:2]
+        for j, diag in enumerate(record.spikes):
+            assert diag.angle_rad == angle_to_population(pca, basis, j, x=data.values)
+            assert diag.leakage == tail_leakage(pca, basis, j, x=data.values)
+            assert diag.eig_ratio == eigenvalue_ratio(pca, lam, j)
+            assert diag.cross_overlaps == (
+                cross_spike_overlap(pca, basis, lam, j, 1 - j, x=data.values),
+            )
 
 
 class TestFailurePolicy:
