@@ -2,10 +2,11 @@
 
 A sweep draws M replicates per grid point, runs dual PCA on each, computes
 the score-ratio and eigen-structure diagnostics, and writes one CSV row per
-(replicate, spike) plus a JSON report with distributional test outcomes and
-trend tables.  Replicate streams are keyed by (master_seed, grid_value,
-replicate) through a counter-based generator, so results are byte-identical
-regardless of worker count or scheduling.
+(replicate, spike) plus a JSON report with distributional test outcomes,
+trend tables, per-stage timings and the regime ratio of each grid point.
+Replicate streams are keyed by (master_seed, grid_value, replicate) through
+a counter-based generator, so results are byte-identical regardless of
+worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ MODE_HDLSS = "hdlss-sweep"
 MODE_GROWING_N = "growing-n-sweep"
 MODE_SINGLE = "single-pca"
 _MODES = (MODE_HDLSS, MODE_GROWING_N, MODE_SINGLE)
+
+# Per grid point, report.json names the rate whose vanishing the mode's
+# asymptotics need, under these keys (see ExperimentConfig.validate).
+REGIME_RATIO_KEYS = {MODE_HDLSS: "d_over_lambda_m", MODE_GROWING_N: "d_over_n_lambda_m"}
+
+# Stages that compute_replicate times, in order.
+STAGES = ("generate", "pca", "diagnostics")
 
 RECORDS_HEADER = "grid,replicate,j,median_ratio,rel_spread,eig_ratio,angle_rad,leakage,n_excluded"
 
@@ -175,19 +183,18 @@ class ExperimentConfig:
                 )
             if self.mode == MODE_SINGLE:
                 continue
-            lam_m = resolve_eigenvalues(spec)[spec.m - 1]
+            rate = _regime_ratio(self.mode, spec)
             if self.mode == MODE_GROWING_N:
-                rates.append(spec.d / (spec.n * lam_m))
+                rates.append(rate)
                 continue
-            hypo = spec.d / lam_m
-            if hypo >= 1.0:
+            if rate >= 1.0:
                 raise ValueError(
-                    f"grid point {grid_value}: d/lambda_m = {hypo:.3g} >= 1; the "
+                    f"grid point {grid_value}: d/lambda_m = {rate:.3g} >= 1; the "
                     f"vanishing-ratio regime cannot be probed there"
                 )
-            if hypo >= 0.5:
+            if rate >= 0.5:
                 warnings.warn(
-                    f"grid point {grid_value}: d/lambda_m = {hypo:.3g} is close "
+                    f"grid point {grid_value}: d/lambda_m = {rate:.3g} is close "
                     f"to 1; the asymptotic regime may be out of reach",
                     stacklevel=2,
                 )
@@ -199,6 +206,13 @@ class ExperimentConfig:
                 f"directions becoming consistent",
                 stacklevel=2,
             )
+
+
+def _regime_ratio(mode: str, spec: SpikeSpec) -> float:
+    """d / lambda_m in ``hdlss-sweep``, d / (n lambda_m) in ``growing-n-sweep``:
+    the rate that validation guards on and report.json records."""
+    lam_m = resolve_eigenvalues(spec)[spec.m - 1]
+    return spec.d / (spec.n * lam_m) if mode == MODE_GROWING_N else spec.d / lam_m
 
 
 @dataclass(frozen=True)
@@ -232,6 +246,8 @@ class ExperimentReport:
     ks_outcomes: list
     consistency: list
     trend: list
+    timings: list
+    regime: list
     checks: dict
     failures: dict
     versions: dict
@@ -247,6 +263,8 @@ class ExperimentReport:
             "ks": self.ks_outcomes,
             "consistency": self.consistency,
             "trend": self.trend,
+            "timings": self.timings,
+            "regime": self.regime,
             "checks": self.checks,
             "failures": self.failures,
             "versions": self.versions,
@@ -296,7 +314,7 @@ def compute_replicate(
         for j in range(m)
     )
     t3 = time.perf_counter()
-    timings = {"generate": t1 - t0, "pca": t2 - t1, "diagnostics": t3 - t2}
+    timings = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)))
     return ReplicateRecord(
         grid_value=int(grid_value),
         replicate=int(replicate),
@@ -378,6 +396,18 @@ def _trend_rows(records: list, grid: tuple, m: int) -> list:
     return rows
 
 
+def _timing_row(grid_value: int, recs: list) -> dict:
+    """Median and sum, in seconds, of each stage over one grid point."""
+    row = {"grid": grid_value, "replicates": len(recs)}
+    for stage in STAGES:
+        t = np.array([r.timings[stage] for r in recs])
+        row[stage] = {
+            "p50_s": float(np.median(t)) if t.size else float("nan"),
+            "sum_s": float(t.sum()),
+        }
+    return row
+
+
 def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
     grid = config.grid
@@ -412,10 +442,16 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
 
     ks_outcomes = []
     consistency = []
+    timings = []
+    regime = []
     check_notes = []
     law = RLaw(int(config.template.n)) if config.mode == MODE_HDLSS else None
+    ratio_key = REGIME_RATIO_KEYS[config.mode]
     for g in grid:
         recs = [r for r in records if r.grid_value == g]
+        timings.append(_timing_row(g, recs))
+        spec = config.template.spec_at(config.mode, g)
+        regime.append({"grid": g, ratio_key: _regime_ratio(config.mode, spec)})
         for j in range(m):
             key = {"grid": g, "j": j + 1}
             medians = np.array([r.spikes[j].median_ratio for r in recs])
@@ -477,6 +513,8 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         ks_outcomes=ks_outcomes,
         consistency=consistency,
         trend=trend,
+        timings=timings,
+        regime=regime,
         checks={"passed": not check_notes, "detail": "; ".join(check_notes) or "ok"},
         failures={"count": len(failure_detail), "total": total, "detail": failure_detail},
         versions=_versions(),

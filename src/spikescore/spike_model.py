@@ -4,13 +4,17 @@ The population covariance is described by its eigen-structure only: a short
 list of dominant eigenvalues (the spikes), a constant tail level, and a
 choice of eigenbasis.  Samples are drawn without ever materializing the
 d x d covariance, so dimensions in the millions stay cheap: generation is
-row-scaling of an n x d standard-normal draw, optionally pushed through an
-implicit product of Householder reflectors.
+row-scaling of an n x d standard-normal draw, optionally rotated by a
+product of Householder reflectors.  That rotation is held in compact-WY
+form, I - W'TW, and applied as two matrix products; one frame, of
+m + 20 reflectors of length d, stays cached per process, so a sweep builds
+it once per grid point.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -206,10 +210,16 @@ def resolve_eigenvalues(spec: SpikeSpec) -> np.ndarray:
 
 
 class _HouseholderFrame:
-    """Implicit orthogonal matrix U = H_1 H_2 ... H_k of unit reflectors.
+    """Orthogonal matrix U = H_1 H_2 ... H_k of unit reflectors, kept implicit.
 
     Reflector directions are unit-normalized Gaussian draws from a stream
-    keyed by (seed, tag), independent of any data stream.
+    keyed by (seed, tag), independent of any data stream.  Row i of the
+    k x d matrix ``w`` is the direction of H_i = I - 2 w_i w_i'.  The
+    product is stored in compact-WY form U = I - W'TW (Schreiber & Van Loan
+    1989), with T the k x k upper-triangular factor built from the Gram
+    W W', so applying U or U' costs two matrix products over d x n, not k
+    passes.  Frames are shared through a one-entry cache (``_frame``), so
+    their arrays are read-only.
     """
 
     def __init__(self, seed: int, d: int, n_reflectors: int):
@@ -217,22 +227,34 @@ class _HouseholderFrame:
         rng = np.random.Generator(np.random.Philox(ss))
         w = rng.standard_normal((n_reflectors, d))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
+        gram = w @ w.T
+        t = np.zeros((n_reflectors, n_reflectors))
+        for i in range(n_reflectors):
+            t[i, i] = 2.0
+            t[:i, i] = -2.0 * (t[:i, :i] @ gram[:i, i])
+        w.flags.writeable = False
+        t.flags.writeable = False
         self.w = w
+        self.t = t
         self.d = d
+
+    def _reflect(self, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """y - W' t W y, with the d x n result as the only large allocation."""
+        y = np.asarray(y, dtype=float)
+        c = t @ (self.w @ y)
+        # (c' W)' has the layout of a transposed C-order array, like the
+        # generator's draw, so the subtraction walks both operands in order.
+        out = (c.T @ self.w).T
+        np.subtract(y, out, out=out)
+        return out
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """U @ y for y of shape (d,) or (d, n)."""
-        out = np.array(y, dtype=float, copy=True)
-        for w in self.w[::-1]:
-            out -= np.multiply.outer(2.0 * w, w @ out)
-        return out
+        return self._reflect(y, self.t)
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         """U.T @ y for y of shape (d,) or (d, n)."""
-        out = np.array(y, dtype=float, copy=True)
-        for w in self.w:
-            out -= np.multiply.outer(2.0 * w, w @ out)
-        return out
+        return self._reflect(y, self.t.T)
 
     def vectors(self, count: int) -> np.ndarray:
         """First `count` columns of U, as a dense (d, count) matrix."""
@@ -241,17 +263,28 @@ class _HouseholderFrame:
         return self.apply(e)
 
 
-def _frame(spec: SpikeSpec):
+def _frame(spec: SpikeSpec) -> Optional[_HouseholderFrame]:
+    """The spec's rotation, or None for the canonical basis."""
     if isinstance(spec.basis, CanonicalAxes):
         return None
-    return _HouseholderFrame(spec.basis.seed, spec.d, spec.m + _EXTRA_REFLECTORS)
+    return _cached_frame(int(spec.basis.seed), spec.d, spec.m + _EXTRA_REFLECTORS)
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_frame(seed: int, d: int, n_reflectors: int) -> _HouseholderFrame:
+    # Keyed on the three ints that determine the frame, not on the spec, so
+    # every replicate of a grid point (whatever its n or spikes) shares it.
+    # One entry: a sweep visits grid points in order, and a frame at
+    # d = 1e6 holds 22 x 1e6 doubles.
+    return _HouseholderFrame(seed, d, n_reflectors)
 
 
 def basis_vectors(spec: SpikeSpec, count: Optional[int] = None) -> np.ndarray:
     """Population eigenvectors u_1, ..., u_count as a dense (d, count) matrix.
 
     Defaults to the m spike directions.  Cheap for CanonicalAxes at any d;
-    for RandomOrthogonal each column costs one pass of reflector products.
+    for RandomOrthogonal the columns come from the cached frame, at the cost
+    of one d x count matrix product.
     """
     count = spec.m if count is None else count
     if count > spec.d:
@@ -299,7 +332,8 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     tail_sumsq = np.einsum("ij,ij->i", tail, tail)
     full = z.copy() if d <= DIAGNOSTIC_MAX_D else None
 
-    y = (z * np.sqrt(lam)).T  # (d, n); row j is sqrt(lambda_j) * z[:, j]
+    z *= np.sqrt(lam)  # in place: the draw is not needed unscaled any more
+    y = z.T  # (d, n); row j is sqrt(lambda_j) * z[:, j]
     frame = _frame(spec)
     x = y if frame is None else frame.apply(y)
     mu = spec.mean_vector_value

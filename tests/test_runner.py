@@ -8,6 +8,7 @@ import pytest
 from scipy.cluster.vq import kmeans2
 
 import spikescore.runner as rn
+from spikescore import spike_model
 from spikescore.asymptotics import (
     angle_to_population,
     cross_spike_overlap,
@@ -359,6 +360,62 @@ class TestRunnerMatchesApi:
             assert diag.cross_overlaps == (
                 cross_spike_overlap(pca, basis, lam, j, 1 - j, x=data.values),
             )
+
+
+class TestFrameReuse:
+    def test_one_frame_per_grid_point(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingFrame(spike_model._HouseholderFrame):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(spike_model, "_HouseholderFrame", CountingFrame)
+        spike_model._cached_frame.cache_clear()
+        cfg = tiny_config(
+            tmp_path,
+            template=SpikeTemplate(
+                spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9)
+            ),
+            d_grid=(200, 300),
+            replicates=3,
+        )
+        try:
+            run_hdlss_sweep(cfg)
+        finally:
+            spike_model._cached_frame.cache_clear()
+        assert built == [(9, 200, 21), (9, 300, 21)]
+
+
+class TestReportObservability:
+    @pytest.mark.parametrize("mode", [MODE_HDLSS, MODE_GROWING_N])
+    def test_timings_and_regime_per_grid_point(self, tmp_path, mode):
+        if mode == MODE_HDLSS:
+            cfg = tiny_config(tmp_path, d_grid=(200, 300), replicates=2)
+            report = run_hdlss_sweep(cfg)
+        else:
+            cfg = ExperimentConfig(
+                mode=MODE_GROWING_N,
+                template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),)),
+                n_grid=(20, 40),
+                replicates=2,
+                output_dir=tmp_path,
+            )
+            report = run_growing_n_sweep(cfg)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert [row["grid"] for row in payload["timings"]] == list(cfg.grid)
+        for row in payload["timings"]:
+            assert row["replicates"] == 2
+            for stage in rn.STAGES:
+                assert 0 < row[stage]["p50_s"] <= row[stage]["sum_s"]
+        key = rn.REGIME_RATIO_KEYS[mode]
+        for row, g in zip(payload["regime"], cfg.grid):
+            spec = cfg.template.spec_at(mode, g)
+            lam_m = resolve_eigenvalues(spec)[spec.m - 1]
+            scale = spec.n if mode == MODE_GROWING_N else 1
+            assert row == {"grid": g, key: pytest.approx(spec.d / (scale * lam_m))}
+        assert payload["timings"] == report.timings
 
 
 class TestFailurePolicy:

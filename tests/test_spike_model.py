@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spikescore import spike_model
 from spikescore.spike_model import (
     CanonicalAxes,
     ConstantMean,
@@ -160,6 +161,30 @@ class TestRandomOrthogonalBasis:
     def test_same_seed_same_rotation(self):
         spec = single_spike_spec(d=64, n=5, basis=RandomOrthogonal(seed=3))
         assert np.array_equal(basis_vectors(spec), basis_vectors(spec))
+
+    def test_frame_matches_explicit_reflector_product(self):
+        # U = H_1 H_2 ... H_k with H_i = I - 2 w_i w_i', H_1 leftmost.
+        d, k = 40, 6
+        frame = spike_model._HouseholderFrame(seed=7, d=d, n_reflectors=k)
+        u = np.eye(d)
+        for w in frame.w:
+            u = u @ (np.eye(d) - 2.0 * np.outer(w, w))
+        rng = np.random.default_rng(5)
+        for y in (rng.standard_normal(d), rng.standard_normal((d, 9))):
+            assert np.abs(frame.apply(y) - u @ y).max() < 1e-13
+            assert np.abs(frame.apply_transpose(y) - u.T @ y).max() < 1e-13
+
+    def test_frame_cache_key_does_not_alias(self):
+        def spec(seed, d):
+            return single_spike_spec(d=d, n=5, basis=RandomOrthogonal(seed=seed))
+
+        base = spike_model._frame(spec(3, 64))
+        assert spike_model._frame(spec(3, 64)) is base
+        for other in (spec(4, 64), spec(3, 65)):
+            frame = spike_model._frame(other)
+            assert frame is not base
+            assert frame.w.shape == (other.m + spike_model._EXTRA_REFLECTORS, other.d)
+        assert not np.array_equal(basis_vectors(spec(3, 64)), basis_vectors(spec(4, 64)))
 
     def test_refuses_huge_materialization(self):
         spec = single_spike_spec(d=10_050, n=4, basis=RandomOrthogonal(seed=0))
