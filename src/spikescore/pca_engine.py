@@ -2,7 +2,11 @@
 
 For d >> n data the d x d sample covariance is never formed: eigenvalues
 and score vectors come from the Gram matrix X'X / divisor, and loadings are
-recovered on demand as X v / (sqrt(divisor) sqrt(eigenvalue)).
+recovered on demand as X v / (sqrt(divisor) sqrt(eigenvalue)).  When fewer
+than n components are wanted, the leading eigenpairs of the Gram come from
+implicitly restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.eigsh``)
+with a fixed start vector, so the whole n x n Gram is never tridiagonalized
+and the result is reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 # Eigenvalues below this fraction of the top one are treated as exactly
 # zero when recovering loadings, to avoid dividing by a rounding artifact.
@@ -88,6 +91,17 @@ def dual_pca(
     eigenvalues and score vectors; the nonzero eigenvalues agree with those
     of XX' / divisor.  ``rank`` limits how many leading components are
     retained (default min(n, d)).
+
+    With ``rank < n`` the ``rank`` largest eigenpairs come from Lanczos
+    (``eigsh``, to machine precision) started from the fixed vector
+    ``default_rng(0).uniform(-1, 1, n)``, so repeated calls are bitwise
+    equal.  The start vector is not ``ones``, a null vector of a centered
+    Gram, from which the Krylov space would grow out of rounding noise.
+    With ``rank == n``, or for a zero Gram, the spectrum comes from
+    ``np.linalg.eigh``.  A single-vector Krylov method can miss a copy of
+    an exactly repeated eigenvalue, and where it meets an invariant
+    subspace early (e.g. a multiple of the identity) ARPACK restarts from a
+    random vector; generic (noisy) data has neither.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -106,10 +120,18 @@ def dual_pca(
     g = xc.T @ xc / div
     g = (g + g.T) * 0.5
 
-    if rank < n:
-        w, v = scipy.linalg.eigh(g, subset_by_index=(n - rank, n - 1))
+    # g is positive semidefinite, so a zero trace means g = 0 (all-zero or,
+    # centered, constant data): Lanczos cannot start there.
+    if rank < n and np.trace(g) > 0:
+        from scipy.sparse.linalg import eigsh
+
+        v0 = np.random.default_rng(0).uniform(-1, 1, n)
+        w, v = eigsh(g, k=rank, which="LA", v0=v0, tol=0)
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
     else:
         w, v = np.linalg.eigh(g)
+        w, v = w[n - rank :], v[:, n - rank :]
     w = w[::-1]
     v = v[:, ::-1]
     w = np.maximum(w, 0.0)

@@ -6,7 +6,10 @@ the score-ratio and eigen-structure diagnostics, and writes one CSV row per
 trend tables, per-stage timings and the regime ratio of each grid point.
 Replicate streams are keyed by (master_seed, grid_value, replicate) through
 a counter-based generator, so results are byte-identical regardless of
-worker count or scheduling.
+worker count or scheduling.  A worker pool takes the replicates one at a
+time, largest grid value first, so the costliest ones start early and no
+worker is left alone with them at the end; outcomes are put back in task
+order.  Each finished grid point logs one progress line with an ETA.
 """
 
 from __future__ import annotations
@@ -397,15 +400,43 @@ def _trend_rows(records: list, grid: tuple, m: int) -> list:
 
 
 def _timing_row(grid_value: int, recs: list) -> dict:
-    """Median and sum, in seconds, of each stage over one grid point."""
+    """Median, 95th percentile and sum, in seconds, of each stage over one
+    grid point."""
     row = {"grid": grid_value, "replicates": len(recs)}
     for stage in STAGES:
         t = np.array([r.timings[stage] for r in recs])
-        row[stage] = {
-            "p50_s": float(np.median(t)) if t.size else float("nan"),
-            "sum_s": float(t.sum()),
-        }
+        p50, p95 = np.percentile(t, (50, 95)) if t.size else (float("nan"),) * 2
+        row[stage] = {"p50_s": float(p50), "p95_s": float(p95), "sum_s": float(t.sum())}
     return row
+
+
+def _collect_with_progress(outcomes, replicates: int, total: int) -> list:
+    """List the outcomes as they arrive, logging a progress line (done/total,
+    replicates/s, ETA) each time a grid point has all its replicates."""
+    start = time.perf_counter()
+    left: dict = {}
+    done = []
+    for outcome in outcomes:
+        done.append(outcome)
+        grid_value = outcome[1]
+        left[grid_value] = left.get(grid_value, replicates) - 1
+        if left[grid_value] == 0:
+            rate = len(done) / (time.perf_counter() - start)
+            log.info(
+                "grid point %s finished: %d/%d replicates, %.3g replicates/s, ETA %.1f s",
+                grid_value, len(done), total, rate, (total - len(done)) / rate,
+            )
+    return done
+
+
+def _rise_note(a: dict, b: dict) -> str:
+    """The rise of mean |median - 1| from consistency row a to row b, also in
+    units of the standard error of the difference of two independent Monte
+    Carlo means, which says whether noise can explain it."""
+    rise = b["mean_abs_median_err"] - a["mean_abs_median_err"]
+    se = float(np.hypot(a["se_abs_median_err"], b["se_abs_median_err"]))
+    z = rise / se if se > 0 else float("nan")
+    return f"{a['grid']} -> {b['grid']}: +{rise:.3g} ({z:.2g} SE)"
 
 
 def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -417,12 +448,16 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         for g in grid
         for rep in range(config.replicates)
     ]
+    total = len(tasks)
     workers = config.resolved_workers()
-    if workers <= 1 or len(tasks) <= 1:
-        outcomes = [_safe_compute(t) for t in tasks]
+    if workers <= 1 or total <= 1:
+        outcomes = _collect_with_progress(map(_safe_compute, tasks), config.replicates, total)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_safe_compute, tasks, chunksize=4))
+            # Cost grows with the grid value, so dispatch the largest first,
+            # one task at a time, and reverse the outcomes back.
+            arriving = pool.map(_safe_compute, tasks[::-1], chunksize=1)
+            outcomes = _collect_with_progress(arriving, config.replicates, total)[::-1]
 
     records = []
     failure_detail = []
@@ -432,7 +467,6 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         else:
             log.error("replicate (grid=%s, rep=%s) failed: %s", grid_value, replicate, payload)
             failure_detail.append({"grid": grid_value, "replicate": replicate, "error": payload})
-    total = len(tasks)
     if len(failure_detail) > MAX_FAILURE_RATE * total:
         raise RuntimeError(
             f"{len(failure_detail)} of {total} replicates failed "
@@ -468,10 +502,12 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
             else:
                 err = np.abs(medians - 1.0)
                 eig = np.array([r.spikes[j].eig_ratio for r in recs])
+                se = np.std(err, ddof=1) / np.sqrt(err.size) if err.size > 1 else np.nan
                 consistency.append(
                     {
                         **key,
                         "mean_abs_median_err": float(np.mean(err)),
+                        "se_abs_median_err": float(se),
                         "max_abs_median_err": float(np.max(err)),
                         "mean_eig_ratio": float(np.mean(eig)),
                         "sample_size": int(medians.size),
@@ -489,14 +525,14 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
             f"and were left out of the decrease check"
         )
     for j in range(m):
-        errs = [
-            row["mean_abs_median_err"]
-            for row in consistency
-            if row["j"] == j + 1 and not row.get("skipped")
-        ]
-        if any(b >= a for a, b in zip(errs, errs[1:])):
+        rows = [row for row in consistency if row["j"] == j + 1 and not row.get("skipped")]
+        errs = [row["mean_abs_median_err"] for row in rows]
+        rises = [_rise_note(a, b) for a, b in zip(rows, rows[1:])
+                 if b["mean_abs_median_err"] >= a["mean_abs_median_err"]]
+        if rises:
             check_notes.append(
-                f"spike {j + 1}: mean |median - 1| not strictly decreasing: {errs}"
+                f"spike {j + 1}: mean |median - 1| not strictly decreasing: {errs}; "
+                f"rises {', '.join(rises)}"
             )
 
     trend = _trend_rows(records, grid, m)

@@ -141,6 +141,89 @@ class TestResultInvariants:
             assert dot == pytest.approx(1.0, abs=1e-8)
 
 
+def gram_eigh(x, center, rank):
+    """Oracle for the Lanczos path: np.linalg.eigh of the same Gram."""
+    n = x.shape[1]
+    xc = x - x.mean(axis=1, keepdims=True) if center else x
+    g = xc.T @ xc / n
+    w, v = np.linalg.eigh((g + g.T) * 0.5)
+    return w[::-1][:rank], v[:, ::-1][:, :rank]
+
+
+def assert_matches_gram_eigh(x, rank, center=False, eig_atol=1e-14, span_atol=1e-10):
+    """Eigenvalues agree to eig_atol x the top one (the backward error of
+    either solver), and the spans agree, compared by their projectors."""
+    res = dual_pca(x, rank=rank, center=center)
+    w, v = gram_eigh(x, center, rank)
+    assert res.rank == rank
+    assert np.allclose(res.sample_eigenvalues, np.maximum(w, 0), rtol=0, atol=eig_atol * w[0])
+    p_res = res.score_vectors @ res.score_vectors.T
+    assert np.allclose(p_res, v @ v.T, rtol=0, atol=span_atol)
+    again = dual_pca(x, rank=rank, center=center)
+    assert np.array_equal(again.sample_eigenvalues, res.sample_eigenvalues)
+    assert np.array_equal(again.score_vectors, res.score_vectors)
+    return res
+
+
+class TestLanczosPath:
+    """rank < n takes the leading pairs from eigsh; the reference is
+    np.linalg.eigh of the same Gram.  Each check also asserts that two calls
+    are bitwise equal."""
+
+    def test_centered_gram_with_ones_in_null_space(self):
+        x = np.random.default_rng(20).standard_normal((200, 50)) + 3.0
+        res = assert_matches_gram_eigh(x, 2, center=True)
+        assert np.allclose(res.score_vectors.sum(axis=0), 0.0, atol=1e-12)
+
+    def test_rank_n_minus_one(self):
+        x = np.random.default_rng(21).standard_normal((60, 20))
+        assert_matches_gram_eigh(x, 19)
+        assert_matches_gram_eigh(x, 19, center=True)
+
+    def test_fewer_dimensions_than_samples(self):
+        # d < n: the Gram has rank d and n - d zero eigenvalues.
+        x = np.random.default_rng(22).standard_normal((5, 40))
+        assert_matches_gram_eigh(x, 5)
+        assert_matches_gram_eigh(x, 3, center=True)
+
+    def test_repeated_top_eigenvalue(self):
+        # x = U diag(s) V' with s_1 = s_2: the top eigenspace has dimension 2,
+        # so only its projector, not its basis, is defined.
+        rng = np.random.default_rng(23)
+        d, n = 30, 20
+        u, _ = np.linalg.qr(rng.standard_normal((d, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = np.concatenate([[3.0, 3.0], np.linspace(1.5, 0.1, n - 2)])
+        x = (u * s) @ v.T
+        res = assert_matches_gram_eigh(x, 2)
+        assert np.allclose(res.sample_eigenvalues, 9.0 / n, rtol=1e-13)
+        assert_matches_gram_eigh(x, 3)
+
+    @pytest.mark.parametrize("ratio", [1e12, 1e13, 1e14])
+    def test_strongly_spiked_gram(self, ratio):
+        # lambda_1 / lambda_2 = ratio: both solvers carry an absolute error
+        # of order eps * lambda_1, so eigenvalues are compared on that scale
+        # and the top-2 spans up to the first-order perturbation bound
+        # eps * lambda_1 / (lambda_2 - lambda_3).
+        rng = np.random.default_rng(24)
+        lam = np.ones(500)
+        lam[1] = 50.0
+        lam[0] = ratio * lam[1]
+        x = np.sqrt(lam)[:, None] * rng.standard_normal((500, 40))
+        w, v = gram_eigh(x, False, 3)
+        bound = np.finfo(float).eps * w[0] / (w[1] - w[2])
+        res = assert_matches_gram_eigh(x, 2, span_atol=bound)
+        assert res.sample_eigenvalues[0] == pytest.approx(w[0], rel=1e-14)
+        assert abs(res.score_vectors[:, 0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_zero_gram(self):
+        # Constant data, centered, has a zero Gram, on which Lanczos cannot
+        # start; the result is all-zero eigenvalues and orthonormal scores.
+        res = dual_pca(np.full((8, 6), 2.5), rank=2, center=True)
+        assert np.array_equal(res.sample_eigenvalues, np.zeros(2))
+        assert np.allclose(res.score_vectors.T @ res.score_vectors, np.eye(2))
+
+
 class TestEdgeCases:
     def test_zero_eigenvalue_loading_flagged_absent(self):
         u = np.array([1.0, 2.0, 3.0, 4.0, 5.0])

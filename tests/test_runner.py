@@ -1,6 +1,7 @@
 """Sweep orchestration: configs, records, reports, reproducibility."""
 
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -515,3 +516,73 @@ class TestEmbeddedCheck:
         report = run_hdlss_sweep(cfg)
         assert not report.checks["passed"]
         assert any(o.get("rejected_at_01") for o in report.ks_outcomes)
+
+
+def small_growing_n(out, **overrides):
+    fields = dict(
+        mode=MODE_GROWING_N,
+        template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),)),
+        n_grid=(20, 30),
+        replicates=4,
+        master_seed=3,
+        output_dir=out,
+        workers=1,
+    )
+    fields.update(overrides)
+    return ExperimentConfig(**fields)
+
+
+class TestProgressAndSpread:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_progress_line_per_grid_point(self, tmp_path, caplog, workers):
+        caplog.set_level(logging.INFO, logger=rn.__name__)
+        run_growing_n_sweep(small_growing_n(tmp_path, workers=workers))
+        lines = [r.getMessage() for r in caplog.records if "finished" in r.getMessage()]
+        # A pool dispatches the largest grid value first.
+        order = (20, 30) if workers == 1 else (30, 20)
+        assert [line.split()[2] for line in lines] == [str(g) for g in order]
+        assert [line.split()[4] for line in lines] == ["4/8", "8/8"]
+        assert all("replicates/s" in line and "ETA" in line for line in lines)
+        assert lines[-1].endswith("ETA 0.0 s")
+
+    def test_growing_n_records_identical_across_workers(self, tmp_path):
+        one = run_growing_n_sweep(small_growing_n(tmp_path / "w1"))
+        two = run_growing_n_sweep(small_growing_n(tmp_path / "w2", workers=2))
+        assert (tmp_path / "w1" / "records.csv").read_bytes() == (
+            tmp_path / "w2" / "records.csv"
+        ).read_bytes()
+        assert [(r.grid_value, r.replicate) for r in two.records] == [
+            (r.grid_value, r.replicate) for r in one.records
+        ]
+
+    def test_stage_p95_in_report(self, tmp_path):
+        report = run_growing_n_sweep(small_growing_n(tmp_path))
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["timings"] == report.timings
+        for row in payload["timings"]:
+            for stage in rn.STAGES:
+                t = row[stage]
+                assert set(t) == {"p50_s", "p95_s", "sum_s"}
+                assert 0 < t["p50_s"] <= t["p95_s"] <= t["sum_s"]
+
+    def test_rise_reported_in_standard_errors(self, tmp_path):
+        # At this seed the mean |median - 1| rises from n = 20 to n = 30 by
+        # well under one standard error; the check still rejects, and its
+        # note says by how many standard errors.
+        report = run_growing_n_sweep(small_growing_n(tmp_path))
+        rows = report.consistency
+        for row in rows:
+            err = np.array(
+                [abs(r.spikes[0].median_ratio - 1) for r in report.records
+                 if r.grid_value == row["grid"]]
+            )
+            assert row["se_abs_median_err"] == pytest.approx(
+                np.std(err, ddof=1) / np.sqrt(err.size), rel=1e-12
+            )
+        a, b = rows
+        rise = b["mean_abs_median_err"] - a["mean_abs_median_err"]
+        assert rise > 0
+        z = rise / np.hypot(a["se_abs_median_err"], b["se_abs_median_err"])
+        assert report.checks["passed"] is False
+        assert f"20 -> 30: +{rise:.3g} ({z:.2g} SE)" in report.checks["detail"]
+        assert z < 1
