@@ -8,9 +8,11 @@ last four come from one overlap matrix through ``spike_diagnostics``, which
 the public per-index functions and the Monte Carlo runner share.
 
 All component indices j, k are 0-based (j = 0 is the leading spike).
-Inner products u_j'u_k are computed in the dual form
-(X v_j)'u_k / (sqrt(divisor) sqrt(eigenvalue)) whenever loadings are not
-stored, so no d-length loading vector needs to be kept at large d.
+Inner products u_hat_j'u_k are computed in the dual form
+v_j'P[:, k] / (sqrt(divisor) sqrt(eigenvalue)) whenever loadings are not
+stored, where P = X'U is the data's projection on the population
+directions (``projection_overlaps``), so no d-length loading vector needs
+to be kept at large d, and a caller that already holds P never reads X.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pca_engine import PcaResult, ZERO_EIGENVALUE_RTOL
+from .pca_engine import PcaResult, ZERO_EIGENVALUE_RTOL, sample_score_matrix
 from .spike_model import DataMatrix, ZeroMean, _frame, basis_vectors, resolve_eigenvalues
 
 DEFAULT_DENOMINATOR_GUARD = 1e-8
@@ -150,7 +152,16 @@ def spike_overlaps(
     if x.shape != (pca.d, pca.n):
         raise ValueError(f"x must be ({pca.d}, {pca.n}), got {x.shape}")
     xc = x - x.mean(axis=1, keepdims=True) if pca.centered else x
-    proj = xc.T @ basis_m  # (n, m), one pass over X
+    return projection_overlaps(pca, xc.T @ basis_m)
+
+
+def projection_overlaps(pca: PcaResult, proj: np.ndarray) -> np.ndarray:
+    """Dual-form overlaps O = V'P / (sqrt(divisor) sqrt(w)) from P = X'U.
+
+    ``proj`` (n x m) projects the matrix the PCA was computed from (centered
+    when ``pca.centered``) on the population directions.  Rows with a
+    numerically zero eigenvalue are NaN.
+    """
     out = pca.score_vectors.T @ proj
     w = pca.sample_eigenvalues
     zero_tol = ZERO_EIGENVALUE_RTOL * w[0] if w[0] > 0 else 0.0
@@ -339,6 +350,4 @@ def comparable_sample_scores(pca: PcaResult, m: int) -> np.ndarray:
     by sqrt(sample eigenvalue) -- the normalization under which the ratio
     to the population scores has the sqrt(n / chi2_n) limit.
     """
-    from .pca_engine import sample_score_matrix
-
     return math.sqrt(pca.divisor) * sample_score_matrix(pca, m)

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``hdlss-sweep``, ``growing-n-sweep``, ``pca``, ``scatter``,
-``r-dist``.  Exit codes: 0 success, 1 configuration/usage error, 2 runtime
-failure, 3 when a sweep's embedded distributional check rejects.
+``r-dist``.  The sweep commands log their progress lines (one per finished
+grid point, with an ETA) to stderr.  Exit codes: 0 success,
+1 configuration/usage error, 2 runtime failure, 3 when a sweep's embedded
+distributional check rejects.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from typing import Optional
 
@@ -30,6 +33,10 @@ EXIT_CHECK_REJECTED = 3
 
 _QUANTILE_GRID = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
 _R_GRID = (0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0)
+
+
+# Name of the stderr handler the sweep commands put on the package logger.
+_PROGRESS_HANDLER_NAME = "spikescore.cli.progress"
 
 
 class _UsageError(Exception):
@@ -80,7 +87,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _log_progress_to_stderr() -> None:
+    """Send the package's INFO lines (sweep progress) to stderr, through one
+    handler however often cli_main runs in a process."""
+    logger = logging.getLogger("spikescore")
+    logger.setLevel(logging.INFO)
+    if not any(h.get_name() == _PROGRESS_HANDLER_NAME for h in logger.handlers):
+        handler = logging.StreamHandler()
+        handler.set_name(_PROGRESS_HANDLER_NAME)
+        logger.addHandler(handler)
+
+
 def _run_sweep_command(args, mode: str) -> int:
+    _log_progress_to_stderr()
     config = load_config(args.config)
     if config.mode != mode:
         raise ValueError(f"config mode is {config.mode!r} but the {mode} command was invoked")

@@ -10,6 +10,12 @@ worker count or scheduling.  A worker pool takes the replicates one at a
 time, largest grid value first, so the costliest ones start early and no
 worker is left alone with them at the end; outcomes are put back in task
 order.  Each finished grid point logs one progress line with an ETA.
+
+Each replicate reads the d x n sample twice: once for the Gram matrix of
+dual PCA and once to project it on the spike directions, P = X'U_m (only m
+rows of X on the canonical basis).  The diagnostics then read n-space
+arrays only: the sample eigenvalues w and score vectors V, the population
+scores S and the projection P.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from . import __version__
 from .asymptotics import (
     DEFAULT_DENOMINATOR_GUARD,
     comparable_sample_scores,
+    projection_overlaps,
     score_ratio_table,
     spike_diagnostics,
-    spike_overlaps,
 )
 from .limit_dist import RLaw, ks_test, r_cdf
 from .pca_engine import PcaResult, dual_pca
@@ -48,18 +54,17 @@ from .spike_model import (
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
-    basis_vectors,
     generate_sample,
-    population_score_matrix,
+    projection_scores,
     resolve_eigenvalues,
+    spike_projection,
 )
 
 log = logging.getLogger(__name__)
 
 MODE_HDLSS = "hdlss-sweep"
 MODE_GROWING_N = "growing-n-sweep"
-MODE_SINGLE = "single-pca"
-_MODES = (MODE_HDLSS, MODE_GROWING_N, MODE_SINGLE)
+_MODES = (MODE_HDLSS, MODE_GROWING_N)
 
 # Per grid point, report.json names the rate whose vanishing the mode's
 # asymptotics need, under these keys (see ExperimentConfig.validate).
@@ -158,7 +163,6 @@ class ExperimentConfig:
           tail value.  A warning is issued when that rate does not strictly
           decrease along the grid; nothing is refused, since no bound on
           the rate is known for this regime.
-        - ``single-pca``: no regime check.
         """
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
@@ -184,8 +188,6 @@ class ExperimentConfig:
                     f"dimension sweep needs d >= n at every grid point; "
                     f"got d={spec.d} < n={spec.n}"
                 )
-            if self.mode == MODE_SINGLE:
-                continue
             rate = _regime_ratio(self.mode, spec)
             if self.mode == MODE_GROWING_N:
                 rates.append(rate)
@@ -298,10 +300,11 @@ def compute_replicate(
     pca = dual_pca(data.values, divisor="n", rank=m)
     t2 = time.perf_counter()
 
-    s_pop = population_score_matrix(data)
+    proj = spike_projection(data)
+    s_pop = projection_scores(spec, proj)
     s_hat = comparable_sample_scores(pca, m)
     table = score_ratio_table(s_hat, s_pop, guard)
-    overlaps = spike_overlaps(pca, basis_vectors(spec), x=data.values)
+    overlaps = projection_overlaps(pca, proj)
     spike = spike_diagnostics(overlaps, resolve_eigenvalues(spec), pca.sample_eigenvalues)
     diags = tuple(
         SpikeDiagnostics(

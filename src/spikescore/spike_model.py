@@ -9,11 +9,16 @@ product of Householder reflectors.  That rotation is held in compact-WY
 form, I - W'TW, and applied as two matrix products; one frame, of
 m + 20 reflectors of length d, stays cached per process, so a sweep builds
 it once per grid point.
+
+Each replicate projects the sample on the spike directions once:
+``spike_projection`` gives P = X'U_m (n x m), a row slice on the canonical
+basis and one product with the frame's first m columns otherwise, and the
+population scores (``projection_scores``) and the sample-direction
+overlaps are both taken from that P.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -344,24 +349,37 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     return DataMatrix(values=x, latent=latent, spec=spec)
 
 
+def spike_projection(data: DataMatrix) -> np.ndarray:
+    """P = X'U_m (n x m), every observation projected on the spike directions.
+
+    On the canonical basis u_j = e_j, so P is the first m rows of X,
+    transposed: every other term of the product is an exact zero, so the
+    bits are those of the matrix product, and no d x m matrix is built.
+    Otherwise it is one product with the cached frame's first m columns.
+    """
+    spec = data.spec
+    frame = _frame(spec)
+    if frame is None:
+        return data.values[: spec.m].T.copy()
+    return data.values.T @ frame.vectors(spec.m)
+
+
+def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
+    """Population scores S = (P - mu 1'U_m) / sqrt(lambda) from P = X'U_m."""
+    lam = resolve_eigenvalues(spec)[: spec.m]
+    mu = spec.mean_vector_value
+    if mu != 0.0:
+        # 1'u_j is 1 on the canonical axes, a column sum of U_m otherwise.
+        frame = _frame(spec)
+        proj = proj - mu * (1.0 if frame is None else frame.vectors(spec.m).sum(axis=0))
+    return proj / np.sqrt(lam)
+
+
 def population_score_matrix(data: DataMatrix) -> np.ndarray:
-    """Population scores S (n x m): S[i, j] = u_j'X_i / sqrt(lambda_j).
+    """Population scores S (n x m): S[i, j] = u_j'(X_i - mean) / sqrt(lambda_j).
 
     Computed from the actual basis vectors and data, not read back from the
     latent coordinates, so it doubles as a check of the generator: for a
     zero-mean model it reproduces latent.spike to rounding.
     """
-    spec = data.spec
-    lam = resolve_eigenvalues(spec)[: spec.m]
-    u = basis_vectors(spec)
-    x = data.values
-    mu = spec.mean_vector_value
-    proj = x.T @ u  # (n, m)
-    if mu != 0.0:
-        proj = proj - mu * u.sum(axis=0)
-    return proj / np.sqrt(lam)
-
-
-def replace_spec(spec: SpikeSpec, **changes) -> SpikeSpec:
-    """A copy of spec with the given fields replaced (re-validated)."""
-    return dataclasses.replace(spec, **changes)
+    return projection_scores(data.spec, spike_projection(data))

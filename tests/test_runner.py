@@ -12,8 +12,10 @@ import spikescore.runner as rn
 from spikescore import spike_model
 from spikescore.asymptotics import (
     angle_to_population,
+    comparable_sample_scores,
     cross_spike_overlap,
     eigenvalue_ratio,
+    score_ratio_table,
     tail_leakage,
 )
 from spikescore.pca_engine import dual_pca
@@ -32,11 +34,13 @@ from spikescore.runner import (
 )
 from spikescore.spike_model import (
     CanonicalAxes,
+    ConstantMean,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
     basis_vectors,
     generate_sample,
+    population_score_matrix,
     resolve_eigenvalues,
 )
 
@@ -118,6 +122,10 @@ class TestConfigParsing:
     def test_bad_line(self):
         with pytest.raises(ValueError, match="KEY = VALUE"):
             parse_config("mode hdlss-sweep\n")
+
+    def test_single_pca_mode_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            parse_config("mode = single-pca\ntemplate.spikes = power:1:1.6\ngrid.d = 200\n")
 
 
 class TestConfigValidation:
@@ -361,6 +369,58 @@ class TestRunnerMatchesApi:
             assert diag.cross_overlaps == (
                 cross_spike_overlap(pca, basis, lam, j, 1 - j, x=data.values),
             )
+
+    def test_scores_and_overlaps_equal_public_chain_with_mean(self):
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
+            n=10,
+            mean=ConstantMean(2.5),
+        )
+        guard = 1e-3
+        record = compute_replicate(template, MODE_HDLSS, 300, 2, master_seed=17, guard=guard)
+        spec = template.spec_at(MODE_HDLSS, 300)
+        data = generate_sample(spec, np.random.SeedSequence((17, 300, 2)))
+        pca = dual_pca(data.values, divisor="n", rank=2)
+        table = score_ratio_table(
+            comparable_sample_scores(pca, 2), population_score_matrix(data), guard
+        )
+        basis = basis_vectors(spec)
+        lam = resolve_eigenvalues(spec)[:2]
+        for j, diag in enumerate(record.spikes):
+            assert diag.median_ratio == table.medians[j]
+            assert diag.rel_spread == table.rel_spreads[j]
+            assert diag.n_excluded == table.n_excluded[j]
+            assert diag.angle_rad == angle_to_population(pca, basis, j, x=data.values)
+            assert diag.leakage == tail_leakage(pca, basis, j, x=data.values)
+            assert diag.eig_ratio == eigenvalue_ratio(pca, lam, j)
+
+
+class TestOneProjectionPerReplicate:
+    def test_orthogonal_replicate_builds_basis_vectors_once(self, monkeypatch):
+        calls = []
+        vectors = spike_model._HouseholderFrame.vectors
+
+        def counting(frame, count):
+            calls.append(count)
+            return vectors(frame, count)
+
+        monkeypatch.setattr(spike_model._HouseholderFrame, "vectors", counting)
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
+            n=10,
+            basis=RandomOrthogonal(seed=4),
+        )
+        compute_replicate(template, MODE_HDLSS, 300, 1, master_seed=21)
+        assert calls == [2]
+
+    def test_canonical_replicate_builds_no_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a canonical replicate built a d x m basis")
+
+        monkeypatch.setattr(spike_model, "basis_vectors", refuse)
+        template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=6)
+        record = compute_replicate(template, MODE_HDLSS, 200, 0, master_seed=5)
+        assert np.isfinite(record.spikes[0].median_ratio)
 
 
 class TestFrameReuse:

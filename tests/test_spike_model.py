@@ -18,6 +18,7 @@ from spikescore.spike_model import (
     orthogonal_matrix,
     population_score_matrix,
     resolve_eigenvalues,
+    spike_projection,
 )
 
 
@@ -257,6 +258,32 @@ class TestPopulationScores:
         data = generate_sample(spec, 44)
         s = population_score_matrix(data)
         assert np.allclose(s, data.latent.spike, atol=1e-10)
+
+
+class TestSpikeProjection:
+    @pytest.mark.parametrize(
+        "spikes, basis, mean",
+        [
+            ((100.0,), CanonicalAxes(), ZeroMean()),
+            ((100.0, 25.0), CanonicalAxes(), ZeroMean()),
+            ((100.0, 25.0), RandomOrthogonal(seed=8), ZeroMean()),
+            ((100.0, 25.0), CanonicalAxes(), ConstantMean(3.0)),
+            ((100.0, 25.0), RandomOrthogonal(seed=8), ConstantMean(-1.5)),
+        ],
+    )
+    def test_bitwise_equal_to_product_with_basis(self, spikes, basis, mean):
+        spec = SpikeSpec(
+            spikes=tuple(SpikeProfile.fixed(v) for v in spikes),
+            n=9,
+            d=400,
+            basis=basis,
+            mean=mean,
+        )
+        data = generate_sample(spec, 61)
+        proj = spike_projection(data)
+        expected = data.values.T @ basis_vectors(spec)
+        assert proj.shape == (9, len(spikes))
+        assert np.array_equal(proj, expected)
 
 
 class TestEnumDefaults:
