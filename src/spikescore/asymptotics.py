@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .pca_engine import PcaResult, ZERO_EIGENVALUE_RTOL, sample_score_matrix
-from .spike_model import DataMatrix, ZeroMean, _frame, basis_vectors, resolve_eigenvalues
+from .spike_model import DataMatrix, ZeroMean, _frame, resolve_eigenvalues
 
 DEFAULT_DENOMINATOR_GUARD = 1e-8
 
@@ -206,8 +206,9 @@ def spike_diagnostics(
         raise ValueError(
             f"need {m} population and {q} sample eigenvalues, got {lam.size} and {w.size}"
         )
-    # fmin, like min(1, .) on floats, maps a NaN overlap to 1.
-    angles = np.arccos(np.fmin(1.0, np.abs(np.diagonal(o[:q, :q]))))
+    # minimum propagates NaN, so a NaN overlap row gets a NaN angle rather
+    # than the 0 of perfect alignment.
+    angles = np.arccos(np.minimum(1.0, np.abs(np.diagonal(o[:q, :q]))))
     return OverlapDiagnostics(
         angles=angles,
         cross_overlaps=np.sqrt(lam[:m] / lam[:q, None]) * np.abs(o[:q]),
@@ -276,18 +277,15 @@ def ratio_decomposition(
 ) -> RatioDecomposition:
     """Split the signed score ratio for cell (i, j) into its exact terms.
 
-    Requires the full latent matrix (generation keeps it only when
-    d <= DIAGNOSTIC_MAX_D) and a zero-mean model.  The three terms sum to
-    the directly computed signed ratio up to rounding, and |noise| never
-    exceeds ``noise_bound``.
+    Works at any d and needs a zero-mean model.  Everything is read from
+    the sample: one pass of U' over the d x 2 block [x_i, u_hat_j] gives
+    U'x_i = sqrt(lambda) * z_i, hence the population score
+    z_ij = (U'x_i)_j / sqrt(lambda_j), and U'u_hat_j.  The three terms sum
+    to the directly computed signed ratio up to rounding, and |noise| never
+    exceeds ``noise_bound``, the Cauchy-Schwarz bound over the tail
+    coordinates of the same two vectors.
     """
     spec = data.spec
-    full = data.latent.full
-    if full is None:
-        raise ValueError(
-            "ratio decomposition needs the full latent matrix; it is retained "
-            "only in diagnostic mode (d <= 10_000)"
-        )
     if not isinstance(spec.mean, ZeroMean):
         raise ValueError("ratio decomposition is defined for the zero-mean model")
     if not 0 <= j < min(pca.rank, spec.m):
@@ -297,13 +295,7 @@ def ratio_decomposition(
     lam_hat = float(pca.sample_eigenvalues[j])
     if lam_hat <= 0:
         raise ValueError(f"sample eigenvalue {j} is zero; ratio undefined")
-    z_ij = float(full[i, j])
-    if abs(z_ij) < guard:
-        raise ValueError(
-            f"population score z[{i},{j}] = {z_ij:g} is below the guard {guard:g}"
-        )
 
-    # u_hat_j in population coordinates: U' u_hat_j.
     if pca.loadings is not None and (
         pca.loading_valid is None or pca.loading_valid[j]
     ):
@@ -312,22 +304,31 @@ def ratio_decomposition(
         u_hat = (data.values @ pca.score_vectors[:, j]) / (
             math.sqrt(pca.divisor) * math.sqrt(lam_hat)
         )
+    block = np.column_stack((data.values[:, i], u_hat))
     frame = _frame(spec)
-    w = u_hat if frame is None else frame.apply_transpose(u_hat)
+    if frame is not None:
+        block = frame.apply_transpose(block)
+    y, w = block[:, 0], block[:, 1]  # U'x_i and U'u_hat_j
 
     lam = resolve_eigenvalues(spec)
+    z_ij = float(y[j] / math.sqrt(lam[j]))
+    if abs(z_ij) < guard:
+        raise ValueError(
+            f"population score z[{i},{j}] = {z_ij:g} is below the guard {guard:g}"
+        )
+
     m = spec.m
-    z_i = full[i]
-    coeff = np.sqrt(lam) * z_i * w / (math.sqrt(lam_hat) * z_ij)
+    coeff = y * w / (math.sqrt(lam_hat) * z_ij)
     signal = float(math.sqrt(lam[j] / lam_hat) * w[j])
     cross = float(coeff[:m].sum() - coeff[j])
     noise = float(coeff[m:].sum())
 
     total = float(math.sqrt(pca.divisor) * pca.score_vectors[i, j] / z_ij)
 
-    tail_z_sq = float(z_i[m:] @ z_i[m:])
+    # y[m:] = sqrt(tail_value) * z_i[m:], so this is tail_value |z_i,tail|^2.
+    tail_y_sq = float(y[m:] @ y[m:])
     tail_w_sq = float(w[m:] @ w[m:])
-    bound_sq = spec.tail_value * tail_z_sq * tail_w_sq / (lam_hat * z_ij**2)
+    bound_sq = tail_y_sq * tail_w_sq / (lam_hat * z_ij**2)
     noise_bound = math.sqrt(max(bound_sq, 0.0))
     if abs(noise) > noise_bound * (1.0 + 1e-9) + 1e-300:
         raise ArithmeticError(

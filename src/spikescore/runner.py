@@ -42,7 +42,7 @@ from .asymptotics import (
     score_ratio_table,
     spike_diagnostics,
 )
-from .limit_dist import RLaw, ks_test, r_cdf
+from .limit_dist import RLaw, ks_test
 from .pca_engine import PcaResult, dual_pca
 from .spike_model import (
     BasisChoice,
@@ -475,7 +475,6 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
             f"{len(failure_detail)} of {total} replicates failed "
             f"(> {MAX_FAILURE_RATE:.0%}); aborting the sweep"
         )
-    records.sort(key=lambda r: (grid.index(r.grid_value), r.replicate))
 
     ks_outcomes = []
     consistency = []
@@ -498,7 +497,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
                     reason = "KS needs at least 10 replicates"
                     ks_outcomes.append(_skipped(key, medians.size, reason))
                 else:
-                    outcome = ks_test(medians, lambda r: r_cdf(r, law))
+                    outcome = ks_test(medians, law.cdf)
                     ks_outcomes.append({**key, **dataclasses.asdict(outcome)})
             elif medians.size == 0:
                 consistency.append(_skipped(key, 0, "no finite median ratio"))

@@ -15,6 +15,10 @@ Each replicate projects the sample on the spike directions once:
 basis and one product with the frame's first m columns otherwise, and the
 population scores (``projection_scores``) and the sample-direction
 overlaps are both taken from that P.
+
+Generation keeps the sample and the latent spike columns, nothing else:
+every other diagnostic reads the sample itself, so no second n x d array
+is held per replicate at any d.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-# Full latent coordinates are retained only up to this dimension; above it
-# keeping an n x d float matrix per replicate defeats the O(dn) design.
+# Largest d at which ``orthogonal_matrix`` materializes the d x d basis.
 DIAGNOSTIC_MAX_D = 10_000
 
 # Extra Householder reflectors beyond the spike count, enough to scramble
@@ -162,15 +165,13 @@ class SpikeSpec:
 class LatentScores:
     """Standard-normal coordinates behind a generated sample.
 
-    ``spike`` keeps the first m latent columns exactly (these are the
-    population scores).  ``tail_sumsq[i]`` is sum_{k>m} z_{i,k}**2, enough
-    for the noise-term bound at any d.  ``full`` is the whole n x d latent
-    matrix, kept only when d <= DIAGNOSTIC_MAX_D.
+    ``spike`` (n x m) keeps the first m latent columns exactly: these are
+    the population scores, the reference ``population_score_matrix`` is
+    checked against.  The tail coordinates are not kept; where they are
+    needed (``ratio_decomposition``) they are read back from the sample.
     """
 
     spike: np.ndarray
-    tail_sumsq: np.ndarray
-    full: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -263,9 +264,7 @@ class _HouseholderFrame:
 
     def vectors(self, count: int) -> np.ndarray:
         """First `count` columns of U, as a dense (d, count) matrix."""
-        e = np.zeros((self.d, count))
-        e[np.arange(count), np.arange(count)] = 1.0
-        return self.apply(e)
+        return self.apply(np.eye(self.d, count))
 
 
 def _frame(spec: SpikeSpec) -> Optional[_HouseholderFrame]:
@@ -295,9 +294,7 @@ def basis_vectors(spec: SpikeSpec, count: Optional[int] = None) -> np.ndarray:
     if count > spec.d:
         raise ValueError(f"count={count} exceeds d={spec.d}")
     if isinstance(spec.basis, CanonicalAxes):
-        e = np.zeros((spec.d, count))
-        e[np.arange(count), np.arange(count)] = 1.0
-        return e
+        return np.eye(spec.d, count)
     return _frame(spec).vectors(count)
 
 
@@ -311,14 +308,6 @@ def orthogonal_matrix(spec: SpikeSpec) -> np.ndarray:
     return basis_vectors(spec, spec.d)
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, (tuple, list)):
-        return np.random.SeedSequence(tuple(int(s) for s in seed))
-    return np.random.SeedSequence(int(seed))
-
-
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     """Draw X = [X_1, ..., X_n] (d x n) from the spiked model.
 
@@ -327,16 +316,11 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     a tuple of ints, or a numpy SeedSequence.  The counter-based generator
     (Philox) makes replicate streams independent of execution order.
     """
-    rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+    rng = np.random.Generator(np.random.Philox(seed))
     lam = resolve_eigenvalues(spec)
-    n, d, m = spec.n, spec.d, spec.m
 
-    z = rng.standard_normal((n, d))
-    spike = z[:, :m].copy()
-    tail = z[:, m:]
-    tail_sumsq = np.einsum("ij,ij->i", tail, tail)
-    full = z.copy() if d <= DIAGNOSTIC_MAX_D else None
-
+    z = rng.standard_normal((spec.n, spec.d))
+    spike = z[:, : spec.m].copy()
     z *= np.sqrt(lam)  # in place: the draw is not needed unscaled any more
     y = z.T  # (d, n); row j is sqrt(lambda_j) * z[:, j]
     frame = _frame(spec)
@@ -345,8 +329,7 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     if mu != 0.0:
         x = x + mu
 
-    latent = LatentScores(spike=spike, tail_sumsq=tail_sumsq, full=full)
-    return DataMatrix(values=x, latent=latent, spec=spec)
+    return DataMatrix(values=x, latent=LatentScores(spike=spike), spec=spec)
 
 
 def spike_projection(data: DataMatrix) -> np.ndarray:
@@ -378,8 +361,9 @@ def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
 def population_score_matrix(data: DataMatrix) -> np.ndarray:
     """Population scores S (n x m): S[i, j] = u_j'(X_i - mean) / sqrt(lambda_j).
 
-    Computed from the actual basis vectors and data, not read back from the
-    latent coordinates, so it doubles as a check of the generator: for a
-    zero-mean model it reproduces latent.spike to rounding.
+    Computed from the data and the spike directions through
+    ``spike_projection``, not read back from ``latent.spike``, so it doubles
+    as a check of the generator: it reproduces latent.spike to rounding
+    (with the mean removed for a constant-mean model).
     """
     return projection_scores(data.spec, spike_projection(data))

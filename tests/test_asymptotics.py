@@ -16,6 +16,8 @@ from spikescore.asymptotics import (
 )
 from spikescore.pca_engine import PcaResult, dual_pca
 from spikescore.spike_model import (
+    DIAGNOSTIC_MAX_D,
+    CanonicalAxes,
     ConstantMean,
     DataMatrix,
     LatentScores,
@@ -228,7 +230,8 @@ class TestTailLeakage:
 class TestSpikeDiagnostics:
     def test_matches_per_entry_formulas(self):
         # Bitwise against the scalar formulas, including an overlap above 1
-        # from rounding and a NaN row from a zero sample eigenvalue.
+        # from rounding and a NaN row from a zero sample eigenvalue, whose
+        # angle is NaN, not the 0 of perfect alignment.
         rng = np.random.default_rng(5)
         o = rng.uniform(-1.0, 1.0, size=(3, 3))
         o[0, 0] = 1.0 + 1e-15
@@ -238,7 +241,8 @@ class TestSpikeDiagnostics:
         out = spike_diagnostics(o, lam, w)
         for j in range(3):
             row = o[j]
-            assert out.angles[j] == np.arccos(min(1.0, abs(row[j])))
+            angle = np.nan if np.isnan(row[j]) else np.arccos(min(1.0, abs(row[j])))
+            np.testing.assert_array_equal(out.angles[j], angle)
             assert out.eig_ratios[j] == w[j] / lam[j]
             np.testing.assert_array_equal(out.leakage[j], 1.0 - row @ row)
             for k in range(3):
@@ -300,7 +304,7 @@ class TestRatioDecomposition:
         z[:, 0] = [1.0, -2.0]
         values = np.zeros((3, 2))
         values[0] = 3.0 * z[:, 0]
-        latent = LatentScores(spike=z[:, :1].copy(), tail_sumsq=np.zeros(2), full=z)
+        latent = LatentScores(spike=z[:, :1].copy())
         data = DataMatrix(values=values, latent=latent, spec=spec)
         pca = dual_pca(values, rank=1)
         dec = ratio_decomposition(data, pca, 0, 0)
@@ -312,7 +316,7 @@ class TestRatioDecomposition:
     def test_identity_on_generated_data(self):
         spec, data, pca = single_spike_data(d=500, n=10, seed=7)
         for i in range(10):
-            if abs(data.latent.full[i, 0]) < 1e-8:
+            if abs(data.latent.spike[i, 0]) < 1e-8:
                 continue
             dec = ratio_decomposition(data, pca, i, 0)
             total = dec.signal + dec.cross_spike + dec.noise
@@ -340,7 +344,7 @@ class TestRatioDecomposition:
             for seed in range(40):
                 spec, data, pca = single_spike_data(d=d, n=10, seed=(900, d, seed))
                 for i in range(10):
-                    if abs(data.latent.full[i, 0]) < 1e-8:
+                    if abs(data.latent.spike[i, 0]) < 1e-8:
                         continue
                     noises.append(abs(ratio_decomposition(data, pca, i, 0).noise))
             means.append(np.mean(noises))
@@ -360,21 +364,24 @@ class TestRatioDecomposition:
         assert abs(median - signal) <= worst_noise
         assert table.rel_spreads[0] < 0.1
 
-    def test_requires_full_latent(self):
-        spec = SpikeSpec(spikes=(SpikeProfile.fixed(9.0),), n=4, d=20)
-        data = generate_sample(spec, 3)
-        stripped = DataMatrix(
-            values=data.values,
-            latent=LatentScores(
-                spike=data.latent.spike,
-                tail_sumsq=data.latent.tail_sumsq,
-                full=None,
-            ),
-            spec=spec,
+    @pytest.mark.parametrize("basis", [CanonicalAxes(), RandomOrthogonal(seed=9)])
+    def test_identity_and_bound_above_diagnostic_max_d(self, basis):
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.4), SpikeProfile.power(1.0, 1.2)),
+            n=12,
+            d=DIAGNOSTIC_MAX_D * 2,
+            basis=basis,
         )
-        pca = dual_pca(data.values, rank=1)
-        with pytest.raises(ValueError, match="diagnostic mode"):
-            ratio_decomposition(stripped, pca, 0, 0)
+        data = generate_sample(spec, 23)
+        pca = dual_pca(data.values, rank=2)
+        for i in range(spec.n):
+            for j in (0, 1):
+                if abs(data.latent.spike[i, j]) < 1e-8:
+                    continue
+                dec = ratio_decomposition(data, pca, i, j)
+                total = dec.signal + dec.cross_spike + dec.noise
+                assert total == pytest.approx(dec.total, rel=1e-10)
+                assert abs(dec.noise) <= dec.noise_bound
 
     def test_requires_zero_mean_model(self):
         spec = SpikeSpec(
@@ -386,20 +393,14 @@ class TestRatioDecomposition:
             ratio_decomposition(data, pca, 0, 0)
 
     def test_guard_on_tiny_denominator(self):
+        # Coordinate 0 of observation 1 at sqrt(lambda_1) * 1e-12 puts
+        # z_{1,0} at 1e-12.
         spec = SpikeSpec(spikes=(SpikeProfile.fixed(9.0),), n=4, d=20)
         data = generate_sample(spec, 3)
-        doctored = data.latent.full.copy()
-        doctored[1, 0] = 1e-12
-        patched = DataMatrix(
-            values=data.values,
-            latent=LatentScores(
-                spike=doctored[:, :1].copy(),
-                tail_sumsq=data.latent.tail_sumsq,
-                full=doctored,
-            ),
-            spec=spec,
-        )
-        pca = dual_pca(data.values, rank=1)
+        values = data.values.copy()
+        values[0, 1] = 3.0 * 1e-12
+        patched = DataMatrix(values=values, latent=data.latent, spec=spec)
+        pca = dual_pca(values, rank=1)
         with pytest.raises(ValueError, match="guard"):
             ratio_decomposition(patched, pca, 1, 0)
 

@@ -1,5 +1,7 @@
 """Spiked-model resolution, generation, and population scores."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,8 @@ class TestGeneration:
     def test_canonical_rows_are_scaled_latents(self):
         spec = SpikeSpec(spikes=(SpikeProfile.fixed(9.0),), n=8, d=50)
         data = generate_sample(spec, 123)
-        z = data.latent.full
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(123)))
+        z = rng.standard_normal((8, 50))
         assert np.array_equal(data.values[0], 3.0 * z[:, 0])
         assert np.array_equal(data.values[1], z[:, 1])
         assert np.array_equal(data.latent.spike[:, 0], z[:, 0])
@@ -104,7 +107,6 @@ class TestGeneration:
         b = generate_sample(spec, 77)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.latent.spike, b.latent.spike)
-        assert np.array_equal(a.latent.tail_sumsq, b.latent.tail_sumsq)
         c = generate_sample(spec, 78)
         assert not np.array_equal(a.values, c.values)
 
@@ -123,22 +125,32 @@ class TestGeneration:
         x1 = generate_sample(shifted, 9).values
         assert np.allclose(x1, x0 + 2.5, atol=0, rtol=0)
 
-    def test_full_latent_only_in_diagnostic_mode(self):
+    def test_latent_keeps_only_spike_columns(self):
         small = generate_sample(single_spike_spec(d=600, n=4), 1)
-        assert small.latent.full is not None
         big = generate_sample(single_spike_spec(d=10_001, n=4), 1)
-        assert big.latent.full is None
-        assert big.latent.spike.shape == (4, 1)
-        assert big.latent.tail_sumsq.shape == (4,)
+        assert small.latent.spike.shape == big.latent.spike.shape == (4, 1)
 
-    def test_tail_sumsq_matches_full_latent(self):
-        data = generate_sample(single_spike_spec(d=300, n=5), 2)
-        tail = data.latent.full[:, 1:]
-        assert np.allclose(data.latent.tail_sumsq, (tail**2).sum(axis=1), rtol=1e-12)
+    @pytest.mark.parametrize(
+        "basis, max_ratio", [(CanonicalAxes(), 1.5), (RandomOrthogonal(seed=6), 2.5)]
+    )
+    def test_no_second_copy_of_the_draw(self, basis, max_ratio):
+        # The draw is scaled in place and is the sample on the canonical
+        # basis; the rotation adds one n x d output.  A kept copy of the
+        # draw would add one more n x d array on either basis.  The frame is
+        # built first, as a sweep holds it cached.
+        spec = single_spike_spec(d=5_000, n=40, basis=basis)
+        spike_model._frame(spec)
+        tracemalloc.start()
+        try:
+            data = generate_sample(spec, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < max_ratio * data.values.nbytes
 
     def test_mismatched_shapes_rejected(self):
         spec = single_spike_spec(d=20, n=4)
-        latent = LatentScores(spike=np.zeros((4, 1)), tail_sumsq=np.zeros(4))
+        latent = LatentScores(spike=np.zeros((4, 1)))
         with pytest.raises(ValueError, match="does not match spec"):
             DataMatrix(values=np.zeros((21, 4)), latent=latent, spec=spec)
 
