@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .pca_engine import PcaResult, ZERO_EIGENVALUE_RTOL, sample_score_matrix
-from .spike_model import DataMatrix, ZeroMean, _frame, resolve_eigenvalues
+from .spike_model import DataMatrix, ZeroMean, basis_vectors
 
 DEFAULT_DENOMINATOR_GUARD = 1e-8
 
@@ -277,17 +277,23 @@ def ratio_decomposition(
 ) -> RatioDecomposition:
     """Split the signed score ratio for cell (i, j) into its exact terms.
 
-    Works at any d and needs a zero-mean model.  Everything is read from
-    the sample: one pass of U' over the d x 2 block [x_i, u_hat_j] gives
-    U'x_i = sqrt(lambda) * z_i, hence the population score
-    z_ij = (U'x_i)_j / sqrt(lambda_j), and U'u_hat_j.  The three terms sum
-    to the directly computed signed ratio up to rounding, and |noise| never
-    exceeds ``noise_bound``, the Cauchy-Schwarz bound over the tail
-    coordinates of the same two vectors.
+    Works at any d and on either basis, for an uncentered PCA of a
+    zero-mean model.  Everything is read from the sample and the spike
+    directions U_m (``basis_vectors``): U_m'x_i = sqrt(lambda) * z_i gives
+    the population score z_ij = (U_m'x_i)_j / sqrt(lambda_j), and with
+    U_m'u_hat_j it gives the signal and cross-spike terms.  The noise term
+    is the inner product of the parts of x_i and u_hat_j outside
+    span(U_m), x - U_m(U_m'x), so the three terms sum to the directly
+    computed signed ratio up to rounding, and |noise| never exceeds
+    ``noise_bound``, the Cauchy-Schwarz bound from the norms of those two
+    tail parts.
     """
     spec = data.spec
     if not isinstance(spec.mean, ZeroMean):
         raise ValueError("ratio decomposition is defined for the zero-mean model")
+    if pca.centered:
+        # The terms project the raw x_i, which a centered PCA did not use.
+        raise ValueError("ratio decomposition needs an uncentered PCA (center=False)")
     if not 0 <= j < min(pca.rank, spec.m):
         raise ValueError(f"j must be in [0, {min(pca.rank, spec.m)}), got {j}")
     if not 0 <= i < spec.n:
@@ -305,31 +311,27 @@ def ratio_decomposition(
             math.sqrt(pca.divisor) * math.sqrt(lam_hat)
         )
     block = np.column_stack((data.values[:, i], u_hat))
-    frame = _frame(spec)
-    if frame is not None:
-        block = frame.apply_transpose(block)
-    y, w = block[:, 0], block[:, 1]  # U'x_i and U'u_hat_j
+    u_m = basis_vectors(spec)
+    coef = u_m.T @ block
+    y, w = coef.T  # U_m'x_i and U_m'u_hat_j
+    x_tail, u_tail = (block - u_m @ coef).T
 
-    lam = resolve_eigenvalues(spec)
-    z_ij = float(y[j] / math.sqrt(lam[j]))
+    lam_j = float(spec.spike_eigenvalues[j])
+    z_ij = float(y[j] / math.sqrt(lam_j))
     if abs(z_ij) < guard:
         raise ValueError(
             f"population score z[{i},{j}] = {z_ij:g} is below the guard {guard:g}"
         )
 
-    m = spec.m
-    coeff = y * w / (math.sqrt(lam_hat) * z_ij)
-    signal = float(math.sqrt(lam[j] / lam_hat) * w[j])
-    cross = float(coeff[:m].sum() - coeff[j])
-    noise = float(coeff[m:].sum())
+    scale = math.sqrt(lam_hat) * z_ij
+    signal = float(math.sqrt(lam_j / lam_hat) * w[j])
+    terms = y * w / scale
+    cross = float(terms.sum() - terms[j])
+    noise = float(x_tail @ u_tail) / scale
 
     total = float(math.sqrt(pca.divisor) * pca.score_vectors[i, j] / z_ij)
 
-    # y[m:] = sqrt(tail_value) * z_i[m:], so this is tail_value |z_i,tail|^2.
-    tail_y_sq = float(y[m:] @ y[m:])
-    tail_w_sq = float(w[m:] @ w[m:])
-    bound_sq = tail_y_sq * tail_w_sq / (lam_hat * z_ij**2)
-    noise_bound = math.sqrt(max(bound_sq, 0.0))
+    noise_bound = float(np.linalg.norm(x_tail) * np.linalg.norm(u_tail)) / abs(scale)
     if abs(noise) > noise_bound * (1.0 + 1e-9) + 1e-300:
         raise ArithmeticError(
             f"noise term {noise:g} exceeds its Cauchy-Schwarz bound {noise_bound:g}"

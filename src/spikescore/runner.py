@@ -56,7 +56,6 @@ from .spike_model import (
     ZeroMean,
     generate_sample,
     projection_scores,
-    resolve_eigenvalues,
     spike_projection,
 )
 
@@ -216,7 +215,7 @@ class ExperimentConfig:
 def _regime_ratio(mode: str, spec: SpikeSpec) -> float:
     """d / lambda_m in ``hdlss-sweep``, d / (n lambda_m) in ``growing-n-sweep``:
     the rate that validation guards on and report.json records."""
-    lam_m = resolve_eigenvalues(spec)[spec.m - 1]
+    lam_m = spec.spike_eigenvalues[-1]
     return spec.d / (spec.n * lam_m) if mode == MODE_GROWING_N else spec.d / lam_m
 
 
@@ -305,7 +304,7 @@ def compute_replicate(
     s_hat = comparable_sample_scores(pca, m)
     table = score_ratio_table(s_hat, s_pop, guard)
     overlaps = projection_overlaps(pca, proj)
-    spike = spike_diagnostics(overlaps, resolve_eigenvalues(spec), pca.sample_eigenvalues)
+    spike = spike_diagnostics(overlaps, spec.spike_eigenvalues, pca.sample_eigenvalues)
     diags = tuple(
         SpikeDiagnostics(
             j=j,

@@ -2,21 +2,23 @@
 
 The population covariance is described by its eigen-structure only: a short
 list of dominant eigenvalues (the spikes), a constant tail level, and a
-choice of eigenbasis.  Samples are drawn without ever materializing the
-d x d covariance, so dimensions in the millions stay cheap: generation is
-row-scaling of an n x d standard-normal draw, optionally rotated by a
-product of Householder reflectors.  That rotation is held in compact-WY
-form, I - W'TW, and applied as two matrix products; one frame, of
-m + 20 reflectors of length d, stays cached per process, so a sweep builds
-it once per grid point.
+choice of eigenbasis.  Only the m spike directions U_m are ever held,
+since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
+covariance is never formed, so dimensions in the millions stay cheap.  On
+the canonical axes generation is row-scaling of an n x d standard-normal
+draw.  On a random basis U_m is the Q factor of a seeded d x m Gaussian,
+cached per process so a sweep builds it once per grid point, and the draw
+is multiplied by the symmetric square root of the covariance,
+sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m': an isotropic
+scaling plus a rank-m correction.
 
 Each replicate projects the sample on the spike directions once:
 ``spike_projection`` gives P = X'U_m (n x m), a row slice on the canonical
-basis and one product with the frame's first m columns otherwise, and the
-population scores (``projection_scores``) and the sample-direction
-overlaps are both taken from that P.
+basis and one product with U_m otherwise, and the population scores
+(``projection_scores``) and the sample-direction overlaps are both taken
+from that P.
 
-Generation keeps the sample and the latent spike columns, nothing else:
+Generation keeps the sample and the latent spike coordinates, nothing else:
 every other diagnostic reads the sample itself, so no second n x d array
 is held per replicate at any d.
 """
@@ -32,11 +34,7 @@ import numpy as np
 # Largest d at which ``orthogonal_matrix`` materializes the d x d basis.
 DIAGNOSTIC_MAX_D = 10_000
 
-# Extra Householder reflectors beyond the spike count, enough to scramble
-# the spike directions away from the canonical axes.
-_EXTRA_REFLECTORS = 20
-
-# Domain-separation tag for the reflector RNG stream, so a basis seed can
+# Domain-separation tag for the basis RNG stream, so a basis seed can
 # never collide with a (master_seed, grid, replicate) data stream.
 _BASIS_STREAM_TAG = 0x9E3779B9
 
@@ -94,10 +92,13 @@ class CanonicalAxes:
 
 @dataclass(frozen=True)
 class RandomOrthogonal:
-    """Population eigenvectors come from a seeded random rotation.
+    """Population eigenvectors come from a seeded uniformly random basis.
 
-    The rotation is a product of unit Householder reflectors drawn from
-    seeded Gaussians and applied implicitly, so no d x d matrix is stored.
+    The spike directions U_m are the Q factor of a d x m standard-normal
+    draw from a stream keyed by ``seed``, so their span is uniform over
+    m-dimensional subspaces.  The tail eigenvalue is repeated, so the rest
+    of the basis is any orthonormal completion; only ``orthogonal_matrix``
+    builds one.
     """
 
     seed: int = 0
@@ -125,7 +126,8 @@ class SpikeSpec:
 
     ``spikes`` holds the m dominant eigenvalues (m = len(spikes)); every
     remaining eigenvalue equals ``tail_value``.  Resolved eigenvalues must be
-    non-increasing at this d, and m < n, m < d.
+    non-increasing at this d, and m < n, m < d; a ValueError names the
+    offending pair otherwise (including a spike falling below the tail).
     """
 
     spikes: tuple[SpikeProfile, ...]
@@ -148,11 +150,23 @@ class SpikeSpec:
             raise ValueError(f"spike count m={m} must be < n={self.n}")
         if m >= self.d:
             raise ValueError(f"spike count m={m} must be < d={self.d}")
-        resolve_eigenvalues(self)  # raises on non-monotone resolved sequence
+        values = [*self.spike_eigenvalues, self.tail_value]
+        names = [f"lambda_{k}" for k in range(1, m + 1)] + ["tail"]
+        for j in range(1, m + 1):
+            if values[j] > values[j - 1]:
+                raise ValueError(
+                    f"resolved eigenvalues out of order at d={self.d}: "
+                    f"{names[j - 1]} = {values[j - 1]:g} < {names[j]} = {values[j]:g}"
+                )
 
     @property
     def m(self) -> int:
         return len(self.spikes)
+
+    @property
+    def spike_eigenvalues(self) -> np.ndarray:
+        """The m spike eigenvalues (lambda_1, ..., lambda_m) resolved at d."""
+        return np.array([p.resolve(self.d) for p in self.spikes])
 
     @property
     def mean_vector_value(self) -> float:
@@ -165,10 +179,12 @@ class SpikeSpec:
 class LatentScores:
     """Standard-normal coordinates behind a generated sample.
 
-    ``spike`` (n x m) keeps the first m latent columns exactly: these are
-    the population scores, the reference ``population_score_matrix`` is
-    checked against.  The tail coordinates are not kept; where they are
-    needed (``ratio_decomposition``) they are read back from the sample.
+    ``spike`` (n x m) keeps the latent coordinates on the spike directions,
+    G'U_m for the standard-normal draw G (its first m columns on the
+    canonical basis): these are the population scores, the reference
+    ``population_score_matrix`` is checked against.  The tail coordinates
+    are not kept; where they are needed (``ratio_decomposition``) they are
+    read back from the sample.
     """
 
     spike: np.ndarray
@@ -194,140 +210,105 @@ class DataMatrix:
 def resolve_eigenvalues(spec: SpikeSpec) -> np.ndarray:
     """Concrete population eigenvalues (lambda_1, ..., lambda_d) at spec.d.
 
-    Raises ValueError naming the offending pair if the resolved sequence is
-    not non-increasing (including a spike falling below the tail level).
+    A d-length vector; code that needs only the spikes reads
+    ``spec.spike_eigenvalues``, which stays cheap at any d.
     """
-    d = spec.d
-    resolved = [p.resolve(d) for p in spec.spikes]
-    for j in range(1, len(resolved)):
-        if resolved[j] > resolved[j - 1]:
-            raise ValueError(
-                f"resolved eigenvalues out of order at d={d}: "
-                f"lambda_{j} = {resolved[j - 1]:g} < lambda_{j + 1} = {resolved[j]:g}"
-            )
-    if resolved[-1] < spec.tail_value:
-        raise ValueError(
-            f"resolved eigenvalues out of order at d={d}: "
-            f"lambda_{len(resolved)} = {resolved[-1]:g} < tail = {spec.tail_value:g}"
-        )
-    lam = np.full(d, float(spec.tail_value))
-    lam[: len(resolved)] = resolved
+    lam = np.full(spec.d, float(spec.tail_value))
+    lam[: spec.m] = spec.spike_eigenvalues
     return lam
 
 
-class _HouseholderFrame:
-    """Orthogonal matrix U = H_1 H_2 ... H_k of unit reflectors, kept implicit.
-
-    Reflector directions are unit-normalized Gaussian draws from a stream
-    keyed by (seed, tag), independent of any data stream.  Row i of the
-    k x d matrix ``w`` is the direction of H_i = I - 2 w_i w_i'.  The
-    product is stored in compact-WY form U = I - W'TW (Schreiber & Van Loan
-    1989), with T the k x k upper-triangular factor built from the Gram
-    W W', so applying U or U' costs two matrix products over d x n, not k
-    passes.  Frames are shared through a one-entry cache (``_frame``), so
-    their arrays are read-only.
-    """
-
-    def __init__(self, seed: int, d: int, n_reflectors: int):
-        ss = np.random.SeedSequence((int(seed), _BASIS_STREAM_TAG))
-        rng = np.random.Generator(np.random.Philox(ss))
-        w = rng.standard_normal((n_reflectors, d))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        gram = w @ w.T
-        t = np.zeros((n_reflectors, n_reflectors))
-        for i in range(n_reflectors):
-            t[i, i] = 2.0
-            t[:i, i] = -2.0 * (t[:i, :i] @ gram[:i, i])
-        w.flags.writeable = False
-        t.flags.writeable = False
-        self.w = w
-        self.t = t
-        self.d = d
-
-    def _reflect(self, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """y - W' t W y, with the d x n result as the only large allocation."""
-        y = np.asarray(y, dtype=float)
-        c = t @ (self.w @ y)
-        # (c' W)' has the layout of a transposed C-order array, like the
-        # generator's draw, so the subtraction walks both operands in order.
-        out = (c.T @ self.w).T
-        np.subtract(y, out, out=out)
-        return out
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """U @ y for y of shape (d,) or (d, n)."""
-        return self._reflect(y, self.t)
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        """U.T @ y for y of shape (d,) or (d, n)."""
-        return self._reflect(y, self.t.T)
-
-    def vectors(self, count: int) -> np.ndarray:
-        """First `count` columns of U, as a dense (d, count) matrix."""
-        return self.apply(np.eye(self.d, count))
-
-
-def _frame(spec: SpikeSpec) -> Optional[_HouseholderFrame]:
-    """The spec's rotation, or None for the canonical basis."""
-    if isinstance(spec.basis, CanonicalAxes):
-        return None
-    return _cached_frame(int(spec.basis.seed), spec.d, spec.m + _EXTRA_REFLECTORS)
+def _basis_draw(seed: int, d: int, m: int) -> np.ndarray:
+    """The d x m standard-normal block whose Q factor is the spike basis."""
+    ss = np.random.SeedSequence((int(seed), _BASIS_STREAM_TAG))
+    return np.random.Generator(np.random.Philox(ss)).standard_normal((d, m))
 
 
 @functools.lru_cache(maxsize=1)
-def _cached_frame(seed: int, d: int, n_reflectors: int) -> _HouseholderFrame:
-    # Keyed on the three ints that determine the frame, not on the spec, so
-    # every replicate of a grid point (whatever its n or spikes) shares it.
-    # One entry: a sweep visits grid points in order, and a frame at
-    # d = 1e6 holds 22 x 1e6 doubles.
-    return _HouseholderFrame(seed, d, n_reflectors)
+def _cached_spike_basis(seed: int, d: int, m: int) -> np.ndarray:
+    # Keyed on the three ints that determine U_m, not on the spec, so every
+    # replicate of a grid point (whatever its n or spikes) shares it.  One
+    # entry: a sweep visits grid points in order.  Shared, so read-only.
+    u = np.linalg.qr(_basis_draw(seed, d, m))[0]
+    u.flags.writeable = False
+    return u
+
+
+def _spike_basis(spec: SpikeSpec) -> Optional[np.ndarray]:
+    """The spike directions U_m (d x m), or None on the canonical axes."""
+    if isinstance(spec.basis, CanonicalAxes):
+        return None
+    return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)
 
 
 def basis_vectors(spec: SpikeSpec, count: Optional[int] = None) -> np.ndarray:
     """Population eigenvectors u_1, ..., u_count as a dense (d, count) matrix.
 
-    Defaults to the m spike directions.  Cheap for CanonicalAxes at any d;
-    for RandomOrthogonal the columns come from the cached frame, at the cost
-    of one d x count matrix product.
+    Defaults to the m spike directions.  Cheap for CanonicalAxes at any d.
+    For RandomOrthogonal, count <= m gives columns of the cached, read-only
+    U_m; a larger count is a completion of the tail taken from
+    ``orthogonal_matrix``, so it is limited to d <= DIAGNOSTIC_MAX_D.
     """
     count = spec.m if count is None else count
     if count > spec.d:
         raise ValueError(f"count={count} exceeds d={spec.d}")
     if isinstance(spec.basis, CanonicalAxes):
         return np.eye(spec.d, count)
-    return _frame(spec).vectors(count)
+    if count <= spec.m:
+        return _spike_basis(spec)[:, :count]
+    return orthogonal_matrix(spec)[:, :count]
 
 
 def orthogonal_matrix(spec: SpikeSpec) -> np.ndarray:
-    """The full d x d eigenvector matrix U, for small-d tests only."""
+    """The full d x d eigenvector matrix U, for small-d tests only.
+
+    For RandomOrthogonal it is the complete QR of the draw behind U_m, so
+    its first m columns equal U_m to rounding; the rest is one orthonormal
+    basis of the tail, which any other would serve equally, since the tail
+    eigenvalue is repeated.
+    """
     if spec.d > DIAGNOSTIC_MAX_D:
         raise ValueError(
             f"refusing to materialize a {spec.d} x {spec.d} matrix; "
             f"only supported for d <= {DIAGNOSTIC_MAX_D}"
         )
-    return basis_vectors(spec, spec.d)
+    if isinstance(spec.basis, CanonicalAxes):
+        return np.eye(spec.d)
+    draw = _basis_draw(spec.basis.seed, spec.d, spec.m)
+    return np.linalg.qr(draw, mode="complete")[0]
 
 
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     """Draw X = [X_1, ..., X_n] (d x n) from the spiked model.
 
-    Each column is mean + sum_j sqrt(lambda_j) * u_j * z_{i,j} with z i.i.d.
-    standard normal.  Deterministic given (spec, seed); seed may be an int,
-    a tuple of ints, or a numpy SeedSequence.  The counter-based generator
+    Each column is mean + A g_i with g_i i.i.d. standard normal and
+    A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
+    symmetric square root of the covariance, so the population scores are
+    exactly U_m'g_i.  On the canonical axes A is diagonal and this is a
+    row scaling.  Deterministic given (spec, seed); seed may be an int, a
+    tuple of ints, or a numpy SeedSequence.  The counter-based generator
     (Philox) makes replicate streams independent of execution order.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    lam = resolve_eigenvalues(spec)
+    m = spec.m
+    root_lam = np.sqrt(spec.spike_eigenvalues)
+    root_tau = np.sqrt(float(spec.tail_value))
 
     z = rng.standard_normal((spec.n, spec.d))
-    spike = z[:, : spec.m].copy()
-    z *= np.sqrt(lam)  # in place: the draw is not needed unscaled any more
-    y = z.T  # (d, n); row j is sqrt(lambda_j) * z[:, j]
-    frame = _frame(spec)
-    x = y if frame is None else frame.apply(y)
+    u = _spike_basis(spec)
+    if u is None:
+        spike = z[:, :m].copy()
+        # In place: the draw is not needed unscaled any more.
+        z[:, :m] *= root_lam
+        z[:, m:] *= root_tau
+    else:
+        spike = z @ u
+        z *= root_tau
+        z += ((root_lam - root_tau) * spike) @ u.T
+    x = z.T  # (d, n)
     mu = spec.mean_vector_value
     if mu != 0.0:
-        x = x + mu
+        x += mu
 
     return DataMatrix(values=x, latent=LatentScores(spike=spike), spec=spec)
 
@@ -338,24 +319,23 @@ def spike_projection(data: DataMatrix) -> np.ndarray:
     On the canonical basis u_j = e_j, so P is the first m rows of X,
     transposed: every other term of the product is an exact zero, so the
     bits are those of the matrix product, and no d x m matrix is built.
-    Otherwise it is one product with the cached frame's first m columns.
+    Otherwise it is one product with the cached U_m.
     """
     spec = data.spec
-    frame = _frame(spec)
-    if frame is None:
+    u = _spike_basis(spec)
+    if u is None:
         return data.values[: spec.m].T.copy()
-    return data.values.T @ frame.vectors(spec.m)
+    return data.values.T @ u
 
 
 def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
     """Population scores S = (P - mu 1'U_m) / sqrt(lambda) from P = X'U_m."""
-    lam = resolve_eigenvalues(spec)[: spec.m]
     mu = spec.mean_vector_value
     if mu != 0.0:
         # 1'u_j is 1 on the canonical axes, a column sum of U_m otherwise.
-        frame = _frame(spec)
-        proj = proj - mu * (1.0 if frame is None else frame.vectors(spec.m).sum(axis=0))
-    return proj / np.sqrt(lam)
+        u = _spike_basis(spec)
+        proj = proj - mu * (1.0 if u is None else u.sum(axis=0))
+    return proj / np.sqrt(spec.spike_eigenvalues)
 
 
 def population_score_matrix(data: DataMatrix) -> np.ndarray:

@@ -392,6 +392,14 @@ class TestRatioDecomposition:
         with pytest.raises(ValueError, match="zero-mean"):
             ratio_decomposition(data, pca, 0, 0)
 
+    def test_requires_uncentered_pca(self):
+        # The terms project the raw x_i; a centered PCA's total is a ratio
+        # of centered scores, which they would not add up to.
+        spec, data, _ = single_spike_data(d=500, n=10, seed=7)
+        centered = dual_pca(data.values, rank=1, center=True)
+        with pytest.raises(ValueError, match="uncentered"):
+            ratio_decomposition(data, centered, 0, 0)
+
     def test_guard_on_tiny_denominator(self):
         # Coordinate 0 of observation 1 at sqrt(lambda_1) * 1e-12 puts
         # z_{1,0} at 1e-12.

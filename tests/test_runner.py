@@ -2,6 +2,7 @@
 
 import json
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,6 +42,7 @@ from spikescore.spike_model import (
     basis_vectors,
     generate_sample,
     population_score_matrix,
+    projection_scores,
     resolve_eigenvalues,
 )
 
@@ -396,23 +398,6 @@ class TestRunnerMatchesApi:
 
 
 class TestOneProjectionPerReplicate:
-    def test_orthogonal_replicate_builds_basis_vectors_once(self, monkeypatch):
-        calls = []
-        vectors = spike_model._HouseholderFrame.vectors
-
-        def counting(frame, count):
-            calls.append(count)
-            return vectors(frame, count)
-
-        monkeypatch.setattr(spike_model._HouseholderFrame, "vectors", counting)
-        template = SpikeTemplate(
-            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
-            n=10,
-            basis=RandomOrthogonal(seed=4),
-        )
-        compute_replicate(template, MODE_HDLSS, 300, 1, master_seed=21)
-        assert calls == [2]
-
     def test_canonical_replicate_builds_no_basis(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a canonical replicate built a d x m basis")
@@ -424,16 +409,9 @@ class TestOneProjectionPerReplicate:
 
 
 class TestFrameReuse:
-    def test_one_frame_per_grid_point(self, tmp_path, monkeypatch):
-        built = []
-
-        class CountingFrame(spike_model._HouseholderFrame):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(spike_model, "_HouseholderFrame", CountingFrame)
-        spike_model._cached_frame.cache_clear()
+    def test_one_frame_per_grid_point(self, tmp_path):
+        # U_m is built once per grid point, not per replicate or consumer.
+        spike_model._cached_spike_basis.cache_clear()
         cfg = tiny_config(
             tmp_path,
             template=SpikeTemplate(
@@ -444,9 +422,31 @@ class TestFrameReuse:
         )
         try:
             run_hdlss_sweep(cfg)
+            info = spike_model._cached_spike_basis.cache_info()
         finally:
-            spike_model._cached_frame.cache_clear()
-        assert built == [(9, 200, 21), (9, 300, 21)]
+            spike_model._cached_spike_basis.cache_clear()
+        assert info.misses == 2
+        assert info.hits > 0
+
+
+class TestSpikeEigenvaluesOnly:
+    def test_no_d_length_vector_at_large_d(self):
+        # Building a spec, its regime ratio and the population scores read
+        # only the m spikes; a d-length eigenvalue vector would be 80 MB.
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.5), SpikeProfile.power(1.0, 1.2)), n=10
+        )
+        tracemalloc.start()
+        try:
+            spec = template.spec_at(MODE_HDLSS, 10**7)
+            ratio = rn._regime_ratio(MODE_HDLSS, spec)
+            scores = projection_scores(spec, np.ones((10, 2)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert ratio == pytest.approx(10**7 / 10**8.4)
+        assert scores.shape == (10, 2)
 
 
 class TestReportObservability:

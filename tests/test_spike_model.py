@@ -131,15 +131,22 @@ class TestGeneration:
         assert small.latent.spike.shape == big.latent.spike.shape == (4, 1)
 
     @pytest.mark.parametrize(
-        "basis, max_ratio", [(CanonicalAxes(), 1.5), (RandomOrthogonal(seed=6), 2.5)]
+        "basis, max_ratio, mean",
+        [
+            pytest.param(CanonicalAxes(), 1.5, ZeroMean(), id="basis0-1.5"),
+            pytest.param(RandomOrthogonal(seed=6), 2.5, ZeroMean(), id="basis1-2.5"),
+            pytest.param(CanonicalAxes(), 1.5, ConstantMean(2.0), id="canonical-mean"),
+            pytest.param(RandomOrthogonal(seed=6), 2.5, ConstantMean(2.0), id="orthogonal-mean"),
+        ],
     )
-    def test_no_second_copy_of_the_draw(self, basis, max_ratio):
+    def test_no_second_copy_of_the_draw(self, basis, max_ratio, mean):
         # The draw is scaled in place and is the sample on the canonical
-        # basis; the rotation adds one n x d output.  A kept copy of the
-        # draw would add one more n x d array on either basis.  The frame is
-        # built first, as a sweep holds it cached.
-        spec = single_spike_spec(d=5_000, n=40, basis=basis)
-        spike_model._frame(spec)
+        # basis; the rank-m correction adds one n x d product.  A kept copy
+        # of the draw, or a shifted copy for the mean, would add one more
+        # n x d array on either basis.  U_m is built first, as a sweep
+        # holds it cached.
+        spec = single_spike_spec(d=5_000, n=40, basis=basis, mean=mean)
+        spike_model._spike_basis(spec)
         tracemalloc.start()
         try:
             data = generate_sample(spec, 3)
@@ -175,28 +182,46 @@ class TestRandomOrthogonalBasis:
         spec = single_spike_spec(d=64, n=5, basis=RandomOrthogonal(seed=3))
         assert np.array_equal(basis_vectors(spec), basis_vectors(spec))
 
-    def test_frame_matches_explicit_reflector_product(self):
-        # U = H_1 H_2 ... H_k with H_i = I - 2 w_i w_i', H_1 leftmost.
-        d, k = 40, 6
-        frame = spike_model._HouseholderFrame(seed=7, d=d, n_reflectors=k)
-        u = np.eye(d)
-        for w in frame.w:
-            u = u @ (np.eye(d) - 2.0 * np.outer(w, w))
-        rng = np.random.default_rng(5)
-        for y in (rng.standard_normal(d), rng.standard_normal((d, 9))):
-            assert np.abs(frame.apply(y) - u @ y).max() < 1e-13
-            assert np.abs(frame.apply_transpose(y) - u.T @ y).max() < 1e-13
+    def test_sample_matches_dense_symmetric_root(self):
+        # X = A G with A = U diag(sqrt(lambda)) U' the symmetric root of the
+        # covariance, formed densely from the complete basis.
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.fixed(50.0), SpikeProfile.fixed(10.0)),
+            n=7,
+            d=60,
+            tail_value=2.0,
+            basis=RandomOrthogonal(seed=5),
+        )
+        u = orthogonal_matrix(spec)
+        root_lam = np.sqrt(resolve_eigenvalues(spec))[:, None]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(123)))
+        g = rng.standard_normal((spec.n, spec.d)).T
+        expected = u @ (root_lam * (u.T @ g))
+        values = generate_sample(spec, 123).values
+        assert np.linalg.norm(values - expected) < 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("d", [1_000, 100_000])
+    def test_spike_directions_are_not_near_the_axes(self, d):
+        # Uniformly random unit vectors have max |u_ij| ~ sqrt(2 log(d) / d);
+        # a basis close to the canonical axes has an entry near 1.
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.fixed(1e9), SpikeProfile.fixed(1e8)),
+            n=10,
+            d=d,
+            basis=RandomOrthogonal(seed=2),
+        )
+        assert np.abs(basis_vectors(spec)).max() * np.sqrt(d) < 10.0
 
     def test_frame_cache_key_does_not_alias(self):
         def spec(seed, d):
             return single_spike_spec(d=d, n=5, basis=RandomOrthogonal(seed=seed))
 
-        base = spike_model._frame(spec(3, 64))
-        assert spike_model._frame(spec(3, 64)) is base
+        base = spike_model._spike_basis(spec(3, 64))
+        assert spike_model._spike_basis(spec(3, 64)) is base
         for other in (spec(4, 64), spec(3, 65)):
-            frame = spike_model._frame(other)
-            assert frame is not base
-            assert frame.w.shape == (other.m + spike_model._EXTRA_REFLECTORS, other.d)
+            u = spike_model._spike_basis(other)
+            assert u is not base
+            assert u.shape == (other.d, other.m)
         assert not np.array_equal(basis_vectors(spec(3, 64)), basis_vectors(spec(4, 64)))
 
     def test_refuses_huge_materialization(self):
