@@ -9,10 +9,12 @@ the public per-index functions and the Monte Carlo runner share.
 
 All component indices j, k are 0-based (j = 0 is the leading spike).
 Inner products u_hat_j'u_k are computed in the dual form
-v_j'P[:, k] / (sqrt(divisor) sqrt(eigenvalue)) whenever loadings are not
-stored, where P = X'U is the data's projection on the population
-directions (``projection_overlaps``), so no d-length loading vector needs
-to be kept at large d, and a caller that already holds P never reads X.
+v_j'P[:, k] / ``loading_norms``[j] whenever loadings are not stored, where
+P = X'U is the data's projection on the population directions
+(``projection_overlaps``), so no d-length loading vector needs to be kept
+at large d, and a caller that already holds P never reads X.  The same
+norms give ``ratio_decomposition`` its u_hat_j = X v_j / norms[j], so the
+rule that turns a score vector into a loading lives only in ``pca_engine``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pca_engine import PcaResult, ZERO_EIGENVALUE_RTOL, sample_score_matrix
+from .pca_engine import PcaResult, loading_norms, sample_score_matrix
 from .spike_model import DataMatrix, ZeroMean, basis_vectors
 
 DEFAULT_DENOMINATOR_GUARD = 1e-8
@@ -156,19 +158,13 @@ def spike_overlaps(
 
 
 def projection_overlaps(pca: PcaResult, proj: np.ndarray) -> np.ndarray:
-    """Dual-form overlaps O = V'P / (sqrt(divisor) sqrt(w)) from P = X'U.
+    """Dual-form overlaps O = V'P / ``loading_norms`` from P = X'U.
 
     ``proj`` (n x m) projects the matrix the PCA was computed from (centered
     when ``pca.centered``) on the population directions.  Rows with a
     numerically zero eigenvalue are NaN.
     """
-    out = pca.score_vectors.T @ proj
-    w = pca.sample_eigenvalues
-    zero_tol = ZERO_EIGENVALUE_RTOL * w[0] if w[0] > 0 else 0.0
-    valid = w > zero_tol
-    out[valid, :] /= (math.sqrt(pca.divisor) * np.sqrt(w[valid]))[:, None]
-    out[~valid, :] = np.nan
-    return out
+    return (pca.score_vectors.T @ proj) / loading_norms(pca)[:, None]
 
 
 def eigenvalue_ratio(pca: PcaResult, population_eigenvalues, j: int) -> float:
@@ -250,21 +246,17 @@ def tail_leakage(
     pca: PcaResult,
     basis_m: np.ndarray,
     j: int,
-    m: Optional[int] = None,
     x: Optional[np.ndarray] = None,
 ) -> float:
-    """Squared mass of sample loading j outside the spike span.
+    """Squared mass of sample loading j outside the span of ``basis_m``.
 
-    Computed as 1 - sum_{k<m} (u_hat_j' u_k)**2, which equals the tail sum
-    exactly because the population basis is orthonormal.  May dip a hair
-    below 0 from rounding.
+    Computed as 1 - sum_k (u_hat_j' u_k)**2 over the m columns of
+    ``basis_m``, which equals the tail sum exactly because the population
+    basis is orthonormal.  May dip a hair below 0 from rounding.
     """
-    basis_m = np.asarray(basis_m, dtype=float)
-    if m is None:
-        m = basis_m.shape[1]
-    overlaps = spike_overlaps(pca, basis_m[:, :m], x=x)
+    overlaps = spike_overlaps(pca, basis_m, x=x)
     # The leakage does not depend on the eigenvalues; unit ones stand in.
-    diags = spike_diagnostics(overlaps, np.ones(m), pca.sample_eigenvalues)
+    diags = spike_diagnostics(overlaps, np.ones(overlaps.shape[1]), pca.sample_eigenvalues)
     return float(diags.leakage[j])
 
 
@@ -298,18 +290,12 @@ def ratio_decomposition(
         raise ValueError(f"j must be in [0, {min(pca.rank, spec.m)}), got {j}")
     if not 0 <= i < spec.n:
         raise ValueError(f"i must be in [0, {spec.n}), got {i}")
-    lam_hat = float(pca.sample_eigenvalues[j])
-    if lam_hat <= 0:
-        raise ValueError(f"sample eigenvalue {j} is zero; ratio undefined")
+    norm = loading_norms(pca)[j]
+    if np.isnan(norm):
+        raise ValueError(f"sample eigenvalue {j} is numerically zero; ratio undefined")
 
-    if pca.loadings is not None and (
-        pca.loading_valid is None or pca.loading_valid[j]
-    ):
-        u_hat = pca.loadings[:, j]
-    else:
-        u_hat = (data.values @ pca.score_vectors[:, j]) / (
-            math.sqrt(pca.divisor) * math.sqrt(lam_hat)
-        )
+    lam_hat = float(pca.sample_eigenvalues[j])
+    u_hat = (data.values @ pca.score_vectors[:, j]) / norm
     block = np.column_stack((data.values[:, i], u_hat))
     u_m = basis_vectors(spec)
     coef = u_m.T @ block

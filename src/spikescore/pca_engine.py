@@ -2,7 +2,10 @@
 
 For d >> n data the d x d sample covariance is never formed: eigenvalues
 and score vectors come from the Gram matrix X'X / divisor, and loadings are
-recovered on demand as X v / (sqrt(divisor) sqrt(eigenvalue)).  When fewer
+recovered on demand as X v / ``loading_norms``, the one place that holds
+the norm sqrt(divisor) sqrt(eigenvalue) and the zero-eigenvalue cut; the
+overlap diagnostics divide by the same norms.  Finiteness is read from the
+Gram diagonal, so no d x n mask is built.  When fewer
 than n components are wanted, the leading eigenpairs of the Gram come from
 implicitly restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.eigsh``)
 with a fixed start vector, so the whole n x n Gram is never tridiagonalized
@@ -107,8 +110,6 @@ def dual_pca(
     if x.ndim != 2:
         raise ValueError(f"x must be a 2-d matrix, got shape {x.shape}")
     d, n = x.shape
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x contains NaN or Inf entries")
     max_rank = min(n, d)
     if rank is None:
         rank = max_rank
@@ -116,9 +117,15 @@ def dual_pca(
         raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
     div = _resolve_divisor(divisor, n)
 
-    xc = x - x.mean(axis=1, keepdims=True) if center else x
-    g = xc.T @ xc / div
-    g = (g + g.T) * 0.5
+    # A NaN or Inf in column i makes G_ii, a sum of squares that cannot
+    # cancel, non-finite, and so does an overflowing Gram: the diagonal is
+    # checked in place of a d x n mask, and the warnings are left to it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        xc = x - x.mean(axis=1, keepdims=True) if center else x
+        g = xc.T @ xc / div
+        g = (g + g.T) * 0.5
+    if not np.all(np.isfinite(np.diagonal(g))):
+        raise ValueError("x contains NaN or Inf entries, or its Gram overflows")
 
     # g is positive semidefinite, so a zero trace means g = 0 (all-zero or,
     # centered, constant data): Lanczos cannot start there.
@@ -137,25 +144,34 @@ def dual_pca(
     w = np.maximum(w, 0.0)
     v = _fix_signs(v)
 
-    loadings = None
-    valid = None
-    if want_loadings:
-        zero_tol = ZERO_EIGENVALUE_RTOL * w[0] if w[0] > 0 else 0.0
-        valid = w > zero_tol
-        loadings = np.full((d, rank), np.nan)
-        if valid.any():
-            scale = np.sqrt(div) * np.sqrt(w[valid])
-            loadings[:, valid] = (xc @ v[:, valid]) / scale
-    return PcaResult(
+    result = PcaResult(
         sample_eigenvalues=w,
         score_vectors=v,
         divisor=div,
         centered=center,
         n=n,
         d=d,
-        loadings=loadings,
-        loading_valid=valid,
     )
+    if not want_loadings:
+        return result
+    norms = loading_norms(result)
+    return replace(result, loadings=(xc @ v) / norms, loading_valid=~np.isnan(norms))
+
+
+def loading_norms(result: PcaResult) -> np.ndarray:
+    """Norms ||X_c v_j|| = sqrt(divisor) sqrt(w_j) that turn scores into loadings.
+
+    The unit loading of component j is X_c v_j / norms[j], and its overlap
+    with a direction u is v_j'(X_c'u) / norms[j].  Entries are NaN where the
+    eigenvalue is numerically zero (w_j <= ZERO_EIGENVALUE_RTOL * w_0), so
+    dividing by them marks those loadings and overlaps absent.
+    """
+    w = result.sample_eigenvalues
+    zero_tol = ZERO_EIGENVALUE_RTOL * w[0] if w[0] > 0 else 0.0
+    valid = w > zero_tol
+    norms = np.full(w.shape, np.nan)
+    norms[valid] = np.sqrt(result.divisor) * np.sqrt(w[valid])
+    return norms
 
 
 def sample_score_matrix(result: PcaResult, m: int) -> np.ndarray:

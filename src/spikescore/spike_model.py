@@ -10,7 +10,8 @@ draw.  On a random basis U_m is the Q factor of a seeded d x m Gaussian,
 cached per process so a sweep builds it once per grid point, and the draw
 is multiplied by the symmetric square root of the covariance,
 sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m': an isotropic
-scaling plus a rank-m correction.
+scaling in place plus a rank-m correction, added to the draw in column
+blocks so the sampler holds one n x d array.
 
 Each replicate projects the sample on the spike directions once:
 ``spike_projection`` gives P = X'U_m (n x m), a row slice on the canonical
@@ -241,22 +242,15 @@ def _spike_basis(spec: SpikeSpec) -> Optional[np.ndarray]:
     return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)
 
 
-def basis_vectors(spec: SpikeSpec, count: Optional[int] = None) -> np.ndarray:
-    """Population eigenvectors u_1, ..., u_count as a dense (d, count) matrix.
+def basis_vectors(spec: SpikeSpec) -> np.ndarray:
+    """The m spike directions U_m = [u_1, ..., u_m] as a dense (d, m) matrix.
 
-    Defaults to the m spike directions.  Cheap for CanonicalAxes at any d.
-    For RandomOrthogonal, count <= m gives columns of the cached, read-only
-    U_m; a larger count is a completion of the tail taken from
-    ``orthogonal_matrix``, so it is limited to d <= DIAGNOSTIC_MAX_D.
+    Cheap for CanonicalAxes at any d.  For RandomOrthogonal it is the
+    cached, read-only U_m.  The tail directions are only built by
+    ``orthogonal_matrix``.
     """
-    count = spec.m if count is None else count
-    if count > spec.d:
-        raise ValueError(f"count={count} exceeds d={spec.d}")
-    if isinstance(spec.basis, CanonicalAxes):
-        return np.eye(spec.d, count)
-    if count <= spec.m:
-        return _spike_basis(spec)[:, :count]
-    return orthogonal_matrix(spec)[:, :count]
+    u = _spike_basis(spec)
+    return np.eye(spec.d, spec.m) if u is None else u
 
 
 def orthogonal_matrix(spec: SpikeSpec) -> np.ndarray:
@@ -285,7 +279,9 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
     exactly U_m'g_i.  On the canonical axes A is diagonal and this is a
-    row scaling.  Deterministic given (spec, seed); seed may be an int, a
+    row scaling.  Otherwise the draw is scaled by sqrt(tau) in place and
+    the rank-m term is added block by block, so the sample is the only
+    n x d array.  Deterministic given (spec, seed); seed may be an int, a
     tuple of ints, or a numpy SeedSequence.  The counter-based generator
     (Philox) makes replicate streams independent of execution order.
     """
@@ -304,7 +300,16 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     else:
         spike = z @ u
         z *= root_tau
-        z += ((root_lam - root_tau) * spike) @ u.T
+        corr = (root_lam - root_tau) * spike
+        # Added in column blocks of about 256 KB, so no second n x d array
+        # is held.  Widths are multiples of 64 and the last block takes the
+        # remainder: a block that splits a BLAS register tile, or one column
+        # (a matrix-vector product), rounds differently from the whole product.
+        step = max(64, 2**15 // spec.n // 64 * 64)
+        blocks = max(1, spec.d // step)
+        for k in range(blocks):
+            lo, hi = k * step, spec.d if k == blocks - 1 else (k + 1) * step
+            z[:, lo:hi] += corr @ u[lo:hi].T
     x = z.T  # (d, n)
     mu = spec.mean_vector_value
     if mu != 0.0:

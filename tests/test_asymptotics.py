@@ -332,10 +332,13 @@ class TestRatioDecomposition:
         )
         data = generate_sample(spec, 17)
         pca = dual_pca(data.values, rank=2, want_loadings=True)
+        plain = dual_pca(data.values, rank=2)
         for j in (0, 1):
             dec = ratio_decomposition(data, pca, 3, j)
             total = dec.signal + dec.cross_spike + dec.noise
             assert total == pytest.approx(dec.total, rel=1e-10)
+            # One route for u_hat_j: stored loadings do not change a bit.
+            assert dec == ratio_decomposition(data, plain, 3, j)
 
     def test_noise_shrinks_with_dimension(self):
         means = []

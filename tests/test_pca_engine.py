@@ -1,12 +1,17 @@
 """Dual-route PCA against direct eigendecomposition oracles."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from spikescore.pca_engine import (
+    PcaResult,
     align_signs,
     dual_pca,
     load_matrix_csv,
+    loading_norms,
     sample_score_matrix,
 )
 
@@ -244,6 +249,30 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="NaN or Inf"):
             dual_pca(x)
 
+    def test_finiteness_check_builds_no_mask(self):
+        # A d x n boolean mask would be 0.125 x.nbytes; the Gram diagonal
+        # check needs only the n x n Gram.
+        x = np.random.default_rng(4).standard_normal((5000, 40))
+        tracemalloc.start()
+        try:
+            dual_pca(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * x.nbytes
+
+    def test_overflowing_gram_rejected(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            dual_pca(np.full((3, 3), 1e200))
+
+    def test_centered_inf_raises_only_value_error(self):
+        x = np.zeros((4, 3))
+        x[2, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                dual_pca(x, center=True)
+
     def test_rank_bounds(self):
         x = np.ones((4, 3))
         with pytest.raises(ValueError):
@@ -260,6 +289,44 @@ class TestEdgeCases:
     def test_not_a_matrix(self):
         with pytest.raises(ValueError):
             dual_pca(np.ones(5))
+
+
+class TestLoadingNorms:
+    @pytest.mark.parametrize("center", [False, True])
+    def test_equal_norms_of_projected_scores(self, center):
+        x = np.random.default_rng(21).standard_normal((60, 8)) + 0.7
+        res = dual_pca(x, center=center, divisor="n-1", rank=7)
+        xc = x - x.mean(axis=1, keepdims=True) if center else x
+        direct = np.linalg.norm(xc @ res.score_vectors, axis=0)
+        assert np.allclose(loading_norms(res), direct, rtol=1e-12, atol=0)
+
+    def test_nan_exactly_where_loading_invalid(self):
+        x = np.outer([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -1.0, 2.0])  # rank 1
+        res = dual_pca(x, want_loadings=True)
+        assert np.array_equal(np.isnan(loading_norms(res)), ~res.loading_valid)
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_loadings_divide_by_norms(self, center):
+        x = np.random.default_rng(22).standard_normal((30, 6))
+        res = dual_pca(x, center=center, want_loadings=True)
+        xc = x - x.mean(axis=1, keepdims=True) if center else x
+        expected = (xc @ res.score_vectors) / loading_norms(res)
+        assert np.array_equal(res.loadings, expected, equal_nan=True)
+
+    def test_negative_eigenvalue_is_absent_without_warning(self):
+        # A hand-built result may carry a negative eigenvalue; no root of
+        # it is taken (pytest turns a RuntimeWarning into an error).
+        res = PcaResult(
+            sample_eigenvalues=np.array([2.0, -1e-3]),
+            score_vectors=np.eye(4, 2),
+            divisor=4.0,
+            centered=False,
+            n=4,
+            d=10,
+        )
+        norms = loading_norms(res)
+        assert norms[0] == np.sqrt(4.0) * np.sqrt(2.0)
+        assert np.isnan(norms[1])
 
 
 class TestAlignSigns:

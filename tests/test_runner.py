@@ -86,18 +86,19 @@ class TestConfigParsing:
         assert echo["grid.d"] == [200]
 
     def test_all_fields(self):
-        cfg = parse_config(
-            "mode = growing-n-sweep\n"
-            "template.spikes = power:1:2, literal:5\n"
-            "template.tail = 2\n"
-            "template.basis = orthogonal:9\n"
-            "template.mean = constant:1.5\n"
-            "template.d_over_n = 0.5\n"
-            "grid.n = 100,200\n"
-            "replicates = 4\n"
-            "guard = 1e-6\n"
-            "workers = auto\n"
-        )
+        with pytest.warns(UserWarning, match="does not strictly decrease"):
+            cfg = parse_config(
+                "mode = growing-n-sweep\n"
+                "template.spikes = power:1:2, literal:5\n"
+                "template.tail = 2\n"
+                "template.basis = orthogonal:9\n"
+                "template.mean = constant:1.5\n"
+                "template.d_over_n = 0.5\n"
+                "grid.n = 100,200\n"
+                "replicates = 4\n"
+                "guard = 1e-6\n"
+                "workers = auto\n"
+            )
         assert cfg.template.spikes[1].literal == 5.0
         assert cfg.template.basis == RandomOrthogonal(seed=9)
         assert cfg.template.mean.value == 1.5
