@@ -29,7 +29,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy
@@ -64,6 +64,9 @@ log = logging.getLogger(__name__)
 MODE_HDLSS = "hdlss-sweep"
 MODE_GROWING_N = "growing-n-sweep"
 _MODES = (MODE_HDLSS, MODE_GROWING_N)
+
+# The config-file key of the grid each mode sweeps (ExperimentConfig.grid).
+GRID_KEYS = {MODE_HDLSS: "grid.d", MODE_GROWING_N: "grid.n"}
 
 # Per grid point, report.json names the rate whose vanishing the mode's
 # asymptotics need, under these keys (see ExperimentConfig.validate).
@@ -124,8 +127,7 @@ class SpikeTemplate:
 class ExperimentConfig:
     mode: str
     template: SpikeTemplate
-    d_grid: tuple[int, ...] = ()
-    n_grid: tuple[int, ...] = ()
+    grid: tuple[int, ...] = ()  # d values in hdlss-sweep, n values in growing-n-sweep
     replicates: int = 1
     master_seed: int = 0
     guard: float = DEFAULT_DENOMINATOR_GUARD
@@ -133,13 +135,8 @@ class ExperimentConfig:
     workers: Union[int, str] = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d_grid", tuple(int(v) for v in self.d_grid))
-        object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
+        object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
         self.validate()
-
-    @property
-    def grid(self) -> tuple[int, ...]:
-        return self.n_grid if self.mode == MODE_GROWING_N else self.d_grid
 
     def resolved_workers(self) -> int:
         if self.workers == "auto":
@@ -167,8 +164,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         grid = self.grid
         if not grid:
-            axis = "n" if self.mode == MODE_GROWING_N else "d"
-            raise ValueError(f"mode {self.mode} needs a non-empty grid.{axis}")
+            raise ValueError(f"mode {self.mode} needs a non-empty {GRID_KEYS[self.mode]}")
+        if self.mode == MODE_GROWING_N and self.template.n is not None:
+            raise ValueError(f"mode {self.mode} takes n from {GRID_KEYS[self.mode]}, "
+                             f"so template.n = {self.template.n} would be ignored")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"grid must be strictly increasing, got {grid}")
         if self.replicates < 1:
@@ -383,22 +382,17 @@ def _nanmean(values: list) -> float:
     return float(np.nanmean(v)) if (~np.isnan(v)).any() else float("nan")
 
 
-def _trend_rows(records: list, grid: tuple, m: int) -> list:
-    rows = []
-    for g in grid:
-        recs = [r for r in records if r.grid_value == g]
-        row = {"grid": g}
-        for name, attr in (
-            ("mean_rel_spread", "rel_spread"),
-            ("mean_angle_rad", "angle_rad"),
-            ("mean_leakage", "leakage"),
-            ("mean_eig_ratio", "eig_ratio"),
-        ):
-            row[name] = [
-                _nanmean([getattr(r.spikes[j], attr) for r in recs]) for j in range(m)
-            ]
-        rows.append(row)
-    return rows
+def _trend_row(grid_value: int, recs: list, m: int) -> dict:
+    """Per spike, the mean of each eigen-structure diagnostic over one grid point."""
+    row = {"grid": grid_value}
+    for name, attr in (
+        ("mean_rel_spread", "rel_spread"),
+        ("mean_angle_rad", "angle_rad"),
+        ("mean_leakage", "leakage"),
+        ("mean_eig_ratio", "eig_ratio"),
+    ):
+        row[name] = [_nanmean([getattr(r.spikes[j], attr) for r in recs]) for j in range(m)]
+    return row
 
 
 def _timing_row(grid_value: int, recs: list) -> dict:
@@ -477,6 +471,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
 
     ks_outcomes = []
     consistency = []
+    trend = []
     timings = []
     regime = []
     check_notes = []
@@ -484,6 +479,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     ratio_key = REGIME_RATIO_KEYS[config.mode]
     for g in grid:
         recs = [r for r in records if r.grid_value == g]
+        trend.append(_trend_row(g, recs, m))
         timings.append(_timing_row(g, recs))
         spec = config.template.spec_at(config.mode, g)
         regime.append({"grid": g, ratio_key: _regime_ratio(config.mode, spec)})
@@ -536,7 +532,6 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
                 f"rises {', '.join(rises)}"
             )
 
-    trend = _trend_rows(records, grid, m)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
@@ -628,23 +623,6 @@ def export_scores_scatter(
 
 # --- flat key-value config files -------------------------------------------
 
-_CONFIG_KEYS = {
-    "mode",
-    "template.spikes",
-    "template.tail",
-    "template.basis",
-    "template.mean",
-    "template.n",
-    "template.d_over_n",
-    "grid.d",
-    "grid.n",
-    "replicates",
-    "master_seed",
-    "guard",
-    "output_dir",
-    "workers",
-}
-
 
 def _parse_spike(token: str) -> SpikeProfile:
     parts = token.strip().split(":")
@@ -657,10 +635,17 @@ def _parse_spike(token: str) -> SpikeProfile:
     )
 
 
-def _spike_str(profile: SpikeProfile) -> str:
-    if profile.literal is not None:
-        return f"literal:{profile.literal:g}"
-    return f"power:{profile.scale:g}:{profile.exponent:g}"
+def _number_str(x: float) -> str:
+    # Six significant digits when they give x back exactly, else all of them.
+    return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
+
+
+def _spikes_str(spikes: tuple[SpikeProfile, ...]) -> str:
+    return ",".join(
+        f"literal:{_number_str(p.literal)}" if p.literal is not None
+        else f"power:{_number_str(p.scale)}:{_number_str(p.exponent)}"
+        for p in spikes
+    )
 
 
 def _parse_basis(token: str) -> BasisChoice:
@@ -689,13 +674,58 @@ def _parse_mean(token: str) -> MeanChoice:
 
 def _mean_str(mean: MeanChoice) -> str:
     if isinstance(mean, ConstantMean):
-        return f"constant:{mean.value:g}"
+        return f"constant:{_number_str(mean.value)}"
     return "zero"
 
 
+@dataclass(frozen=True)
+class _FileKey:
+    """A config-file key: its holder dataclass and field, parser and echo."""
+
+    holder: type
+    attr: str
+    parse: Callable[[str], object]
+    show: Callable[[object], object] = lambda value: value
+
+
+# The config file format, in echo order; each mode reads one of the grid keys.
+_FILE_KEYS = {
+    "mode": _FileKey(ExperimentConfig, "mode", str),
+    "template.spikes": _FileKey(
+        SpikeTemplate, "spikes", lambda t: tuple(map(_parse_spike, t.split(","))), _spikes_str
+    ),
+    "template.tail": _FileKey(SpikeTemplate, "tail_value", float),
+    "template.basis": _FileKey(SpikeTemplate, "basis", _parse_basis, _basis_str),
+    "template.mean": _FileKey(SpikeTemplate, "mean", _parse_mean, _mean_str),
+    "template.n": _FileKey(SpikeTemplate, "n", int),
+    "template.d_over_n": _FileKey(SpikeTemplate, "d_over_n", float),
+    **{key: _FileKey(ExperimentConfig, "grid", lambda t: tuple(map(int, t.split(","))), list)
+       for key in GRID_KEYS.values()},
+    "replicates": _FileKey(ExperimentConfig, "replicates", int),
+    "master_seed": _FileKey(ExperimentConfig, "master_seed", int),
+    "guard": _FileKey(ExperimentConfig, "guard", float),
+    "output_dir": _FileKey(ExperimentConfig, "output_dir", str, str),
+    "workers": _FileKey(ExperimentConfig, "workers", lambda t: t if t == "auto" else int(t)),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key-value config format (# comments, dotted keys)."""
-    values = {}
+    """Parse the flat config format: ``KEY = VALUE`` lines, ``#`` comments,
+    comma-separated lists, for example::
+
+        mode = hdlss-sweep
+        template.spikes = power:2:1.5, literal:400   # SCALE:EXPONENT or VALUE
+        template.basis = orthogonal:3                # or canonical
+        template.n = 50
+        grid.d = 10000,100000
+
+    ``hdlss-sweep`` reads d from ``grid.d`` and n from ``template.n``;
+    ``growing-n-sweep`` reads n from ``grid.n``, d = round(n *
+    ``template.d_over_n``), and refuses ``grid.d`` and ``template.n``.
+    ``mode`` and ``template.spikes`` must be set; any other key of
+    ``_FILE_KEYS`` left out takes the default of its dataclass field.
+    """
+    parsed = {}  # key -> (line number, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -704,45 +734,28 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected KEY = VALUE, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FILE_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in parsed:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
+        try:
+            parsed[key] = (lineno, _FILE_KEYS[key].parse(value.strip()))
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
 
-    if "mode" not in values:
-        raise ValueError("config must set mode")
-    if "template.spikes" not in values:
-        raise ValueError("config must set template.spikes")
-
-    spikes = tuple(_parse_spike(tok) for tok in values["template.spikes"].split(","))
-    template = SpikeTemplate(
-        spikes=spikes,
-        tail_value=float(values.get("template.tail", "1")),
-        basis=_parse_basis(values.get("template.basis", "canonical")),
-        mean=_parse_mean(values.get("template.mean", "zero")),
-        n=int(values["template.n"]) if "template.n" in values else None,
-        d_over_n=float(values.get("template.d_over_n", "1")),
-    )
-
-    def _grid(key: str) -> tuple[int, ...]:
-        if key not in values:
-            return ()
-        return tuple(int(tok) for tok in values[key].split(","))
-
-    workers: Union[int, str] = values.get("workers", "1")
-    if workers != "auto":
-        workers = int(workers)
+    fields = {SpikeTemplate: {}, ExperimentConfig: {}}
+    for key, entry in _FILE_KEYS.items():
+        if key in parsed:
+            fields[entry.holder][entry.attr] = parsed[key][1]
+        elif not hasattr(entry.holder, entry.attr):  # a field with no default
+            raise ValueError(f"config must set {key}")
+    mode = fields[ExperimentConfig]["mode"]
+    for key in GRID_KEYS.values():
+        if key in parsed and key != GRID_KEYS.get(mode, key):  # an unknown mode fails later
+            raise ValueError(f"config line {parsed[key][0]}: mode {mode} reads "
+                             f"{GRID_KEYS[mode]}, not {key}")
     return ExperimentConfig(
-        mode=values["mode"],
-        template=template,
-        d_grid=_grid("grid.d"),
-        n_grid=_grid("grid.n"),
-        replicates=int(values.get("replicates", "1")),
-        master_seed=int(values.get("master_seed", "0")),
-        guard=float(values.get("guard", str(DEFAULT_DENOMINATOR_GUARD))),
-        output_dir=values.get("output_dir", "out"),
-        workers=workers,
+        template=SpikeTemplate(**fields[SpikeTemplate]), **fields[ExperimentConfig]
     )
 
 
@@ -751,27 +764,13 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Config echo in the same vocabulary as the file format."""
-    t = config.template
-    echo = {
-        "mode": config.mode,
-        "template.spikes": ",".join(_spike_str(p) for p in t.spikes),
-        "template.tail": t.tail_value,
-        "template.basis": _basis_str(t.basis),
-        "template.mean": _mean_str(t.mean),
-        "template.d_over_n": t.d_over_n,
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "guard": config.guard,
-        "output_dir": str(config.output_dir),
-        "workers": config.workers,
-    }
-    if t.n is not None:
-        echo["template.n"] = t.n
-    if config.d_grid:
-        echo["grid.d"] = list(config.d_grid)
-    if config.n_grid:
-        echo["grid.n"] = list(config.n_grid)
+    """Config echo in the same vocabulary as the file format: the grid under
+    its mode's key, and no template.n when it is unset."""
+    echo = {}
+    for key, entry in _FILE_KEYS.items():
+        value = getattr(config.template if entry.holder is SpikeTemplate else config, entry.attr)
+        if value is not None and (entry.attr != "grid" or key == GRID_KEYS[config.mode]):
+            echo[key] = entry.show(value)
     return echo
 
 

@@ -59,11 +59,27 @@ workers = 1
 """
 
 
+# The growing-n config of test_all_fields, for the echo round trip; its
+# d/(n lambda_m) does not shrink, so building it warns.
+ALL_KEYS_CONFIG = """
+mode = growing-n-sweep
+template.spikes = power:1:2, literal:5
+template.tail = 2
+template.basis = orthogonal:9
+template.mean = constant:1.5
+template.d_over_n = 0.5
+grid.n = 100,200
+replicates = 4
+guard = 1e-6
+workers = auto
+"""
+
+
 def tiny_config(out, **overrides):
     cfg = ExperimentConfig(
         mode=MODE_HDLSS,
         template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=6),
-        d_grid=(200,),
+        grid=(200,),
         replicates=3,
         master_seed=314,
         output_dir=out,
@@ -78,7 +94,7 @@ class TestConfigParsing:
         cfg = parse_config(text)
         assert cfg.mode == MODE_HDLSS
         assert cfg.template.n == 6
-        assert cfg.d_grid == (200,)
+        assert cfg.grid == (200,)
         assert cfg.replicates == 3
         assert cfg.master_seed == 314
         echo = config_to_dict(cfg)
@@ -105,6 +121,56 @@ class TestConfigParsing:
         assert cfg.template.d_over_n == 0.5
         assert cfg.workers == "auto"
         assert cfg.guard == 1e-6
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TINY_CONFIG.format(out="out").replace("power:1:1.6", "power:1.23456789:1.6"),
+            ALL_KEYS_CONFIG,
+        ],
+        ids=["hdlss", "growing-n-all-keys"],
+    )
+    def test_echo_parses_back(self, text):
+        # config_to_dict and parse_config read one table; the echo, written
+        # back as a file, must give the same config, all digits included.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = parse_config(text)
+            echo = config_to_dict(cfg)
+            lines = [
+                f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}"
+                for key, value in echo.items()
+            ]
+            assert parse_config("\n".join(lines)) == cfg
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mode = hdlss-sweep\ntemplate.spikes = power:1:1.6\ntemplate.n = 6\n"
+             "grid.d = 200\ngrid.n = 40\n",
+             "config line 5: mode hdlss-sweep reads grid.d, not grid.n"),
+            ("mode = growing-n-sweep\ntemplate.spikes = power:1:2\ngrid.d = 5\n"
+             "grid.n = 40,80\n",
+             "config line 3: mode growing-n-sweep reads grid.n, not grid.d"),
+        ],
+        ids=["grid.n-in-hdlss", "grid.d-in-growing-n"],
+    )
+    def test_other_modes_grid_key_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("replicates = two", r"config line 4: replicates: invalid literal for int\(\)"),
+            ("grid.d = 200,", r"config line 4: grid.d: invalid literal for int\(\)"),
+        ],
+        ids=["replicates", "grid.d"],
+    )
+    def test_parse_error_names_line_and_key(self, line, message):
+        text = f"mode = hdlss-sweep\ntemplate.spikes = power:1:1.6\ntemplate.n = 6\n{line}\n"
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -134,11 +200,11 @@ class TestConfigParsing:
 class TestConfigValidation:
     def test_empty_grid(self, tmp_path):
         with pytest.raises(ValueError, match="non-empty"):
-            tiny_config(tmp_path, d_grid=())
+            tiny_config(tmp_path, grid=())
 
     def test_non_increasing_grid(self, tmp_path):
         with pytest.raises(ValueError, match="strictly increasing"):
-            tiny_config(tmp_path, d_grid=(200, 200))
+            tiny_config(tmp_path, grid=(200, 200))
 
     def test_hypothesis_guard_refuses(self, tmp_path):
         # literal spike 100 at d = 200: d / lambda_m = 2 >= 1
@@ -146,7 +212,7 @@ class TestConfigValidation:
             ExperimentConfig(
                 mode=MODE_HDLSS,
                 template=SpikeTemplate(spikes=(SpikeProfile.fixed(100.0),), n=6),
-                d_grid=(200,),
+                grid=(200,),
                 replicates=2,
                 output_dir=tmp_path,
             )
@@ -156,7 +222,7 @@ class TestConfigValidation:
             ExperimentConfig(
                 mode=MODE_HDLSS,
                 template=SpikeTemplate(spikes=(SpikeProfile.fixed(400.0),), n=6),
-                d_grid=(210,),
+                grid=(210,),
                 replicates=2,
                 output_dir=tmp_path,
             )
@@ -170,7 +236,7 @@ class TestConfigValidation:
                     spikes=(SpikeProfile.power(1.0, 2.0), SpikeProfile.fixed(5.0)),
                     d_over_n=0.5,
                 ),
-                n_grid=(100, 200),
+                grid=(100, 200),
                 replicates=2,
                 output_dir=tmp_path,
             )
@@ -190,9 +256,24 @@ class TestConfigValidation:
             ExperimentConfig(
                 mode=MODE_GROWING_N,
                 template=SpikeTemplate(spikes=(spike,), d_over_n=1.0),
-                n_grid=(40, 80),
+                grid=(40, 80),
                 replicates=2,
                 output_dir=tmp_path,
+            )
+
+    def test_growing_n_refuses_template_n(self, tmp_path):
+        # n comes from grid.n; a template.n would be ignored yet echoed.
+        with pytest.raises(ValueError, match="takes n from grid.n"):
+            ExperimentConfig(
+                mode=MODE_GROWING_N,
+                template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),), n=999),
+                grid=(40, 80),
+                output_dir=tmp_path,
+            )
+        with pytest.raises(ValueError, match="takes n from grid.n"):
+            parse_config(
+                "mode = growing-n-sweep\ntemplate.spikes = power:1:2\n"
+                "template.n = 999\ngrid.n = 40,80\n"
             )
 
     def test_hdlss_needs_d_at_least_n(self, tmp_path):
@@ -200,7 +281,7 @@ class TestConfigValidation:
             ExperimentConfig(
                 mode=MODE_HDLSS,
                 template=SpikeTemplate(spikes=(SpikeProfile.power(1, 1.6),), n=50),
-                d_grid=(20,),
+                grid=(20,),
                 replicates=2,
                 output_dir=tmp_path,
             )
@@ -282,7 +363,7 @@ class TestSweepOutputs:
                 spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.4)),
                 n=8,
             ),
-            d_grid=(150, 300),
+            grid=(150, 300),
             replicates=2,
             master_seed=1,
             output_dir=tmp_path,
@@ -300,7 +381,7 @@ class TestGrowingNSweep:
         cfg = ExperimentConfig(
             mode=MODE_GROWING_N,
             template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),), d_over_n=1.0),
-            n_grid=(40, 80),
+            grid=(40, 80),
             replicates=5,
             master_seed=2,
             output_dir=tmp_path,
@@ -320,7 +401,7 @@ class TestGrowingNSweep:
         cfg = ExperimentConfig(
             mode=MODE_GROWING_N,
             template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),)),
-            n_grid=(20, 40),
+            grid=(20, 40),
             replicates=3,
             guard=1e6,
             output_dir=tmp_path,
@@ -418,7 +499,7 @@ class TestFrameReuse:
             template=SpikeTemplate(
                 spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9)
             ),
-            d_grid=(200, 300),
+            grid=(200, 300),
             replicates=3,
         )
         try:
@@ -454,13 +535,13 @@ class TestReportObservability:
     @pytest.mark.parametrize("mode", [MODE_HDLSS, MODE_GROWING_N])
     def test_timings_and_regime_per_grid_point(self, tmp_path, mode):
         if mode == MODE_HDLSS:
-            cfg = tiny_config(tmp_path, d_grid=(200, 300), replicates=2)
+            cfg = tiny_config(tmp_path, grid=(200, 300), replicates=2)
             report = run_hdlss_sweep(cfg)
         else:
             cfg = ExperimentConfig(
                 mode=MODE_GROWING_N,
                 template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),)),
-                n_grid=(20, 40),
+                grid=(20, 40),
                 replicates=2,
                 output_dir=tmp_path,
             )
@@ -568,7 +649,7 @@ class TestEmbeddedCheck:
                 spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(0.98, 1.6)),
                 n=10,
             ),
-            d_grid=(5000,),
+            grid=(5000,),
             replicates=200,
             master_seed=7,
             output_dir=tmp_path,
@@ -583,7 +664,7 @@ def small_growing_n(out, **overrides):
     fields = dict(
         mode=MODE_GROWING_N,
         template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),)),
-        n_grid=(20, 30),
+        grid=(20, 30),
         replicates=4,
         master_seed=3,
         output_dir=out,
