@@ -1,15 +1,18 @@
 """Sample PCA through the n x n Gram matrix.
 
 For d >> n data the d x d sample covariance is never formed: eigenvalues
-and score vectors come from the Gram matrix X'X / divisor, and loadings are
-recovered on demand as X v / ``loading_norms``, the one place that holds
-the norm sqrt(divisor) sqrt(eigenvalue) and the zero-eigenvalue cut; the
-overlap diagnostics divide by the same norms.  Finiteness is read from the
-Gram diagonal, so no d x n mask is built.  When fewer
-than n components are wanted, the leading eigenpairs of the Gram come from
-implicitly restarted Lanczos (ARPACK, through ``scipy.sparse.linalg.eigsh``)
-with a fixed start vector, so the whole n x n Gram is never tridiagonalized
-and the result is reproducible.
+and score vectors come from the Gram matrix X'X / divisor.  ``gram_pca``
+decomposes a Gram it is given, so a caller that sums X'X block by block
+(a sweep on the canonical basis) never holds X; ``dual_pca`` forms the
+Gram from X and hands it to ``gram_pca``, so both give the same bits from
+the same Gram.  Loadings are recovered on demand as X v / ``loading_norms``,
+the one place that holds the norm sqrt(divisor) sqrt(eigenvalue) and the
+zero-eigenvalue cut; the overlap diagnostics divide by the same norms.
+Finiteness is read from the Gram diagonal, so no d x n mask is built.
+When fewer than n components are wanted, the leading eigenpairs of the
+Gram come from implicitly restarted Lanczos (ARPACK, through
+``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
+n x n Gram is never tridiagonalized and the result is reproducible.
 """
 
 from __future__ import annotations
@@ -93,7 +96,38 @@ def dual_pca(
     G = X'X / divisor (after optional column centering) give the sample
     eigenvalues and score vectors; the nonzero eigenvalues agree with those
     of XX' / divisor.  ``rank`` limits how many leading components are
-    retained (default min(n, d)).
+    retained (default min(n, d)).  The Gram is formed here and decomposed
+    by ``gram_pca``, which documents the eigensolvers.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be a 2-d matrix, got shape {x.shape}")
+    # Overflow and NaN are left to gram_pca's check of the Gram diagonal.
+    with np.errstate(invalid="ignore", over="ignore"):
+        xc = x - x.mean(axis=1, keepdims=True) if center else x
+        gram = xc.T @ xc
+    result = gram_pca(gram, x.shape[0], divisor=divisor, rank=rank, centered=center)
+    if not want_loadings:
+        return result
+    norms = loading_norms(result)
+    return replace(result, loadings=(xc @ result.score_vectors) / norms,
+                   loading_valid=~np.isnan(norms))
+
+
+def gram_pca(
+    gram: np.ndarray,
+    d: int,
+    *,
+    divisor: Union[str, int, float] = "n",
+    rank: Optional[int] = None,
+    centered: bool = False,
+) -> PcaResult:
+    """Eigenvalues and score vectors from the n x n Gram X_c'X_c of a d x n sample.
+
+    ``gram`` is not yet divided; ``centered`` records whether the sample
+    was centered before it was formed.  This is the eigen-part of
+    ``dual_pca``, shared with sweeps that sum the Gram block by block and
+    never hold the sample, so both give the same bits from the same Gram.
 
     With ``rank < n`` the ``rank`` largest eigenpairs come from Lanczos
     (``eigsh``, to machine precision) started from the fixed vector
@@ -106,10 +140,7 @@ def dual_pca(
     subspace early (e.g. a multiple of the identity) ARPACK restarts from a
     random vector; generic (noisy) data has neither.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"x must be a 2-d matrix, got shape {x.shape}")
-    d, n = x.shape
+    n = gram.shape[0]
     max_rank = min(n, d)
     if rank is None:
         rank = max_rank
@@ -121,11 +152,10 @@ def dual_pca(
     # cancel, non-finite, and so does an overflowing Gram: the diagonal is
     # checked in place of a d x n mask, and the warnings are left to it.
     with np.errstate(invalid="ignore", over="ignore"):
-        xc = x - x.mean(axis=1, keepdims=True) if center else x
-        g = xc.T @ xc / div
+        g = gram / div
         g = (g + g.T) * 0.5
     if not np.all(np.isfinite(np.diagonal(g))):
-        raise ValueError("x contains NaN or Inf entries, or its Gram overflows")
+        raise ValueError("the sample contains NaN or Inf entries, or its Gram overflows")
 
     # g is positive semidefinite, so a zero trace means g = 0 (all-zero or,
     # centered, constant data): Lanczos cannot start there.
@@ -143,19 +173,14 @@ def dual_pca(
     v = v[:, ::-1]
     w = np.maximum(w, 0.0)
     v = _fix_signs(v)
-
-    result = PcaResult(
+    return PcaResult(
         sample_eigenvalues=w,
         score_vectors=v,
         divisor=div,
-        centered=center,
+        centered=centered,
         n=n,
         d=d,
     )
-    if not want_loadings:
-        return result
-    norms = loading_norms(result)
-    return replace(result, loadings=(xc @ v) / norms, loading_valid=~np.isnan(norms))
 
 
 def loading_norms(result: PcaResult) -> np.ndarray:

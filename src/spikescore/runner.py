@@ -11,9 +11,14 @@ time, largest grid value first, so the costliest ones start early and no
 worker is left alone with them at the end; outcomes are put back in task
 order.  Each finished grid point logs one progress line with an ETA.
 
-Each replicate reads the d x n sample twice: once for the Gram matrix of
-dual PCA and once to project it on the spike directions, P = X'U_m (only m
-rows of X on the canonical basis).  The diagnostics then read n-space
+Each replicate reduces the d x n sample to two n-space arrays, the Gram
+X'X of dual PCA and the projection on the spike directions, P = X'U_m.  On
+the canonical basis the sample is streamed: ``canonical_gram`` sums the
+Gram block by block and reads P from the first m columns, so a replicate
+holds the n x n Gram and P, never the n x d sample.  On a random basis the
+rank-m correction couples every column, so the sample is generated whole,
+then ``dual_pca`` forms the Gram and ``spike_projection`` P.  Both routes
+share ``gram_pca`` for the eigenpairs.  The diagnostics then read n-space
 arrays only: the sample eigenvalues w and score vectors V, the population
 scores S and the projection P.
 """
@@ -43,7 +48,7 @@ from .asymptotics import (
     spike_diagnostics,
 )
 from .limit_dist import RLaw, ks_test
-from .pca_engine import PcaResult, dual_pca
+from .pca_engine import PcaResult, dual_pca, gram_pca
 from .spike_model import (
     BasisChoice,
     CanonicalAxes,
@@ -54,6 +59,7 @@ from .spike_model import (
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
+    canonical_gram,
     generate_sample,
     projection_scores,
     spike_projection,
@@ -72,7 +78,10 @@ GRID_KEYS = {MODE_HDLSS: "grid.d", MODE_GROWING_N: "grid.n"}
 # asymptotics need, under these keys (see ExperimentConfig.validate).
 REGIME_RATIO_KEYS = {MODE_HDLSS: "d_over_lambda_m", MODE_GROWING_N: "d_over_n_lambda_m"}
 
-# Stages that compute_replicate times, in order.
+# Stages that compute_replicate times, in order.  On the canonical basis
+# "generate" draws the sample block by block and sums its Gram and P, and
+# "pca" is the eigen-part alone; on a random basis "generate" draws the
+# whole sample, "pca" forms the Gram too, and P is taken in "diagnostics".
 STAGES = ("generate", "pca", "diagnostics")
 
 RECORDS_HEADER = "grid,replicate,j,median_ratio,rel_spread,eig_ratio,angle_rad,leakage,n_excluded"
@@ -286,19 +295,26 @@ def compute_replicate(
     """Generate, decompose, and summarize one replicate.
 
     The replicate stream is (master_seed, grid_value, replicate), so any
-    record can be regenerated in isolation.
+    record can be regenerated in isolation, with ``generate_sample`` and
+    ``dual_pca`` on either basis.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
     seed = np.random.SeedSequence((int(master_seed), int(grid_value), int(replicate)))
 
     t0 = time.perf_counter()
-    data = generate_sample(spec, seed)
-    t1 = time.perf_counter()
-    pca = dual_pca(data.values, divisor="n", rank=m)
-    t2 = time.perf_counter()
+    if isinstance(spec.basis, CanonicalAxes):
+        gram, proj = canonical_gram(spec, seed)
+        t1 = time.perf_counter()
+        pca = gram_pca(gram, spec.d, divisor="n", rank=m)
+        t2 = time.perf_counter()
+    else:
+        data = generate_sample(spec, seed)
+        t1 = time.perf_counter()
+        pca = dual_pca(data.values, divisor="n", rank=m)
+        t2 = time.perf_counter()
+        proj = spike_projection(data)
 
-    proj = spike_projection(data)
     s_pop = projection_scores(spec, proj)
     s_hat = comparable_sample_scores(pca, m)
     table = score_ratio_table(s_hat, s_pop, guard)
@@ -680,15 +696,18 @@ def _mean_str(mean: MeanChoice) -> str:
 
 @dataclass(frozen=True)
 class _FileKey:
-    """A config-file key: its holder dataclass and field, parser and echo."""
+    """A config-file key: its holder dataclass and field, parser and echo,
+    and the modes that read it."""
 
     holder: type
     attr: str
     parse: Callable[[str], object]
     show: Callable[[object], object] = lambda value: value
+    modes: tuple[str, ...] = _MODES
 
 
-# The config file format, in echo order; each mode reads one of the grid keys.
+# The config file format, in echo order.  Each mode reads one of the grid
+# keys, and only growing-n-sweep reads template.d_over_n.
 _FILE_KEYS = {
     "mode": _FileKey(ExperimentConfig, "mode", str),
     "template.spikes": _FileKey(
@@ -698,9 +717,10 @@ _FILE_KEYS = {
     "template.basis": _FileKey(SpikeTemplate, "basis", _parse_basis, _basis_str),
     "template.mean": _FileKey(SpikeTemplate, "mean", _parse_mean, _mean_str),
     "template.n": _FileKey(SpikeTemplate, "n", int),
-    "template.d_over_n": _FileKey(SpikeTemplate, "d_over_n", float),
-    **{key: _FileKey(ExperimentConfig, "grid", lambda t: tuple(map(int, t.split(","))), list)
-       for key in GRID_KEYS.values()},
+    "template.d_over_n": _FileKey(SpikeTemplate, "d_over_n", float, modes=(MODE_GROWING_N,)),
+    **{key: _FileKey(ExperimentConfig, "grid", lambda t: tuple(map(int, t.split(","))), list,
+                     modes=(mode,))
+       for mode, key in GRID_KEYS.items()},
     "replicates": _FileKey(ExperimentConfig, "replicates", int),
     "master_seed": _FileKey(ExperimentConfig, "master_seed", int),
     "guard": _FileKey(ExperimentConfig, "guard", float),
@@ -719,9 +739,10 @@ def parse_config(text: str) -> ExperimentConfig:
         template.n = 50
         grid.d = 10000,100000
 
-    ``hdlss-sweep`` reads d from ``grid.d`` and n from ``template.n``;
-    ``growing-n-sweep`` reads n from ``grid.n``, d = round(n *
-    ``template.d_over_n``), and refuses ``grid.d`` and ``template.n``.
+    ``hdlss-sweep`` reads d from ``grid.d`` and n from ``template.n``, and
+    refuses ``grid.n`` and ``template.d_over_n``; ``growing-n-sweep`` reads
+    n from ``grid.n``, d = round(n * ``template.d_over_n``), and refuses
+    ``grid.d`` and ``template.n``.
     ``mode`` and ``template.spikes`` must be set; any other key of
     ``_FILE_KEYS`` left out takes the default of its dataclass field.
     """
@@ -750,9 +771,9 @@ def parse_config(text: str) -> ExperimentConfig:
         elif not hasattr(entry.holder, entry.attr):  # a field with no default
             raise ValueError(f"config must set {key}")
     mode = fields[ExperimentConfig]["mode"]
-    for key in GRID_KEYS.values():
-        if key in parsed and key != GRID_KEYS.get(mode, key):  # an unknown mode fails later
-            raise ValueError(f"config line {parsed[key][0]}: mode {mode} reads "
+    for key, (lineno, _) in parsed.items():
+        if mode in GRID_KEYS and mode not in _FILE_KEYS[key].modes:  # an unknown mode fails later
+            raise ValueError(f"config line {lineno}: mode {mode} reads "
                              f"{GRID_KEYS[mode]}, not {key}")
     return ExperimentConfig(
         template=SpikeTemplate(**fields[SpikeTemplate]), **fields[ExperimentConfig]
@@ -764,12 +785,13 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Config echo in the same vocabulary as the file format: the grid under
-    its mode's key, and no template.n when it is unset."""
+    """Config echo in the same vocabulary as the file format: only the keys
+    the config's mode reads (the grid under its mode's key), and no
+    template.n when it is unset."""
     echo = {}
     for key, entry in _FILE_KEYS.items():
         value = getattr(config.template if entry.holder is SpikeTemplate else config, entry.attr)
-        if value is not None and (entry.attr != "grid" or key == GRID_KEYS[config.mode]):
+        if value is not None and config.mode in entry.modes:
             echo[key] = entry.show(value)
     return echo
 

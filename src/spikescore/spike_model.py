@@ -6,12 +6,17 @@ choice of eigenbasis.  Only the m spike directions U_m are ever held,
 since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
 covariance is never formed, so dimensions in the millions stay cheap.  On
 the canonical axes generation is row-scaling of an n x d standard-normal
-draw.  On a random basis U_m is the Q factor of a seeded d x m Gaussian,
-cached per process so a sweep builds it once per grid point, and the draw
-is multiplied by the symmetric square root of the covariance,
+draw, made in blocks of ``SAMPLE_BLOCK`` columns from one Philox stream.
+``generate_sample`` lays the blocks side by side, while ``canonical_gram``
+sums each block's Gram as it is drawn and keeps only the n x n Gram X'X
+and the projection P, never the n x d sample.  On a random basis U_m is
+the Q factor of a seeded d x m Gaussian, cached per process so a sweep
+builds it once per grid point, and the draw is multiplied by the
+symmetric square root of the covariance,
 sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m': an isotropic
 scaling in place plus a rank-m correction, added to the draw in column
-blocks so the sampler holds one n x d array.
+blocks so the sampler holds one n x d array.  That correction couples
+every column, so a random-basis sample is drawn whole.
 
 Each replicate projects the sample on the spike directions once:
 ``spike_projection`` gives P = X'U_m (n x m), a row slice on the canonical
@@ -34,6 +39,11 @@ import numpy as np
 
 # Largest d at which ``orthogonal_matrix`` materializes the d x d basis.
 DIAGNOSTIC_MAX_D = 10_000
+
+# Columns per block of the canonical-basis sample (6.5 MB at n = 50): a
+# sweep sums each block's Gram while the block is still in cache, so a
+# replicate never holds the d x n sample.
+SAMPLE_BLOCK = 2**14
 
 # Domain-separation tag for the basis RNG stream, so a basis seed can
 # never collide with a (master_seed, grid, replicate) data stream.
@@ -272,6 +282,38 @@ def orthogonal_matrix(spec: SpikeSpec) -> np.ndarray:
     return np.linalg.qr(draw, mode="complete")[0]
 
 
+def _canonical_blocks(spec: SpikeSpec, seed):
+    """The canonical-basis sample X' (n x d) as n x w blocks of consecutive columns.
+
+    Each block is the next n w standard normals of the replicate's Philox
+    stream, scaled in place by sqrt(lambda_j) on spike column j and by
+    sqrt(tau) elsewhere, then shifted by the mean.  Yields (lo, latent,
+    block): the block's first column, a copy of its spike columns before
+    scaling (n x 0 once past the m spike columns), and the block, which
+    the next block overwrites.  With d <= SAMPLE_BLOCK the one block is the
+    whole (n, d) draw.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    root_lam = np.sqrt(spec.spike_eigenvalues)
+    root_tau = np.sqrt(float(spec.tail_value))
+    mu = spec.mean_vector_value
+    # Full-width blocks are drawn into one buffer, so one block is held.
+    buf = np.empty((spec.n, min(SAMPLE_BLOCK, spec.d)))
+    for lo in range(0, spec.d, SAMPLE_BLOCK):
+        w = min(SAMPLE_BLOCK, spec.d - lo)
+        block = buf if w == buf.shape[1] else np.empty((spec.n, w))
+        rng.standard_normal(out=block)
+        scale = root_lam[lo : lo + w]
+        k = scale.size
+        latent = block[:, :k].copy()
+        # In place: the draw is not needed unscaled any more.
+        block[:, :k] *= scale
+        block[:, k:] *= root_tau
+        if mu != 0.0:
+            block += mu
+        yield lo, latent, block
+
+
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     """Draw X = [X_1, ..., X_n] (d x n) from the spiked model.
 
@@ -279,43 +321,76 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
     exactly U_m'g_i.  On the canonical axes A is diagonal and this is a
-    row scaling.  Otherwise the draw is scaled by sqrt(tau) in place and
-    the rank-m term is added block by block, so the sample is the only
-    n x d array.  Deterministic given (spec, seed); seed may be an int, a
-    tuple of ints, or a numpy SeedSequence.  The counter-based generator
-    (Philox) makes replicate streams independent of execution order.
+    row scaling, applied to the column blocks that ``canonical_gram``
+    streams, which are laid side by side.  Otherwise the whole draw is
+    scaled by sqrt(tau) in place and the rank-m term is added block by
+    block, so the sample is the only n x d array.  Deterministic given
+    (spec, seed); seed may be an int, a tuple of ints, or a numpy
+    SeedSequence.  The counter-based generator (Philox) makes replicate
+    streams independent of execution order.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    m = spec.m
-    root_lam = np.sqrt(spec.spike_eigenvalues)
-    root_tau = np.sqrt(float(spec.tail_value))
-
-    z = rng.standard_normal((spec.n, spec.d))
     u = _spike_basis(spec)
     if u is None:
-        spike = z[:, :m].copy()
-        # In place: the draw is not needed unscaled any more.
-        z[:, :m] *= root_lam
-        z[:, m:] *= root_tau
-    else:
-        spike = z @ u
-        z *= root_tau
-        corr = (root_lam - root_tau) * spike
-        # Added in column blocks of about 256 KB, so no second n x d array
-        # is held.  Widths are multiples of 64 and the last block takes the
-        # remainder: a block that splits a BLAS register tile, or one column
-        # (a matrix-vector product), rounds differently from the whole product.
-        step = max(64, 2**15 // spec.n // 64 * 64)
-        blocks = max(1, spec.d // step)
-        for k in range(blocks):
-            lo, hi = k * step, spec.d if k == blocks - 1 else (k + 1) * step
-            z[:, lo:hi] += corr @ u[lo:hi].T
+        # One block (d <= SAMPLE_BLOCK) is the sample itself, not a copy.
+        z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
+        latents = []
+        for lo, latent, block in _canonical_blocks(spec, seed):
+            latents.append(latent)
+            if z is None:
+                z = block
+            else:
+                z[:, lo : lo + block.shape[1]] = block
+        return DataMatrix(values=z.T, latent=LatentScores(spike=np.hstack(latents)), spec=spec)
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    root_lam = np.sqrt(spec.spike_eigenvalues)
+    root_tau = np.sqrt(float(spec.tail_value))
+    z = rng.standard_normal((spec.n, spec.d))
+    spike = z @ u
+    z *= root_tau
+    corr = (root_lam - root_tau) * spike
+    # Added in column blocks of about 256 KB, so no second n x d array
+    # is held.  Widths are multiples of 64 and the last block takes the
+    # remainder: a block that splits a BLAS register tile, or one column
+    # (a matrix-vector product), rounds differently from the whole product.
+    step = max(64, 2**15 // spec.n // 64 * 64)
+    blocks = max(1, spec.d // step)
+    for k in range(blocks):
+        lo, hi = k * step, spec.d if k == blocks - 1 else (k + 1) * step
+        z[:, lo:hi] += corr @ u[lo:hi].T
     x = z.T  # (d, n)
     mu = spec.mean_vector_value
     if mu != 0.0:
         x += mu
-
     return DataMatrix(values=x, latent=LatentScores(spike=spike), spec=spec)
+
+
+def canonical_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
+    """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``
+    on the canonical basis, without holding the d x n sample X.
+
+    X is drawn in blocks of ``SAMPLE_BLOCK`` columns, and each block's
+    Gram is summed while the block is in cache; P is read from the spike
+    columns.  P is bitwise ``spike_projection`` of the full sample at any
+    d.  With d <= SAMPLE_BLOCK, X'X is the one product ``dual_pca`` forms,
+    to the bit; past that it is a sum in another order, equal to rounding.
+    A random basis is refused: its rank-m correction couples every column.
+    """
+    if not isinstance(spec.basis, CanonicalAxes):
+        raise ValueError("canonical_gram needs the canonical basis; use generate_sample")
+    gram = None
+    proj = []
+    # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _, latent, block in _canonical_blocks(spec, seed):
+            proj.append(block[:, : latent.shape[1]].copy())
+            # The first product is kept as it is: an n x n zero start costs
+            # 8% of a replicate at n = d = 1600.
+            if gram is None:
+                gram = block @ block.T
+            else:
+                gram += block @ block.T
+    return gram, np.hstack(proj)
 
 
 def spike_projection(data: DataMatrix) -> np.ndarray:

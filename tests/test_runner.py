@@ -39,6 +39,7 @@ from spikescore.spike_model import (
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
+    ZeroMean,
     basis_vectors,
     generate_sample,
     population_score_matrix,
@@ -158,6 +159,17 @@ class TestConfigParsing:
     def test_other_modes_grid_key_refused(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config(text)
+
+    def test_hdlss_refuses_and_omits_d_over_n(self):
+        # hdlss-sweep takes d from grid.d, so the coupling factor is unread.
+        text = TINY_CONFIG.format(out="out")
+        with pytest.raises(ValueError, match="config line 7: mode hdlss-sweep reads grid.d, "
+                                             "not template.d_over_n"):
+            parse_config(text.replace("grid.d = 200", "grid.d = 200\ntemplate.d_over_n = 2"))
+        assert "template.d_over_n" not in config_to_dict(parse_config(text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert config_to_dict(parse_config(ALL_KEYS_CONFIG))["template.d_over_n"] == 0.5
 
     @pytest.mark.parametrize(
         "line, message",
@@ -487,6 +499,55 @@ class TestOneProjectionPerReplicate:
         monkeypatch.setattr(spike_model, "basis_vectors", refuse)
         template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=6)
         record = compute_replicate(template, MODE_HDLSS, 200, 0, master_seed=5)
+        assert np.isfinite(record.spikes[0].median_ratio)
+
+
+class TestStreamedReplicate:
+    # The canonical replicate sums the Gram over column blocks; past one
+    # block it must agree with the whole-sample chain to rounding.
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    def test_multi_block_matches_public_chain(self, mean):
+        d = 3 * spike_model.SAMPLE_BLOCK + 17
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)), n=10, mean=mean
+        )
+        guard = 1e-3
+        record = compute_replicate(template, MODE_HDLSS, d, 3, master_seed=23, guard=guard)
+        spec = template.spec_at(MODE_HDLSS, d)
+        data = generate_sample(spec, np.random.SeedSequence((23, d, 3)))
+        pca = dual_pca(data.values, divisor="n", rank=2)
+        table = score_ratio_table(
+            comparable_sample_scores(pca, 2), population_score_matrix(data), guard
+        )
+        basis = basis_vectors(spec)
+        lam = resolve_eigenvalues(spec)[:2]
+        # Angle and leakage are read off cosines near 1 and norms near 0,
+        # so their rounding is absolute (about 1e-13), not relative.
+        def close(expected):
+            return pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+        for j, diag in enumerate(record.spikes):
+            assert diag.median_ratio == close(table.medians[j])
+            assert diag.rel_spread == close(table.rel_spreads[j])
+            assert diag.n_excluded == table.n_excluded[j]
+            assert diag.eig_ratio == close(eigenvalue_ratio(pca, lam, j))
+            assert diag.angle_rad == close(angle_to_population(pca, basis, j, x=data.values))
+            assert diag.leakage == close(tail_leakage(pca, basis, j, x=data.values))
+            assert diag.cross_overlaps == close(
+                (cross_spike_overlap(pca, basis, lam, j, 1 - j, x=data.values),)
+            )
+
+    def test_holds_no_n_by_d_array(self):
+        n, d = 8, 5 * spike_model.SAMPLE_BLOCK
+        template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=n)
+        compute_replicate(template, MODE_HDLSS, 200, 0, master_seed=5)  # imports the eigensolver
+        tracemalloc.start()
+        try:
+            record = compute_replicate(template, MODE_HDLSS, d, 0, master_seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * n * d
         assert np.isfinite(record.spikes[0].median_ratio)
 
 

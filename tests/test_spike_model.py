@@ -16,6 +16,7 @@ from spikescore.spike_model import (
     SpikeSpec,
     ZeroMean,
     basis_vectors,
+    canonical_gram,
     generate_sample,
     orthogonal_matrix,
     population_score_matrix,
@@ -321,6 +322,57 @@ class TestSpikeProjection:
         expected = data.values.T @ basis_vectors(spec)
         assert proj.shape == (9, len(spikes))
         assert np.array_equal(proj, expected)
+
+
+class TestCanonicalGram:
+    # One block, and three full blocks plus a 17-column remainder.
+    @pytest.mark.parametrize("d", [400, 3 * spike_model.SAMPLE_BLOCK + 17])
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    def test_matches_the_generated_sample(self, d, mean):
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
+            n=7,
+            d=d,
+            mean=mean,
+        )
+        seed = np.random.SeedSequence((5, d, 1))
+        gram, proj = canonical_gram(spec, seed)
+        data = generate_sample(spec, seed)
+        x = data.values
+        assert np.array_equal(proj, spike_projection(data))
+        expected = x.T @ x
+        if d <= spike_model.SAMPLE_BLOCK:
+            assert np.array_equal(gram, expected)
+        else:
+            # The block sums add in another order than the one product.
+            assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
+    def test_sample_is_the_scaled_block_stream(self, mean):
+        # Reference: n x w blocks of one Philox stream side by side, then
+        # the row scaling and the mean of the model.
+        block = spike_model.SAMPLE_BLOCK
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
+            n=3,
+            d=2 * block + 5,
+            tail_value=2.0,
+            mean=mean,
+        )
+        rng = np.random.Generator(np.random.Philox(17))
+        z = np.hstack(
+            [rng.standard_normal((3, min(block, spec.d - lo))) for lo in range(0, spec.d, block)]
+        )
+        scale = np.full(spec.d, np.sqrt(2.0))
+        scale[:2] = np.sqrt(spec.spike_eigenvalues)
+        data = generate_sample(spec, 17)
+        assert np.array_equal(data.latent.spike, z[:, :2])
+        assert np.array_equal(data.values, (z * scale + spec.mean_vector_value).T)
+
+    def test_refuses_random_basis(self):
+        spec = single_spike_spec(basis=RandomOrthogonal(seed=2))
+        with pytest.raises(ValueError, match="canonical basis"):
+            canonical_gram(spec, 1)
 
 
 class TestEnumDefaults:
