@@ -2,12 +2,15 @@
 
 The package has four layers:
 
-- ``spike_model``: spiked-covariance populations and O(dn) sample generation.
-- ``pca_engine``: sample eigenvalues, scores, and loadings via the n x n
-  Gram matrix.
+- ``spike_model``: spiked-covariance populations, O(dn) sample generation,
+  and ``sample_gram``, which reduces a sample to its Gram X'X and its
+  projection P = X'U_m on the spike directions.
+- ``pca_engine``: sample eigenvalues and score vectors from the n x n Gram
+  matrix; loadings are never stored.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
-  decomposition, and ``spike_diagnostics``, which turns one overlap matrix
-  into eigenvalue ratios, angles, cross-spike overlaps, and tail leakage.
+  decomposition, and ``spike_diagnostics``, which turns the overlap matrix
+  of ``projection_overlaps`` into eigenvalue ratios, angles, cross-spike
+  overlaps, and tail leakage.
 - ``limit_dist`` and ``runner``: the sqrt(n / chi2_n) rescaling law,
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
@@ -25,34 +28,29 @@ from .spike_model import (
     ZeroMean,
     basis_vectors,
     generate_sample,
-    orthogonal_matrix,
-    population_score_matrix,
-    resolve_eigenvalues,
+    projection_scores,
+    sample_gram,
+    spike_projection,
 )
 from .pca_engine import (
     PcaResult,
-    align_signs,
     dual_pca,
+    gram_pca,
     load_matrix_csv,
     sample_score_matrix,
 )
 from .asymptotics import (
     RatioDecomposition,
     ScoreRatioTable,
-    angle_to_population,
     comparable_sample_scores,
-    cross_spike_overlap,
-    eigenvalue_ratio,
+    projection_overlaps,
     ratio_decomposition,
     score_ratio_table,
     spike_diagnostics,
-    spike_overlaps,
-    tail_leakage,
 )
 from .limit_dist import (
     KsOutcome,
     RLaw,
-    chi_square_cdf,
     ks_test,
     r_cdf,
     r_quantile,
@@ -82,28 +80,23 @@ __all__ = [
     "ZeroMean",
     "basis_vectors",
     "generate_sample",
-    "orthogonal_matrix",
-    "population_score_matrix",
-    "resolve_eigenvalues",
+    "projection_scores",
+    "sample_gram",
+    "spike_projection",
     "PcaResult",
-    "align_signs",
     "dual_pca",
+    "gram_pca",
     "load_matrix_csv",
     "sample_score_matrix",
     "RatioDecomposition",
     "ScoreRatioTable",
-    "angle_to_population",
     "comparable_sample_scores",
-    "cross_spike_overlap",
-    "eigenvalue_ratio",
+    "projection_overlaps",
     "ratio_decomposition",
     "score_ratio_table",
     "spike_diagnostics",
-    "spike_overlaps",
-    "tail_leakage",
     "KsOutcome",
     "RLaw",
-    "chi_square_cdf",
     "ks_test",
     "r_cdf",
     "r_quantile",

@@ -4,25 +4,23 @@ Everything here quantifies how the dual-PCA output relates to the
 generating population: per-cell score ratios and their common-scaling
 summary, the exact three-term decomposition of a signed ratio, eigenvalue
 ratios, eigenvector angles, cross-spike overlaps, and tail leakage.  The
-last four come from one overlap matrix through ``spike_diagnostics``, which
-the public per-index functions and the Monte Carlo runner share.
+last four come from one overlap matrix through ``spike_diagnostics``, the
+one implementation that the Monte Carlo runner and any caller share.
 
 All component indices j, k are 0-based (j = 0 is the leading spike).
 Inner products u_hat_j'u_k are computed in the dual form
-v_j'P[:, k] / ``loading_norms``[j] whenever loadings are not stored, where
-P = X'U is the data's projection on the population directions
-(``projection_overlaps``), so no d-length loading vector needs to be kept
-at large d, and a caller that already holds P never reads X.  The same
-norms give ``ratio_decomposition`` its u_hat_j = X v_j / norms[j], so the
-rule that turns a score vector into a loading lives only in ``pca_engine``.
+v_j'P[:, k] / ``loading_norms``[j], where P = X'U is the data's projection
+on the population directions (``projection_overlaps``), so no d-length
+loading vector is ever formed, and a caller that already holds P never
+reads X.  The same norms give ``ratio_decomposition`` its
+u_hat_j = X v_j / norms[j], so the rule that turns a score vector into a
+loading lives only in ``pca_engine``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .pca_engine import PcaResult, loading_norms, sample_score_matrix
@@ -128,35 +126,6 @@ def score_ratio_table(
     )
 
 
-def spike_overlaps(
-    pca: PcaResult,
-    basis_m: np.ndarray,
-    x: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Signed inner products of sample loadings with population directions.
-
-    Returns O with O[j, k] = u_hat_j' u_k for the retained components j and
-    the columns of ``basis_m``.  Uses stored loadings when present;
-    otherwise ``x`` (the matrix the PCA was computed from) is required and
-    the dual form is used.  Rows with a numerically zero eigenvalue are NaN.
-    """
-    basis_m = np.asarray(basis_m, dtype=float)
-    if basis_m.ndim != 2:
-        raise ValueError(f"basis must be a (d, m) matrix, got shape {basis_m.shape}")
-    if pca.loadings is not None:
-        out = pca.loadings.T @ basis_m
-        if pca.loading_valid is not None:
-            out[~pca.loading_valid, :] = np.nan
-        return out
-    if x is None:
-        raise ValueError("pca has no loadings; pass x for the dual-form route")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pca.d, pca.n):
-        raise ValueError(f"x must be ({pca.d}, {pca.n}), got {x.shape}")
-    xc = x - x.mean(axis=1, keepdims=True) if pca.centered else x
-    return projection_overlaps(pca, xc.T @ basis_m)
-
-
 def projection_overlaps(pca: PcaResult, proj: np.ndarray) -> np.ndarray:
     """Dual-form overlaps O = V'P / ``loading_norms`` from P = X'U.
 
@@ -167,18 +136,6 @@ def projection_overlaps(pca: PcaResult, proj: np.ndarray) -> np.ndarray:
     return (pca.score_vectors.T @ proj) / loading_norms(pca)[:, None]
 
 
-def eigenvalue_ratio(pca: PcaResult, population_eigenvalues, j: int) -> float:
-    """Ratio of sample to population eigenvalue for component j."""
-    lam = np.asarray(population_eigenvalues, dtype=float)
-    if not 0 <= j < pca.rank:
-        raise ValueError(f"j must be in [0, {pca.rank}), got {j}")
-    if j >= lam.size:
-        raise ValueError(f"population eigenvalue {j} not provided")
-    if lam[j] <= 0:
-        raise ValueError(f"population eigenvalue {j} must be positive")
-    return float(pca.sample_eigenvalues[j] / lam[j])
-
-
 def spike_diagnostics(
     overlaps: np.ndarray,
     population_eigenvalues,
@@ -187,7 +144,7 @@ def spike_diagnostics(
     """Angles, weighted cross overlaps, leakage and eigenvalue ratios.
 
     ``overlaps`` is the r x m matrix O[j, k] = u_hat_j' u_k returned by
-    ``spike_overlaps``.  Sample component j is paired with population
+    ``projection_overlaps``.  Sample component j is paired with population
     direction j for j < q = min(r, m): ``angles`` (q) = arccos(min(1,
     |O[j, j]|)), ``cross_overlaps`` (q x m) = sqrt(lambda_k / lambda_j)
     |O[j, k]|, and ``eig_ratios`` (q) = sample over population eigenvalue.
@@ -211,53 +168,6 @@ def spike_diagnostics(
         leakage=np.array([1.0 - row @ row for row in o]),
         eig_ratios=w[:q] / lam[:q],
     )
-
-
-def angle_to_population(
-    pca: PcaResult,
-    basis_m: np.ndarray,
-    j: int,
-    x: Optional[np.ndarray] = None,
-) -> float:
-    """Angle in [0, pi/2] between sample loading j and population direction j."""
-    overlaps = spike_overlaps(pca, basis_m, x=x)
-    # The angle does not depend on the eigenvalues; unit ones stand in.
-    diags = spike_diagnostics(overlaps, np.ones(overlaps.shape[1]), pca.sample_eigenvalues)
-    return float(diags.angles[j])
-
-
-def cross_spike_overlap(
-    pca: PcaResult,
-    basis_m: np.ndarray,
-    population_eigenvalues,
-    j: int,
-    k: int,
-    x: Optional[np.ndarray] = None,
-) -> float:
-    """Eigenvalue-weighted overlap sqrt(lambda_k / lambda_j) |u_hat_j' u_k|."""
-    if j == k:
-        raise ValueError("cross-spike overlap needs j != k")
-    overlaps = spike_overlaps(pca, basis_m, x=x)
-    diags = spike_diagnostics(overlaps, population_eigenvalues, pca.sample_eigenvalues)
-    return float(diags.cross_overlaps[j, k])
-
-
-def tail_leakage(
-    pca: PcaResult,
-    basis_m: np.ndarray,
-    j: int,
-    x: Optional[np.ndarray] = None,
-) -> float:
-    """Squared mass of sample loading j outside the span of ``basis_m``.
-
-    Computed as 1 - sum_k (u_hat_j' u_k)**2 over the m columns of
-    ``basis_m``, which equals the tail sum exactly because the population
-    basis is orthonormal.  May dip a hair below 0 from rounding.
-    """
-    overlaps = spike_overlaps(pca, basis_m, x=x)
-    # The leakage does not depend on the eigenvalues; unit ones stand in.
-    diags = spike_diagnostics(overlaps, np.ones(overlaps.shape[1]), pca.sample_eigenvalues)
-    return float(diags.leakage[j])
 
 
 def ratio_decomposition(

@@ -5,9 +5,10 @@ and score vectors come from the Gram matrix X'X / divisor.  ``gram_pca``
 decomposes a Gram it is given, so a caller that sums X'X block by block
 (a sweep on the canonical basis) never holds X; ``dual_pca`` forms the
 Gram from X and hands it to ``gram_pca``, so both give the same bits from
-the same Gram.  Loadings are recovered on demand as X v / ``loading_norms``,
-the one place that holds the norm sqrt(divisor) sqrt(eigenvalue) and the
-zero-eigenvalue cut; the overlap diagnostics divide by the same norms.
+the same Gram.  No loading vector is stored: where a diagnostic needs the
+unit loading u_hat_j = X v_j / ||X v_j||, it divides by
+``loading_norms``, the one place that holds the norm
+sqrt(divisor) sqrt(eigenvalue) and the zero-eigenvalue cut.
 Finiteness is read from the Gram diagonal, so no d x n mask is built.
 When fewer than n components are wanted, the leading eigenpairs of the
 Gram come from implicitly restarted Lanczos (ARPACK, through
@@ -17,14 +18,14 @@ n x n Gram is never tridiagonalized and the result is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 # Eigenvalues below this fraction of the top one are treated as exactly
-# zero when recovering loadings, to avoid dividing by a rounding artifact.
+# zero by ``loading_norms``, to avoid dividing by a rounding artifact.
 ZERO_EIGENVALUE_RTOL = 1e-12
 
 # Absolute threshold for "first nonzero component" in the sign convention;
@@ -37,11 +38,9 @@ class PcaResult:
     """Sample eigen-structure from the dual (Gram) route.
 
     ``sample_eigenvalues`` is non-increasing with r = rank retained entries.
-    ``score_vectors`` (n x r) holds the orthonormal score vectors; column j
-    of ``loadings`` (d x r, optional) is the corresponding unit loading
-    vector, NaN-filled where ``loading_valid`` is False because the
-    eigenvalue is numerically zero.  ``divisor`` is the actual number used
-    in the covariance normalization (n or n - 1).
+    ``score_vectors`` (n x r) holds the orthonormal score vectors, all the
+    n-space diagnostics need; the d x r loadings are not kept.  ``divisor``
+    is the actual number used in the covariance normalization (n or n - 1).
     """
 
     sample_eigenvalues: np.ndarray
@@ -50,8 +49,6 @@ class PcaResult:
     centered: bool
     n: int
     d: int
-    loadings: Optional[np.ndarray] = None
-    loading_valid: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -87,7 +84,6 @@ def dual_pca(
     *,
     center: bool = False,
     divisor: Union[str, int, float] = "n",
-    want_loadings: bool = False,
     rank: Optional[int] = None,
 ) -> PcaResult:
     """Eigenvalues and scores of the sample covariance, via the Gram matrix.
@@ -106,12 +102,7 @@ def dual_pca(
     with np.errstate(invalid="ignore", over="ignore"):
         xc = x - x.mean(axis=1, keepdims=True) if center else x
         gram = xc.T @ xc
-    result = gram_pca(gram, x.shape[0], divisor=divisor, rank=rank, centered=center)
-    if not want_loadings:
-        return result
-    norms = loading_norms(result)
-    return replace(result, loadings=(xc @ result.score_vectors) / norms,
-                   loading_valid=~np.isnan(norms))
+    return gram_pca(gram, x.shape[0], divisor=divisor, rank=rank, centered=center)
 
 
 def gram_pca(
@@ -126,8 +117,9 @@ def gram_pca(
 
     ``gram`` is not yet divided; ``centered`` records whether the sample
     was centered before it was formed.  This is the eigen-part of
-    ``dual_pca``, shared with sweeps that sum the Gram block by block and
-    never hold the sample, so both give the same bits from the same Gram.
+    ``dual_pca``, shared with sweep replicates, which take their Gram from
+    ``spike_model.sample_gram``, so both give the same bits from the same
+    Gram.
 
     With ``rank < n`` the ``rank`` largest eigenpairs come from Lanczos
     (``eigsh``, to machine precision) started from the fixed vector
@@ -207,32 +199,6 @@ def sample_score_matrix(result: PcaResult, m: int) -> np.ndarray:
     if not 1 <= m <= result.rank:
         raise ValueError(f"m must be in [1, {result.rank}], got {m}")
     return result.score_vectors[:, :m].copy()
-
-
-def align_signs(result: PcaResult, reference_basis: np.ndarray) -> PcaResult:
-    """Flip loading/score pairs so each loading has nonnegative overlap
-    with its reference direction.
-
-    ``reference_basis`` is d x m with reference directions as columns.
-    Column j of the loadings and column j of the scores are negated
-    together, which leaves every rank-one term of the decomposition, and
-    hence the reconstruction, unchanged.
-    """
-    if result.loadings is None:
-        raise ValueError("align_signs needs loadings; rerun with want_loadings=True")
-    ref = np.asarray(reference_basis, dtype=float)
-    if ref.ndim != 2 or ref.shape[0] != result.d:
-        raise ValueError(f"reference basis must be ({result.d}, m), got {ref.shape}")
-    m = min(ref.shape[1], result.rank)
-    loadings = result.loadings.copy()
-    scores = result.score_vectors.copy()
-    for j in range(m):
-        if result.loading_valid is not None and not result.loading_valid[j]:
-            continue
-        if float(loadings[:, j] @ ref[:, j]) < 0:
-            loadings[:, j] = -loadings[:, j]
-            scores[:, j] = -scores[:, j]
-    return replace(result, loadings=loadings, score_vectors=scores)
 
 
 def load_matrix_csv(path: Union[str, Path], header: bool = False) -> np.ndarray:

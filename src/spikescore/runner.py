@@ -11,16 +11,13 @@ time, largest grid value first, so the costliest ones start early and no
 worker is left alone with them at the end; outcomes are put back in task
 order.  Each finished grid point logs one progress line with an ETA.
 
-Each replicate reduces the d x n sample to two n-space arrays, the Gram
-X'X of dual PCA and the projection on the spike directions, P = X'U_m.  On
-the canonical basis the sample is streamed: ``canonical_gram`` sums the
-Gram block by block and reads P from the first m columns, so a replicate
-holds the n x n Gram and P, never the n x d sample.  On a random basis the
-rank-m correction couples every column, so the sample is generated whole,
-then ``dual_pca`` forms the Gram and ``spike_projection`` P.  Both routes
-share ``gram_pca`` for the eigenpairs.  The diagnostics then read n-space
-arrays only: the sample eigenvalues w and score vectors V, the population
-scores S and the projection P.
+Each replicate takes one route on either basis: ``sample_gram`` reduces
+the d x n sample to two n-space arrays, the Gram X'X of dual PCA and the
+projection on the spike directions, P = X'U_m; ``gram_pca`` gives the
+sample eigenvalues w and score vectors V from the Gram; and the
+diagnostics read only w, V, the population scores S and P.  On the
+canonical basis the sample is streamed, so a replicate never holds the
+n x d sample; on a random basis it is drawn whole inside ``sample_gram``.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 import warnings
@@ -59,10 +57,8 @@ from .spike_model import (
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
-    canonical_gram,
-    generate_sample,
     projection_scores,
-    spike_projection,
+    sample_gram,
 )
 
 log = logging.getLogger(__name__)
@@ -78,10 +74,9 @@ GRID_KEYS = {MODE_HDLSS: "grid.d", MODE_GROWING_N: "grid.n"}
 # asymptotics need, under these keys (see ExperimentConfig.validate).
 REGIME_RATIO_KEYS = {MODE_HDLSS: "d_over_lambda_m", MODE_GROWING_N: "d_over_n_lambda_m"}
 
-# Stages that compute_replicate times, in order.  On the canonical basis
-# "generate" draws the sample block by block and sums its Gram and P, and
-# "pca" is the eigen-part alone; on a random basis "generate" draws the
-# whole sample, "pca" forms the Gram too, and P is taken in "diagnostics".
+# Stages that compute_replicate times, in order, the same on either basis:
+# "generate" draws the sample and forms its Gram and P (sample_gram), "pca"
+# is the eigen-part (gram_pca), and "diagnostics" reads n-space arrays only.
 STAGES = ("generate", "pca", "diagnostics")
 
 RECORDS_HEADER = "grid,replicate,j,median_ratio,rel_spread,eig_ratio,angle_rad,leakage,n_excluded"
@@ -108,6 +103,10 @@ class SpikeTemplate:
     mean: MeanChoice = ZeroMean()
     n: Optional[int] = None
     d_over_n: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.d_over_n < math.inf:
+            raise ValueError(f"d_over_n must be positive and finite, got {self.d_over_n}")
 
     @property
     def m(self) -> int:
@@ -183,8 +182,8 @@ class ExperimentConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.guard <= 0:
-            raise ValueError(f"guard must be positive, got {self.guard}")
+        if not 0 < self.guard < math.inf:
+            raise ValueError(f"guard must be positive and finite, got {self.guard}")
         if self.workers != "auto" and int(self.workers) < 1:
             raise ValueError(f"workers must be 'auto' or >= 1, got {self.workers}")
         rates = []
@@ -303,18 +302,10 @@ def compute_replicate(
     seed = np.random.SeedSequence((int(master_seed), int(grid_value), int(replicate)))
 
     t0 = time.perf_counter()
-    if isinstance(spec.basis, CanonicalAxes):
-        gram, proj = canonical_gram(spec, seed)
-        t1 = time.perf_counter()
-        pca = gram_pca(gram, spec.d, divisor="n", rank=m)
-        t2 = time.perf_counter()
-    else:
-        data = generate_sample(spec, seed)
-        t1 = time.perf_counter()
-        pca = dual_pca(data.values, divisor="n", rank=m)
-        t2 = time.perf_counter()
-        proj = spike_projection(data)
-
+    gram, proj = sample_gram(spec, seed)
+    t1 = time.perf_counter()
+    pca = gram_pca(gram, spec.d, divisor="n", rank=m)
+    t2 = time.perf_counter()
     s_pop = projection_scores(spec, proj)
     s_hat = comparable_sample_scores(pca, m)
     table = score_ratio_table(s_hat, s_pop, guard)

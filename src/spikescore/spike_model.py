@@ -7,38 +7,31 @@ since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
 covariance is never formed, so dimensions in the millions stay cheap.  On
 the canonical axes generation is row-scaling of an n x d standard-normal
 draw, made in blocks of ``SAMPLE_BLOCK`` columns from one Philox stream.
-``generate_sample`` lays the blocks side by side, while ``canonical_gram``
-sums each block's Gram as it is drawn and keeps only the n x n Gram X'X
-and the projection P, never the n x d sample.  On a random basis U_m is
-the Q factor of a seeded d x m Gaussian, cached per process so a sweep
-builds it once per grid point, and the draw is multiplied by the
-symmetric square root of the covariance,
+On a random basis U_m is the Q factor of a seeded d x m Gaussian, cached
+per process so a sweep builds it once per grid point, and the draw is
+multiplied by the symmetric square root of the covariance,
 sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m': an isotropic
 scaling in place plus a rank-m correction, added to the draw in column
-blocks so the sampler holds one n x d array.  That correction couples
-every column, so a random-basis sample is drawn whole.
+blocks so the sampler holds one n x d array.
 
-Each replicate projects the sample on the spike directions once:
-``spike_projection`` gives P = X'U_m (n x m), a row slice on the canonical
-basis and one product with U_m otherwise, and the population scores
-(``projection_scores``) and the sample-direction overlaps are both taken
-from that P.
-
-Generation keeps the sample and the latent spike coordinates, nothing else:
-every other diagnostic reads the sample itself, so no second n x d array
-is held per replicate at any d.
+``generate_sample`` returns the d x n sample itself.  ``sample_gram``
+reduces a replicate to the two n-space arrays every diagnostic reads, the
+Gram X'X and the projection P = X'U_m on the spike directions.  On the
+canonical axes it sums each block's Gram as the block is drawn and never
+holds the sample; on a random basis the rank-m correction couples every
+column, so it draws the whole sample and reduces it.  ``spike_projection``
+takes P from a sample, and ``projection_scores`` turns P into the
+population scores.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-
-# Largest d at which ``orthogonal_matrix`` materializes the d x d basis.
-DIAGNOSTIC_MAX_D = 10_000
 
 # Columns per block of the canonical-basis sample (6.5 MB at n = 50): a
 # sweep sums each block's Gram while the block is still in cache, so a
@@ -71,13 +64,13 @@ class SpikeProfile:
         if is_power:
             if self.scale is None or self.exponent is None:
                 raise ValueError("power-law spike needs both scale and exponent")
-            if self.scale <= 0:
-                raise ValueError(f"spike scale must be positive, got {self.scale}")
-            if self.exponent < 0:
-                raise ValueError(f"spike exponent must be >= 0, got {self.exponent}")
+            if not 0 < self.scale < math.inf:
+                raise ValueError(f"spike scale must be positive and finite, got {self.scale}")
+            if not 0 <= self.exponent < math.inf:
+                raise ValueError(f"spike exponent must be >= 0 and finite, got {self.exponent}")
         elif is_literal:
-            if self.literal <= 0:
-                raise ValueError(f"literal spike must be positive, got {self.literal}")
+            if not 0 < self.literal < math.inf:
+                raise ValueError(f"literal spike must be positive and finite, got {self.literal}")
         else:
             raise ValueError("spike must specify either (scale, exponent) or literal")
 
@@ -93,7 +86,10 @@ class SpikeProfile:
         """Concrete eigenvalue at dimension d."""
         if self.literal is not None:
             return float(self.literal)
-        return float(self.scale) * float(d) ** float(self.exponent)
+        try:
+            return float(self.scale) * float(d) ** float(self.exponent)
+        except OverflowError:  # SpikeSpec refuses the non-finite value
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -108,8 +104,7 @@ class RandomOrthogonal:
     The spike directions U_m are the Q factor of a d x m standard-normal
     draw from a stream keyed by ``seed``, so their span is uniform over
     m-dimensional subspaces.  The tail eigenvalue is repeated, so the rest
-    of the basis is any orthonormal completion; only ``orthogonal_matrix``
-    builds one.
+    of the basis is any orthonormal completion, and none is built.
     """
 
     seed: int = 0
@@ -126,6 +121,10 @@ class ConstantMean:
 
     value: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"mean value must be finite, got {self.value}")
+
 
 BasisChoice = Union[CanonicalAxes, RandomOrthogonal]
 MeanChoice = Union[ZeroMean, ConstantMean]
@@ -136,9 +135,10 @@ class SpikeSpec:
     """A concrete spiked population model at sample size n and dimension d.
 
     ``spikes`` holds the m dominant eigenvalues (m = len(spikes)); every
-    remaining eigenvalue equals ``tail_value``.  Resolved eigenvalues must be
-    non-increasing at this d, and m < n, m < d; a ValueError names the
-    offending pair otherwise (including a spike falling below the tail).
+    remaining eigenvalue equals ``tail_value``.  Resolved eigenvalues must
+    be finite and non-increasing at this d, and m < n, m < d; a ValueError
+    names the offending pair otherwise (including a spike falling below
+    the tail).
     """
 
     spikes: tuple[SpikeProfile, ...]
@@ -152,8 +152,8 @@ class SpikeSpec:
         object.__setattr__(self, "spikes", tuple(self.spikes))
         if len(self.spikes) < 1:
             raise ValueError("at least one spike is required")
-        if self.tail_value <= 0:
-            raise ValueError(f"tail_value must be positive, got {self.tail_value}")
+        if not 0 < self.tail_value < math.inf:
+            raise ValueError(f"tail_value must be positive and finite, got {self.tail_value}")
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be positive, got n={self.n}, d={self.d}")
         m = len(self.spikes)
@@ -162,6 +162,10 @@ class SpikeSpec:
         if m >= self.d:
             raise ValueError(f"spike count m={m} must be < d={self.d}")
         values = [*self.spike_eigenvalues, self.tail_value]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(
+                f"spike eigenvalues must be finite at d={self.d}, got {self.spike_eigenvalues}"
+            )
         names = [f"lambda_{k}" for k in range(1, m + 1)] + ["tail"]
         for j in range(1, m + 1):
             if values[j] > values[j - 1]:
@@ -192,8 +196,8 @@ class LatentScores:
 
     ``spike`` (n x m) keeps the latent coordinates on the spike directions,
     G'U_m for the standard-normal draw G (its first m columns on the
-    canonical basis): these are the population scores, the reference
-    ``population_score_matrix`` is checked against.  The tail coordinates
+    canonical basis): these are the population scores, against which
+    ``projection_scores`` of the sample is checked.  The tail coordinates
     are not kept; where they are needed (``ratio_decomposition``) they are
     read back from the sample.
     """
@@ -216,17 +220,6 @@ class DataMatrix:
                 f"values shape {self.values.shape} does not match spec "
                 f"(d={self.spec.d}, n={self.spec.n})"
             )
-
-
-def resolve_eigenvalues(spec: SpikeSpec) -> np.ndarray:
-    """Concrete population eigenvalues (lambda_1, ..., lambda_d) at spec.d.
-
-    A d-length vector; code that needs only the spikes reads
-    ``spec.spike_eigenvalues``, which stays cheap at any d.
-    """
-    lam = np.full(spec.d, float(spec.tail_value))
-    lam[: spec.m] = spec.spike_eigenvalues
-    return lam
 
 
 def _basis_draw(seed: int, d: int, m: int) -> np.ndarray:
@@ -256,30 +249,10 @@ def basis_vectors(spec: SpikeSpec) -> np.ndarray:
     """The m spike directions U_m = [u_1, ..., u_m] as a dense (d, m) matrix.
 
     Cheap for CanonicalAxes at any d.  For RandomOrthogonal it is the
-    cached, read-only U_m.  The tail directions are only built by
-    ``orthogonal_matrix``.
+    cached, read-only U_m.
     """
     u = _spike_basis(spec)
     return np.eye(spec.d, spec.m) if u is None else u
-
-
-def orthogonal_matrix(spec: SpikeSpec) -> np.ndarray:
-    """The full d x d eigenvector matrix U, for small-d tests only.
-
-    For RandomOrthogonal it is the complete QR of the draw behind U_m, so
-    its first m columns equal U_m to rounding; the rest is one orthonormal
-    basis of the tail, which any other would serve equally, since the tail
-    eigenvalue is repeated.
-    """
-    if spec.d > DIAGNOSTIC_MAX_D:
-        raise ValueError(
-            f"refusing to materialize a {spec.d} x {spec.d} matrix; "
-            f"only supported for d <= {DIAGNOSTIC_MAX_D}"
-        )
-    if isinstance(spec.basis, CanonicalAxes):
-        return np.eye(spec.d)
-    draw = _basis_draw(spec.basis.seed, spec.d, spec.m)
-    return np.linalg.qr(draw, mode="complete")[0]
 
 
 def _canonical_blocks(spec: SpikeSpec, seed):
@@ -321,7 +294,7 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
     exactly U_m'g_i.  On the canonical axes A is diagonal and this is a
-    row scaling, applied to the column blocks that ``canonical_gram``
+    row scaling, applied to the column blocks that ``sample_gram``
     streams, which are laid side by side.  Otherwise the whole draw is
     scaled by sqrt(tau) in place and the rank-m term is added block by
     block, so the sample is the only n x d array.  Deterministic given
@@ -365,23 +338,26 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     return DataMatrix(values=x, latent=LatentScores(spike=spike), spec=spec)
 
 
-def canonical_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
-    """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``
-    on the canonical basis, without holding the d x n sample X.
+def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
+    """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``.
 
-    X is drawn in blocks of ``SAMPLE_BLOCK`` columns, and each block's
-    Gram is summed while the block is in cache; P is read from the spike
-    columns.  P is bitwise ``spike_projection`` of the full sample at any
-    d.  With d <= SAMPLE_BLOCK, X'X is the one product ``dual_pca`` forms,
-    to the bit; past that it is a sum in another order, equal to rounding.
-    A random basis is refused: its rank-m correction couples every column.
+    On the canonical basis X is drawn in blocks of ``SAMPLE_BLOCK``
+    columns, and each block's Gram is summed while the block is in cache,
+    so the d x n sample is never held; P is read from the spike columns
+    and is bitwise ``spike_projection`` of the full sample at any d.  With
+    d <= SAMPLE_BLOCK, X'X is the one product ``dual_pca`` forms, to the
+    bit; past that it is a sum in another order, equal to rounding.  On a
+    random basis the rank-m correction couples every column, so the
+    sample is drawn whole, and X'X and P are the products ``dual_pca`` and
+    ``spike_projection`` form from it, to the bit.
     """
-    if not isinstance(spec.basis, CanonicalAxes):
-        raise ValueError("canonical_gram needs the canonical basis; use generate_sample")
-    gram = None
-    proj = []
     # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
     with np.errstate(invalid="ignore", over="ignore"):
+        if not isinstance(spec.basis, CanonicalAxes):
+            data = generate_sample(spec, seed)
+            return data.values.T @ data.values, spike_projection(data)
+        gram = None
+        proj = []
         for _, latent, block in _canonical_blocks(spec, seed):
             proj.append(block[:, : latent.shape[1]].copy())
             # The first product is kept as it is: an n x n zero start costs
@@ -416,14 +392,3 @@ def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
         u = _spike_basis(spec)
         proj = proj - mu * (1.0 if u is None else u.sum(axis=0))
     return proj / np.sqrt(spec.spike_eigenvalues)
-
-
-def population_score_matrix(data: DataMatrix) -> np.ndarray:
-    """Population scores S (n x m): S[i, j] = u_j'(X_i - mean) / sqrt(lambda_j).
-
-    Computed from the data and the spike directions through
-    ``spike_projection``, not read back from ``latent.spike``, so it doubles
-    as a check of the generator: it reproduces latent.spike to rounding
-    (with the mean removed for a constant-mean model).
-    """
-    return projection_scores(data.spec, spike_projection(data))

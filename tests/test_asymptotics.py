@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
+from spikescore import runner
 from spikescore.asymptotics import (
-    angle_to_population,
     comparable_sample_scores,
-    cross_spike_overlap,
-    eigenvalue_ratio,
+    projection_overlaps,
     ratio_decomposition,
     score_ratio_table,
     spike_diagnostics,
-    spike_overlaps,
-    tail_leakage,
 )
-from spikescore.pca_engine import PcaResult, dual_pca
+from spikescore.pca_engine import PcaResult, dual_pca, gram_pca
 from spikescore.spike_model import (
-    DIAGNOSTIC_MAX_D,
     CanonicalAxes,
     ConstantMean,
     DataMatrix,
@@ -26,26 +22,34 @@ from spikescore.spike_model import (
     SpikeSpec,
     basis_vectors,
     generate_sample,
-    population_score_matrix,
-    resolve_eigenvalues,
+    projection_scores,
+    sample_gram,
+    spike_projection,
 )
 
 
-def make_pca(loadings, eigenvalues, n=4, divisor=None):
-    """Hand-built PcaResult for the loading-based diagnostics."""
-    loadings = np.asarray(loadings, dtype=float)
-    d, r = loadings.shape
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    return PcaResult(
-        sample_eigenvalues=eigenvalues,
-        score_vectors=np.eye(n, r),
-        divisor=float(divisor if divisor is not None else n),
-        centered=False,
-        n=n,
-        d=d,
-        loadings=loadings,
-        loading_valid=np.ones(r, dtype=bool),
-    )
+def hand_overlaps(proj, eigenvalues, n=4):
+    """projection_overlaps of a hand-built result whose score vectors are
+    e_1, ..., e_r, so O[j, k] = P[j, k] / sqrt(n w_j) exactly."""
+    w = np.asarray(eigenvalues, dtype=float)
+    pca = PcaResult(sample_eigenvalues=w, score_vectors=np.eye(n, w.size),
+                    divisor=float(n), centered=False, n=n, d=10)
+    return projection_overlaps(pca, np.asarray(proj, dtype=float))
+
+
+def explicit_loadings(x, pca):
+    """Dense oracle: the unit loadings X_c v_j / ||X_c v_j||, formed in d-space."""
+    xc = x - x.mean(axis=1, keepdims=True) if pca.centered else x
+    u = xc @ pca.score_vectors
+    return u / np.linalg.norm(u, axis=0)
+
+
+def replicate_diagnostics(spec, seed):
+    """spike_diagnostics of one replicate through the runner's route."""
+    gram, proj = sample_gram(spec, seed)
+    pca = gram_pca(gram, spec.d, rank=spec.m)
+    return spike_diagnostics(projection_overlaps(pca, proj), spec.spike_eigenvalues,
+                             pca.sample_eigenvalues)
 
 
 def single_spike_data(d=500, n=10, exponent=1.6, seed=5, **kwargs):
@@ -123,107 +127,89 @@ class TestScoreRatioTable:
 
 class TestEigenvalueRatio:
     def test_trivial(self):
-        pca = make_pca(np.eye(3, 2), [4.0, 2.0])
-        assert eigenvalue_ratio(pca, [4.0, 2.0], 0) == pytest.approx(1.0)
-        assert eigenvalue_ratio(pca, [8.0, 2.0], 0) == pytest.approx(0.5)
+        o = hand_overlaps(np.eye(4, 2), [4.0, 2.0])
+        assert np.array_equal(spike_diagnostics(o, [4.0, 2.0], [4.0, 2.0]).eig_ratios, [1.0, 1.0])
+        assert spike_diagnostics(o, [8.0, 2.0], [4.0, 2.0]).eig_ratios[0] == 0.5
 
     def test_validation(self):
-        pca = make_pca(np.eye(3, 2), [4.0, 2.0])
-        with pytest.raises(ValueError):
-            eigenvalue_ratio(pca, [4.0], 1)
-        with pytest.raises(ValueError):
-            eigenvalue_ratio(pca, [0.0, 1.0], 0)
-        with pytest.raises(ValueError):
-            eigenvalue_ratio(pca, [4.0, 2.0], 5)
+        # Every paired component needs its population and sample eigenvalue.
+        o = hand_overlaps(np.eye(4, 2), [4.0, 2.0])
+        with pytest.raises(ValueError, match="eigenvalues"):
+            spike_diagnostics(o, [4.0], [4.0, 2.0])
+        with pytest.raises(ValueError, match="eigenvalues"):
+            spike_diagnostics(o, [4.0, 2.0], [4.0])
 
 
 class TestAngles:
     def test_aligned_is_zero(self):
-        pca = make_pca(np.eye(5, 1), [3.0])
-        basis = np.eye(5, 1)
-        assert angle_to_population(pca, basis, 0) == pytest.approx(0.0, abs=1e-12)
+        o = hand_overlaps([[2.0], [0.0], [0.0], [0.0]], [1.0])
+        assert spike_diagnostics(o, [3.0], [1.0]).angles[0] == 0.0
 
     def test_orthogonal_is_right_angle(self):
-        loadings = np.zeros((5, 1))
-        loadings[1, 0] = 1.0
-        pca = make_pca(loadings, [3.0])
-        basis = np.eye(5, 1)
-        assert angle_to_population(pca, basis, 0) == pytest.approx(np.pi / 2)
+        o = hand_overlaps(np.zeros((4, 1)), [1.0])
+        assert spike_diagnostics(o, [3.0], [1.0]).angles[0] == pytest.approx(np.pi / 2)
 
     def test_decreases_with_dimension(self):
         means = []
         for d in (300, 3000):
-            angles = []
-            for seed in range(30):
-                pca, basis, x = _pca_and_basis(d, seed)
-                angles.append(angle_to_population(pca, basis, 0, x=x))
+            spec = SpikeSpec(spikes=(SpikeProfile.power(1.0, 1.6),), n=10, d=d)
+            angles = [replicate_diagnostics(spec, (800, d, seed)).angles[0] for seed in range(30)]
             means.append(np.mean(angles))
         assert means[1] < means[0]
-
-
-def _pca_and_basis(d, seed, n=10):
-    spec = SpikeSpec(spikes=(SpikeProfile.power(1.0, 1.6),), n=n, d=d)
-    data = generate_sample(spec, (800, d, seed))
-    pca = dual_pca(data.values, rank=1)
-    return pca, basis_vectors(spec), data.values
 
 
 class TestCrossSpikeOverlap:
     def test_exact_cases(self):
         # u_hat_0 equals the second population direction, equal eigenvalues.
-        loadings = np.zeros((6, 1))
-        loadings[1, 0] = 1.0
-        pca = make_pca(loadings, [4.0])
-        basis = np.eye(6, 2)
-        assert cross_spike_overlap(pca, basis, [4.0, 4.0], 0, 1) == pytest.approx(1.0)
+        o = hand_overlaps([[0.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [1.0])
+        assert spike_diagnostics(o, [4.0, 4.0], [1.0]).cross_overlaps[0, 1] == 1.0
         # orthogonal to the other spike -> 0
-        pca2 = make_pca(np.eye(6, 1), [4.0])
-        assert cross_spike_overlap(pca2, basis, [4.0, 4.0], 0, 1) == pytest.approx(0.0)
+        o = hand_overlaps(np.eye(4, 2) * 2.0, [1.0])
+        assert spike_diagnostics(o, [4.0, 4.0], [1.0]).cross_overlaps[0, 1] == 0.0
 
     def test_rejects_equal_indices(self):
-        pca = make_pca(np.eye(4, 2), [2.0, 1.0])
-        with pytest.raises(ValueError):
-            cross_spike_overlap(pca, np.eye(4, 2), [2.0, 1.0], 1, 1)
+        # Entry (j, j) is the own-direction cosine, not a cross overlap: a
+        # record keeps the m - 1 entries with k != j.
+        template = runner.SpikeTemplate(
+            spikes=tuple(SpikeProfile.power(1.0, e) for e in (1.8, 1.6, 1.4)), n=12
+        )
+        record = runner.compute_replicate(template, runner.MODE_HDLSS, 400, 0, master_seed=3)
+        spec = template.spec_at(runner.MODE_HDLSS, 400)
+        cross = replicate_diagnostics(spec, np.random.SeedSequence((3, 400, 0))).cross_overlaps
+        for j, diag in enumerate(record.spikes):
+            assert diag.cross_overlaps == tuple(np.delete(cross[j], j))
 
     def test_decreases_with_dimension(self):
         means = []
         for d in (300, 3000):
-            vals = []
-            for seed in range(25):
-                spec = SpikeSpec(
-                    spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.4)),
-                    n=20,
-                    d=d,
-                )
-                data = generate_sample(spec, (801, d, seed))
-                pca = dual_pca(data.values, rank=2)
-                lam = resolve_eigenvalues(spec)[:2]
-                vals.append(
-                    cross_spike_overlap(
-                        pca, basis_vectors(spec), lam, 0, 1, x=data.values
-                    )
-                )
+            spec = SpikeSpec(
+                spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.4)), n=20, d=d
+            )
+            vals = [replicate_diagnostics(spec, (801, d, seed)).cross_overlaps[0, 1]
+                    for seed in range(25)]
             means.append(np.mean(vals))
         assert means[1] < means[0]
 
 
 class TestTailLeakage:
     def test_inside_span_is_zero(self):
-        pca = make_pca(np.eye(6, 1), [2.0])
-        assert tail_leakage(pca, np.eye(6, 2), 0) == pytest.approx(0.0, abs=1e-12)
+        o = hand_overlaps(np.eye(4, 2) * 2.0, [1.0])
+        assert spike_diagnostics(o, [2.0, 1.0], [1.0]).leakage[0] == 0.0
 
     def test_outside_span_is_one(self):
-        loadings = np.zeros((6, 1))
-        loadings[5, 0] = 1.0
-        pca = make_pca(loadings, [2.0])
-        assert tail_leakage(pca, np.eye(6, 2), 0) == pytest.approx(1.0)
+        o = hand_overlaps(np.zeros((4, 2)), [1.0])
+        assert spike_diagnostics(o, [2.0, 1.0], [1.0]).leakage[0] == 1.0
 
     def test_complement_identity(self):
+        # The leakage is the squared mass of the explicit loading outside
+        # span(U_m), formed in d-space.
         spec, data, pca = single_spike_data(d=400, n=8, seed=6)
         basis = basis_vectors(spec)
-        leak = tail_leakage(pca, basis, 0, x=data.values)
-        overlaps = spike_overlaps(pca, basis, x=data.values)[0]
-        assert leak + overlaps @ overlaps == pytest.approx(1.0, abs=1e-10)
+        o = projection_overlaps(pca, spike_projection(data))
+        leak = spike_diagnostics(o, spec.spike_eigenvalues, pca.sample_eigenvalues).leakage[0]
+        u_hat = explicit_loadings(data.values, pca)[:, 0]
+        tail = u_hat - basis @ (basis.T @ u_hat)
+        assert leak == pytest.approx(tail @ tail, abs=1e-10)
         assert -1e-10 <= leak <= 1.0
 
 
@@ -271,28 +257,21 @@ class TestSpikeOverlaps:
         )
         data = generate_sample(spec, 99)
         basis = basis_vectors(spec)
-        with_loadings = dual_pca(data.values, rank=2, want_loadings=True)
-        without = dual_pca(data.values, rank=2)
-        a = spike_overlaps(with_loadings, basis)
-        b = spike_overlaps(without, basis, x=data.values)
-        assert np.allclose(a, b, atol=1e-10)
+        pca = dual_pca(data.values, rank=2)
+        dense = explicit_loadings(data.values, pca).T @ basis
+        assert np.allclose(projection_overlaps(pca, spike_projection(data)), dense, atol=1e-10)
 
     def test_dual_route_respects_centering(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((40, 7)) + 5.0
         basis = np.eye(40, 2)
-        with_loadings = dual_pca(x, center=True, want_loadings=True, rank=3)
-        without = dual_pca(x, center=True, rank=3)
+        pca = dual_pca(x, center=True, rank=3)
+        xc = x - x.mean(axis=1, keepdims=True)
         assert np.allclose(
-            spike_overlaps(with_loadings, basis),
-            spike_overlaps(without, basis, x=x),
+            projection_overlaps(pca, xc.T @ basis),
+            explicit_loadings(x, pca).T @ basis,
             atol=1e-10,
         )
-
-    def test_requires_x_without_loadings(self):
-        spec, data, pca = single_spike_data(d=100, n=6)
-        with pytest.raises(ValueError, match="dual-form"):
-            spike_overlaps(pca, basis_vectors(spec))
 
 
 class TestRatioDecomposition:
@@ -331,14 +310,11 @@ class TestRatioDecomposition:
             basis=RandomOrthogonal(seed=5),
         )
         data = generate_sample(spec, 17)
-        pca = dual_pca(data.values, rank=2, want_loadings=True)
-        plain = dual_pca(data.values, rank=2)
+        pca = dual_pca(data.values, rank=2)
         for j in (0, 1):
             dec = ratio_decomposition(data, pca, 3, j)
             total = dec.signal + dec.cross_spike + dec.noise
             assert total == pytest.approx(dec.total, rel=1e-10)
-            # One route for u_hat_j: stored loadings do not change a bit.
-            assert dec == ratio_decomposition(data, plain, 3, j)
 
     def test_noise_shrinks_with_dimension(self):
         means = []
@@ -358,7 +334,7 @@ class TestRatioDecomposition:
         # median sits within max_i |noise_i| of |signal|.
         spec, data, pca = single_spike_data(d=2000, n=10, seed=15)
         s_hat = comparable_sample_scores(pca, 1)
-        s_pop = population_score_matrix(data)
+        s_pop = projection_scores(spec, spike_projection(data))
         table = score_ratio_table(s_hat, s_pop)
         decs = [ratio_decomposition(data, pca, i, 0) for i in range(10)]
         median = table.medians[0]
@@ -372,7 +348,7 @@ class TestRatioDecomposition:
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(1.0, 1.4), SpikeProfile.power(1.0, 1.2)),
             n=12,
-            d=DIAGNOSTIC_MAX_D * 2,
+            d=20_000,
             basis=basis,
         )
         data = generate_sample(spec, 23)

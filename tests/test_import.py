@@ -1,4 +1,4 @@
-"""Importing the package stays light."""
+"""Importing the package stays light, and its public names resolve."""
 
 import json
 import subprocess
@@ -32,3 +32,19 @@ def test_import_leaves_scipy_linear_algebra_out():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+# The d-space duplicates of the n-space diagnostics, removed from the API.
+REMOVED = (
+    "angle_to_population", "cross_spike_overlap", "tail_leakage", "eigenvalue_ratio",
+    "spike_overlaps", "align_signs", "orthogonal_matrix", "population_score_matrix",
+    "resolve_eigenvalues", "chi_square_cdf",
+)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(spikescore.__all__)) == len(spikescore.__all__)
+    for name in spikescore.__all__:
+        assert getattr(spikescore, name) is not None, name
+    assert not set(REMOVED) & set(spikescore.__all__)
+    assert not [name for name in REMOVED if hasattr(spikescore, name)]

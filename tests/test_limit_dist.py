@@ -1,4 +1,4 @@
-"""Chi-square CDF, the rescaling law, and the KS test machinery."""
+"""The rescaling law, the chi-square law behind it, and the KS test machinery."""
 
 import math
 
@@ -10,11 +10,20 @@ from spikescore.limit_dist import (
     KsOutcome,
     RLaw,
     _kolmogorov_survival,
-    chi_square_cdf,
     ks_test,
     r_cdf,
     r_quantile,
 )
+
+
+def chi_square_sf(x, n):
+    """P(chi2_n > x) read off the rescaling law: r_cdf(sqrt(n / x))."""
+    with np.errstate(divide="ignore"):
+        return r_cdf(np.sqrt(n / np.asarray(x, dtype=float)), RLaw(n))
+
+
+def chi_square_cdf(x, n):
+    return 1.0 - chi_square_sf(x, n)
 
 
 def chi2_density(x, n):
@@ -25,6 +34,9 @@ def chi2_density(x, n):
 
 
 class TestChiSquareCdf:
+    """The chi-square CDF that r_cdf evaluates, P(chi2_n <= x) =
+    1 - r_cdf(sqrt(n / x)), against closed forms and oracles."""
+
     def test_zero(self):
         for n in (1, 2, 7, 100):
             assert chi_square_cdf(0.0, n) == 0.0
@@ -80,12 +92,13 @@ class TestChiSquareCdf:
         for n in (2, 5, 10, 100):
             for x in (n / 2, float(n), 2.0 * n):
                 h = 1e-5 * x
-                deriv = (chi_square_cdf(x + h, n) - chi_square_cdf(x - h, n)) / (2 * h)
+                deriv = (chi_square_sf(x - h, n) - chi_square_sf(x + h, n)) / (2 * h)
                 assert deriv == pytest.approx(chi2_density(x, n), rel=1e-5)
 
     def test_domain_errors(self):
+        # A negative x maps to no r > 0; zero degrees of freedom to no law.
         with pytest.raises(ValueError):
-            chi_square_cdf(-0.1, 3)
+            r_cdf(-math.sqrt(3 / 0.1), RLaw(3))
         with pytest.raises(ValueError):
             chi_square_cdf(1.0, 0)
 
@@ -218,6 +231,33 @@ class TestKsTest:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="NaN or Inf"):
             ks_test(bad, lambda r: r_cdf(r, law))
+
+    @pytest.mark.parametrize("m", [10, 12, 50, 2000])
+    def test_exact_p_value_against_kstwo(self, m):
+        # Twice the exact one-sided tail leaves out only the chance that both
+        # one-sided statistics exceed D, about p**3 / 8 relative: 1e-3 at
+        # p = 0.2, where the asymptotic series puts it at large M.
+        from scipy.stats import kstwo
+
+        for p in np.geomspace(1e-8, 0.2, 60):
+            d = kstwo.isf(p, m)
+            ref = kstwo.sf(d, m)
+            samples = np.arange(1, m + 1) / m - d  # D = d against U(0, 1)
+            out = ks_test(samples, lambda x: np.clip(x, 0.0, 1.0))
+            assert out.statistic == pytest.approx(d, rel=1e-12)
+            assert abs(out.p_value_exact - ref) <= 1.01 * ref**4 / 8 + 1e-9 * ref
+
+    @pytest.mark.parametrize("m, size", [(10, 0.0055), (12, 0.0059)])
+    def test_decision_size_at_small_m(self, m, size):
+        # The 1.628 / sqrt(M) critical value rejects a true law with
+        # probability well under 0.01 at small M.
+        from scipy.stats import kstwo
+
+        samples = np.arange(1, m + 1) / m - 1.628 / math.sqrt(m)  # D at the critical value
+        out = ks_test(samples, lambda x: np.clip(x, 0.0, 1.0))
+        assert out.statistic == pytest.approx(out.critical_value_01, rel=1e-12)
+        assert kstwo.sf(out.critical_value_01, m) == pytest.approx(size, abs=5e-5)
+        assert out.p_value_exact == pytest.approx(size, abs=5e-5)
 
     def test_p_value_monotone_in_statistic(self):
         ts = np.linspace(0.0, 4.0, 400)

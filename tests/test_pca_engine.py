@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from spikescore.asymptotics import projection_overlaps
 from spikescore.pca_engine import (
+    ZERO_EIGENVALUE_RTOL,
     PcaResult,
-    align_signs,
     dual_pca,
     load_matrix_csv,
     loading_norms,
@@ -24,13 +25,21 @@ def direct_eigen(x, center, div):
     return w[::-1], u[:, ::-1]
 
 
+def explicit_loadings(x, res):
+    """Dense oracle: the unit loadings X_c v_j / ||X_c v_j||, formed in d-space."""
+    xc = x - x.mean(axis=1, keepdims=True) if res.centered else x
+    u = xc @ res.score_vectors
+    return u / np.linalg.norm(u, axis=0)
+
+
 class TestToyCases:
     def test_single_column(self):
         x = np.array([[3.0], [0.0], [0.0]])
-        res = dual_pca(x, want_loadings=True)  # divisor n = 1
+        res = dual_pca(x)  # divisor n = 1
         assert res.sample_eigenvalues[0] == pytest.approx(9.0, abs=1e-12)
         assert abs(res.score_vectors[0, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(np.abs(res.loadings[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
+        loading = (x @ res.score_vectors[:, 0]) / loading_norms(res)[0]
+        assert np.allclose(np.abs(loading), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_identity_2x2(self):
         res = dual_pca(np.eye(2), divisor=2)
@@ -55,7 +64,7 @@ class TestDualVsDirectOracle:
             x = rng.standard_normal((d, n)) * rng.uniform(0.5, 3.0)
             center = bool(rng.integers(0, 2))
             divisor = "n-1" if (rng.integers(0, 2) and n > 1) else "n"
-            res = dual_pca(x, center=center, divisor=divisor, want_loadings=True)
+            res = dual_pca(x, center=center, divisor=divisor)
             div = n - 1 if divisor == "n-1" else n
             w_direct, u_direct = direct_eigen(x, center, div)
             zero_tol = 1e-12 * max(res.sample_eigenvalues[0], 1e-300)
@@ -64,7 +73,7 @@ class TestDualVsDirectOracle:
                 if wj <= zero_tol:
                     continue
                 assert abs(wj - w_direct[j]) / wj < 1e-9
-                uj = res.loadings[:, j]
+                uj = explicit_loadings(x, res)[:, j]
                 diff = min(
                     np.linalg.norm(uj - u_direct[:, j]),
                     np.linalg.norm(uj + u_direct[:, j]),
@@ -76,9 +85,9 @@ class TestResultInvariants:
     def test_orthonormality_and_reconstruction(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((40, 8))
-        res = dual_pca(x, want_loadings=True)
+        res = dual_pca(x)
         v = res.score_vectors
-        u = res.loadings
+        u = explicit_loadings(x, res)
         assert np.allclose(v.T @ v, np.eye(res.rank), atol=1e-10)
         assert np.allclose(u.T @ u, np.eye(res.rank), atol=1e-10)
         recon = (u * np.sqrt(res.sample_eigenvalues)) @ v.T
@@ -118,11 +127,10 @@ class TestResultInvariants:
     def test_deterministic_output(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((30, 6))
-        a = dual_pca(x, want_loadings=True)
-        b = dual_pca(x, want_loadings=True)
+        a = dual_pca(x)
+        b = dual_pca(x)
         assert np.array_equal(a.sample_eigenvalues, b.sample_eigenvalues)
         assert np.array_equal(a.score_vectors, b.score_vectors)
-        assert np.array_equal(a.loadings, b.loadings)
 
     def test_sign_convention_first_nonzero_positive(self):
         rng = np.random.default_rng(12)
@@ -234,11 +242,10 @@ class TestEdgeCases:
         u = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         v = np.array([1.0, -1.0, 2.0])
         x = np.outer(u, v)  # exact rank 1
-        res = dual_pca(x, want_loadings=True)
-        assert res.loading_valid[0]
-        assert not res.loading_valid[1:].any()
-        assert np.isnan(res.loadings[:, 1:]).all()
-        assert np.isfinite(res.loadings[:, 0]).all()
+        res = dual_pca(x)
+        overlaps = projection_overlaps(res, x.T @ np.eye(5, 2))
+        assert np.isfinite(overlaps[0]).all()
+        assert np.isnan(overlaps[1:]).all()
 
     def test_non_finite_input_rejected(self):
         x = np.ones((3, 3))
@@ -302,16 +309,20 @@ class TestLoadingNorms:
 
     def test_nan_exactly_where_loading_invalid(self):
         x = np.outer([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -1.0, 2.0])  # rank 1
-        res = dual_pca(x, want_loadings=True)
-        assert np.array_equal(np.isnan(loading_norms(res)), ~res.loading_valid)
+        res = dual_pca(x)
+        w = res.sample_eigenvalues
+        assert np.array_equal(np.isnan(loading_norms(res)), w <= ZERO_EIGENVALUE_RTOL * w[0])
+        assert np.isnan(loading_norms(res)).sum() == 2
 
     @pytest.mark.parametrize("center", [False, True])
     def test_loadings_divide_by_norms(self, center):
+        # X_c v_j / norms[j] is the j-th eigenvector of the d x d covariance.
         x = np.random.default_rng(22).standard_normal((30, 6))
-        res = dual_pca(x, center=center, want_loadings=True)
+        res = dual_pca(x, center=center, rank=5)
         xc = x - x.mean(axis=1, keepdims=True) if center else x
-        expected = (xc @ res.score_vectors) / loading_norms(res)
-        assert np.array_equal(res.loadings, expected, equal_nan=True)
+        loadings = (xc @ res.score_vectors) / loading_norms(res)
+        _, u = direct_eigen(x, center, 6)
+        assert np.allclose(np.abs(loadings.T @ u[:, :5]), np.eye(5), atol=1e-10)
 
     def test_negative_eigenvalue_is_absent_without_warning(self):
         # A hand-built result may carry a negative eigenvalue; no root of
@@ -327,47 +338,6 @@ class TestLoadingNorms:
         norms = loading_norms(res)
         assert norms[0] == np.sqrt(4.0) * np.sqrt(2.0)
         assert np.isnan(norms[1])
-
-
-class TestAlignSigns:
-    def _result(self, seed=3):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((12, 5))
-        return x, dual_pca(x, want_loadings=True)
-
-    def test_flips_to_nonnegative_overlap(self):
-        x, res = self._result()
-        ref = -res.loadings[:, :2]  # force every overlap negative
-        aligned = align_signs(res, ref)
-        for j in range(2):
-            assert aligned.loadings[:, j] @ ref[:, j] >= 0
-            assert np.array_equal(aligned.loadings[:, j], -res.loadings[:, j])
-            assert np.array_equal(aligned.score_vectors[:, j], -res.score_vectors[:, j])
-        # untouched columns beyond the reference basis
-        assert np.array_equal(aligned.loadings[:, 2:], res.loadings[:, 2:])
-
-    def test_idempotent_when_aligned(self):
-        x, res = self._result()
-        ref = res.loadings[:, :3].copy()
-        aligned = align_signs(res, ref)
-        assert np.array_equal(aligned.loadings, res.loadings)
-        assert np.array_equal(aligned.score_vectors, res.score_vectors)
-
-    def test_reconstruction_unchanged(self):
-        x, res = self._result()
-        ref = -res.loadings[:, :4]
-        aligned = align_signs(res, ref)
-        before = (res.loadings * np.sqrt(res.sample_eigenvalues)) @ res.score_vectors.T
-        after = (
-            aligned.loadings * np.sqrt(aligned.sample_eigenvalues)
-        ) @ aligned.score_vectors.T
-        assert np.allclose(before, after, atol=1e-13)
-
-    def test_requires_loadings(self):
-        rng = np.random.default_rng(5)
-        res = dual_pca(rng.standard_normal((6, 4)))
-        with pytest.raises(ValueError, match="loadings"):
-            align_signs(res, np.eye(6, 2))
 
 
 class TestCsvLoader:

@@ -12,13 +12,12 @@ from scipy.cluster.vq import kmeans2
 import spikescore.runner as rn
 from spikescore import spike_model
 from spikescore.asymptotics import (
-    angle_to_population,
     comparable_sample_scores,
-    cross_spike_overlap,
-    eigenvalue_ratio,
+    projection_overlaps,
     score_ratio_table,
-    tail_leakage,
+    spike_diagnostics,
 )
+from spikescore.cli import cli_main
 from spikescore.pca_engine import dual_pca
 from spikescore.runner import (
     MODE_GROWING_N,
@@ -42,9 +41,8 @@ from spikescore.spike_model import (
     ZeroMean,
     basis_vectors,
     generate_sample,
-    population_score_matrix,
     projection_scores,
-    resolve_eigenvalues,
+    spike_projection,
 )
 
 TINY_CONFIG = """
@@ -87,6 +85,36 @@ def tiny_config(out, **overrides):
         workers=1,
     )
     return rn.config_with_overrides(cfg, **overrides) if overrides else cfg
+
+
+def public_chain(template, grid_value, replicate, master_seed, guard):
+    """One replicate through the public chain: generate_sample -> dual_pca ->
+    spike_projection / projection_scores -> projection_overlaps ->
+    spike_diagnostics.  Returns the sample, the PCA, the ratio table and the
+    diagnostics."""
+    spec = template.spec_at(MODE_HDLSS, grid_value)
+    data = generate_sample(spec, np.random.SeedSequence((master_seed, grid_value, replicate)))
+    pca = dual_pca(data.values, divisor="n", rank=spec.m)
+    proj = spike_projection(data)
+    s_pop = projection_scores(spec, proj)
+    table = score_ratio_table(comparable_sample_scores(pca, spec.m), s_pop, guard)
+    diags = spike_diagnostics(
+        projection_overlaps(pca, proj), spec.spike_eigenvalues, pca.sample_eigenvalues
+    )
+    return data, pca, table, diags
+
+
+def dense_diagnostics(data, pca):
+    """Dense oracle: angles, leakage and weighted cross overlaps of the
+    explicit d-space loadings X v_j / ||X v_j|| (zero-mean model)."""
+    u_hat = data.values @ pca.score_vectors
+    u_hat /= np.linalg.norm(u_hat, axis=0)
+    basis = basis_vectors(data.spec)
+    o = u_hat.T @ basis
+    lam = data.spec.spike_eigenvalues
+    leakage = ((u_hat - basis @ o.T) ** 2).sum(axis=0)
+    angles = np.arccos(np.minimum(1.0, np.abs(np.diagonal(o))))
+    return angles, leakage, np.sqrt(lam / lam[:, None]) * np.abs(o)
 
 
 class TestConfigParsing:
@@ -304,6 +332,42 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="master_seed"):
             tiny_config(tmp_path, master_seed=-1)
 
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            (MODE_HDLSS, "guard", "nan"),
+            (MODE_HDLSS, "guard", "inf"),
+            (MODE_HDLSS, "template.tail", "nan"),
+            (MODE_HDLSS, "template.spikes", "power:nan:1.5"),
+            (MODE_HDLSS, "template.spikes", "power:1:inf"),
+            (MODE_HDLSS, "template.spikes", "literal:inf"),
+            (MODE_HDLSS, "template.spikes", "power:1:400"),  # 200**400 overflows
+            (MODE_HDLSS, "template.spikes", "power:1e308:2"),
+            (MODE_HDLSS, "template.mean", "constant:nan"),
+            (MODE_GROWING_N, "template.d_over_n", "-3"),
+            (MODE_GROWING_N, "template.d_over_n", "0"),
+            (MODE_GROWING_N, "template.d_over_n", "inf"),
+            (MODE_GROWING_N, "template.d_over_n", "nan"),
+        ],
+    )
+    def test_non_finite_or_non_positive_number_refused(self, tmp_path, monkeypatch, mode, key,
+                                                       value):
+        # Refused while the config is built, so the CLI exits 1 (config
+        # error), not 2 after every replicate has failed.
+        base = {"mode": mode, "template.spikes": "power:1:1.6", "template.n": "6",
+                "grid.d": "200", "replicates": "3", "output_dir": str(tmp_path / "out")}
+        if mode == MODE_GROWING_N:
+            base.update({"template.spikes": "power:1:2", "grid.n": "20,40"})
+            del base["template.n"], base["grid.d"]
+        text = "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
+        with pytest.raises(ValueError, match="finite"):
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        monkeypatch.setattr("spikescore.cli._log_progress_to_stderr", lambda: None)
+        assert cli_main([mode, "--config", str(path)]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_mode_checked_by_entrypoints(self, tmp_path):
         cfg = tiny_config(tmp_path)
         with pytest.raises(ValueError, match="mode"):
@@ -453,18 +517,16 @@ class TestRunnerMatchesApi:
         )
         record = compute_replicate(template, MODE_HDLSS, 300, 1, master_seed=21)
         # The replicate stream compute_replicate draws from, regenerated.
-        spec = template.spec_at(MODE_HDLSS, 300)
-        data = generate_sample(spec, np.random.SeedSequence((21, 300, 1)))
-        pca = dual_pca(data.values, divisor="n", rank=2)
-        basis = basis_vectors(spec)
-        lam = resolve_eigenvalues(spec)[:2]
+        data, pca, _, diags = public_chain(template, 300, 1, 21, rn.DEFAULT_DENOMINATOR_GUARD)
+        angles, leakage, cross = dense_diagnostics(data, pca)
         for j, diag in enumerate(record.spikes):
-            assert diag.angle_rad == angle_to_population(pca, basis, j, x=data.values)
-            assert diag.leakage == tail_leakage(pca, basis, j, x=data.values)
-            assert diag.eig_ratio == eigenvalue_ratio(pca, lam, j)
-            assert diag.cross_overlaps == (
-                cross_spike_overlap(pca, basis, lam, j, 1 - j, x=data.values),
-            )
+            assert diag.angle_rad == diags.angles[j]
+            assert diag.leakage == diags.leakage[j]
+            assert diag.eig_ratio == diags.eig_ratios[j]
+            assert diag.cross_overlaps == (diags.cross_overlaps[j, 1 - j],)
+            assert diag.angle_rad == pytest.approx(angles[j], rel=0, abs=1e-10)
+            assert diag.leakage == pytest.approx(leakage[j], rel=0, abs=1e-10)
+            assert diag.cross_overlaps == pytest.approx((cross[j, 1 - j],), rel=0, abs=1e-10)
 
     def test_scores_and_overlaps_equal_public_chain_with_mean(self):
         template = SpikeTemplate(
@@ -474,21 +536,14 @@ class TestRunnerMatchesApi:
         )
         guard = 1e-3
         record = compute_replicate(template, MODE_HDLSS, 300, 2, master_seed=17, guard=guard)
-        spec = template.spec_at(MODE_HDLSS, 300)
-        data = generate_sample(spec, np.random.SeedSequence((17, 300, 2)))
-        pca = dual_pca(data.values, divisor="n", rank=2)
-        table = score_ratio_table(
-            comparable_sample_scores(pca, 2), population_score_matrix(data), guard
-        )
-        basis = basis_vectors(spec)
-        lam = resolve_eigenvalues(spec)[:2]
+        _, _, table, diags = public_chain(template, 300, 2, 17, guard)
         for j, diag in enumerate(record.spikes):
             assert diag.median_ratio == table.medians[j]
             assert diag.rel_spread == table.rel_spreads[j]
             assert diag.n_excluded == table.n_excluded[j]
-            assert diag.angle_rad == angle_to_population(pca, basis, j, x=data.values)
-            assert diag.leakage == tail_leakage(pca, basis, j, x=data.values)
-            assert diag.eig_ratio == eigenvalue_ratio(pca, lam, j)
+            assert diag.angle_rad == diags.angles[j]
+            assert diag.leakage == diags.leakage[j]
+            assert diag.eig_ratio == diags.eig_ratios[j]
 
 
 class TestOneProjectionPerReplicate:
@@ -513,14 +568,7 @@ class TestStreamedReplicate:
         )
         guard = 1e-3
         record = compute_replicate(template, MODE_HDLSS, d, 3, master_seed=23, guard=guard)
-        spec = template.spec_at(MODE_HDLSS, d)
-        data = generate_sample(spec, np.random.SeedSequence((23, d, 3)))
-        pca = dual_pca(data.values, divisor="n", rank=2)
-        table = score_ratio_table(
-            comparable_sample_scores(pca, 2), population_score_matrix(data), guard
-        )
-        basis = basis_vectors(spec)
-        lam = resolve_eigenvalues(spec)[:2]
+        _, _, table, diags = public_chain(template, d, 3, 23, guard)
         # Angle and leakage are read off cosines near 1 and norms near 0,
         # so their rounding is absolute (about 1e-13), not relative.
         def close(expected):
@@ -530,12 +578,10 @@ class TestStreamedReplicate:
             assert diag.median_ratio == close(table.medians[j])
             assert diag.rel_spread == close(table.rel_spreads[j])
             assert diag.n_excluded == table.n_excluded[j]
-            assert diag.eig_ratio == close(eigenvalue_ratio(pca, lam, j))
-            assert diag.angle_rad == close(angle_to_population(pca, basis, j, x=data.values))
-            assert diag.leakage == close(tail_leakage(pca, basis, j, x=data.values))
-            assert diag.cross_overlaps == close(
-                (cross_spike_overlap(pca, basis, lam, j, 1 - j, x=data.values),)
-            )
+            assert diag.eig_ratio == close(diags.eig_ratios[j])
+            assert diag.angle_rad == close(diags.angles[j])
+            assert diag.leakage == close(diags.leakage[j])
+            assert diag.cross_overlaps == close((diags.cross_overlaps[j, 1 - j],))
 
     def test_holds_no_n_by_d_array(self):
         n, d = 8, 5 * spike_model.SAMPLE_BLOCK
@@ -616,7 +662,7 @@ class TestReportObservability:
         key = rn.REGIME_RATIO_KEYS[mode]
         for row, g in zip(payload["regime"], cfg.grid):
             spec = cfg.template.spec_at(mode, g)
-            lam_m = resolve_eigenvalues(spec)[spec.m - 1]
+            lam_m = spec.spike_eigenvalues[spec.m - 1]
             scale = spec.n if mode == MODE_GROWING_N else 1
             assert row == {"grid": g, key: pytest.approx(spec.d / (scale * lam_m))}
         assert payload["timings"] == report.timings

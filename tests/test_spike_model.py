@@ -16,11 +16,9 @@ from spikescore.spike_model import (
     SpikeSpec,
     ZeroMean,
     basis_vectors,
-    canonical_gram,
     generate_sample,
-    orthogonal_matrix,
-    population_score_matrix,
-    resolve_eigenvalues,
+    projection_scores,
+    sample_gram,
     spike_projection,
 )
 
@@ -29,19 +27,28 @@ def single_spike_spec(d=200, n=10, exponent=1.6, **kwargs):
     return SpikeSpec(spikes=(SpikeProfile.power(1.0, exponent),), n=n, d=d, **kwargs)
 
 
+def complete_basis(spec):
+    """Dense oracle: the complete QR of the draw behind U_m, a full d x d
+    orthonormal basis whose first m columns span the spike directions."""
+    return np.linalg.qr(spike_model._basis_draw(spec.basis.seed, spec.d, spec.m),
+                        mode="complete")[0]
+
+
+def population_scores(data):
+    return projection_scores(data.spec, spike_projection(data))
+
+
 class TestResolveEigenvalues:
     def test_power_law(self):
         spec = single_spike_spec(d=100, n=10, exponent=1.5)
-        lam = resolve_eigenvalues(spec)
-        assert lam[0] == pytest.approx(1000.0)  # 100**1.5
-        assert np.all(lam[1:] == 1.0)
-        assert lam.shape == (100,)
+        assert spec.spike_eigenvalues == pytest.approx([1000.0])  # 100**1.5
+        assert spec.tail_value == 1.0
 
     def test_literal_passthrough(self):
         spec = SpikeSpec(
             spikes=(SpikeProfile.fixed(5.0), SpikeProfile.fixed(5.0)), n=3, d=4
         )
-        assert np.array_equal(resolve_eigenvalues(spec), [5.0, 5.0, 1.0, 1.0])
+        assert np.array_equal(spec.spike_eigenvalues, [5.0, 5.0])
 
     def test_ordering_violation_names_pair(self):
         with pytest.raises(ValueError, match="lambda_1.*lambda_2"):
@@ -165,9 +172,10 @@ class TestGeneration:
 
 class TestRandomOrthogonalBasis:
     def test_basis_orthonormal(self):
-        spec = single_spike_spec(d=300, n=8, basis=RandomOrthogonal(seed=4))
-        u = orthogonal_matrix(spec)
-        assert np.allclose(u.T @ u, np.eye(300), atol=1e-10)
+        spec = SpikeSpec(spikes=(SpikeProfile.fixed(50), SpikeProfile.fixed(10)), n=8, d=300,
+                         basis=RandomOrthogonal(seed=4))
+        u = basis_vectors(spec)
+        assert np.allclose(u.T @ u, np.eye(2), atol=1e-12)
 
     def test_basis_vectors_match_full_matrix(self):
         spec = SpikeSpec(
@@ -176,7 +184,8 @@ class TestRandomOrthogonalBasis:
             d=40,
             basis=RandomOrthogonal(seed=11),
         )
-        u_full = orthogonal_matrix(spec)
+        u_full = complete_basis(spec)
+        assert np.allclose(u_full.T @ u_full, np.eye(40), atol=1e-12)
         assert np.allclose(basis_vectors(spec), u_full[:, :2], atol=1e-12)
 
     def test_same_seed_same_rotation(self):
@@ -193,8 +202,9 @@ class TestRandomOrthogonalBasis:
             tail_value=2.0,
             basis=RandomOrthogonal(seed=5),
         )
-        u = orthogonal_matrix(spec)
-        root_lam = np.sqrt(resolve_eigenvalues(spec))[:, None]
+        u = complete_basis(spec)
+        lam = np.r_[spec.spike_eigenvalues, np.full(spec.d - spec.m, spec.tail_value)]
+        root_lam = np.sqrt(lam)[:, None]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(123)))
         g = rng.standard_normal((spec.n, spec.d)).T
         expected = u @ (root_lam * (u.T @ g))
@@ -225,11 +235,6 @@ class TestRandomOrthogonalBasis:
             assert u.shape == (other.d, other.m)
         assert not np.array_equal(basis_vectors(spec(3, 64)), basis_vectors(spec(4, 64)))
 
-    def test_refuses_huge_materialization(self):
-        spec = single_spike_spec(d=10_050, n=4, basis=RandomOrthogonal(seed=0))
-        with pytest.raises(ValueError, match="refusing"):
-            orthogonal_matrix(spec)
-
     def test_projection_variance_matches_eigenvalue(self):
         # Empirical variance of u_1'X over >= 1e5 independent observations
         # sits within 4 standard errors of lambda_1.
@@ -251,7 +256,7 @@ class TestRandomOrthogonalBasis:
 class TestPopulationScores:
     def test_matches_latent_canonical(self):
         data = generate_sample(single_spike_spec(d=500, n=12), 31)
-        s = population_score_matrix(data)
+        s = population_scores(data)
         rel = np.abs(s - data.latent.spike) / np.abs(data.latent.spike)
         assert rel.max() < 1e-12
 
@@ -263,7 +268,7 @@ class TestPopulationScores:
             basis=RandomOrthogonal(seed=8),
         )
         data = generate_sample(spec, 32)
-        s = population_score_matrix(data)
+        s = population_scores(data)
         rel = np.abs(s - data.latent.spike) / np.maximum(np.abs(data.latent.spike), 1e-12)
         assert rel.max() < 1e-10
 
@@ -276,11 +281,11 @@ class TestPopulationScores:
             basis=RandomOrthogonal(seed=13),
         )
         data = generate_sample(spec, 55)
-        u = orthogonal_matrix(spec)
+        u = complete_basis(spec)
         expected = np.array(
             [[u[:, 0] @ data.values[:, i] / 4.0] for i in range(4)]
         )
-        assert np.allclose(population_score_matrix(data), expected, atol=1e-12)
+        assert np.allclose(population_scores(data), expected, atol=1e-12)
 
     def test_simple_division_example(self):
         # lambda_1 = 4, first row (2, -4, 6) => scores (1, -2, 3).
@@ -289,12 +294,12 @@ class TestPopulationScores:
         values = data.values.copy()
         values[0] = [2.0, -4.0, 6.0]
         hacked = DataMatrix(values=values, latent=data.latent, spec=spec)
-        assert np.allclose(population_score_matrix(hacked)[:, 0], [1.0, -2.0, 3.0])
+        assert np.allclose(population_scores(hacked)[:, 0], [1.0, -2.0, 3.0])
 
     def test_constant_mean_is_removed(self):
         spec = single_spike_spec(d=80, n=7, mean=ConstantMean(3.0))
         data = generate_sample(spec, 44)
-        s = population_score_matrix(data)
+        s = population_scores(data)
         assert np.allclose(s, data.latent.spike, atol=1e-10)
 
 
@@ -336,7 +341,7 @@ class TestCanonicalGram:
             mean=mean,
         )
         seed = np.random.SeedSequence((5, d, 1))
-        gram, proj = canonical_gram(spec, seed)
+        gram, proj = sample_gram(spec, seed)
         data = generate_sample(spec, seed)
         x = data.values
         assert np.array_equal(proj, spike_projection(data))
@@ -369,10 +374,25 @@ class TestCanonicalGram:
         assert np.array_equal(data.latent.spike, z[:, :2])
         assert np.array_equal(data.values, (z * scale + spec.mean_vector_value).T)
 
-    def test_refuses_random_basis(self):
-        spec = single_spike_spec(basis=RandomOrthogonal(seed=2))
-        with pytest.raises(ValueError, match="canonical basis"):
-            canonical_gram(spec, 1)
+
+class TestSampleGram:
+    # A random basis draws the sample whole; its Gram and P are the very
+    # products dual_pca and spike_projection form from it.
+    @pytest.mark.parametrize("d", [5_000, 3 * spike_model.SAMPLE_BLOCK + 17])
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    def test_random_basis_is_bitwise_the_sample_products(self, d, mean):
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
+            n=7,
+            d=d,
+            basis=RandomOrthogonal(seed=3),
+            mean=mean,
+        )
+        seed = np.random.SeedSequence((5, d, 2))
+        gram, proj = sample_gram(spec, seed)
+        x = generate_sample(spec, seed).values
+        assert np.array_equal(gram, x.T @ x)
+        assert np.array_equal(proj, x.T @ basis_vectors(spec))
 
 
 class TestEnumDefaults:
