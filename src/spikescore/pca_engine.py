@@ -10,6 +10,8 @@ unit loading u_hat_j = X v_j / ||X v_j||, it divides by
 ``loading_norms``, the one place that holds the norm
 sqrt(divisor) sqrt(eigenvalue) and the zero-eigenvalue cut.
 Finiteness is read from the Gram diagonal, so no d x n mask is built.
+``gram_pca`` decomposes (G + G') / (2 divisor), the symmetric part of the
+Gram it is given, and holds one n x n array beyond its input.
 When fewer than n components are wanted, the leading eigenpairs of the
 Gram come from implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
@@ -121,6 +123,16 @@ def gram_pca(
     ``spike_model.sample_gram``, so both give the same bits from the same
     Gram.
 
+    The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
+    array beyond ``gram``, which is left as it is.  The Grams a sweep
+    forms are exactly symmetric (one ``A @ A.T`` product, which numpy
+    computes as a mirrored triangle, or a sum of them), so for them it is
+    G / divisor to the bit; a non-symmetric Gram gets its symmetric part.
+    The sum is formed before the division, so a Gram entry above half the
+    float maximum overflows and is refused by the check of the diagonal
+    (an entry of a positive semidefinite Gram is at most the larger of its
+    two diagonal entries).
+
     With ``rank < n`` the ``rank`` largest eigenpairs come from Lanczos
     (``eigsh``, to machine precision) started from the fixed vector
     ``default_rng(0).uniform(-1, 1, n)``, so repeated calls are bitwise
@@ -141,11 +153,14 @@ def gram_pca(
     div = _resolve_divisor(divisor, n)
 
     # A NaN or Inf in column i makes G_ii, a sum of squares that cannot
-    # cancel, non-finite, and so does an overflowing Gram: the diagonal is
-    # checked in place of a d x n mask, and the warnings are left to it.
+    # cancel, non-finite, and so does an overflowing Gram or sum G + G':
+    # the diagonal is checked in place of a d x n mask, and the warnings
+    # are left to it.  The sum takes the one n x n allocation and is
+    # divided in place; on a symmetric Gram (2x) / (2 div) rounds exactly
+    # as x / div.
     with np.errstate(invalid="ignore", over="ignore"):
-        g = gram / div
-        g = (g + g.T) * 0.5
+        g = np.add(gram, gram.T)
+        g /= 2.0 * div
     if not np.all(np.isfinite(np.diagonal(g))):
         raise ValueError("the sample contains NaN or Inf entries, or its Gram overflows")
 

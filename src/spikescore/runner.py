@@ -92,7 +92,8 @@ class SpikeTemplate:
 
     For a dimension sweep, ``n`` is fixed here and d comes from the grid.
     For a sample-size sweep, n comes from the grid and the dimension is
-    coupled as d = round(d_over_n * n); spike power laws resolve against
+    coupled as d = round(d_over_n * n), and a grid point where that d is
+    not above the spike count is refused; spike power laws resolve against
     that coupled d (the default d_over_n = 1 with exponent 2 gives the
     leading eigenvalue n**2).
     """
@@ -115,7 +116,7 @@ class SpikeTemplate:
     def spec_at(self, mode: str, grid_value: int) -> SpikeSpec:
         if mode == MODE_GROWING_N:
             n = int(grid_value)
-            d = max(int(round(self.d_over_n * n)), self.m + 1)
+            d = int(round(self.d_over_n * n))
         else:
             if self.n is None:
                 raise ValueError(f"template.n is required for mode {mode}")
@@ -188,7 +189,10 @@ class ExperimentConfig:
             raise ValueError(f"workers must be 'auto' or >= 1, got {self.workers}")
         rates = []
         for grid_value in grid:
-            spec = self.template.spec_at(self.mode, grid_value)
+            try:
+                spec = self.template.spec_at(self.mode, grid_value)
+            except ValueError as err:
+                raise ValueError(f"grid point {grid_value}: {err}") from None
             if self.mode == MODE_HDLSS and spec.d < spec.n:
                 raise ValueError(
                     f"dimension sweep needs d >= n at every grid point; "

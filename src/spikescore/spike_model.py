@@ -281,7 +281,8 @@ def _canonical_blocks(spec: SpikeSpec, seed):
         latent = block[:, :k].copy()
         # In place: the draw is not needed unscaled any more.
         block[:, :k] *= scale
-        block[:, k:] *= root_tau
+        if root_tau != 1.0:  # x * 1.0 == x: skip a pass over the tail
+            block[:, k:] *= root_tau
         if mu != 0.0:
             block += mu
         yield lo, latent, block
@@ -296,8 +297,9 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     exactly U_m'g_i.  On the canonical axes A is diagonal and this is a
     row scaling, applied to the column blocks that ``sample_gram``
     streams, which are laid side by side.  Otherwise the whole draw is
-    scaled by sqrt(tau) in place and the rank-m term is added block by
-    block, so the sample is the only n x d array.  Deterministic given
+    scaled by sqrt(tau) in place (no pass at all when tau = 1, since
+    x * 1.0 == x) and the rank-m term is added block by block, so the
+    sample is the only n x d array.  Deterministic given
     (spec, seed); seed may be an int, a tuple of ints, or a numpy
     SeedSequence.  The counter-based generator (Philox) makes replicate
     streams independent of execution order.
@@ -320,7 +322,8 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     root_tau = np.sqrt(float(spec.tail_value))
     z = rng.standard_normal((spec.n, spec.d))
     spike = z @ u
-    z *= root_tau
+    if root_tau != 1.0:
+        z *= root_tau
     corr = (root_lam - root_tau) * spike
     # Added in column blocks of about 256 KB, so no second n x d array
     # is held.  Widths are multiples of 64 and the last block takes the

@@ -206,6 +206,26 @@ class TestKsTest:
         assert out.critical_value_01 == pytest.approx(1.628 / math.sqrt(200))
         assert out.rejected_at_01 == (out.statistic > out.critical_value_01)
 
+    @pytest.mark.parametrize("shift", [-0.3, 0.0, 0.3])
+    def test_one_sided_statistics(self, shift):
+        # D+ and D- are scipy's one-sided statistics, and D is the larger;
+        # samples shifted left of the law raise D+, shifted right raise D-.
+        from scipy.stats import ks_1samp
+
+        law = RLaw(8)
+        samples = law.sample(300, np.random.default_rng(5)) + shift
+        samples = samples[samples > 0]
+        out = ks_test(samples, law.cdf)
+        greater = ks_1samp(samples, law.cdf, alternative="greater", method="asymp")
+        less = ks_1samp(samples, law.cdf, alternative="less", method="asymp")
+        assert out.d_plus == pytest.approx(greater.statistic, rel=1e-12, abs=1e-15)
+        assert out.d_minus == pytest.approx(less.statistic, rel=1e-12, abs=1e-15)
+        assert out.statistic == max(out.d_plus, out.d_minus)
+        if shift < 0:
+            assert out.d_plus > out.d_minus
+        elif shift > 0:
+            assert out.d_minus > out.d_plus
+
     def test_invariant_under_increasing_transform(self):
         law = RLaw(6)
         rng = np.random.default_rng(4)

@@ -11,6 +11,7 @@ from spikescore.pca_engine import (
     ZERO_EIGENVALUE_RTOL,
     PcaResult,
     dual_pca,
+    gram_pca,
     load_matrix_csv,
     loading_norms,
     sample_score_matrix,
@@ -235,6 +236,58 @@ class TestLanczosPath:
         res = dual_pca(np.full((8, 6), 2.5), rank=2, center=True)
         assert np.array_equal(res.sample_eigenvalues, np.zeros(2))
         assert np.allclose(res.score_vectors.T @ res.score_vectors, np.eye(2))
+
+
+class TestGramPca:
+    """gram_pca decomposes (G + G') / (2 divisor) from one n x n array."""
+
+    def test_one_n_by_n_array_beyond_the_input(self):
+        # A two-spike Gram at n = d = 400, as a growing-n replicate forms it.
+        x = np.random.default_rng(30).standard_normal((400, 400))
+        x[:2] *= [[40.0], [20.0]]
+        gram = x.T @ x
+        gram_pca(gram, 400, rank=2)  # imports the eigensolver
+        tracemalloc.start()
+        try:
+            res = gram_pca(gram, 400, rank=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gram.nbytes
+        assert res.rank == 2
+
+    @pytest.mark.parametrize("rank", [3, 30])
+    def test_non_symmetric_gram_gets_its_symmetric_part(self, rank):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((80, 30))
+        x[:3] *= [[9.0], [6.0], [4.0]]
+        a = x.T @ x + 0.1 * rng.standard_normal((30, 30))
+        res = gram_pca(a, 80, rank=rank)
+        w, v = np.linalg.eigh((a + a.T) / 2 / 30)
+        w, v = w[::-1][:rank], v[:, ::-1][:, :rank]
+        assert np.allclose(res.sample_eigenvalues, w, rtol=1e-12, atol=0)
+        # Each score vector is the eigenvector up to its sign.
+        dots = np.abs(np.sum(res.score_vectors * v, axis=0))
+        assert np.allclose(dots, 1.0, rtol=0, atol=1e-12)
+
+    def test_divisor_folds_in_exactly(self):
+        # On a symmetric Gram (2x) / (2 div) rounds as x / div, so dividing
+        # first gives the same bits.
+        x = np.random.default_rng(32).standard_normal((500, 40))
+        x[:2] *= [[30.0], [10.0]]
+        gram = x.T @ x
+        assert np.array_equal(gram, gram.T)
+        for rank in (2, 40):
+            res = gram_pca(gram, 500, rank=rank)
+            pre = gram_pca(gram / 40, 500, divisor=1.0, rank=rank)
+            assert np.array_equal(res.sample_eigenvalues, pre.sample_eigenvalues)
+            assert np.array_equal(res.score_vectors, pre.score_vectors)
+
+    def test_input_is_left_as_it_is(self):
+        gram = np.random.default_rng(33).standard_normal((6, 6))
+        before = gram.copy()
+        gram_pca(gram, 10, rank=2)
+        assert np.array_equal(gram, before)
 
 
 class TestEdgeCases:

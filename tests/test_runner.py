@@ -417,6 +417,13 @@ class TestSweepOutputs:
         assert payload["versions"]["numpy"] == np.__version__
         assert report.checks["passed"] == payload["checks"]["passed"]
 
+    def test_ks_rows_carry_one_sided_statistics(self, tmp_path):
+        run_hdlss_sweep(tiny_config(tmp_path, replicates=10))
+        rows = json.loads((tmp_path / "report.json").read_text())["ks"]
+        assert rows
+        for row in rows:
+            assert row["statistic"] == max(row["d_plus"], row["d_minus"])
+
     def test_ks_skipped_for_tiny_samples(self, tmp_path):
         cfg = tiny_config(tmp_path, replicates=3)
         report = run_hdlss_sweep(cfg)
@@ -496,6 +503,23 @@ class TestGrowingNSweep:
         assert (tmp_path / "records.csv").exists()
         saved = json.loads((tmp_path / "report.json").read_text())
         assert saved["consistency"] == report.consistency
+
+    def test_coupled_d_at_most_m_is_refused(self, tmp_path):
+        # d = round(1e-3 n) is 0 at n = 20: the grid point is named, not
+        # silently run at d = m + 1.
+        with pytest.raises(ValueError, match=r"grid point 20: .*d=0"):
+            ExperimentConfig(
+                mode=MODE_GROWING_N,
+                template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),), d_over_n=1e-3),
+                grid=(20, 40),
+                output_dir=tmp_path,
+            )
+        template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),), d_over_n=0.05)
+        with pytest.raises(ValueError, match=r"grid point 20: .*d=1"):
+            ExperimentConfig(
+                mode=MODE_GROWING_N, template=template, grid=(20, 40), output_dir=tmp_path
+            )
+        assert template.spec_at(MODE_GROWING_N, 40).d == 2
 
     def test_coupling_factor(self):
         template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),), d_over_n=0.5)
@@ -595,6 +619,23 @@ class TestStreamedReplicate:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * n * d
         assert np.isfinite(record.spikes[0].median_ratio)
+
+
+class TestGrowingNReplicateMemory:
+    def test_at_most_two_gram_sized_arrays(self):
+        # At n = d the sample block, the Gram and gram_pca's working matrix
+        # are each 8 n^2 bytes; no more than two are held at once.
+        n = 400
+        template = SpikeTemplate(spikes=(SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0)))
+        compute_replicate(template, MODE_GROWING_N, 40, 0, master_seed=1)  # imports the eigensolver
+        tracemalloc.start()
+        try:
+            record = compute_replicate(template, MODE_GROWING_N, n, 0, master_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * n
+        assert all(np.isfinite(d.median_ratio) for d in record.spikes)
 
 
 class TestFrameReuse:
