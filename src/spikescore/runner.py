@@ -18,6 +18,14 @@ sample eigenvalues w and score vectors V from the Gram; and the
 diagnostics read only w, V, the population scores S and P.  On the
 canonical basis the sample is streamed, so a replicate never holds the
 n x d sample; on a random basis it is drawn whole inside ``sample_gram``.
+
+The sweep owns its parallelism and derives it, with no setting of its
+own: ``workers`` processes take the replicates, and each process draws
+the column blocks of a canonical sample on up to (usable CPUs) // workers
+threads (``spike_model.set_draw_threads``), set in the serial sweep and
+in each pool worker as it starts.  Those threads live only inside one
+``sample_gram`` call.  Neither count changes a record's bits;
+``report.json`` names both under ``parallelism``.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 import time
 import warnings
@@ -59,6 +68,7 @@ from .spike_model import (
     ZeroMean,
     projection_scores,
     sample_gram,
+    set_draw_threads,
 )
 
 log = logging.getLogger(__name__)
@@ -149,9 +159,7 @@ class ExperimentConfig:
 
     def resolved_workers(self) -> int:
         if self.workers == "auto":
-            import os
-
-            return max(os.cpu_count() or 1, 1)
+            return usable_cpus()
         return int(self.workers)
 
     def validate(self) -> None:
@@ -223,6 +231,15 @@ class ExperimentConfig:
             )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a CPU mask or a container may allow fewer than the host has),
+    else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _regime_ratio(mode: str, spec: SpikeSpec) -> float:
     """d / lambda_m in ``hdlss-sweep``, d / (n lambda_m) in ``growing-n-sweep``:
     the rate that validation guards on and report.json records."""
@@ -266,6 +283,7 @@ class ExperimentReport:
     checks: dict
     failures: dict
     versions: dict
+    parallelism: dict
     total_runtime_s: float
     records_path: Optional[Path] = None
     report_path: Optional[Path] = None
@@ -283,6 +301,7 @@ class ExperimentReport:
             "checks": self.checks,
             "failures": self.failures,
             "versions": self.versions,
+            "parallelism": self.parallelism,
             "total_runtime_s": self.total_runtime_s,
         }
 
@@ -456,11 +475,19 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         for rep in range(config.replicates)
     ]
     total = len(tasks)
-    workers = config.resolved_workers()
-    if workers <= 1 or total <= 1:
-        outcomes = _collect_with_progress(map(_safe_compute, tasks), config.replicates, total)
+    workers = min(config.resolved_workers(), total)
+    # Each process draws canonical blocks on its share of the CPUs.
+    threads = max(1, usable_cpus() // workers)
+    if workers <= 1:
+        previous = set_draw_threads(threads)
+        try:
+            outcomes = _collect_with_progress(map(_safe_compute, tasks), config.replicates, total)
+        finally:
+            set_draw_threads(previous)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=set_draw_threads, initargs=(threads,)
+        ) as pool:
             # Cost grows with the grid value, so dispatch the largest first,
             # one task at a time, and reverse the outcomes back.
             arriving = pool.map(_safe_compute, tasks[::-1], chunksize=1)
@@ -561,6 +588,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         checks={"passed": not check_notes, "detail": "; ".join(check_notes) or "ok"},
         failures={"count": len(failure_detail), "total": total, "detail": failure_detail},
         versions=_versions(),
+        parallelism={"workers": workers, "draw_threads": threads},
         total_runtime_s=time.perf_counter() - start,
         records_path=records_path,
     )

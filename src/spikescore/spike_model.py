@@ -6,7 +6,9 @@ choice of eigenbasis.  Only the m spike directions U_m are ever held,
 since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
 covariance is never formed, so dimensions in the millions stay cheap.  On
 the canonical axes generation is row-scaling of an n x d standard-normal
-draw, made in blocks of ``SAMPLE_BLOCK`` columns from one Philox stream.
+draw, made in blocks of ``SAMPLE_BLOCK`` columns, block k from the
+replicate's Philox stream jumped k times, so the blocks can be drawn on
+several threads (``set_draw_threads``) with the same bits at any count.
 On a random basis U_m is the Q factor of a seeded d x m Gaussian, cached
 per process so a sweep builds it once per grid point, and the draw is
 multiplied by the symmetric square root of the covariance,
@@ -28,15 +30,19 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-# Columns per block of the canonical-basis sample (6.5 MB at n = 50): a
+# Columns per block of the canonical-basis sample (3.3 MB at n = 50): a
 # sweep sums each block's Gram while the block is still in cache, so a
 # replicate never holds the d x n sample.
-SAMPLE_BLOCK = 2**14
+SAMPLE_BLOCK = 2**13
+
+# Canonical-basis blocks this process draws at once (set_draw_threads).
+_draw_threads = 1
 
 # Domain-separation tag for the basis RNG stream, so a basis seed can
 # never collide with a (master_seed, grid, replicate) data stream.
@@ -255,37 +261,78 @@ def basis_vectors(spec: SpikeSpec) -> np.ndarray:
     return np.eye(spec.d, spec.m) if u is None else u
 
 
-def _canonical_blocks(spec: SpikeSpec, seed):
-    """The canonical-basis sample X' (n x d) as n x w blocks of consecutive columns.
+def set_draw_threads(threads: int) -> int:
+    """Set how many canonical-basis blocks this process draws at once; return
+    the previous count.
 
-    Each block is the next n w standard normals of the replicate's Philox
-    stream, scaled in place by sqrt(lambda_j) on spike column j and by
-    sqrt(tau) elsewhere, then shifted by the mean.  Yields (lo, latent,
-    block): the block's first column, a copy of its spike columns before
-    scaling (n x 0 once past the m spike columns), and the block, which
-    the next block overwrites.  With d <= SAMPLE_BLOCK the one block is the
-    whole (n, d) draw.
+    A sweep sets it in each process it runs replicates in.  The count does
+    not change any bit of a sample, only how long the draw takes.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    global _draw_threads
+    if int(threads) < 1:
+        raise ValueError(f"draw threads must be >= 1, got {threads}")
+    previous, _draw_threads = _draw_threads, int(threads)
+    return previous
+
+
+def _canonical_blocks(spec: SpikeSpec, seed, reduce):
+    """reduce(lo, latent, block) of each n x w column block of the canonical
+    sample X' (n x d), in block order.
+
+    Block k is drawn from the replicate's Philox stream jumped k times, so
+    any thread can draw it without the blocks before it, and block 0 is the
+    unjumped stream.  It is scaled in place by sqrt(lambda_j) on spike
+    column j and by sqrt(tau) elsewhere, then shifted by the mean.  lo is
+    the block's first column and latent a copy of its spike columns before
+    scaling (n x 0 once past the m spike columns).  With d <= SAMPLE_BLOCK
+    the one block is the whole (n, d) draw.
+
+    Up to ``_draw_threads`` blocks are drawn at once, each by its own
+    thread into its own buffer, which the next block on that buffer
+    overwrites: so ``reduce`` runs on the drawing thread and must not keep
+    the block, unless it is the only one.  The threads end with the
+    iteration.
+    """
+    root = np.random.Philox(seed)
     root_lam = np.sqrt(spec.spike_eigenvalues)
     root_tau = np.sqrt(float(spec.tail_value))
     mu = spec.mean_vector_value
-    # Full-width blocks are drawn into one buffer, so one block is held.
-    buf = np.empty((spec.n, min(SAMPLE_BLOCK, spec.d)))
-    for lo in range(0, spec.d, SAMPLE_BLOCK):
+    starts = range(0, spec.d, SAMPLE_BLOCK)
+    threads = min(_draw_threads, len(starts))
+    # One buffer per thread: a short last block is a view of its first n w
+    # elements, so at most `threads` blocks are ever held.
+    bufs = [np.empty((spec.n, min(SAMPLE_BLOCK, spec.d))) for _ in range(threads)]
+
+    def draw(k):
+        lo = starts[k]
         w = min(SAMPLE_BLOCK, spec.d - lo)
-        block = buf if w == buf.shape[1] else np.empty((spec.n, w))
-        rng.standard_normal(out=block)
+        block = bufs[k % threads].reshape(-1)[: spec.n * w].reshape(spec.n, w)
+        np.random.Generator(root.jumped(k)).standard_normal(out=block)
         scale = root_lam[lo : lo + w]
-        k = scale.size
-        latent = block[:, :k].copy()
+        m = scale.size
+        latent = block[:, :m].copy()
         # In place: the draw is not needed unscaled any more.
-        block[:, :k] *= scale
+        block[:, :m] *= scale
         if root_tau != 1.0:  # x * 1.0 == x: skip a pass over the tail
-            block[:, k:] *= root_tau
+            block[:, m:] *= root_tau
         if mu != 0.0:
             block += mu
-        yield lo, latent, block
+        return reduce(lo, latent, block)
+
+    if threads == 1:
+        yield from map(draw, range(len(starts)))
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded draw needs it
+
+    with ThreadPoolExecutor(threads) as pool:
+        # Block k + threads reuses the buffer of block k, so it is submitted
+        # only once block k is done.
+        pending = deque(pool.submit(draw, k) for k in range(threads))
+        for k in range(threads, len(starts) + threads):
+            result = pending.popleft().result()
+            if k < len(starts):
+                pending.append(pool.submit(draw, k))
+            yield result
 
 
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
@@ -296,26 +343,30 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     symmetric square root of the covariance, so the population scores are
     exactly U_m'g_i.  On the canonical axes A is diagonal and this is a
     row scaling, applied to the column blocks that ``sample_gram``
-    streams, which are laid side by side.  Otherwise the whole draw is
+    streams (block k from the Philox stream of ``seed`` jumped k times),
+    which are laid side by side.  Otherwise the whole draw is
     scaled by sqrt(tau) in place (no pass at all when tau = 1, since
     x * 1.0 == x) and the rank-m term is added block by block, so the
     sample is the only n x d array.  Deterministic given
     (spec, seed); seed may be an int, a tuple of ints, or a numpy
     SeedSequence.  The counter-based generator (Philox) makes replicate
-    streams independent of execution order.
+    streams, and the canonical blocks within one, independent of execution
+    order, so the bits do not depend on ``set_draw_threads``.
     """
     u = _spike_basis(spec)
     if u is None:
-        # One block (d <= SAMPLE_BLOCK) is the sample itself, not a copy.
-        z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
-        latents = []
-        for lo, latent, block in _canonical_blocks(spec, seed):
-            latents.append(latent)
-            if z is None:
-                z = block
-            else:
+        if spec.d <= SAMPLE_BLOCK:
+            # The one block is the sample itself, not a copy.
+            ((latent, z),) = _canonical_blocks(spec, seed, lambda _, latent, z: (latent, z))
+        else:
+            z = np.empty((spec.n, spec.d))
+
+            def place(lo, latent, block):
                 z[:, lo : lo + block.shape[1]] = block
-        return DataMatrix(values=z.T, latent=LatentScores(spike=np.hstack(latents)), spec=spec)
+                return latent
+
+            latent = np.hstack(list(_canonical_blocks(spec, seed, place)))
+        return DataMatrix(values=z.T, latent=LatentScores(spike=latent), spec=spec)
 
     rng = np.random.Generator(np.random.Philox(seed))
     root_lam = np.sqrt(spec.spike_eigenvalues)
@@ -345,11 +396,14 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``.
 
     On the canonical basis X is drawn in blocks of ``SAMPLE_BLOCK``
-    columns, and each block's Gram is summed while the block is in cache,
-    so the d x n sample is never held; P is read from the spike columns
-    and is bitwise ``spike_projection`` of the full sample at any d.  With
-    d <= SAMPLE_BLOCK, X'X is the one product ``dual_pca`` forms, to the
-    bit; past that it is a sum in another order, equal to rounding.  On a
+    columns, block k from the Philox stream of ``seed`` jumped k times, and
+    each block's Gram is formed while the block is in cache, so the d x n
+    sample is never held; P is read from the spike columns and is bitwise
+    ``spike_projection`` of the full sample at any d.  The blocks are drawn
+    up to ``set_draw_threads`` at a time, and their Grams are summed in
+    block order, so the result has the same bits at any thread count.
+    With d <= SAMPLE_BLOCK, X'X is the one product ``dual_pca`` forms, to
+    the bit; past that it is a sum in another order, equal to rounding.  On a
     random basis the rank-m correction couples every column, so the
     sample is drawn whole, and X'X and P are the products ``dual_pca`` and
     ``spike_projection`` form from it, to the bit.
@@ -361,15 +415,20 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
             return data.values.T @ data.values, spike_projection(data)
         gram = None
         proj = []
-        for _, latent, block in _canonical_blocks(spec, seed):
-            proj.append(block[:, : latent.shape[1]].copy())
+        for block_gram, block_proj in _canonical_blocks(spec, seed, _gram_and_projection):
+            proj.append(block_proj)
             # The first product is kept as it is: an n x n zero start costs
             # 8% of a replicate at n = d = 1600.
             if gram is None:
-                gram = block @ block.T
+                gram = block_gram
             else:
-                gram += block @ block.T
+                gram += block_gram
     return gram, np.hstack(proj)
+
+
+def _gram_and_projection(lo, latent, block):
+    """A canonical block's Gram and its spike columns."""
+    return block @ block.T, block[:, : latent.shape[1]].copy()
 
 
 def spike_projection(data: DataMatrix) -> np.ndarray:

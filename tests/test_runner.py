@@ -621,6 +621,55 @@ class TestStreamedReplicate:
         assert np.isfinite(record.spikes[0].median_ratio)
 
 
+class TestDrawThreads:
+    # Three full blocks and a remainder: the draw runs on a pool of threads.
+    D = 3 * spike_model.SAMPLE_BLOCK + 17
+
+    def test_replicate_has_the_same_bits_at_any_thread_count(self):
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
+            n=10,
+            mean=ConstantMean(2.5),
+        )
+        records = []
+        for threads in (1, 2, 3):
+            previous = spike_model.set_draw_threads(threads)
+            try:
+                records.append(compute_replicate(template, MODE_HDLSS, self.D, 3, master_seed=23))
+            finally:
+                spike_model.set_draw_threads(previous)
+        assert records[1] == records[0] and records[2] == records[0]
+
+    def test_multi_block_records_identical_across_workers(self, tmp_path):
+        # One worker draws on every usable CPU, two split them.
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_hdlss_sweep(tiny_config(out, grid=(self.D,), replicates=4, workers=workers))
+        assert (tmp_path / "w1" / "records.csv").read_bytes() == (
+            tmp_path / "w2" / "records.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_names_workers_and_draw_threads(self, tmp_path, workers):
+        report = run_hdlss_sweep(tiny_config(tmp_path, replicates=4, workers=workers))
+        payload = json.loads((tmp_path / "report.json").read_text())
+        expected = {"workers": workers, "draw_threads": max(1, rn.usable_cpus() // workers)}
+        assert payload["parallelism"] == report.parallelism == expected
+        assert spike_model._draw_threads == 1  # the serial sweep gives the budget back
+
+    def test_auto_follows_the_affinity_mask(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = tiny_config(tmp_path, workers="auto")
+        assert cfg.resolved_workers() == 1
+        report = run_hdlss_sweep(cfg)
+        assert report.parallelism == {"workers": 1, "draw_threads": 1}
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(rn.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(rn.os, "cpu_count", lambda: 3)
+        assert rn.usable_cpus() == 3
+
+
 class TestGrowingNReplicateMemory:
     def test_at_most_two_gram_sized_arrays(self):
         # At n = d the sample block, the Gram and gram_pca's working matrix

@@ -1,5 +1,6 @@
 """Spiked-model resolution, generation, and population scores."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -354,8 +355,9 @@ class TestCanonicalGram:
 
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
     def test_sample_is_the_scaled_block_stream(self, mean):
-        # Reference: n x w blocks of one Philox stream side by side, then
-        # the row scaling and the mean of the model.
+        # Reference: n x w blocks side by side, block k from the Philox
+        # stream jumped k times, then the row scaling and the mean of the
+        # model.
         block = spike_model.SAMPLE_BLOCK
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
@@ -364,15 +366,86 @@ class TestCanonicalGram:
             tail_value=2.0,
             mean=mean,
         )
-        rng = np.random.Generator(np.random.Philox(17))
         z = np.hstack(
-            [rng.standard_normal((3, min(block, spec.d - lo))) for lo in range(0, spec.d, block)]
+            [
+                np.random.Generator(np.random.Philox(17).jumped(k)).standard_normal(
+                    (3, min(block, spec.d - lo))
+                )
+                for k, lo in enumerate(range(0, spec.d, block))
+            ]
         )
         scale = np.full(spec.d, np.sqrt(2.0))
         scale[:2] = np.sqrt(spec.spike_eigenvalues)
         data = generate_sample(spec, 17)
         assert np.array_equal(data.latent.spike, z[:, :2])
         assert np.array_equal(data.values, (z * scale + spec.mean_vector_value).T)
+
+
+def with_draw_threads(threads, fn, *args):
+    """fn(*args) with the process drawing canonical blocks on `threads` threads."""
+    previous = spike_model.set_draw_threads(threads)
+    try:
+        return fn(*args)
+    finally:
+        spike_model.set_draw_threads(previous)
+
+
+class TestThreadedDraw:
+    # Three full blocks and a 17-column remainder.
+    D = 3 * spike_model.SAMPLE_BLOCK + 17
+
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    def test_same_bits_at_any_thread_count(self, mean, monkeypatch):
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
+            n=7,
+            d=self.D,
+            tail_value=2.0,
+            mean=mean,
+        )
+        seed = np.random.SeedSequence((5, self.D, 4))
+        running = threading.active_count()
+        drawn_on = []
+        real = spike_model._gram_and_projection
+
+        def spy(*args):
+            drawn_on.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(spike_model, "_gram_and_projection", spy)
+        gram, proj = with_draw_threads(1, sample_gram, spec, seed)
+        data = with_draw_threads(1, generate_sample, spec, seed)
+        assert set(drawn_on) == {threading.get_ident()}
+        for threads in (2, 3):
+            drawn_on.clear()
+            threaded_gram, threaded_proj = with_draw_threads(threads, sample_gram, spec, seed)
+            # Past one thread every block is drawn on a pool thread.
+            assert len(drawn_on) == 4 and threading.get_ident() not in drawn_on
+            assert np.array_equal(threaded_gram, gram)
+            assert np.array_equal(threaded_proj, proj)
+            threaded = with_draw_threads(threads, generate_sample, spec, seed)
+            assert np.array_equal(threaded.values, data.values)
+            assert np.array_equal(threaded.latent.spike, data.latent.spike)
+        assert threading.active_count() == running  # no draw thread outlives its call
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_blocks_in_flight_are_bounded_by_the_threads(self, threads):
+        # Eight full blocks and a remainder: holding one block more per
+        # block drawn, or queueing every block's Gram, would grow with d.
+        n = 8
+        spec = single_spike_spec(d=8 * spike_model.SAMPLE_BLOCK + 17, n=n)
+        with_draw_threads(threads, sample_gram, spec, 1)  # imports the thread pool
+        tracemalloc.start()
+        try:
+            gram, _ = with_draw_threads(threads, sample_gram, spec, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (threads + 1) * n * spike_model.SAMPLE_BLOCK * 8 + gram.nbytes
+
+    def test_thread_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="draw threads must be >= 1"):
+            spike_model.set_draw_threads(0)
 
 
 class TestSampleGram:
