@@ -19,6 +19,7 @@ from .pca_engine import dual_pca, load_matrix_csv
 from .runner import (
     MODE_GROWING_N,
     MODE_HDLSS,
+    _FILE_KEYS,
     config_with_overrides,
     export_scores_scatter,
     load_config,
@@ -107,7 +108,10 @@ def _run_sweep_command(args, mode: str) -> int:
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if args.workers is not None:
-        overrides["workers"] = args.workers if args.workers == "auto" else int(args.workers)
+        try:
+            overrides["workers"] = _FILE_KEYS["workers"].parse(args.workers)
+        except ValueError as exc:
+            raise ValueError(f"--workers: {exc}") from None
     if args.out is not None:
         overrides["output_dir"] = args.out
     if overrides:

@@ -16,16 +16,20 @@ the d x n sample to two n-space arrays, the Gram X'X of dual PCA and the
 projection on the spike directions, P = X'U_m; ``gram_pca`` gives the
 sample eigenvalues w and score vectors V from the Gram; and the
 diagnostics read only w, V, the population scores S and P.  On the
-canonical basis the sample is streamed, so a replicate never holds the
-n x d sample; on a random basis it is drawn whole inside ``sample_gram``.
+canonical basis ``sample_gram`` reads the stream of raw standard-normal
+column blocks, scales each into the model and sums its Gram, so a
+replicate never holds the n x d sample; on a random basis the sample is
+drawn whole, in one serial stream, inside ``sample_gram``.
 
 The sweep owns its parallelism and derives it, with no setting of its
-own: ``workers`` processes take the replicates, and each process draws
-the column blocks of a canonical sample on up to (usable CPUs) // workers
-threads (``spike_model.set_draw_threads``), set in the serial sweep and
-in each pool worker as it starts.  Those threads live only inside one
-``sample_gram`` call.  Neither count changes a record's bits;
-``report.json`` names both under ``parallelism``.
+own: ``workers`` processes take the replicates, and on the canonical basis
+each process draws the column blocks on up to (usable CPUs) // workers
+threads (``spike_model.set_draw_threads``); on a random basis on one.
+The count is set in the serial sweep and in each pool worker as it
+starts, together with the eigensolver import, so no replicate's timings
+hold that import.  The draw threads live only inside one ``sample_gram``
+call.  Neither count changes a record's bits; ``report.json`` names both
+under ``parallelism``.
 """
 
 from __future__ import annotations
@@ -317,8 +321,11 @@ def compute_replicate(
     """Generate, decompose, and summarize one replicate.
 
     The replicate stream is (master_seed, grid_value, replicate), so any
-    record can be regenerated in isolation, with ``generate_sample`` and
-    ``dual_pca`` on either basis.
+    record can be regenerated in isolation with ``sample_gram`` and
+    ``gram_pca``.  ``generate_sample`` and ``dual_pca`` give the same
+    record to the bit on a random basis, and on the canonical basis up to
+    d = ``SAMPLE_BLOCK``; past that the Gram is summed over column blocks
+    in another order, so they agree to rounding.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
@@ -355,6 +362,19 @@ def compute_replicate(
         spikes=diags,
         timings=timings,
     )
+
+
+def _start_process(threads: int) -> int:
+    """Ready this process to run replicates; return its previous draw-thread
+    count.
+
+    Imports the eigensolver that ``gram_pca`` loads on first use, so the
+    first replicate's "pca" stage times the eigensolve, not the import, and
+    sets the draw threads.
+    """
+    import scipy.sparse.linalg  # noqa: F401
+
+    return set_draw_threads(threads)
 
 
 def _safe_compute(args):
@@ -476,17 +496,19 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     ]
     total = len(tasks)
     workers = min(config.resolved_workers(), total)
-    # Each process draws canonical blocks on its share of the CPUs.
-    threads = max(1, usable_cpus() // workers)
+    # Each process draws canonical blocks on its share of the CPUs; a
+    # random-basis sample is one serial stream.
+    canonical = isinstance(config.template.basis, CanonicalAxes)
+    threads = max(1, usable_cpus() // workers) if canonical else 1
     if workers <= 1:
-        previous = set_draw_threads(threads)
+        previous = _start_process(threads)
         try:
             outcomes = _collect_with_progress(map(_safe_compute, tasks), config.replicates, total)
         finally:
             set_draw_threads(previous)
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=set_draw_threads, initargs=(threads,)
+            max_workers=workers, initializer=_start_process, initargs=(threads,)
         ) as pool:
             # Cost grows with the grid value, so dispatch the largest first,
             # one task at a time, and reverse the outcomes back.
@@ -536,7 +558,6 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
                 consistency.append(_skipped(key, 0, "no finite median ratio"))
             else:
                 err = np.abs(medians - 1.0)
-                eig = np.array([r.spikes[j].eig_ratio for r in recs])
                 se = np.std(err, ddof=1) / np.sqrt(err.size) if err.size > 1 else np.nan
                 consistency.append(
                     {
@@ -544,7 +565,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
                         "mean_abs_median_err": float(np.mean(err)),
                         "se_abs_median_err": float(se),
                         "max_abs_median_err": float(np.max(err)),
-                        "mean_eig_ratio": float(np.mean(eig)),
+                        "mean_eig_ratio": trend[-1]["mean_eig_ratio"][j],
                         "sample_size": int(medians.size),
                     }
                 )

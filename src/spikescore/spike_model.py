@@ -4,33 +4,31 @@ The population covariance is described by its eigen-structure only: a short
 list of dominant eigenvalues (the spikes), a constant tail level, and a
 choice of eigenbasis.  Only the m spike directions U_m are ever held,
 since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
-covariance is never formed, so dimensions in the millions stay cheap.  On
-the canonical axes generation is row-scaling of an n x d standard-normal
-draw, made in blocks of ``SAMPLE_BLOCK`` columns, block k from the
-replicate's Philox stream jumped k times, so the blocks can be drawn on
-several threads (``set_draw_threads``) with the same bits at any count.
-On a random basis U_m is the Q factor of a seeded d x m Gaussian, cached
-per process so a sweep builds it once per grid point, and the draw is
-multiplied by the symmetric square root of the covariance,
-sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m': an isotropic
-scaling in place plus a rank-m correction, added to the draw in column
-blocks so the sampler holds one n x d array.
+covariance is never formed, so dimensions in the millions stay cheap.
+``sample_gram`` reduces a replicate to the two n-space arrays every
+diagnostic reads, the Gram X'X and P = X'U_m; ``projection_scores`` turns
+P into the population scores.
 
-``generate_sample`` returns the d x n sample itself.  ``sample_gram``
-reduces a replicate to the two n-space arrays every diagnostic reads, the
-Gram X'X and the projection P = X'U_m on the spike directions.  On the
-canonical axes it sums each block's Gram as the block is drawn and never
-holds the sample; on a random basis the rank-m correction couples every
-column, so it draws the whole sample and reduces it.  ``spike_projection``
-takes P from a sample, and ``projection_scores`` turns P into the
-population scores.
+On the canonical axes the sample is a row scaling of an n x d
+standard-normal draw, streamed as raw blocks of ``SAMPLE_BLOCK`` columns,
+block k from the replicate's Philox stream jumped k times, so the blocks
+can be drawn on several threads (``set_draw_threads``) with the same bits
+at any count.  The stream knows nothing of the model; its two readers
+scale each block as they read it.  ``sample_gram`` sums the block Grams
+and never holds the sample; ``generate_sample`` keeps the raw spike
+columns as the latent scores and lays the blocks side by side.  On a
+random basis U_m is the Q factor of a seeded d x m Gaussian, cached per
+process, and one serial draw is multiplied by the symmetric square root
+of the covariance: an isotropic scaling in place plus a rank-m
+correction, which couples every column, so ``sample_gram`` draws the
+whole sample and reduces it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -275,64 +273,54 @@ def set_draw_threads(threads: int) -> int:
     return previous
 
 
-def _canonical_blocks(spec: SpikeSpec, seed, reduce):
-    """reduce(lo, latent, block) of each n x w column block of the canonical
-    sample X' (n x d), in block order.
+def _normal_blocks(spec: SpikeSpec, seed, reduce):
+    """reduce(lo, block) of each n x w standard-normal column block of the
+    canonical draw (n x d), in block order; lo is the block's first column.
 
     Block k is drawn from the replicate's Philox stream jumped k times, so
     any thread can draw it without the blocks before it, and block 0 is the
-    unjumped stream.  It is scaled in place by sqrt(lambda_j) on spike
-    column j and by sqrt(tau) elsewhere, then shifted by the mean.  lo is
-    the block's first column and latent a copy of its spike columns before
-    scaling (n x 0 once past the m spike columns).  With d <= SAMPLE_BLOCK
-    the one block is the whole (n, d) draw.
-
-    Up to ``_draw_threads`` blocks are drawn at once, each by its own
-    thread into its own buffer, which the next block on that buffer
-    overwrites: so ``reduce`` runs on the drawing thread and must not keep
-    the block, unless it is the only one.  The threads end with the
-    iteration.
+    unjumped stream.  With d <= SAMPLE_BLOCK the one block is the whole
+    (n, d) draw.  The blocks are drawn on one thread, or on ``_draw_threads``
+    pool threads that end with the iteration.  Each drawing thread fills
+    one buffer of its own, which its next block overwrites: so ``reduce``
+    runs on the drawing thread and must not keep the block, unless it is
+    the only one.
     """
     root = np.random.Philox(seed)
-    root_lam = np.sqrt(spec.spike_eigenvalues)
-    root_tau = np.sqrt(float(spec.tail_value))
-    mu = spec.mean_vector_value
     starts = range(0, spec.d, SAMPLE_BLOCK)
-    threads = min(_draw_threads, len(starts))
-    # One buffer per thread: a short last block is a view of its first n w
-    # elements, so at most `threads` blocks are ever held.
-    bufs = [np.empty((spec.n, min(SAMPLE_BLOCK, spec.d))) for _ in range(threads)]
+    local = threading.local()
 
-    def draw(k):
-        lo = starts[k]
+    def draw(lo):
         w = min(SAMPLE_BLOCK, spec.d - lo)
-        block = bufs[k % threads].reshape(-1)[: spec.n * w].reshape(spec.n, w)
-        np.random.Generator(root.jumped(k)).standard_normal(out=block)
-        scale = root_lam[lo : lo + w]
-        m = scale.size
-        latent = block[:, :m].copy()
-        # In place: the draw is not needed unscaled any more.
-        block[:, :m] *= scale
-        if root_tau != 1.0:  # x * 1.0 == x: skip a pass over the tail
-            block[:, m:] *= root_tau
-        if mu != 0.0:
-            block += mu
-        return reduce(lo, latent, block)
+        if not hasattr(local, "buf"):
+            local.buf = np.empty(spec.n * min(SAMPLE_BLOCK, spec.d))
+        # A short last block is a view of the buffer's first n w elements.
+        block = local.buf[: spec.n * w].reshape(spec.n, w)
+        np.random.Generator(root.jumped(lo // SAMPLE_BLOCK)).standard_normal(out=block)
+        return reduce(lo, block)
 
+    threads = min(_draw_threads, len(starts))
     if threads == 1:
-        yield from map(draw, range(len(starts)))
+        yield from map(draw, starts)
         return
     from concurrent.futures import ThreadPoolExecutor  # only a threaded draw needs it
 
+    # A reader that stops early cancels the blocks not yet started, and the
+    # pool waits for the ones being drawn before the generator closes.
     with ThreadPoolExecutor(threads) as pool:
-        # Block k + threads reuses the buffer of block k, so it is submitted
-        # only once block k is done.
-        pending = deque(pool.submit(draw, k) for k in range(threads))
-        for k in range(threads, len(starts) + threads):
-            result = pending.popleft().result()
-            if k < len(starts):
-                pending.append(pool.submit(draw, k))
-            yield result
+        yield from pool.map(draw, starts)
+
+
+def _scale_canonical(spec: SpikeSpec, lo: int, block: np.ndarray) -> None:
+    """Turn the raw block at column lo into the canonical model, in place:
+    sqrt(lambda_j) on spike column j, sqrt(tau) elsewhere, then the mean."""
+    root_lam = np.sqrt(spec.spike_eigenvalues[lo : lo + block.shape[1]])
+    m = root_lam.size
+    block[:, :m] *= root_lam
+    if spec.tail_value != 1.0:  # x * 1.0 == x: skip a pass over the tail
+        block[:, m:] *= np.sqrt(float(spec.tail_value))
+    if spec.mean_vector_value != 0.0:
+        block += spec.mean_vector_value
 
 
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
@@ -341,31 +329,34 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     Each column is mean + A g_i with g_i i.i.d. standard normal and
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
-    exactly U_m'g_i.  On the canonical axes A is diagonal and this is a
-    row scaling, applied to the column blocks that ``sample_gram``
-    streams (block k from the Philox stream of ``seed`` jumped k times),
-    which are laid side by side.  Otherwise the whole draw is
-    scaled by sqrt(tau) in place (no pass at all when tau = 1, since
-    x * 1.0 == x) and the rank-m term is added block by block, so the
-    sample is the only n x d array.  Deterministic given
-    (spec, seed); seed may be an int, a tuple of ints, or a numpy
+    exactly U_m'g_i.  On the canonical axes A is diagonal: each raw block
+    of the stream that ``sample_gram`` reads (block k from the Philox
+    stream of ``seed`` jumped k times) gives up its spike columns as the
+    latent scores, is scaled in place, and is laid beside the others.
+    Otherwise the whole draw is scaled by sqrt(tau) in place (no pass at
+    all when tau = 1, since x * 1.0 == x) and the rank-m term is added
+    block by block, so the sample is the only n x d array.  Deterministic
+    given (spec, seed); seed may be an int, a tuple of ints, or a numpy
     SeedSequence.  The counter-based generator (Philox) makes replicate
     streams, and the canonical blocks within one, independent of execution
     order, so the bits do not depend on ``set_draw_threads``.
     """
     u = _spike_basis(spec)
     if u is None:
-        if spec.d <= SAMPLE_BLOCK:
-            # The one block is the sample itself, not a copy.
-            ((latent, z),) = _canonical_blocks(spec, seed, lambda _, latent, z: (latent, z))
-        else:
-            z = np.empty((spec.n, spec.d))
+        latent = np.empty((spec.n, spec.m))
+        z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
 
-            def place(lo, latent, block):
+        def place(lo, block):
+            nonlocal z
+            latent[:, lo : lo + block.shape[1]] = block[:, : max(spec.m - lo, 0)]
+            _scale_canonical(spec, lo, block)
+            if z is None:
+                z = block  # the one block is the sample itself, not a copy
+            else:
                 z[:, lo : lo + block.shape[1]] = block
-                return latent
 
-            latent = np.hstack(list(_canonical_blocks(spec, seed, place)))
+        for _ in _normal_blocks(spec, seed, place):
+            pass
         return DataMatrix(values=z.T, latent=LatentScores(spike=latent), spec=spec)
 
     rng = np.random.Generator(np.random.Philox(seed))
@@ -395,10 +386,10 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
 def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``.
 
-    On the canonical basis X is drawn in blocks of ``SAMPLE_BLOCK``
-    columns, block k from the Philox stream of ``seed`` jumped k times, and
-    each block's Gram is formed while the block is in cache, so the d x n
-    sample is never held; P is read from the spike columns and is bitwise
+    On the canonical basis each raw block of ``SAMPLE_BLOCK`` columns
+    (block k from the Philox stream of ``seed`` jumped k times) is scaled
+    into the model, and its Gram and spike columns are taken while it is in
+    cache, so the d x n sample is never held; P is bitwise
     ``spike_projection`` of the full sample at any d.  The blocks are drawn
     up to ``set_draw_threads`` at a time, and their Grams are summed in
     block order, so the result has the same bits at any thread count.
@@ -414,21 +405,27 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
             data = generate_sample(spec, seed)
             return data.values.T @ data.values, spike_projection(data)
         gram = None
-        proj = []
-        for block_gram, block_proj in _canonical_blocks(spec, seed, _gram_and_projection):
-            proj.append(block_proj)
+        # P is allocated before the first block: made after the last, it
+        # would take space from the freed block buffer, where gram_pca's
+        # n x n array then no longer fits (18 MB more peak RSS at n = d = 1600).
+        proj = np.empty((spec.n, spec.m))
+        reduce = functools.partial(_gram_and_projection, spec, proj)
+        for block_gram in _normal_blocks(spec, seed, reduce):
             # The first product is kept as it is: an n x n zero start costs
             # 8% of a replicate at n = d = 1600.
             if gram is None:
                 gram = block_gram
             else:
                 gram += block_gram
-    return gram, np.hstack(proj)
+    return gram, proj
 
 
-def _gram_and_projection(lo, latent, block):
-    """A canonical block's Gram and its spike columns."""
-    return block @ block.T, block[:, : latent.shape[1]].copy()
+def _gram_and_projection(spec, proj, lo, block):
+    """The Gram of a raw canonical block once scaled into the model; its
+    spike columns go to their place in proj."""
+    _scale_canonical(spec, lo, block)
+    proj[:, lo : lo + block.shape[1]] = block[:, : max(spec.m - lo, 0)]
+    return block @ block.T
 
 
 def spike_projection(data: DataMatrix) -> np.ndarray:

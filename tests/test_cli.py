@@ -63,3 +63,15 @@ def test_repeated_cli_main_adds_no_second_handler(tmp_path):
         "200", "300", "200", "300",
     ]
     assert len(proc.stdout.splitlines()) == 6
+
+
+def test_bad_workers_override_names_the_flag(tmp_path, capsys, monkeypatch):
+    from spikescore.cli import cli_main
+
+    out = tmp_path / "out"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG.format(out=out))
+    monkeypatch.setattr("spikescore.cli._log_progress_to_stderr", lambda: None)
+    assert cli_main(["hdlss-sweep", "--config", str(cfg), "--workers", "abc"]) == 1
+    assert capsys.readouterr().err.startswith("error: --workers: ")
+    assert not out.exists()

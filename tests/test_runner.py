@@ -2,8 +2,11 @@
 
 import json
 import logging
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -521,6 +524,18 @@ class TestGrowingNSweep:
             )
         assert template.spec_at(MODE_GROWING_N, 40).d == 2
 
+    def test_consistency_and_trend_share_the_mean_eig_ratio(self, tmp_path):
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 2.0), SpikeProfile.power(0.5, 2.0))
+        )
+        report = run_growing_n_sweep(small_growing_n(tmp_path, template=template))
+        trend = {row["grid"]: row["mean_eig_ratio"] for row in report.trend}
+        assert [(row["grid"], row["j"]) for row in report.consistency] == [
+            (20, 1), (20, 2), (30, 1), (30, 2)
+        ]
+        for row in report.consistency:
+            assert row["mean_eig_ratio"] == trend[row["grid"]][row["j"] - 1]
+
     def test_coupling_factor(self):
         template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),), d_over_n=0.5)
         spec = template.spec_at(MODE_GROWING_N, 100)
@@ -657,6 +672,30 @@ class TestDrawThreads:
         assert payload["parallelism"] == report.parallelism == expected
         assert spike_model._draw_threads == 1  # the serial sweep gives the budget back
 
+    def test_random_basis_reports_one_draw_thread(self, tmp_path, monkeypatch):
+        # A random-basis sample is one serial stream, whatever the budget.
+        monkeypatch.setattr(rn, "usable_cpus", lambda: 4)
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=2)
+        )
+        report = run_hdlss_sweep(tiny_config(tmp_path / "orthogonal", template=template))
+        assert report.parallelism == {"workers": 1, "draw_threads": 1}
+        report = run_hdlss_sweep(tiny_config(tmp_path / "canonical"))
+        assert report.parallelism == {"workers": 1, "draw_threads": 4}
+
+    def test_random_basis_records_identical_across_workers(self, tmp_path):
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=4)
+        )
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_hdlss_sweep(
+                tiny_config(out, template=template, grid=(200, 300), workers=workers)
+            )
+        assert (tmp_path / "w1" / "records.csv").read_bytes() == (
+            tmp_path / "w2" / "records.csv"
+        ).read_bytes()
+
     def test_auto_follows_the_affinity_mask(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         cfg = tiny_config(tmp_path, workers="auto")
@@ -668,6 +707,28 @@ class TestDrawThreads:
         monkeypatch.delattr(rn.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(rn.os, "cpu_count", lambda: 3)
         assert rn.usable_cpus() == 3
+
+
+class TestEigensolverImport:
+    def test_imported_before_the_first_replicate(self, tmp_path):
+        # In a fresh process the eigensolver import must not land in the
+        # first replicate's "pca" stage.
+        src = str(Path(rn.__file__).resolve().parents[1])
+        code = (
+            f"import json, sys; sys.path.insert(0, {src!r})\n"
+            "import spikescore.runner as rn\n"
+            "seen, real = [], rn.sample_gram\n"
+            "def wrapper(*args):\n"
+            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "    return real(*args)\n"
+            "rn.sample_gram = wrapper\n"
+            f"rn.run_hdlss_sweep(rn.parse_config({TINY_CONFIG.format(out=tmp_path)!r}))\n"
+            "print(json.dumps(seen))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert json.loads(out.stdout) == [True] * 3
 
 
 class TestGrowingNReplicateMemory:

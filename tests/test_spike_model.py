@@ -1,6 +1,7 @@
 """Spiked-model resolution, generation, and population scores."""
 
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -442,6 +443,48 @@ class TestThreadedDraw:
         finally:
             tracemalloc.stop()
         assert peak < (threads + 1) * n * spike_model.SAMPLE_BLOCK * 8 + gram.nbytes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stream_is_the_raw_normal_draw(self, threads):
+        # The stream knows nothing of the model: the tail, the mean and the
+        # spikes leave its blocks the raw jumped Philox draws.
+        block = spike_model.SAMPLE_BLOCK
+        spec = single_spike_spec(d=2 * block + 5, n=3, tail_value=2.0, mean=ConstantMean(1.5))
+        expected = [
+            (lo, np.random.Generator(np.random.Philox(17).jumped(k)).standard_normal(
+                (3, min(block, spec.d - lo))))
+            for k, lo in enumerate(range(0, spec.d, block))
+        ]
+        got = with_draw_threads(
+            threads, list, spike_model._normal_blocks(spec, 17, lambda lo, b: (lo, b.copy()))
+        )
+        assert [lo for lo, _ in got] == [lo for lo, _ in expected]
+        assert all(np.array_equal(b, e) for (_, b), (_, e) in zip(got, expected))
+
+    def test_a_reader_that_stops_early_leaves_no_block_being_drawn(self):
+        # Past the first block each reduction takes a while, so blocks are
+        # being drawn when the reader stops after one.
+        spec = single_spike_spec(d=8 * spike_model.SAMPLE_BLOCK + 17, n=4)
+        running = threading.active_count()
+        started, finished = [], []
+
+        def reduce(lo, block):
+            started.append(lo)
+            if lo:
+                time.sleep(0.05)
+            finished.append(lo)
+            return lo
+
+        previous = spike_model.set_draw_threads(2)
+        try:
+            blocks = spike_model._normal_blocks(spec, 1, reduce)
+            assert next(blocks) == 0
+            blocks.close()
+        finally:
+            spike_model.set_draw_threads(previous)
+        assert sorted(finished) == sorted(started)
+        assert len(started) <= 3  # the block read and at most one more per thread
+        assert threading.active_count() == running
 
     def test_thread_count_must_be_positive(self):
         with pytest.raises(ValueError, match="draw threads must be >= 1"):
