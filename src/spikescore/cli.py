@@ -17,14 +17,11 @@ from typing import Optional
 from .limit_dist import RLaw, r_cdf, r_quantile
 from .pca_engine import dual_pca, load_matrix_csv
 from .runner import (
-    MODE_GROWING_N,
-    MODE_HDLSS,
     _FILE_KEYS,
+    _MODE_TABLE,
     config_with_overrides,
     export_scores_scatter,
     load_config,
-    run_growing_n_sweep,
-    run_hdlss_sweep,
 )
 
 EXIT_OK = 0
@@ -55,17 +52,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="spikescore", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, doc in (
-        (MODE_HDLSS, "Monte Carlo sweep over dimension at fixed sample size"),
-        (MODE_GROWING_N, "Monte Carlo sweep over sample size with coupled dimension"),
-    ):
-        p = sub.add_parser(name, help=doc)
+    for name, mode in _MODE_TABLE.items():
+        p = sub.add_parser(name, help=mode.__doc__.splitlines()[0])
+        p.set_defaults(handler=_run_sweep_command)
         p.add_argument("--config", required=True, help="path to a key-value config file")
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument("--workers", help="override worker count (integer or 'auto')")
         p.add_argument("--out", help="override output directory")
 
     p = sub.add_parser("pca", help="dual PCA of a CSV matrix (rows=dimensions, columns=samples)")
+    p.set_defaults(handler=_run_pca_command)
     p.add_argument("--input", required=True)
     p.add_argument("--rank", type=int, help="components to retain (clamped to min(n, d))")
     p.add_argument("--divisor", choices=("n", "n-1"), default="n")
@@ -73,6 +69,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--header", action="store_true", help="skip a header row")
 
     p = sub.add_parser("scatter", help="export two sample-score columns as CSV")
+    p.set_defaults(handler=_run_scatter_command)
     p.add_argument("--input", required=True)
     p.add_argument("--components", default="1,2", help="1-based pair, e.g. 1,2")
     p.add_argument("--out", required=True)
@@ -81,6 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--header", action="store_true")
 
     p = sub.add_parser("r-dist", help="CDF / quantile tables of the sqrt(n/chi2_n) law")
+    p.set_defaults(handler=_run_r_dist_command)
     p.add_argument("--n", type=int, required=True, help="degrees of freedom")
     p.add_argument("--r", type=float, help="print the CDF at this point")
     p.add_argument("--p", type=float, help="print the quantile at this level")
@@ -99,25 +97,21 @@ def _log_progress_to_stderr() -> None:
         logger.addHandler(handler)
 
 
-def _run_sweep_command(args, mode: str) -> int:
+def _run_sweep_command(args) -> int:
+    """Run the sweep of the subcommand's mode; its entry point refuses a
+    config of another mode."""
     _log_progress_to_stderr()
     config = load_config(args.config)
-    if config.mode != mode:
-        raise ValueError(f"config mode is {config.mode!r} but the {mode} command was invoked")
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.workers is not None:
+    flags = {"master_seed": args.seed, "workers": args.workers, "output_dir": args.out}
+    overrides = {field: value for field, value in flags.items() if value is not None}
+    if "workers" in overrides:
         try:
             overrides["workers"] = _FILE_KEYS["workers"].parse(args.workers)
         except ValueError as exc:
             raise ValueError(f"--workers: {exc}") from None
-    if args.out is not None:
-        overrides["output_dir"] = args.out
     if overrides:
         config = config_with_overrides(config, **overrides)
-    runner = run_hdlss_sweep if mode == MODE_HDLSS else run_growing_n_sweep
-    report = runner(config)
+    report = _MODE_TABLE[args.command].run(config)
     print(f"records: {report.records_path}")
     print(f"report:  {report.report_path}")
     print(f"checks:  {'passed' if report.checks['passed'] else 'REJECTED'} "
@@ -175,15 +169,7 @@ def cli_main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command in (MODE_HDLSS, MODE_GROWING_N):
-            return _run_sweep_command(args, args.command)
-        if args.command == "pca":
-            return _run_pca_command(args)
-        if args.command == "scatter":
-            return _run_scatter_command(args)
-        if args.command == "r-dist":
-            return _run_r_dist_command(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.handler(args)
     except (ValueError, FileNotFoundError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,19 @@ time, largest grid value first, so the costliest ones start early and no
 worker is left alone with them at the end; outcomes are put back in task
 order.  Each finished grid point logs one progress line with an ETA.
 
+Each sweep mode is defined once, as one entry of ``_MODE_TABLE``: its grid
+key, its (n, d) at a grid value, its regime ratio and guard, its report
+rows and the check that reads them.  The two modes test the paper's two
+claims.  ``hdlss-sweep`` (n fixed, d grows) writes one ``ks`` row per grid
+point and spike: a KS test of the per-replicate median ratios
+median_i |s_hat_ij / s_ij| against the law of sqrt(n / chi2_n), the common
+rescaling of the sample scores.  At fixed n that law is exact only for the
+first spike, and only as lambda_2 / lambda_1 -> 0, so a later spike's row
+can reject a correct model once the replicates are many.
+``growing-n-sweep`` (n grows, d coupled to n) writes one ``consistency``
+row per grid point and spike, the mean |median ratio - 1|, and checks that
+it shrinks as n grows: the rescaling "paradox disappears".
+
 Each replicate takes one route on either basis: ``sample_gram`` reduces
 the d x n sample to two n-space arrays, the Gram X'X of dual PCA and the
 projection on the spike directions, P = X'U_m; ``gram_pca`` gives the
@@ -77,16 +90,9 @@ from .spike_model import (
 
 log = logging.getLogger(__name__)
 
+# The sweep modes; each is one entry of _MODE_TABLE, below the entry points.
 MODE_HDLSS = "hdlss-sweep"
 MODE_GROWING_N = "growing-n-sweep"
-_MODES = (MODE_HDLSS, MODE_GROWING_N)
-
-# The config-file key of the grid each mode sweeps (ExperimentConfig.grid).
-GRID_KEYS = {MODE_HDLSS: "grid.d", MODE_GROWING_N: "grid.n"}
-
-# Per grid point, report.json names the rate whose vanishing the mode's
-# asymptotics need, under these keys (see ExperimentConfig.validate).
-REGIME_RATIO_KEYS = {MODE_HDLSS: "d_over_lambda_m", MODE_GROWING_N: "d_over_n_lambda_m"}
 
 # Stages that compute_replicate times, in order, the same on either basis:
 # "generate" draws the sample and forms its Gram and P (sample_gram), "pca"
@@ -128,14 +134,7 @@ class SpikeTemplate:
         return len(self.spikes)
 
     def spec_at(self, mode: str, grid_value: int) -> SpikeSpec:
-        if mode == MODE_GROWING_N:
-            n = int(grid_value)
-            d = int(round(self.d_over_n * n))
-        else:
-            if self.n is None:
-                raise ValueError(f"template.n is required for mode {mode}")
-            n = int(self.n)
-            d = int(grid_value)
+        n, d = _MODE_TABLE[mode].sizes(self, grid_value)
         return SpikeSpec(
             spikes=self.spikes,
             n=n,
@@ -159,80 +158,37 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
+        object.__setattr__(self, "workers", _parse_workers(self.workers))
         self.validate()
 
     def resolved_workers(self) -> int:
-        if self.workers == "auto":
-            return usable_cpus()
-        return int(self.workers)
+        return usable_cpus() if self.workers == "auto" else self.workers
 
     def validate(self) -> None:
         """Check the fields, then the regime hypothesis of the sweep mode.
 
-        Each mode is held to the hypothesis of its own asymptotics:
-
-        - ``hdlss-sweep`` (n fixed, d -> inf) needs pervasive spikes,
-          d / lambda_m -> 0: a grid point with d / lambda_m >= 1 is refused
-          and one with d / lambda_m >= 0.5 draws a warning.
-        - ``growing-n-sweep`` (n -> inf, d coupled to n): sample directions
-          become consistent at the rate d / (n lambda_m) (Jung & Marron
-          2009, Ann. Statist. 37:4104), taken here without scaling by the
-          tail value.  A warning is issued when that rate does not strictly
-          decrease along the grid; nothing is refused, since no bound on
-          the rate is known for this regime.
+        Each mode is held to the hypothesis of its own asymptotics, which
+        the ``check`` of its ``_MODE_TABLE`` entry tests on the spec of
+        every grid point (``_HdlssSweep``, ``_GrowingNSweep``).
         """
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
-        grid = self.grid
-        if not grid:
-            raise ValueError(f"mode {self.mode} needs a non-empty {GRID_KEYS[self.mode]}")
-        if self.mode == MODE_GROWING_N and self.template.n is not None:
-            raise ValueError(f"mode {self.mode} takes n from {GRID_KEYS[self.mode]}, "
-                             f"so template.n = {self.template.n} would be ignored")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"grid must be strictly increasing, got {grid}")
+        mode = _MODE_TABLE[self.mode]
+        if not self.grid:
+            raise ValueError(f"mode {self.mode} needs a non-empty {mode.grid_key}")
+        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError(f"grid must be strictly increasing, got {self.grid}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 < self.guard < math.inf:
             raise ValueError(f"guard must be positive and finite, got {self.guard}")
-        if self.workers != "auto" and int(self.workers) < 1:
-            raise ValueError(f"workers must be 'auto' or >= 1, got {self.workers}")
-        rates = []
-        for grid_value in grid:
+        specs = []
+        for grid_value in self.grid:
             try:
-                spec = self.template.spec_at(self.mode, grid_value)
+                specs.append(self.template.spec_at(self.mode, grid_value))
             except ValueError as err:
                 raise ValueError(f"grid point {grid_value}: {err}") from None
-            if self.mode == MODE_HDLSS and spec.d < spec.n:
-                raise ValueError(
-                    f"dimension sweep needs d >= n at every grid point; "
-                    f"got d={spec.d} < n={spec.n}"
-                )
-            rate = _regime_ratio(self.mode, spec)
-            if self.mode == MODE_GROWING_N:
-                rates.append(rate)
-                continue
-            if rate >= 1.0:
-                raise ValueError(
-                    f"grid point {grid_value}: d/lambda_m = {rate:.3g} >= 1; the "
-                    f"vanishing-ratio regime cannot be probed there"
-                )
-            if rate >= 0.5:
-                warnings.warn(
-                    f"grid point {grid_value}: d/lambda_m = {rate:.3g} is close "
-                    f"to 1; the asymptotic regime may be out of reach",
-                    stacklevel=2,
-                )
-        if any(b >= a for a, b in zip(rates, rates[1:])):
-            shown = ", ".join(f"{r:.3g}" for r in rates)
-            warnings.warn(
-                f"d/(n lambda_m) = {shown} over grid.n = {list(grid)} does not "
-                f"strictly decrease; the sweep cannot show the sample "
-                f"directions becoming consistent",
-                stacklevel=2,
-            )
+        mode.check(self.template, self.grid, specs)
 
 
 def usable_cpus() -> int:
@@ -244,11 +200,19 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _parse_workers(value) -> Union[int, str]:
+    """``"auto"`` or an integer >= 1, given as such or as its decimal text:
+    the one rule for the ``workers`` field, file key and CLI flag.  A bool
+    (whose text is not decimal) or a float is refused, not truncated."""
+    if value != "auto" and not (str(value).isdecimal() and int(value) >= 1):
+        raise ValueError(f"workers must be 'auto' or an integer >= 1, got {value!r}")
+    return value if value == "auto" else int(value)
+
+
 def _regime_ratio(mode: str, spec: SpikeSpec) -> float:
     """d / lambda_m in ``hdlss-sweep``, d / (n lambda_m) in ``growing-n-sweep``:
     the rate that validation guards on and report.json records."""
-    lam_m = spec.spike_eigenvalues[-1]
-    return spec.d / (spec.n * lam_m) if mode == MODE_GROWING_N else spec.d / lam_m
+    return _MODE_TABLE[mode].ratio(spec)
 
 
 @dataclass(frozen=True)
@@ -485,13 +449,179 @@ def _rise_note(a: dict, b: dict) -> str:
     return f"{a['grid']} -> {b['grid']}: +{rise:.3g} ({z:.2g} SE)"
 
 
+@dataclass(frozen=True)
+class _SweepMode:
+    """One sweep mode: what the two modes differ in, as one entry of
+    ``_MODE_TABLE``, with ``run`` its public entry point.
+
+    A subclass sets ``grid_key`` (the config-file key of the grid),
+    ``ratio_key`` (the name of the regime ratio in report.json's ``regime``
+    rows) and ``rows_key`` (the report.json list its rows go in), and
+    defines:
+
+    - ``sizes(template, grid_value) -> (n, d)``;
+    - ``ratio(spec)``, the rate whose vanishing the mode's asymptotics need;
+    - ``check(template, grid, specs)``, the mode's regime hypothesis, which
+      raises or warns while the config is built;
+    - ``row(key, medians, spec, trend)``, the row of one grid point and
+      spike, from that spike's finite per-replicate median ratios and the
+      grid point's trend row;
+    - ``notes(rows, m)``, what the sweep's check rejects; no note passes.
+
+    The first line of a subclass's docstring is its CLI subcommand's help.
+    """
+
+    run: Callable[[ExperimentConfig], ExperimentReport]
+
+
+class _HdlssSweep(_SweepMode):
+    """Monte Carlo sweep over dimension at fixed sample size.
+
+    n is ``template.n`` and d the grid value, which must be >= n.  The mode
+    needs pervasive spikes, d / lambda_m -> 0: a grid point with
+    d / lambda_m >= 1 is refused, and one with d / lambda_m >= 0.5 draws a
+    warning.
+
+    Each ``ks`` row tests the paper's fixed-n claim, that the sample scores
+    match the population scores up to one common factor per component
+    distributed as sqrt(n / chi2_n): it KS-tests the spike's per-replicate
+    median ratios median_i |s_hat_ij / s_ij| against that law, or is
+    skipped below 10 finite medians.  At fixed n the law is exact only for
+    j = 1, and only as lambda_2 / lambda_1 -> 0, since the sample score
+    vectors are orthonormal and the population score columns are not.  So
+    a later spike's row can reject a correct model once the replicates are
+    many: at n = 10, d = 5000, spikes ``power:1:2,power:1:1.5`` and 3000
+    replicates, spike 2 reads p = 4e-5.  The check notes the rows that
+    reject at alpha = 0.01.
+    """
+
+    grid_key = "grid.d"
+    ratio_key = "d_over_lambda_m"
+    rows_key = "ks"
+
+    def sizes(self, template: SpikeTemplate, grid_value: int) -> tuple[int, int]:
+        if template.n is None:
+            raise ValueError(f"template.n is required for mode {MODE_HDLSS}")
+        return int(template.n), int(grid_value)
+
+    def ratio(self, spec: SpikeSpec) -> float:
+        return spec.d / spec.spike_eigenvalues[-1]
+
+    def check(self, template: SpikeTemplate, grid: tuple, specs: list) -> None:
+        for grid_value, spec in zip(grid, specs):
+            if spec.d < spec.n:
+                raise ValueError(
+                    f"dimension sweep needs d >= n at every grid point; "
+                    f"got d={spec.d} < n={spec.n}"
+                )
+            rate = self.ratio(spec)
+            if rate >= 1.0:
+                raise ValueError(
+                    f"grid point {grid_value}: d/lambda_m = {rate:.3g} >= 1; the "
+                    f"vanishing-ratio regime cannot be probed there"
+                )
+            if rate >= 0.5:
+                warnings.warn(
+                    f"grid point {grid_value}: d/lambda_m = {rate:.3g} is close "
+                    f"to 1; the asymptotic regime may be out of reach",
+                    stacklevel=3,
+                )
+
+    def row(self, key: dict, medians: np.ndarray, spec: SpikeSpec, trend: dict) -> dict:
+        if medians.size < 10:
+            return _skipped(key, medians.size, "KS needs at least 10 replicates")
+        return {**key, **dataclasses.asdict(ks_test(medians, RLaw(spec.n).cdf))}
+
+    def notes(self, rows: list, m: int) -> list:
+        rejected = sum(bool(row.get("rejected_at_01")) for row in rows)
+        note = f"{rejected} KS outcome(s) rejected the rescaling law at alpha=0.01"
+        return [note] if rejected else []
+
+
+class _GrowingNSweep(_SweepMode):
+    """Monte Carlo sweep over sample size with coupled dimension.
+
+    n is the grid value and d = round(``template.d_over_n`` * n), so
+    ``template.n`` is refused.  Sample directions become consistent at the
+    rate d / (n lambda_m) (Jung & Marron 2009, Ann. Statist. 37:4104),
+    taken here without scaling by the tail value.  A warning is issued
+    when that rate does not strictly decrease along the grid; nothing is
+    refused, since no bound on the rate is known for this regime.
+
+    Each ``consistency`` row tests the paper's large-n claim, that the
+    rescaling "paradox disappears" as n grows: it gives the mean, standard
+    error and maximum of the spike's |median ratio - 1| over the grid
+    point's replicates, or is skipped when no median is finite.  The check
+    notes each spike whose mean does not strictly decrease along the grid,
+    with every rise in standard errors.
+    """
+
+    grid_key = "grid.n"
+    ratio_key = "d_over_n_lambda_m"
+    rows_key = "consistency"
+
+    def sizes(self, template: SpikeTemplate, grid_value: int) -> tuple[int, int]:
+        n = int(grid_value)
+        return n, int(round(template.d_over_n * n))
+
+    def ratio(self, spec: SpikeSpec) -> float:
+        return spec.d / (spec.n * spec.spike_eigenvalues[-1])
+
+    def check(self, template: SpikeTemplate, grid: tuple, specs: list) -> None:
+        if template.n is not None:
+            raise ValueError(f"mode {MODE_GROWING_N} takes n from {self.grid_key}, "
+                             f"so template.n = {template.n} would be ignored")
+        rates = [self.ratio(spec) for spec in specs]
+        if any(b >= a for a, b in zip(rates, rates[1:])):
+            shown = ", ".join(f"{r:.3g}" for r in rates)
+            warnings.warn(
+                f"d/(n lambda_m) = {shown} over grid.n = {list(grid)} does not "
+                f"strictly decrease; the sweep cannot show the sample "
+                f"directions becoming consistent",
+                stacklevel=3,
+            )
+
+    def row(self, key: dict, medians: np.ndarray, spec: SpikeSpec, trend: dict) -> dict:
+        if medians.size == 0:
+            return _skipped(key, 0, "no finite median ratio")
+        err = np.abs(medians - 1.0)
+        se = np.std(err, ddof=1) / np.sqrt(err.size) if err.size > 1 else np.nan
+        return {
+            **key,
+            "mean_abs_median_err": float(np.mean(err)),
+            "se_abs_median_err": float(se),
+            "max_abs_median_err": float(np.max(err)),
+            "mean_eig_ratio": trend["mean_eig_ratio"][key["j"] - 1],
+            "sample_size": int(medians.size),
+        }
+
+    def notes(self, rows: list, m: int) -> list:
+        notes = []
+        skipped = [row for row in rows if row.get("skipped")]
+        if skipped:
+            notes.append(
+                f"{len(skipped)} (grid, spike) point(s) had no finite median ratio "
+                f"and were left out of the decrease check"
+            )
+        for j in range(m):
+            kept = [row for row in rows if row["j"] == j + 1 and not row.get("skipped")]
+            errs = [row["mean_abs_median_err"] for row in kept]
+            rises = [_rise_note(a, b) for a, b in zip(kept, kept[1:])
+                     if b["mean_abs_median_err"] >= a["mean_abs_median_err"]]
+            if rises:
+                notes.append(
+                    f"spike {j + 1}: mean |median - 1| not strictly decreasing: {errs}; "
+                    f"rises {', '.join(rises)}"
+                )
+        return notes
+
+
 def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
-    grid = config.grid
     m = config.template.m
     tasks = [
         (config.template, config.mode, g, rep, config.master_seed, config.guard)
-        for g in grid
+        for g in config.grid
         for rep in range(config.replicates)
     ]
     total = len(tasks)
@@ -529,67 +659,23 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
             f"(> {MAX_FAILURE_RATE:.0%}); aborting the sweep"
         )
 
-    ks_outcomes = []
-    consistency = []
+    mode = _MODE_TABLE[config.mode]
+    rows = {"ks": [], "consistency": []}  # the mode fills rows[mode.rows_key]
     trend = []
     timings = []
     regime = []
-    check_notes = []
-    law = RLaw(int(config.template.n)) if config.mode == MODE_HDLSS else None
-    ratio_key = REGIME_RATIO_KEYS[config.mode]
-    for g in grid:
+    for g in config.grid:
         recs = [r for r in records if r.grid_value == g]
         trend.append(_trend_row(g, recs, m))
         timings.append(_timing_row(g, recs))
         spec = config.template.spec_at(config.mode, g)
-        regime.append({"grid": g, ratio_key: _regime_ratio(config.mode, spec)})
+        regime.append({"grid": g, mode.ratio_key: mode.ratio(spec)})
         for j in range(m):
             key = {"grid": g, "j": j + 1}
             medians = np.array([r.spikes[j].median_ratio for r in recs])
             medians = medians[np.isfinite(medians)]
-            if config.mode == MODE_HDLSS:
-                if medians.size < 10:
-                    reason = "KS needs at least 10 replicates"
-                    ks_outcomes.append(_skipped(key, medians.size, reason))
-                else:
-                    outcome = ks_test(medians, law.cdf)
-                    ks_outcomes.append({**key, **dataclasses.asdict(outcome)})
-            elif medians.size == 0:
-                consistency.append(_skipped(key, 0, "no finite median ratio"))
-            else:
-                err = np.abs(medians - 1.0)
-                se = np.std(err, ddof=1) / np.sqrt(err.size) if err.size > 1 else np.nan
-                consistency.append(
-                    {
-                        **key,
-                        "mean_abs_median_err": float(np.mean(err)),
-                        "se_abs_median_err": float(se),
-                        "max_abs_median_err": float(np.max(err)),
-                        "mean_eig_ratio": trend[-1]["mean_eig_ratio"][j],
-                        "sample_size": int(medians.size),
-                    }
-                )
-    rejected = [o for o in ks_outcomes if o.get("rejected_at_01")]
-    if rejected:
-        check_notes.append(
-            f"{len(rejected)} KS outcome(s) rejected the rescaling law at alpha=0.01"
-        )
-    skipped = [row for row in consistency if row.get("skipped")]
-    if skipped:
-        check_notes.append(
-            f"{len(skipped)} (grid, spike) point(s) had no finite median ratio "
-            f"and were left out of the decrease check"
-        )
-    for j in range(m):
-        rows = [row for row in consistency if row["j"] == j + 1 and not row.get("skipped")]
-        errs = [row["mean_abs_median_err"] for row in rows]
-        rises = [_rise_note(a, b) for a, b in zip(rows, rows[1:])
-                 if b["mean_abs_median_err"] >= a["mean_abs_median_err"]]
-        if rises:
-            check_notes.append(
-                f"spike {j + 1}: mean |median - 1| not strictly decreasing: {errs}; "
-                f"rises {', '.join(rises)}"
-            )
+            rows[mode.rows_key].append(mode.row(key, medians, spec, trend[-1]))
+    check_notes = mode.notes(rows[mode.rows_key], m)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -599,10 +685,10 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         mode=config.mode,
         config_echo=config_to_dict(config),
-        grid=grid,
+        grid=config.grid,
         records=records,
-        ks_outcomes=ks_outcomes,
-        consistency=consistency,
+        ks_outcomes=rows["ks"],
+        consistency=rows["consistency"],
         trend=trend,
         timings=timings,
         regime=regime,
@@ -612,32 +698,60 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         parallelism={"workers": workers, "draw_threads": threads},
         total_runtime_s=time.perf_counter() - start,
         records_path=records_path,
+        report_path=out_dir / "report.json",
     )
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    report.report_path = report_path
+    report.report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return report
 
 
 def run_hdlss_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Fixed n, growing d: per grid point, KS-test the per-replicate median
-    ratios against the sqrt(n / chi2_n) law."""
+    """Fixed n, growing d: per grid point and spike, KS-test the
+    per-replicate median ratios against the sqrt(n / chi2_n) law, the
+    paper's common rescaling of the sample scores.
+
+    At fixed n that law is exact only for the first spike, and only as
+    lambda_2 / lambda_1 -> 0, so a later spike's row can reject a correct
+    model once the replicates are many (see ``_HdlssSweep``).
+    """
     if config.mode != MODE_HDLSS:
         raise ValueError(f"config mode is {config.mode!r}, expected {MODE_HDLSS!r}")
     return _run_sweep(config)
 
 
 def run_growing_n_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Growing n with coupled d: per grid point, summarize |median - 1| and
-    check that it shrinks as n grows.
+    """Growing n with coupled d: per grid point and spike, summarize
+    |median - 1|, and check that it shrinks as n grows, the large-n
+    shrinkage in which the paper's rescaling paradox disappears.
 
     Building the config already warns when d / (n lambda_m) does not
     strictly decrease along grid.n, since such a sweep cannot show that
-    shrinkage.
+    shrinkage (see ``_GrowingNSweep``).
     """
     if config.mode != MODE_GROWING_N:
         raise ValueError(f"config mode is {config.mode!r}, expected {MODE_GROWING_N!r}")
     return _run_sweep(config)
+
+
+class _ModeTable(dict):
+    """Mode name -> ``_SweepMode``; an unknown name raises ValueError."""
+
+    def __missing__(self, name: str):
+        raise ValueError(f"unknown mode {name!r}; expected one of {tuple(self)}")
+
+
+# One entry per sweep mode, in CLI order; every mode decision reads it.
+_MODE_TABLE = _ModeTable({
+    MODE_HDLSS: _HdlssSweep(run_hdlss_sweep),
+    MODE_GROWING_N: _GrowingNSweep(run_growing_n_sweep),
+})
+_MODES = tuple(_MODE_TABLE)
+
+# The config-file key of the grid each mode sweeps (ExperimentConfig.grid).
+GRID_KEYS = {name: mode.grid_key for name, mode in _MODE_TABLE.items()}
+
+# Per grid point, report.json names the rate whose vanishing the mode's
+# asymptotics need, under these keys.
+REGIME_RATIO_KEYS = {name: mode.ratio_key for name, mode in _MODE_TABLE.items()}
 
 
 def export_scores_scatter(
@@ -769,7 +883,7 @@ _FILE_KEYS = {
     "master_seed": _FileKey(ExperimentConfig, "master_seed", int),
     "guard": _FileKey(ExperimentConfig, "guard", float),
     "output_dir": _FileKey(ExperimentConfig, "output_dir", str, str),
-    "workers": _FileKey(ExperimentConfig, "workers", lambda t: t if t == "auto" else int(t)),
+    "workers": _FileKey(ExperimentConfig, "workers", _parse_workers),
 }
 
 

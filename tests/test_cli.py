@@ -75,3 +75,27 @@ def test_bad_workers_override_names_the_flag(tmp_path, capsys, monkeypatch):
     assert cli_main(["hdlss-sweep", "--config", str(cfg), "--workers", "abc"]) == 1
     assert capsys.readouterr().err.startswith("error: --workers: ")
     assert not out.exists()
+
+
+def test_config_of_the_other_mode_is_refused(tmp_path, capsys, monkeypatch):
+    from spikescore.cli import cli_main
+
+    out = tmp_path / "out"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG.format(out=out))
+    monkeypatch.setattr("spikescore.cli._log_progress_to_stderr", lambda: None)
+    assert cli_main(["growing-n-sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config mode is 'hdlss-sweep'")
+    assert "'growing-n-sweep'" in err
+    assert not out.exists()
+
+
+def test_sweep_help_is_the_mode_summary():
+    from spikescore.cli import _build_parser
+    from spikescore.runner import _MODE_TABLE
+
+    text = " ".join(_build_parser().format_help().split())  # argparse wraps lines
+    for name, mode in _MODE_TABLE.items():
+        assert name in text
+        assert mode.__doc__.splitlines()[0] in text

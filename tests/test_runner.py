@@ -986,3 +986,66 @@ class TestProgressAndSpread:
         assert report.checks["passed"] is False
         assert f"20 -> 30: +{rise:.3g} ({z:.2g} SE)" in report.checks["detail"]
         assert z < 1
+
+
+class TestModeTable:
+    def test_unknown_mode_is_refused(self):
+        # An unknown mode names itself; it does not fall through to a
+        # dimension-sweep spec or ratio.
+        template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=6)
+        with pytest.raises(ValueError, match="unknown mode 'growing-n'"):
+            template.spec_at("growing-n", 200)
+        spec = template.spec_at(MODE_HDLSS, 200)
+        with pytest.raises(ValueError, match="unknown mode 'hdlss'"):
+            rn._regime_ratio("hdlss", spec)
+
+    def test_views_follow_the_table(self):
+        assert rn._MODES == (MODE_HDLSS, MODE_GROWING_N)
+        assert rn.GRID_KEYS == {MODE_HDLSS: "grid.d", MODE_GROWING_N: "grid.n"}
+        assert rn.REGIME_RATIO_KEYS == {
+            MODE_HDLSS: "d_over_lambda_m", MODE_GROWING_N: "d_over_n_lambda_m"
+        }
+
+    @pytest.mark.parametrize("mode", [MODE_HDLSS, MODE_GROWING_N])
+    def test_report_identical_across_workers(self, tmp_path, mode):
+        # Every row, check and echo is the same at 1 and 2 workers; only
+        # the timings and the parallelism the run used may differ.
+        def report_at(workers):
+            out = tmp_path / f"w{workers}"
+            if mode == MODE_HDLSS:
+                run_hdlss_sweep(tiny_config(out, grid=(200, 300), replicates=12, workers=workers))
+            else:
+                run_growing_n_sweep(small_growing_n(out, replicates=12, workers=workers))
+            payload = json.loads((out / "report.json").read_text())
+            for key in ("timings", "total_runtime_s", "parallelism"):
+                del payload[key]
+            del payload["config"]["workers"], payload["config"]["output_dir"]
+            return payload
+
+        one, two = report_at(1), report_at(2)
+        assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+        filled, empty = ("ks", "consistency") if mode == MODE_HDLSS else ("consistency", "ks")
+        assert len(one[filled]) == 2
+        assert one[empty] == []
+
+
+class TestWorkersField:
+    @pytest.mark.parametrize(
+        "given, stored", [(3, 3), ("3", 3), (np.int64(2), 2), ("auto", "auto")]
+    )
+    def test_stored_as_int_or_auto(self, tmp_path, given, stored):
+        cfg = tiny_config(tmp_path, workers=given)
+        assert cfg.workers == stored
+        assert type(cfg.workers) is type(stored)
+        assert config_to_dict(cfg)["workers"] == stored
+
+    @pytest.mark.parametrize("given", [2.7, 3.0, True, False, "abc", "2.5", "", 0, "0", -1, None])
+    def test_refused_by_name(self, tmp_path, given):
+        with pytest.raises(ValueError, match="workers must be 'auto' or an integer >= 1"):
+            tiny_config(tmp_path, workers=given)
+
+    def test_file_key_uses_the_same_rule(self, tmp_path):
+        text = TINY_CONFIG.format(out=tmp_path)
+        assert parse_config(text.replace("workers = 1", "workers = 4")).workers == 4
+        with pytest.raises(ValueError, match="config line .*workers: workers must"):
+            parse_config(text.replace("workers = 1", "workers = 1.5"))
