@@ -28,16 +28,18 @@ Each replicate takes one route on either basis: ``sample_gram`` reduces
 the d x n sample to two n-space arrays, the Gram X'X of dual PCA and the
 projection on the spike directions, P = X'U_m; ``gram_pca`` gives the
 sample eigenvalues w and score vectors V from the Gram; and the
-diagnostics read only w, V, the population scores S and P.  On the
-canonical basis ``sample_gram`` reads the stream of raw standard-normal
-column blocks, scales each into the model and sums its Gram, so a
-replicate never holds the n x d sample; on a random basis the sample is
-drawn whole, in one serial stream, inside ``sample_gram``.
+diagnostics read only w, V, the population scores S and P.
+``sample_gram`` reads the stream of raw standard-normal column blocks and
+reduces each block while it is in cache: on the canonical basis it scales
+the block into the model and sums its Gram; on a random basis it sums the
+block's Gram and its projection on the spike directions, and assembles
+X'X and P in n-space.  So past one block a replicate never holds the
+n x d sample.
 
 The sweep owns its parallelism and derives it, with no setting of its
-own: ``workers`` processes take the replicates, and on the canonical basis
-each process draws the column blocks on up to (usable CPUs) // workers
-threads (``spike_model.set_draw_threads``); on a random basis on one.
+own: ``workers`` processes take the replicates, and each process draws
+the column blocks on up to (usable CPUs) // workers threads
+(``spike_model.set_draw_threads``), on either basis.
 The count is set in the serial sweep and in each pool worker as it
 starts, together with the eigensolver import, so no replicate's timings
 hold that import.  The draw threads live only inside one ``sample_gram``
@@ -287,9 +289,9 @@ def compute_replicate(
     The replicate stream is (master_seed, grid_value, replicate), so any
     record can be regenerated in isolation with ``sample_gram`` and
     ``gram_pca``.  ``generate_sample`` and ``dual_pca`` give the same
-    record to the bit on a random basis, and on the canonical basis up to
-    d = ``SAMPLE_BLOCK``; past that the Gram is summed over column blocks
-    in another order, so they agree to rounding.
+    record to the bit up to d = ``SAMPLE_BLOCK`` on either basis; past that
+    the Gram is summed over column blocks in another order, so they agree
+    to rounding.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
@@ -626,10 +628,8 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     ]
     total = len(tasks)
     workers = min(config.resolved_workers(), total)
-    # Each process draws canonical blocks on its share of the CPUs; a
-    # random-basis sample is one serial stream.
-    canonical = isinstance(config.template.basis, CanonicalAxes)
-    threads = max(1, usable_cpus() // workers) if canonical else 1
+    # Each process draws the column blocks on its share of the CPUs.
+    threads = max(1, usable_cpus() // workers)
     if workers <= 1:
         previous = _start_process(threads)
         try:

@@ -9,19 +9,22 @@ covariance is never formed, so dimensions in the millions stay cheap.
 diagnostic reads, the Gram X'X and P = X'U_m; ``projection_scores`` turns
 P into the population scores.
 
-On the canonical axes the sample is a row scaling of an n x d
-standard-normal draw, streamed as raw blocks of ``SAMPLE_BLOCK`` columns,
-block k from the replicate's Philox stream jumped k times, so the blocks
-can be drawn on several threads (``set_draw_threads``) with the same bits
-at any count.  The stream knows nothing of the model; its two readers
-scale each block as they read it.  ``sample_gram`` sums the block Grams
-and never holds the sample; ``generate_sample`` keeps the raw spike
-columns as the latent scores and lays the blocks side by side.  On a
-random basis U_m is the Q factor of a seeded d x m Gaussian, cached per
-process, and one serial draw is multiplied by the symmetric square root
-of the covariance: an isotropic scaling in place plus a rank-m
-correction, which couples every column, so ``sample_gram`` draws the
-whole sample and reduces it.
+On either basis the sample is the symmetric square root of the
+covariance applied to an n x d standard-normal draw G, streamed as raw
+blocks of ``SAMPLE_BLOCK`` columns, block k from the replicate's Philox
+stream jumped k times, so the blocks can be drawn on several threads
+(``set_draw_threads``) with the same bits at any count.  The stream knows
+nothing of the model; its readers apply it.  On the canonical axes the
+model is a row scaling: ``sample_gram`` scales each block and sums the
+block Grams, and ``generate_sample`` keeps the raw spike columns as the
+latent scores and lays the scaled blocks side by side.  On a random basis
+U_m is the Q factor of a seeded d x m Gaussian, cached per process, and
+the model adds a rank-m correction that couples every column.  Past one
+block ``sample_gram`` sums K = GG', S = GU_m (and the row sums G1 under a
+non-zero mean) over the raw blocks and assembles X'X and P in n-space;
+``generate_sample`` lays the raw blocks side by side, then scales the
+sample in place and adds the correction.  So past one block
+``sample_gram`` never holds the sample on either basis.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-# Columns per block of the canonical-basis sample (3.3 MB at n = 50): a
-# sweep sums each block's Gram while the block is still in cache, so a
-# replicate never holds the d x n sample.
+# Columns per block of the sample (3.3 MB at n = 50): a sweep reduces each
+# block while it is still in cache, so a replicate never holds the d x n
+# sample.
 SAMPLE_BLOCK = 2**13
 
-# Canonical-basis blocks this process draws at once (set_draw_threads).
+# Column blocks this process draws at once (set_draw_threads).
 _draw_threads = 1
 
 # Domain-separation tag for the basis RNG stream, so a basis seed can
@@ -260,8 +263,8 @@ def basis_vectors(spec: SpikeSpec) -> np.ndarray:
 
 
 def set_draw_threads(threads: int) -> int:
-    """Set how many canonical-basis blocks this process draws at once; return
-    the previous count.
+    """Set how many column blocks this process draws at once, on either
+    basis; return the previous count.
 
     A sweep sets it in each process it runs replicates in.  The count does
     not change any bit of a sample, only how long the draw takes.
@@ -275,7 +278,7 @@ def set_draw_threads(threads: int) -> int:
 
 def _normal_blocks(spec: SpikeSpec, seed, reduce):
     """reduce(lo, block) of each n x w standard-normal column block of the
-    canonical draw (n x d), in block order; lo is the block's first column.
+    raw draw (n x d), in block order; lo is the block's first column.
 
     Block k is drawn from the replicate's Philox stream jumped k times, so
     any thread can draw it without the blocks before it, and block 0 is the
@@ -323,46 +326,58 @@ def _scale_canonical(spec: SpikeSpec, lo: int, block: np.ndarray) -> None:
         block += spec.mean_vector_value
 
 
+def _lay_blocks(spec: SpikeSpec, seed, prepare=None) -> np.ndarray:
+    """The n x d draw of the block stream: ``prepare(lo, block)``, if given,
+    runs on each raw block, which is then laid in its place.  With one block
+    that block is the result itself, not a copy."""
+    z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
+
+    def place(lo, block):
+        nonlocal z
+        if prepare is not None:
+            prepare(lo, block)
+        if z is None:
+            z = block
+        else:
+            z[:, lo : lo + block.shape[1]] = block
+
+    for _ in _normal_blocks(spec, seed, place):
+        pass
+    return z
+
+
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     """Draw X = [X_1, ..., X_n] (d x n) from the spiked model.
 
     Each column is mean + A g_i with g_i i.i.d. standard normal and
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
-    exactly U_m'g_i.  On the canonical axes A is diagonal: each raw block
-    of the stream that ``sample_gram`` reads (block k from the Philox
-    stream of ``seed`` jumped k times) gives up its spike columns as the
-    latent scores, is scaled in place, and is laid beside the others.
-    Otherwise the whole draw is scaled by sqrt(tau) in place (no pass at
-    all when tau = 1, since x * 1.0 == x) and the rank-m term is added
-    block by block, so the sample is the only n x d array.  Deterministic
-    given (spec, seed); seed may be an int, a tuple of ints, or a numpy
-    SeedSequence.  The counter-based generator (Philox) makes replicate
-    streams, and the canonical blocks within one, independent of execution
+    exactly U_m'g_i.  The raw blocks of the stream that ``sample_gram``
+    reads (block k from the Philox stream of ``seed`` jumped k times) are
+    laid side by side.  On the canonical axes A is diagonal: each block
+    gives up its spike columns as the latent scores and is scaled in place
+    before it is laid.  Otherwise the whole draw is scaled by sqrt(tau) in
+    place (no pass at all when tau = 1, since x * 1.0 == x) and the rank-m
+    term is added block by block, so the sample is the only n x d array.
+    Deterministic given (spec, seed); seed may be an int, a tuple of ints,
+    or a numpy SeedSequence.  The counter-based generator (Philox) makes
+    replicate streams, and the blocks within one, independent of execution
     order, so the bits do not depend on ``set_draw_threads``.
     """
     u = _spike_basis(spec)
     if u is None:
         latent = np.empty((spec.n, spec.m))
-        z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
 
-        def place(lo, block):
-            nonlocal z
+        def prepare(lo, block):
             latent[:, lo : lo + block.shape[1]] = block[:, : max(spec.m - lo, 0)]
             _scale_canonical(spec, lo, block)
-            if z is None:
-                z = block  # the one block is the sample itself, not a copy
-            else:
-                z[:, lo : lo + block.shape[1]] = block
 
-        for _ in _normal_blocks(spec, seed, place):
-            pass
+        z = _lay_blocks(spec, seed, prepare)
         return DataMatrix(values=z.T, latent=LatentScores(spike=latent), spec=spec)
 
-    rng = np.random.Generator(np.random.Philox(seed))
     root_lam = np.sqrt(spec.spike_eigenvalues)
     root_tau = np.sqrt(float(spec.tail_value))
-    z = rng.standard_normal((spec.n, spec.d))
+    z = _lay_blocks(spec, seed)
     spike = z @ u
     if root_tau != 1.0:
         z *= root_tau
@@ -395,13 +410,18 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     block order, so the result has the same bits at any thread count.
     With d <= SAMPLE_BLOCK, X'X is the one product ``dual_pca`` forms, to
     the bit; past that it is a sum in another order, equal to rounding.  On a
-    random basis the rank-m correction couples every column, so the
-    sample is drawn whole, and X'X and P are the products ``dual_pca`` and
-    ``spike_projection`` form from it, to the bit.
+    random basis with d <= SAMPLE_BLOCK the one block is the sample, and
+    X'X and P are the products ``dual_pca`` and ``spike_projection`` form
+    from it, to the bit.  Past that the raw blocks are reduced on the same
+    threads and summed in block order (``_random_basis_gram``), so X'X and P
+    have the same bits at any thread count and equal those products to
+    rounding.
     """
     # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
     with np.errstate(invalid="ignore", over="ignore"):
         if not isinstance(spec.basis, CanonicalAxes):
+            if spec.d > SAMPLE_BLOCK:
+                return _random_basis_gram(spec, seed)
             data = generate_sample(spec, seed)
             return data.values.T @ data.values, spike_projection(data)
         gram = None
@@ -426,6 +446,46 @@ def _gram_and_projection(spec, proj, lo, block):
     _scale_canonical(spec, lo, block)
     proj[:, lo : lo + block.shape[1]] = block[:, : max(spec.m - lo, 0)]
     return block @ block.T
+
+
+def _random_basis_gram(spec, seed):
+    """X'X and P = X'U_m on a random basis, assembled in n-space from sums
+    over the raw blocks g of the draw G: K = GG', S = GU_m and, under a
+    non-zero mean, r = G1.
+
+    The sample is X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11',
+    so P = S Lambda^{1/2} + mu 1 (1'U_m) and
+    X'X = tau (K - SS') + PP' + mu (a1' + 1a') + mu^2 d 11', with
+    a = sqrt(tau) (r - S U_m'1) + S Lambda^{1/2} U_m'1 the row sums of the
+    mean-free sample.  Each term is symmetric, so X'X is too.
+    """
+    u = _spike_basis(spec)
+    mu = spec.mean_vector_value
+
+    def moments(lo, g):
+        return g @ g.T, g @ u[lo : lo + g.shape[1]], g.sum(axis=1) if mu != 0.0 else None
+
+    gram = spike = rows = None
+    for block_gram, block_spike, block_rows in _normal_blocks(spec, seed, moments):
+        if gram is None:
+            gram, spike, rows = block_gram, block_spike, block_rows
+        else:
+            gram += block_gram
+            spike += block_spike
+            if rows is not None:
+                rows += block_rows
+    tau = float(spec.tail_value)
+    proj = spike * np.sqrt(spec.spike_eigenvalues)
+    gram -= spike @ spike.T  # the Gram of the tail, G (I - U_m U_m') G'
+    if tau != 1.0:
+        gram *= tau
+    gram += proj @ proj.T
+    if mu != 0.0:
+        ones_u = u.sum(axis=0)
+        a = math.sqrt(tau) * (rows - spike @ ones_u) + proj @ ones_u
+        gram += mu * (a[:, None] + a) + mu * mu * spec.d
+        proj += mu * ones_u
+    return gram, proj
 
 
 def spike_projection(data: DataMatrix) -> np.ndarray:

@@ -672,14 +672,14 @@ class TestDrawThreads:
         assert payload["parallelism"] == report.parallelism == expected
         assert spike_model._draw_threads == 1  # the serial sweep gives the budget back
 
-    def test_random_basis_reports_one_draw_thread(self, tmp_path, monkeypatch):
-        # A random-basis sample is one serial stream, whatever the budget.
+    def test_both_bases_report_the_draw_threads(self, tmp_path, monkeypatch):
+        # Either basis draws its column blocks on the whole budget.
         monkeypatch.setattr(rn, "usable_cpus", lambda: 4)
         template = SpikeTemplate(
             spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=2)
         )
         report = run_hdlss_sweep(tiny_config(tmp_path / "orthogonal", template=template))
-        assert report.parallelism == {"workers": 1, "draw_threads": 1}
+        assert report.parallelism == {"workers": 1, "draw_threads": 4}
         report = run_hdlss_sweep(tiny_config(tmp_path / "canonical"))
         assert report.parallelism == {"workers": 1, "draw_threads": 4}
 
@@ -692,6 +692,40 @@ class TestDrawThreads:
             run_hdlss_sweep(
                 tiny_config(out, template=template, grid=(200, 300), workers=workers)
             )
+        assert (tmp_path / "w1" / "records.csv").read_bytes() == (
+            tmp_path / "w2" / "records.csv"
+        ).read_bytes()
+
+    # Past one block a random-basis replicate sums the raw blocks on the
+    # draw threads; the mean adds its n-space term.
+    MULTI_BLOCK_RANDOM_BASIS = SpikeTemplate(
+        spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
+        n=10,
+        basis=RandomOrthogonal(seed=4),
+        mean=ConstantMean(2.5),
+    )
+
+    def test_multi_block_random_basis_replicate_has_the_same_bits_at_any_thread_count(self):
+        records = []
+        for threads in (1, 2, 3):
+            previous = spike_model.set_draw_threads(threads)
+            try:
+                record = compute_replicate(
+                    self.MULTI_BLOCK_RANDOM_BASIS, MODE_HDLSS, self.D, 3, master_seed=23
+                )
+                records.append(record)
+            finally:
+                spike_model.set_draw_threads(previous)
+        assert records[1] == records[0] and records[2] == records[0]
+
+    def test_multi_block_random_basis_records_identical_across_workers(self, tmp_path):
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = tiny_config(
+                out, template=self.MULTI_BLOCK_RANDOM_BASIS, grid=(self.D,), replicates=4,
+                workers=workers,
+            )
+            run_hdlss_sweep(cfg)
         assert (tmp_path / "w1" / "records.csv").read_bytes() == (
             tmp_path / "w2" / "records.csv"
         ).read_bytes()

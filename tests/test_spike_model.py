@@ -383,7 +383,7 @@ class TestCanonicalGram:
 
 
 def with_draw_threads(threads, fn, *args):
-    """fn(*args) with the process drawing canonical blocks on `threads` threads."""
+    """fn(*args) with the process drawing column blocks on `threads` threads."""
     previous = spike_model.set_draw_threads(threads)
     try:
         return fn(*args)
@@ -486,15 +486,76 @@ class TestThreadedDraw:
         assert len(started) <= 3  # the block read and at most one more per thread
         assert threading.active_count() == running
 
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    def test_random_basis_same_bits_at_any_thread_count(self, mean, monkeypatch):
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
+            n=7,
+            d=self.D,
+            tail_value=2.0,
+            basis=RandomOrthogonal(seed=3),
+            mean=mean,
+        )
+        seed = np.random.SeedSequence((5, self.D, 4))
+        running = threading.active_count()
+        drawn_on = []
+        real = spike_model._normal_blocks
+
+        def spy(spec, seed, reduce):
+            def traced(lo, block):
+                drawn_on.append(threading.get_ident())
+                return reduce(lo, block)
+
+            return real(spec, seed, traced)
+
+        monkeypatch.setattr(spike_model, "_normal_blocks", spy)
+        gram, proj = with_draw_threads(1, sample_gram, spec, seed)
+        data = with_draw_threads(1, generate_sample, spec, seed)
+        assert set(drawn_on) == {threading.get_ident()}
+        for threads in (2, 3):
+            drawn_on.clear()
+            threaded_gram, threaded_proj = with_draw_threads(threads, sample_gram, spec, seed)
+            assert len(drawn_on) == 4 and threading.get_ident() not in drawn_on
+            assert np.array_equal(threaded_gram, gram)
+            assert np.array_equal(threaded_proj, proj)
+            threaded = with_draw_threads(threads, generate_sample, spec, seed)
+            assert np.array_equal(threaded.values, data.values)
+            assert np.array_equal(threaded.latent.spike, data.latent.spike)
+        assert threading.active_count() == running  # no draw thread outlives its call
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_random_basis_holds_no_sample(self, threads):
+        # Eight full blocks and a remainder: the n x d sample is four times
+        # the bound at one thread and twice it at three.  U_m is built
+        # first, as a sweep holds it cached.
+        n = 8
+        spec = single_spike_spec(
+            d=8 * spike_model.SAMPLE_BLOCK + 17,
+            n=n,
+            basis=RandomOrthogonal(seed=5),
+            mean=ConstantMean(1.5),
+        )
+        spike_model._spike_basis(spec)
+        with_draw_threads(threads, sample_gram, spec, 1)  # imports the thread pool
+        tracemalloc.start()
+        try:
+            gram, proj = with_draw_threads(threads, sample_gram, spec, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The n x m arrays: S, P, and one projection per block in flight.
+        n_by_m = (threads + 2) * proj.nbytes
+        assert peak < (threads + 1) * n * spike_model.SAMPLE_BLOCK * 8 + gram.nbytes + n_by_m
+
     def test_thread_count_must_be_positive(self):
         with pytest.raises(ValueError, match="draw threads must be >= 1"):
             spike_model.set_draw_threads(0)
 
 
 class TestSampleGram:
-    # A random basis draws the sample whole; its Gram and P are the very
-    # products dual_pca and spike_projection form from it.
-    @pytest.mark.parametrize("d", [5_000, 3 * spike_model.SAMPLE_BLOCK + 17])
+    # Within one block the random-basis sample is drawn whole; its Gram and
+    # P are the very products dual_pca and spike_projection form from it.
+    @pytest.mark.parametrize("d", [5_000])
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
     def test_random_basis_is_bitwise_the_sample_products(self, d, mean):
         spec = SpikeSpec(
@@ -509,6 +570,25 @@ class TestSampleGram:
         x = generate_sample(spec, seed).values
         assert np.array_equal(gram, x.T @ x)
         assert np.array_equal(proj, x.T @ basis_vectors(spec))
+
+    # Past one block X'X and P are assembled from sums over the raw blocks,
+    # which add in another order than the products of the whole sample.
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    def test_random_basis_past_one_block_matches_the_sample_products(self, mean):
+        d = 3 * spike_model.SAMPLE_BLOCK + 17
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
+            n=7,
+            d=d,
+            tail_value=2.0,
+            basis=RandomOrthogonal(seed=3),
+            mean=mean,
+        )
+        seed = np.random.SeedSequence((5, d, 2))
+        gram, proj = sample_gram(spec, seed)
+        x = generate_sample(spec, seed).values
+        for got, expected in ((gram, x.T @ x), (proj, x.T @ basis_vectors(spec))):
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestEnumDefaults:
