@@ -2,11 +2,11 @@
 
 For d >> n data the d x d sample covariance is never formed: eigenvalues
 and score vectors come from the Gram matrix X'X / divisor.  ``gram_pca``
-decomposes a Gram it is given, so a caller that sums X'X block by block
-(a sweep on the canonical basis) never holds X; ``dual_pca`` forms the
-Gram from X and hands it to ``gram_pca``, so both give the same bits from
-the same Gram.  No loading vector is stored: where a diagnostic needs the
-unit loading u_hat_j = X v_j / ||X v_j||, it divides by
+decomposes a Gram it is given, so a caller that assembles X'X from sums
+over column blocks (a sweep past one block) never holds X; ``dual_pca``
+forms the Gram from X and hands it to ``gram_pca``, so both give the same
+bits from the same Gram.  No loading vector is stored: where a diagnostic
+needs the unit loading u_hat_j = X v_j / ||X v_j||, it divides by
 ``loading_norms``, the one place that holds the norm
 sqrt(divisor) sqrt(eigenvalue) and the zero-eigenvalue cut.
 Finiteness is read from the Gram diagonal, so no d x n mask is built.
@@ -126,8 +126,9 @@ def gram_pca(
     The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
     array beyond ``gram``, which is left as it is.  The Grams a sweep
     forms are exactly symmetric (one ``A @ A.T`` product, which numpy
-    computes as a mirrored triangle, or a sum of them), so for them it is
-    G / divisor to the bit; a non-symmetric Gram gets its symmetric part.
+    computes as a mirrored triangle, or a sum of such products and other
+    symmetric terms), so for them it is G / divisor to the bit; a
+    non-symmetric Gram gets its symmetric part.
     The sum is formed before the division, so a Gram entry above half the
     float maximum overflows and is refused by the check of the diagonal
     (an entry of a positive semidefinite Gram is at most the larger of its

@@ -30,11 +30,10 @@ projection on the spike directions, P = X'U_m; ``gram_pca`` gives the
 sample eigenvalues w and score vectors V from the Gram; and the
 diagnostics read only w, V, the population scores S and P.
 ``sample_gram`` reads the stream of raw standard-normal column blocks and
-reduces each block while it is in cache: on the canonical basis it scales
-the block into the model and sums its Gram; on a random basis it sums the
-block's Gram and its projection on the spike directions, and assembles
-X'X and P in n-space.  So past one block a replicate never holds the
-n x d sample.
+reduces each block while it is in cache: it sums the block's Gram and its
+projection on the spike directions, and assembles X'X and P in n-space,
+on either basis.  So past one block a replicate never holds the n x d
+sample.
 
 The sweep owns its parallelism and derives it, with no setting of its
 own: ``workers`` processes take the replicates, and each process draws
@@ -290,8 +289,8 @@ def compute_replicate(
     record can be regenerated in isolation with ``sample_gram`` and
     ``gram_pca``.  ``generate_sample`` and ``dual_pca`` give the same
     record to the bit up to d = ``SAMPLE_BLOCK`` on either basis; past that
-    the Gram is summed over column blocks in another order, so they agree
-    to rounding.
+    X'X and P are assembled in n-space from sums over column blocks, so
+    they agree to rounding.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m

@@ -15,16 +15,16 @@ blocks of ``SAMPLE_BLOCK`` columns, block k from the replicate's Philox
 stream jumped k times, so the blocks can be drawn on several threads
 (``set_draw_threads``) with the same bits at any count.  The stream knows
 nothing of the model; its readers apply it.  On the canonical axes the
-model is a row scaling: ``sample_gram`` scales each block and sums the
-block Grams, and ``generate_sample`` keeps the raw spike columns as the
-latent scores and lays the scaled blocks side by side.  On a random basis
-U_m is the Q factor of a seeded d x m Gaussian, cached per process, and
-the model adds a rank-m correction that couples every column.  Past one
-block ``sample_gram`` sums K = GG', S = GU_m (and the row sums G1 under a
-non-zero mean) over the raw blocks and assembles X'X and P in n-space;
-``generate_sample`` lays the raw blocks side by side, then scales the
-sample in place and adds the correction.  So past one block
-``sample_gram`` never holds the sample on either basis.
+model is a row scaling; on a random basis U_m is the Q factor of a seeded
+d x m Gaussian, cached per process, and the model adds a rank-m
+correction that couples every column.  ``generate_sample`` lays the raw
+blocks side by side and applies the model to the laid sample.
+``sample_gram`` follows one rule on both bases.  Within one block it
+returns the products of the generated block, bitwise.  Past one block it
+sums K = GG', S = GU_m (and the row sums G1 under a non-zero mean) over
+the raw blocks and assembles X'X and P in n-space, equal to those
+products to rounding and with the same bits at any draw-thread count; so
+past one block it never holds the sample.
 """
 
 from __future__ import annotations
@@ -252,14 +252,27 @@ def _spike_basis(spec: SpikeSpec) -> Optional[np.ndarray]:
     return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)
 
 
+def _spike_rows(spec: SpikeSpec, lo: int, w: int) -> np.ndarray:
+    """Rows lo to lo + w of U_m (w x m): on the canonical axes the exact
+    0/1 slice of the identity, so a product with it keeps the bits of the
+    columns it picks."""
+    u = _spike_basis(spec)
+    return np.eye(w, spec.m, lo) if u is None else u[lo : lo + w]
+
+
+def _ones_u(spec: SpikeSpec) -> np.ndarray:
+    """1'U_m (m,): 1 on the canonical axes, the column sums of U_m otherwise."""
+    u = _spike_basis(spec)
+    return np.ones(spec.m) if u is None else u.sum(axis=0)
+
+
 def basis_vectors(spec: SpikeSpec) -> np.ndarray:
     """The m spike directions U_m = [u_1, ..., u_m] as a dense (d, m) matrix.
 
     Cheap for CanonicalAxes at any d.  For RandomOrthogonal it is the
     cached, read-only U_m.
     """
-    u = _spike_basis(spec)
-    return np.eye(spec.d, spec.m) if u is None else u
+    return _spike_rows(spec, 0, spec.d)
 
 
 def set_draw_threads(threads: int) -> int:
@@ -401,69 +414,43 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
 def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``.
 
-    On the canonical basis each raw block of ``SAMPLE_BLOCK`` columns
-    (block k from the Philox stream of ``seed`` jumped k times) is scaled
-    into the model, and its Gram and spike columns are taken while it is in
-    cache, so the d x n sample is never held; P is bitwise
-    ``spike_projection`` of the full sample at any d.  The blocks are drawn
-    up to ``set_draw_threads`` at a time, and their Grams are summed in
-    block order, so the result has the same bits at any thread count.
-    With d <= SAMPLE_BLOCK, X'X is the one product ``dual_pca`` forms, to
-    the bit; past that it is a sum in another order, equal to rounding.  On a
-    random basis with d <= SAMPLE_BLOCK the one block is the sample, and
-    X'X and P are the products ``dual_pca`` and ``spike_projection`` form
-    from it, to the bit.  Past that the raw blocks are reduced on the same
-    threads and summed in block order (``_random_basis_gram``), so X'X and P
-    have the same bits at any thread count and equal those products to
-    rounding.
+    With d <= SAMPLE_BLOCK the one block is the sample, and X'X and P are
+    the products ``dual_pca`` and ``spike_projection`` form from it, to the
+    bit.  Past that the raw blocks of ``SAMPLE_BLOCK`` columns (block k from
+    the Philox stream of ``seed`` jumped k times) are drawn up to
+    ``set_draw_threads`` at a time, reduced on the drawing threads and
+    summed in block order, and X'X and P are assembled in n-space
+    (``_assembled_gram``): so the d x n sample is never held, the result
+    has the same bits at any thread count, and it equals those products to
+    rounding.  The same holds on either basis.
     """
     # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
     with np.errstate(invalid="ignore", over="ignore"):
-        if not isinstance(spec.basis, CanonicalAxes):
-            if spec.d > SAMPLE_BLOCK:
-                return _random_basis_gram(spec, seed)
-            data = generate_sample(spec, seed)
-            return data.values.T @ data.values, spike_projection(data)
-        gram = None
-        # P is allocated before the first block: made after the last, it
-        # would take space from the freed block buffer, where gram_pca's
-        # n x n array then no longer fits (18 MB more peak RSS at n = d = 1600).
-        proj = np.empty((spec.n, spec.m))
-        reduce = functools.partial(_gram_and_projection, spec, proj)
-        for block_gram in _normal_blocks(spec, seed, reduce):
-            # The first product is kept as it is: an n x n zero start costs
-            # 8% of a replicate at n = d = 1600.
-            if gram is None:
-                gram = block_gram
-            else:
-                gram += block_gram
-    return gram, proj
+        if spec.d > SAMPLE_BLOCK:
+            return _assembled_gram(spec, seed)
+        data = generate_sample(spec, seed)
+        return data.values.T @ data.values, spike_projection(data)
 
 
-def _gram_and_projection(spec, proj, lo, block):
-    """The Gram of a raw canonical block once scaled into the model; its
-    spike columns go to their place in proj."""
-    _scale_canonical(spec, lo, block)
-    proj[:, lo : lo + block.shape[1]] = block[:, : max(spec.m - lo, 0)]
-    return block @ block.T
-
-
-def _random_basis_gram(spec, seed):
-    """X'X and P = X'U_m on a random basis, assembled in n-space from sums
-    over the raw blocks g of the draw G: K = GG', S = GU_m and, under a
-    non-zero mean, r = G1.
+def _assembled_gram(spec, seed):
+    """X'X and P = X'U_m assembled in n-space from sums over the raw blocks
+    g of the draw G: K = GG', S = GU_m and, under a non-zero mean, r = G1.
 
     The sample is X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11',
     so P = S Lambda^{1/2} + mu 1 (1'U_m) and
     X'X = tau (K - SS') + PP' + mu (a1' + 1a') + mu^2 d 11', with
     a = sqrt(tau) (r - S U_m'1) + S Lambda^{1/2} U_m'1 the row sums of the
-    mean-free sample.  Each term is symmetric, so X'X is too.
+    mean-free sample.  Each term is symmetric, so X'X is too.  On the
+    canonical axes S is bitwise the raw first m columns, so P is bitwise
+    ``spike_projection`` of the sample.
     """
-    u = _spike_basis(spec)
     mu = spec.mean_vector_value
+    # U_m is built here: on a cache miss every draw thread would build its own.
+    _spike_basis(spec)
 
     def moments(lo, g):
-        return g @ g.T, g @ u[lo : lo + g.shape[1]], g.sum(axis=1) if mu != 0.0 else None
+        u_rows = _spike_rows(spec, lo, g.shape[1])
+        return g @ g.T, g @ u_rows, g.sum(axis=1) if mu != 0.0 else None
 
     gram = spike = rows = None
     for block_gram, block_spike, block_rows in _normal_blocks(spec, seed, moments):
@@ -481,7 +468,7 @@ def _random_basis_gram(spec, seed):
         gram *= tau
     gram += proj @ proj.T
     if mu != 0.0:
-        ones_u = u.sum(axis=0)
+        ones_u = _ones_u(spec)
         a = math.sqrt(tau) * (rows - spike @ ones_u) + proj @ ones_u
         gram += mu * (a[:, None] + a) + mu * mu * spec.d
         proj += mu * ones_u
@@ -507,7 +494,5 @@ def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
     """Population scores S = (P - mu 1'U_m) / sqrt(lambda) from P = X'U_m."""
     mu = spec.mean_vector_value
     if mu != 0.0:
-        # 1'u_j is 1 on the canonical axes, a column sum of U_m otherwise.
-        u = _spike_basis(spec)
-        proj = proj - mu * (1.0 if u is None else u.sum(axis=0))
+        proj = proj - mu * _ones_u(spec)
     return proj / np.sqrt(spec.spike_eigenvalues)

@@ -335,11 +335,13 @@ class TestCanonicalGram:
     # One block, and three full blocks plus a 17-column remainder.
     @pytest.mark.parametrize("d", [400, 3 * spike_model.SAMPLE_BLOCK + 17])
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    def test_matches_the_generated_sample(self, d, mean):
+    @pytest.mark.parametrize("tail_value", [1.0, 2.0])
+    def test_matches_the_generated_sample(self, d, mean, tail_value):
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
             n=7,
             d=d,
+            tail_value=tail_value,
             mean=mean,
         )
         seed = np.random.SeedSequence((5, d, 1))
@@ -394,40 +396,6 @@ def with_draw_threads(threads, fn, *args):
 class TestThreadedDraw:
     # Three full blocks and a 17-column remainder.
     D = 3 * spike_model.SAMPLE_BLOCK + 17
-
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    def test_same_bits_at_any_thread_count(self, mean, monkeypatch):
-        spec = SpikeSpec(
-            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
-            n=7,
-            d=self.D,
-            tail_value=2.0,
-            mean=mean,
-        )
-        seed = np.random.SeedSequence((5, self.D, 4))
-        running = threading.active_count()
-        drawn_on = []
-        real = spike_model._gram_and_projection
-
-        def spy(*args):
-            drawn_on.append(threading.get_ident())
-            return real(*args)
-
-        monkeypatch.setattr(spike_model, "_gram_and_projection", spy)
-        gram, proj = with_draw_threads(1, sample_gram, spec, seed)
-        data = with_draw_threads(1, generate_sample, spec, seed)
-        assert set(drawn_on) == {threading.get_ident()}
-        for threads in (2, 3):
-            drawn_on.clear()
-            threaded_gram, threaded_proj = with_draw_threads(threads, sample_gram, spec, seed)
-            # Past one thread every block is drawn on a pool thread.
-            assert len(drawn_on) == 4 and threading.get_ident() not in drawn_on
-            assert np.array_equal(threaded_gram, gram)
-            assert np.array_equal(threaded_proj, proj)
-            threaded = with_draw_threads(threads, generate_sample, spec, seed)
-            assert np.array_equal(threaded.values, data.values)
-            assert np.array_equal(threaded.latent.spike, data.latent.spike)
-        assert threading.active_count() == running  # no draw thread outlives its call
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_blocks_in_flight_are_bounded_by_the_threads(self, threads):
@@ -487,13 +455,16 @@ class TestThreadedDraw:
         assert threading.active_count() == running
 
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    def test_random_basis_same_bits_at_any_thread_count(self, mean, monkeypatch):
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    def test_same_bits_at_any_thread_count(self, basis, mean, monkeypatch):
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
             n=7,
             d=self.D,
             tail_value=2.0,
-            basis=RandomOrthogonal(seed=3),
+            basis=basis,
             mean=mean,
         )
         seed = np.random.SeedSequence((5, self.D, 4))
@@ -515,6 +486,7 @@ class TestThreadedDraw:
         for threads in (2, 3):
             drawn_on.clear()
             threaded_gram, threaded_proj = with_draw_threads(threads, sample_gram, spec, seed)
+            # Past one thread every block is drawn on a pool thread.
             assert len(drawn_on) == 4 and threading.get_ident() not in drawn_on
             assert np.array_equal(threaded_gram, gram)
             assert np.array_equal(threaded_proj, proj)
