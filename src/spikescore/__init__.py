@@ -15,7 +15,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .spike_model import (
     CanonicalAxes,

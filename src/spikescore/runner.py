@@ -4,12 +4,14 @@ A sweep draws M replicates per grid point, runs dual PCA on each, computes
 the score-ratio and eigen-structure diagnostics, and writes one CSV row per
 (replicate, spike) plus a JSON report with distributional test outcomes,
 trend tables, per-stage timings and the regime ratio of each grid point.
-Replicate streams are keyed by (master_seed, grid_value, replicate) through
-a counter-based generator, so results are byte-identical regardless of
-worker count or scheduling.  A worker pool takes the replicates one at a
-time, largest grid value first, so the costliest ones start early and no
-worker is left alone with them at the end; outcomes are put back in task
-order.  Each finished grid point logs one progress line with an ETA.
+Replicate streams are keyed by (master_seed, grid_value, replicate): the
+replicate's SeedSequence seeds one SFC64 generator per column block, with
+the block index appended to its spawn key, so results are byte-identical
+regardless of worker count, draw-thread count or scheduling.  A worker pool
+takes the replicates one at a time, largest grid value first, so the
+costliest ones start early and no worker is left alone with them at the end;
+outcomes are put back in task order.  Each finished grid point logs one
+progress line with an ETA.
 
 Each sweep mode is defined once, as one entry of ``_MODE_TABLE``: its grid
 key, its (n, d) at a grid value, its regime ratio and guard, its report
@@ -285,12 +287,13 @@ def compute_replicate(
 ) -> ReplicateRecord:
     """Generate, decompose, and summarize one replicate.
 
-    The replicate stream is (master_seed, grid_value, replicate), so any
-    record can be regenerated in isolation with ``sample_gram`` and
-    ``gram_pca``.  ``generate_sample`` and ``dual_pca`` give the same
-    record to the bit up to d = ``SAMPLE_BLOCK`` on either basis; past that
-    X'X and P are assembled in n-space from sums over column blocks, so
-    they agree to rounding.
+    The replicate stream is ``SeedSequence((master_seed, grid_value,
+    replicate))``, whose column block k is drawn by SFC64 seeded with k
+    appended to that spawn key, so any record can be regenerated in
+    isolation with ``sample_gram`` and ``gram_pca``.  ``generate_sample``
+    and ``dual_pca`` give the same record to the bit up to d =
+    ``SAMPLE_BLOCK`` on either basis; past that X'X and P are assembled in
+    n-space from sums over column blocks, so they agree to rounding.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m

@@ -11,8 +11,9 @@ P into the population scores.
 
 On either basis the sample is the symmetric square root of the
 covariance applied to an n x d standard-normal draw G, streamed as raw
-blocks of ``SAMPLE_BLOCK`` columns, block k from the replicate's Philox
-stream jumped k times, so the blocks can be drawn on several threads
+blocks of ``SAMPLE_BLOCK`` columns.  Block k is drawn by an SFC64
+generator of its own, seeded by the replicate's SeedSequence with k
+appended to its spawn key, so the blocks can be drawn on several threads
 (``set_draw_threads``) with the same bits at any count.  The stream knows
 nothing of the model; its readers apply it.  On the canonical axes the
 model is a row scaling; on a random basis U_m is the Q factor of a seeded
@@ -252,14 +253,6 @@ def _spike_basis(spec: SpikeSpec) -> Optional[np.ndarray]:
     return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)
 
 
-def _spike_rows(spec: SpikeSpec, lo: int, w: int) -> np.ndarray:
-    """Rows lo to lo + w of U_m (w x m): on the canonical axes the exact
-    0/1 slice of the identity, so a product with it keeps the bits of the
-    columns it picks."""
-    u = _spike_basis(spec)
-    return np.eye(w, spec.m, lo) if u is None else u[lo : lo + w]
-
-
 def _ones_u(spec: SpikeSpec) -> np.ndarray:
     """1'U_m (m,): 1 on the canonical axes, the column sums of U_m otherwise."""
     u = _spike_basis(spec)
@@ -269,10 +262,11 @@ def _ones_u(spec: SpikeSpec) -> np.ndarray:
 def basis_vectors(spec: SpikeSpec) -> np.ndarray:
     """The m spike directions U_m = [u_1, ..., u_m] as a dense (d, m) matrix.
 
-    Cheap for CanonicalAxes at any d.  For RandomOrthogonal it is the
-    cached, read-only U_m.
+    On CanonicalAxes it is the exact 0/1 slice of the identity.  For
+    RandomOrthogonal it is the cached, read-only U_m.
     """
-    return _spike_rows(spec, 0, spec.d)
+    u = _spike_basis(spec)
+    return np.eye(spec.d, spec.m) if u is None else u
 
 
 def set_draw_threads(threads: int) -> int:
@@ -293,16 +287,19 @@ def _normal_blocks(spec: SpikeSpec, seed, reduce):
     """reduce(lo, block) of each n x w standard-normal column block of the
     raw draw (n x d), in block order; lo is the block's first column.
 
-    Block k is drawn from the replicate's Philox stream jumped k times, so
-    any thread can draw it without the blocks before it, and block 0 is the
-    unjumped stream.  With d <= SAMPLE_BLOCK the one block is the whole
-    (n, d) draw.  The blocks are drawn on one thread, or on ``_draw_threads``
-    pool threads that end with the iteration.  Each drawing thread fills
-    one buffer of its own, which its next block overwrites: so ``reduce``
-    runs on the drawing thread and must not keep the block, unless it is
-    the only one.
+    Block k is drawn by ``SFC64(SeedSequence(root.entropy, spawn_key=
+    root.spawn_key + (k,), pool_size=root.pool_size))``, where root is
+    ``seed`` if it is a SeedSequence and ``SeedSequence(seed)`` otherwise.
+    So any thread can draw block k without the blocks before it, and no
+    block depends on how often ``seed`` was spawned from (``spawn`` counts
+    its calls; this key does not).  With d <= SAMPLE_BLOCK the one block is
+    the whole (n, d) draw.  The blocks are drawn on one thread, or on
+    ``_draw_threads`` pool threads that end with the iteration.  Each
+    drawing thread fills one buffer of its own, which its next block
+    overwrites: so ``reduce`` runs on the drawing thread and must not keep
+    the block, unless it is the only one.
     """
-    root = np.random.Philox(seed)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     starts = range(0, spec.d, SAMPLE_BLOCK)
     local = threading.local()
 
@@ -312,7 +309,9 @@ def _normal_blocks(spec: SpikeSpec, seed, reduce):
             local.buf = np.empty(spec.n * min(SAMPLE_BLOCK, spec.d))
         # A short last block is a view of the buffer's first n w elements.
         block = local.buf[: spec.n * w].reshape(spec.n, w)
-        np.random.Generator(root.jumped(lo // SAMPLE_BLOCK)).standard_normal(out=block)
+        key = (*root.spawn_key, lo // SAMPLE_BLOCK)
+        ss = np.random.SeedSequence(root.entropy, spawn_key=key, pool_size=root.pool_size)
+        np.random.Generator(np.random.SFC64(ss)).standard_normal(out=block)
         return reduce(lo, block)
 
     threads = min(_draw_threads, len(starts))
@@ -366,16 +365,19 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
     exactly U_m'g_i.  The raw blocks of the stream that ``sample_gram``
-    reads (block k from the Philox stream of ``seed`` jumped k times) are
-    laid side by side.  On the canonical axes A is diagonal: each block
-    gives up its spike columns as the latent scores and is scaled in place
-    before it is laid.  Otherwise the whole draw is scaled by sqrt(tau) in
-    place (no pass at all when tau = 1, since x * 1.0 == x) and the rank-m
-    term is added block by block, so the sample is the only n x d array.
+    reads (block k from its own SFC64 generator, seeded by ``seed`` with k
+    appended to its spawn key) are laid side by side.  On the canonical axes
+    A is diagonal: each block gives up its spike columns as the latent
+    scores and is scaled in place before it is laid.  Otherwise the whole
+    draw is scaled by sqrt(tau) in place (no pass at all when tau = 1, since
+    x * 1.0 == x) and the rank-m term is added block by block, so the sample
+    is the only n x d array.
     Deterministic given (spec, seed); seed may be an int, a tuple of ints,
-    or a numpy SeedSequence.  The counter-based generator (Philox) makes
-    replicate streams, and the blocks within one, independent of execution
-    order, so the bits do not depend on ``set_draw_threads``.
+    or a numpy SeedSequence, and an int or tuple gives the same sample as
+    ``SeedSequence(seed)``.  Each block's seed is derived from ``seed`` and
+    the block's index alone, so replicate streams, and the blocks within
+    one, do not depend on execution order, and the bits do not depend on
+    ``set_draw_threads``.
     """
     u = _spike_basis(spec)
     if u is None:
@@ -416,13 +418,13 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
 
     With d <= SAMPLE_BLOCK the one block is the sample, and X'X and P are
     the products ``dual_pca`` and ``spike_projection`` form from it, to the
-    bit.  Past that the raw blocks of ``SAMPLE_BLOCK`` columns (block k from
-    the Philox stream of ``seed`` jumped k times) are drawn up to
-    ``set_draw_threads`` at a time, reduced on the drawing threads and
-    summed in block order, and X'X and P are assembled in n-space
-    (``_assembled_gram``): so the d x n sample is never held, the result
-    has the same bits at any thread count, and it equals those products to
-    rounding.  The same holds on either basis.
+    bit.  Past that the raw blocks of ``SAMPLE_BLOCK`` columns (block k
+    from its own SFC64 generator, seeded by ``seed`` with k appended to its
+    spawn key) are drawn up to ``set_draw_threads`` at a time, reduced on the
+    drawing threads and summed in block order, and X'X and P are assembled
+    in n-space (``_assembled_gram``): so the d x n sample is never held, the
+    result has the same bits at any thread count, and it equals those
+    products to rounding.  The same holds on either basis.
     """
     # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -441,16 +443,22 @@ def _assembled_gram(spec, seed):
     X'X = tau (K - SS') + PP' + mu (a1' + 1a') + mu^2 d 11', with
     a = sqrt(tau) (r - S U_m'1) + S Lambda^{1/2} U_m'1 the row sums of the
     mean-free sample.  Each term is symmetric, so X'X is too.  On the
-    canonical axes S is bitwise the raw first m columns, so P is bitwise
+    canonical axes S is copied from the raw first m columns, as
+    ``generate_sample`` copies its latent scores, so P is bitwise
     ``spike_projection`` of the sample.
     """
     mu = spec.mean_vector_value
     # U_m is built here: on a cache miss every draw thread would build its own.
-    _spike_basis(spec)
+    u = _spike_basis(spec)
+    latent = np.empty((spec.n, spec.m)) if u is None else None
 
     def moments(lo, g):
-        u_rows = _spike_rows(spec, lo, g.shape[1])
-        return g @ g.T, g @ u_rows, g.sum(axis=1) if mu != 0.0 else None
+        if u is None:  # each block writes the spike columns it holds
+            latent[:, lo : lo + g.shape[1]] = g[:, : max(spec.m - lo, 0)]
+            block_spike = None
+        else:
+            block_spike = g @ u[lo : lo + g.shape[1]]
+        return g @ g.T, block_spike, g.sum(axis=1) if mu != 0.0 else None
 
     gram = spike = rows = None
     for block_gram, block_spike, block_rows in _normal_blocks(spec, seed, moments):
@@ -458,9 +466,12 @@ def _assembled_gram(spec, seed):
             gram, spike, rows = block_gram, block_spike, block_rows
         else:
             gram += block_gram
-            spike += block_spike
+            if spike is not None:
+                spike += block_spike
             if rows is not None:
                 rows += block_rows
+    if u is None:
+        spike = latent
     tau = float(spec.tail_value)
     proj = spike * np.sqrt(spec.spike_eigenvalues)
     gram -= spike @ spike.T  # the Gram of the tail, G (I - U_m U_m') G'

@@ -1,6 +1,7 @@
 """Importing the package stays light, and its public names resolve."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,10 @@ def test_every_exported_name_resolves():
         assert getattr(spikescore, name) is not None, name
     assert not set(REMOVED) & set(spikescore.__all__)
     assert not [name for name in REMOVED if hasattr(spikescore, name)]
+
+
+def test_package_version_is_the_project_version():
+    # Read as text: tomllib is not in Python 3.10.
+    pyproject = Path(spikescore.__file__).resolve().parents[2] / "pyproject.toml"
+    versions = re.findall(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert versions == [spikescore.__version__]

@@ -40,6 +40,16 @@ def population_scores(data):
     return projection_scores(data.spec, spike_projection(data))
 
 
+def reference_block(seed, k, shape):
+    """Column block k of the raw draw: an SFC64 generator seeded by the
+    SeedSequence of ``seed`` with k appended to its spawn key."""
+    root = np.random.SeedSequence(seed)
+    ss = np.random.SeedSequence(
+        root.entropy, spawn_key=(*root.spawn_key, k), pool_size=root.pool_size
+    )
+    return np.random.Generator(np.random.SFC64(ss)).standard_normal(shape)
+
+
 class TestResolveEigenvalues:
     def test_power_law(self):
         spec = single_spike_spec(d=100, n=10, exponent=1.5)
@@ -105,8 +115,7 @@ class TestGeneration:
     def test_canonical_rows_are_scaled_latents(self):
         spec = SpikeSpec(spikes=(SpikeProfile.fixed(9.0),), n=8, d=50)
         data = generate_sample(spec, 123)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(123)))
-        z = rng.standard_normal((8, 50))
+        z = reference_block(123, 0, (8, 50))
         assert np.array_equal(data.values[0], 3.0 * z[:, 0])
         assert np.array_equal(data.values[1], z[:, 1])
         assert np.array_equal(data.latent.spike[:, 0], z[:, 0])
@@ -207,8 +216,7 @@ class TestRandomOrthogonalBasis:
         u = complete_basis(spec)
         lam = np.r_[spec.spike_eigenvalues, np.full(spec.d - spec.m, spec.tail_value)]
         root_lam = np.sqrt(lam)[:, None]
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(123)))
-        g = rng.standard_normal((spec.n, spec.d)).T
+        g = reference_block(123, 0, (spec.n, spec.d)).T
         expected = u @ (root_lam * (u.T @ g))
         values = generate_sample(spec, 123).values
         assert np.linalg.norm(values - expected) < 1e-12 * np.linalg.norm(expected)
@@ -358,9 +366,9 @@ class TestCanonicalGram:
 
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
     def test_sample_is_the_scaled_block_stream(self, mean):
-        # Reference: n x w blocks side by side, block k from the Philox
-        # stream jumped k times, then the row scaling and the mean of the
-        # model.
+        # Reference: n x w blocks side by side, block k from SFC64 seeded
+        # with k appended to the spawn key, then the row scaling and the
+        # mean of the model.
         block = spike_model.SAMPLE_BLOCK
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
@@ -371,9 +379,7 @@ class TestCanonicalGram:
         )
         z = np.hstack(
             [
-                np.random.Generator(np.random.Philox(17).jumped(k)).standard_normal(
-                    (3, min(block, spec.d - lo))
-                )
+                reference_block(17, k, (3, min(block, spec.d - lo)))
                 for k, lo in enumerate(range(0, spec.d, block))
             ]
         )
@@ -415,12 +421,11 @@ class TestThreadedDraw:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stream_is_the_raw_normal_draw(self, threads):
         # The stream knows nothing of the model: the tail, the mean and the
-        # spikes leave its blocks the raw jumped Philox draws.
+        # spikes leave its blocks the raw per-block SFC64 draws.
         block = spike_model.SAMPLE_BLOCK
         spec = single_spike_spec(d=2 * block + 5, n=3, tail_value=2.0, mean=ConstantMean(1.5))
         expected = [
-            (lo, np.random.Generator(np.random.Philox(17).jumped(k)).standard_normal(
-                (3, min(block, spec.d - lo))))
+            (lo, reference_block(17, k, (3, min(block, spec.d - lo))))
             for k, lo in enumerate(range(0, spec.d, block))
         ]
         got = with_draw_threads(
@@ -522,6 +527,44 @@ class TestThreadedDraw:
     def test_thread_count_must_be_positive(self):
         with pytest.raises(ValueError, match="draw threads must be >= 1"):
             spike_model.set_draw_threads(0)
+
+
+class TestBlockSeeds:
+    # Three full blocks and a 17-column remainder.
+    D = 3 * spike_model.SAMPLE_BLOCK + 17
+
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    def test_spawning_from_the_seed_changes_no_bit(self, basis):
+        # spawn() counts its calls on the SeedSequence; the block keys
+        # must not read that count.
+        spec = single_spike_spec(d=self.D, n=5, basis=basis)
+        gram, proj = sample_gram(spec, np.random.SeedSequence((5, self.D, 1)))
+        seed = np.random.SeedSequence((5, self.D, 1))
+        seed.spawn(3)
+        spawned_gram, spawned_proj = sample_gram(spec, seed)
+        assert np.array_equal(spawned_gram, gram)
+        assert np.array_equal(spawned_proj, proj)
+
+    def test_int_seed_is_its_seed_sequence(self):
+        spec = single_spike_spec(d=self.D, n=5)
+        a = generate_sample(spec, 17)
+        b = generate_sample(spec, np.random.SeedSequence(17))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.latent.spike, b.latent.spike)
+
+    def test_blocks_are_standard_normal_and_distinct(self):
+        from scipy import stats
+
+        block = spike_model.SAMPLE_BLOCK
+        spec = single_spike_spec(d=3 * block, n=4)
+        blocks = list(spike_model._normal_blocks(spec, 17, lambda lo, b: b.copy()))
+        assert len(blocks) == 3
+        assert stats.kstest(np.concatenate([b.ravel() for b in blocks]), "norm").pvalue > 1e-3
+        # No value of block 1 is in block 0: so no row, and no shifted
+        # stretch of the same stream.
+        assert np.intersect1d(blocks[0], blocks[1]).size == 0
 
 
 class TestSampleGram:
