@@ -21,7 +21,6 @@ from .spike_model import (
     CanonicalAxes,
     ConstantMean,
     DataMatrix,
-    LatentScores,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
@@ -73,7 +72,6 @@ __all__ = [
     "CanonicalAxes",
     "ConstantMean",
     "DataMatrix",
-    "LatentScores",
     "RandomOrthogonal",
     "SpikeProfile",
     "SpikeSpec",

@@ -15,17 +15,18 @@ blocks of ``SAMPLE_BLOCK`` columns.  Block k is drawn by an SFC64
 generator of its own, seeded by the replicate's SeedSequence with k
 appended to its spawn key, so the blocks can be drawn on several threads
 (``set_draw_threads``) with the same bits at any count.  The stream knows
-nothing of the model; its readers apply it.  On the canonical axes the
-model is a row scaling; on a random basis U_m is the Q factor of a seeded
-d x m Gaussian, cached per process, and the model adds a rank-m
-correction that couples every column.  ``generate_sample`` lays the raw
-blocks side by side and applies the model to the laid sample.
-``sample_gram`` follows one rule on both bases.  Within one block it
-returns the products of the generated block, bitwise.  Past one block it
-sums K = GG', S = GU_m (and the row sums G1 under a non-zero mean) over
-the raw blocks and assembles X'X and P in n-space, equal to those
-products to rounding and with the same bits at any draw-thread count; so
-past one block it never holds the sample.
+nothing of the model; its readers apply it.  On a random basis U_m is the
+Q factor of a seeded d x m Gaussian, cached per process; on the canonical
+axes it is [e_1, ..., e_m], which the sampler never builds.  Every reader
+takes the population scores S = GU_m, block by block, from
+``_spike_coords``, the one place where the two bases differ in how S is
+formed.  ``generate_sample`` lays the raw blocks side by side, scales them
+by sqrt(tau) and applies the spike term to the laid sample.
+``sample_gram`` returns the products of that sample, bitwise, within one
+block.  Past one block it sums K = GG', S (and the row sums G1 under a
+non-zero mean) over the raw blocks and assembles X'X and P in n-space,
+equal to those products to rounding and with the same bits at any
+draw-thread count; so past one block it never holds the sample.
 """
 
 from __future__ import annotations
@@ -199,26 +200,19 @@ class SpikeSpec:
 
 
 @dataclass(frozen=True)
-class LatentScores:
-    """Standard-normal coordinates behind a generated sample.
+class DataMatrix:
+    """A d x n sample and S (n x m), the standard-normal coordinates on the
+    spike directions that produced it.
 
-    ``spike`` (n x m) keeps the latent coordinates on the spike directions,
-    G'U_m for the standard-normal draw G (its first m columns on the
-    canonical basis): these are the population scores, against which
+    ``latent`` is S = GU_m for the n x d draw G (its first m columns on the
+    canonical axes): the population scores, against which
     ``projection_scores`` of the sample is checked.  The tail coordinates
     are not kept; where they are needed (``ratio_decomposition``) they are
     read back from the sample.
     """
 
-    spike: np.ndarray
-
-
-@dataclass(frozen=True)
-class DataMatrix:
-    """A d x n sample with the latent coordinates that produced it."""
-
     values: np.ndarray
-    latent: LatentScores
+    latent: np.ndarray
     spec: SpikeSpec
 
     def __post_init__(self) -> None:
@@ -326,36 +320,24 @@ def _normal_blocks(spec: SpikeSpec, seed, reduce):
         yield from pool.map(draw, starts)
 
 
-def _scale_canonical(spec: SpikeSpec, lo: int, block: np.ndarray) -> None:
-    """Turn the raw block at column lo into the canonical model, in place:
-    sqrt(lambda_j) on spike column j, sqrt(tau) elsewhere, then the mean."""
-    root_lam = np.sqrt(spec.spike_eigenvalues[lo : lo + block.shape[1]])
-    m = root_lam.size
-    block[:, :m] *= root_lam
-    if spec.tail_value != 1.0:  # x * 1.0 == x: skip a pass over the tail
-        block[:, m:] *= np.sqrt(float(spec.tail_value))
-    if spec.mean_vector_value != 0.0:
-        block += spec.mean_vector_value
+def _spike_coords(spec: SpikeSpec, lo: int, g: np.ndarray) -> Optional[np.ndarray]:
+    """This n x w raw block's share of S = GU_m, the draw's coordinates on
+    the spike directions; lo is the block's first column.
 
-
-def _lay_blocks(spec: SpikeSpec, seed, prepare=None) -> np.ndarray:
-    """The n x d draw of the block stream: ``prepare(lo, block)``, if given,
-    runs on each raw block, which is then laid in its place.  With one block
-    that block is the result itself, not a copy."""
-    z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
-
-    def place(lo, block):
-        nonlocal z
-        if prepare is not None:
-            prepare(lo, block)
-        if z is None:
-            z = block
-        else:
-            z[:, lo : lo + block.shape[1]] = block
-
-    for _ in _normal_blocks(spec, seed, place):
-        pass
-    return z
+    On a random basis it is g U_m[lo : lo + w].  On the canonical axes it is
+    the block's own spike columns in their places of an n x m array of
+    zeros, or None past column m: x + 0.0 == x, so the shares of spike
+    columns that span blocks sum to the raw columns, bitwise.
+    """
+    u = _spike_basis(spec)
+    if u is not None:
+        return g @ u[lo : lo + g.shape[1]]
+    if lo >= spec.m:
+        return None
+    w = min(g.shape[1], spec.m - lo)
+    spike = np.zeros((spec.n, spec.m))
+    spike[:, lo : lo + w] = g[:, :w]
+    return spike
 
 
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
@@ -364,14 +346,15 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     Each column is mean + A g_i with g_i i.i.d. standard normal and
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
-    exactly U_m'g_i.  The raw blocks of the stream that ``sample_gram``
-    reads (block k from its own SFC64 generator, seeded by ``seed`` with k
-    appended to its spawn key) are laid side by side.  On the canonical axes
-    A is diagonal: each block gives up its spike columns as the latent
-    scores and is scaled in place before it is laid.  Otherwise the whole
-    draw is scaled by sqrt(tau) in place (no pass at all when tau = 1, since
-    x * 1.0 == x) and the rank-m term is added block by block, so the sample
-    is the only n x d array.
+    exactly U_m'g_i.  One rule on either basis: the raw blocks of the stream
+    that ``sample_gram`` reads (block k from its own SFC64 generator, seeded
+    by ``seed`` with k appended to its spawn key) are laid side by side into
+    G, S = GU_m is taken (``_spike_coords``), and G is scaled by sqrt(tau) in
+    place (no pass at all when tau = 1, since x * 1.0 == x).  The spike term
+    follows: on the canonical axes it sets the m spike columns to
+    S Lambda^{1/2}; otherwise the rank-m term S (Lambda^{1/2} - sqrt(tau)) U_m'
+    is added block by block.  The mean comes last, so the sample is the only
+    n x d array.  ``latent`` is S (n x m).
     Deterministic given (spec, seed); seed may be an int, a tuple of ints,
     or a numpy SeedSequence, and an int or tuple gives the same sample as
     ``SeedSequence(seed)``.  Each block's seed is derived from ``seed`` and
@@ -379,38 +362,42 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     one, do not depend on execution order, and the bits do not depend on
     ``set_draw_threads``.
     """
-    u = _spike_basis(spec)
-    if u is None:
-        latent = np.empty((spec.n, spec.m))
+    # With one block that block is the draw itself, not a copy.
+    z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
 
-        def prepare(lo, block):
-            latent[:, lo : lo + block.shape[1]] = block[:, : max(spec.m - lo, 0)]
-            _scale_canonical(spec, lo, block)
+    def lay(lo, block):
+        nonlocal z
+        if z is None:
+            z = block
+        else:
+            z[:, lo : lo + block.shape[1]] = block
 
-        z = _lay_blocks(spec, seed, prepare)
-        return DataMatrix(values=z.T, latent=LatentScores(spike=latent), spec=spec)
-
+    for _ in _normal_blocks(spec, seed, lay):
+        pass
+    spike = _spike_coords(spec, 0, z)
     root_lam = np.sqrt(spec.spike_eigenvalues)
     root_tau = np.sqrt(float(spec.tail_value))
-    z = _lay_blocks(spec, seed)
-    spike = z @ u
     if root_tau != 1.0:
         z *= root_tau
-    corr = (root_lam - root_tau) * spike
-    # Added in column blocks of about 256 KB, so no second n x d array
-    # is held.  Widths are multiples of 64 and the last block takes the
-    # remainder: a block that splits a BLAS register tile, or one column
-    # (a matrix-vector product), rounds differently from the whole product.
-    step = max(64, 2**15 // spec.n // 64 * 64)
-    blocks = max(1, spec.d // step)
-    for k in range(blocks):
-        lo, hi = k * step, spec.d if k == blocks - 1 else (k + 1) * step
-        z[:, lo:hi] += corr @ u[lo:hi].T
+    u = _spike_basis(spec)
+    if u is None:
+        z[:, : spec.m] = spike * root_lam
+    else:
+        corr = (root_lam - root_tau) * spike
+        # Added in column blocks of about 256 KB, so no second n x d array
+        # is held.  Widths are multiples of 64 and the last block takes the
+        # remainder: a block that splits a BLAS register tile, or one column
+        # (a matrix-vector product), rounds differently from the whole product.
+        step = max(64, 2**15 // spec.n // 64 * 64)
+        blocks = max(1, spec.d // step)
+        for k in range(blocks):
+            lo, hi = k * step, spec.d if k == blocks - 1 else (k + 1) * step
+            z[:, lo:hi] += corr @ u[lo:hi].T
     x = z.T  # (d, n)
     mu = spec.mean_vector_value
     if mu != 0.0:
         x += mu
-    return DataMatrix(values=x, latent=LatentScores(spike=spike), spec=spec)
+    return DataMatrix(values=x, latent=spike, spec=spec)
 
 
 def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -442,36 +429,28 @@ def _assembled_gram(spec, seed):
     so P = S Lambda^{1/2} + mu 1 (1'U_m) and
     X'X = tau (K - SS') + PP' + mu (a1' + 1a') + mu^2 d 11', with
     a = sqrt(tau) (r - S U_m'1) + S Lambda^{1/2} U_m'1 the row sums of the
-    mean-free sample.  Each term is symmetric, so X'X is too.  On the
-    canonical axes S is copied from the raw first m columns, as
-    ``generate_sample`` copies its latent scores, so P is bitwise
+    mean-free sample.  Each term is symmetric, so X'X is too.  Each block's
+    share of S comes from ``_spike_coords``, as in ``generate_sample``, so on
+    the canonical axes S is the raw first m columns and P is bitwise
     ``spike_projection`` of the sample.
     """
     mu = spec.mean_vector_value
     # U_m is built here: on a cache miss every draw thread would build its own.
-    u = _spike_basis(spec)
-    latent = np.empty((spec.n, spec.m)) if u is None else None
+    _spike_basis(spec)
 
     def moments(lo, g):
-        if u is None:  # each block writes the spike columns it holds
-            latent[:, lo : lo + g.shape[1]] = g[:, : max(spec.m - lo, 0)]
-            block_spike = None
-        else:
-            block_spike = g @ u[lo : lo + g.shape[1]]
-        return g @ g.T, block_spike, g.sum(axis=1) if mu != 0.0 else None
+        return g @ g.T, _spike_coords(spec, lo, g), g.sum(axis=1) if mu != 0.0 else None
 
     gram = spike = rows = None
     for block_gram, block_spike, block_rows in _normal_blocks(spec, seed, moments):
-        if gram is None:
+        if gram is None:  # block 0 holds spike columns on either basis
             gram, spike, rows = block_gram, block_spike, block_rows
         else:
             gram += block_gram
-            if spike is not None:
+            if block_spike is not None:
                 spike += block_spike
             if rows is not None:
                 rows += block_rows
-    if u is None:
-        spike = latent
     tau = float(spec.tail_value)
     proj = spike * np.sqrt(spec.spike_eigenvalues)
     gram -= spike @ spike.T  # the Gram of the tail, G (I - U_m U_m') G'
@@ -489,16 +468,13 @@ def _assembled_gram(spec, seed):
 def spike_projection(data: DataMatrix) -> np.ndarray:
     """P = X'U_m (n x m), every observation projected on the spike directions.
 
-    On the canonical basis u_j = e_j, so P is the first m rows of X,
-    transposed: every other term of the product is an exact zero, so the
-    bits are those of the matrix product, and no d x m matrix is built.
-    Otherwise it is one product with the cached U_m.
+    The whole of X' is one block at column 0 for ``_spike_coords``: one
+    product with the cached U_m on a random basis, and on the canonical
+    axes, where u_j = e_j, the first m rows of X, transposed.  There every
+    other term of the product is an exact zero, so the bits are those of
+    the matrix product, and no d x m matrix is built.
     """
-    spec = data.spec
-    u = _spike_basis(spec)
-    if u is None:
-        return data.values[: spec.m].T.copy()
-    return data.values.T @ u
+    return _spike_coords(data.spec, 0, data.values.T)
 
 
 def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from spikescore.spike_model import (
     CanonicalAxes,
     ConstantMean,
     DataMatrix,
-    LatentScores,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
@@ -283,7 +282,7 @@ class TestRatioDecomposition:
         z[:, 0] = [1.0, -2.0]
         values = np.zeros((3, 2))
         values[0] = 3.0 * z[:, 0]
-        latent = LatentScores(spike=z[:, :1].copy())
+        latent = z[:, :1].copy()
         data = DataMatrix(values=values, latent=latent, spec=spec)
         pca = dual_pca(values, rank=1)
         dec = ratio_decomposition(data, pca, 0, 0)
@@ -295,7 +294,7 @@ class TestRatioDecomposition:
     def test_identity_on_generated_data(self):
         spec, data, pca = single_spike_data(d=500, n=10, seed=7)
         for i in range(10):
-            if abs(data.latent.spike[i, 0]) < 1e-8:
+            if abs(data.latent[i, 0]) < 1e-8:
                 continue
             dec = ratio_decomposition(data, pca, i, 0)
             total = dec.signal + dec.cross_spike + dec.noise
@@ -323,7 +322,7 @@ class TestRatioDecomposition:
             for seed in range(40):
                 spec, data, pca = single_spike_data(d=d, n=10, seed=(900, d, seed))
                 for i in range(10):
-                    if abs(data.latent.spike[i, 0]) < 1e-8:
+                    if abs(data.latent[i, 0]) < 1e-8:
                         continue
                     noises.append(abs(ratio_decomposition(data, pca, i, 0).noise))
             means.append(np.mean(noises))
@@ -355,7 +354,7 @@ class TestRatioDecomposition:
         pca = dual_pca(data.values, rank=2)
         for i in range(spec.n):
             for j in (0, 1):
-                if abs(data.latent.spike[i, j]) < 1e-8:
+                if abs(data.latent[i, j]) < 1e-8:
                     continue
                 dec = ratio_decomposition(data, pca, i, j)
                 total = dec.signal + dec.cross_spike + dec.noise

@@ -926,7 +926,7 @@ class TestScatterExport:
         out = export_scores_scatter(data, (1, 2), tmp_path / "s.csv")
         body = np.loadtxt(out, delimiter=",", skiprows=1)
         _, labels = kmeans2(body[:, 1:], 2, seed=99, minit="points")
-        truth = data.latent.spike[:, 0] > 0
+        truth = data.latent[:, 0] > 0
         agreement = max(np.mean(labels == truth), np.mean(labels != truth))
         assert agreement > 0.7
 

@@ -12,7 +12,6 @@ from spikescore.spike_model import (
     CanonicalAxes,
     ConstantMean,
     DataMatrix,
-    LatentScores,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
@@ -118,14 +117,14 @@ class TestGeneration:
         z = reference_block(123, 0, (8, 50))
         assert np.array_equal(data.values[0], 3.0 * z[:, 0])
         assert np.array_equal(data.values[1], z[:, 1])
-        assert np.array_equal(data.latent.spike[:, 0], z[:, 0])
+        assert np.array_equal(data.latent[:, 0], z[:, 0])
 
     def test_deterministic_given_seed(self):
         spec = single_spike_spec()
         a = generate_sample(spec, 77)
         b = generate_sample(spec, 77)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.latent.spike, b.latent.spike)
+        assert np.array_equal(a.latent, b.latent)
         c = generate_sample(spec, 78)
         assert not np.array_equal(a.values, c.values)
 
@@ -147,24 +146,28 @@ class TestGeneration:
     def test_latent_keeps_only_spike_columns(self):
         small = generate_sample(single_spike_spec(d=600, n=4), 1)
         big = generate_sample(single_spike_spec(d=10_001, n=4), 1)
-        assert small.latent.spike.shape == big.latent.spike.shape == (4, 1)
+        assert small.latent.shape == big.latent.shape == (4, 1)
 
     @pytest.mark.parametrize(
-        "basis, max_ratio, mean",
+        "basis, max_ratio, mean, tail_value",
         [
-            pytest.param(CanonicalAxes(), 1.5, ZeroMean(), id="basis0-1.5"),
-            pytest.param(RandomOrthogonal(seed=6), 1.5, ZeroMean(), id="basis1-1.5"),
-            pytest.param(CanonicalAxes(), 1.5, ConstantMean(2.0), id="canonical-mean"),
-            pytest.param(RandomOrthogonal(seed=6), 1.5, ConstantMean(2.0), id="orthogonal-mean"),
+            pytest.param(CanonicalAxes(), 1.5, ZeroMean(), 1.0, id="basis0-1.5"),
+            pytest.param(RandomOrthogonal(seed=6), 1.5, ZeroMean(), 1.0, id="basis1-1.5"),
+            pytest.param(CanonicalAxes(), 1.5, ConstantMean(2.0), 1.0, id="canonical-mean"),
+            pytest.param(
+                RandomOrthogonal(seed=6), 1.5, ConstantMean(2.0), 1.0, id="orthogonal-mean"
+            ),
+            pytest.param(CanonicalAxes(), 1.5, ZeroMean(), 2.0, id="canonical-tail"),
+            pytest.param(RandomOrthogonal(seed=6), 1.5, ZeroMean(), 2.0, id="orthogonal-tail"),
         ],
     )
-    def test_no_second_copy_of_the_draw(self, basis, max_ratio, mean):
+    def test_no_second_copy_of_the_draw(self, basis, max_ratio, mean, tail_value):
         # The draw is scaled in place and is the sample on either basis;
         # the rank-m correction is added in blocks.  A kept copy of the
-        # draw, a whole n x d correction, or a shifted copy for the mean
-        # would add one more n x d array.  U_m is built first, as a sweep
-        # holds it cached.
-        spec = single_spike_spec(d=5_000, n=40, basis=basis, mean=mean)
+        # draw, a scaled copy for sqrt(tau), a whole n x d correction, or a
+        # shifted copy for the mean would add one more n x d array.  U_m is
+        # built first, as a sweep holds it cached.
+        spec = single_spike_spec(d=5_000, n=40, basis=basis, mean=mean, tail_value=tail_value)
         spike_model._spike_basis(spec)
         tracemalloc.start()
         try:
@@ -176,7 +179,7 @@ class TestGeneration:
 
     def test_mismatched_shapes_rejected(self):
         spec = single_spike_spec(d=20, n=4)
-        latent = LatentScores(spike=np.zeros((4, 1)))
+        latent = np.zeros((4, 1))
         with pytest.raises(ValueError, match="does not match spec"):
             DataMatrix(values=np.zeros((21, 4)), latent=latent, spec=spec)
 
@@ -267,7 +270,7 @@ class TestPopulationScores:
     def test_matches_latent_canonical(self):
         data = generate_sample(single_spike_spec(d=500, n=12), 31)
         s = population_scores(data)
-        rel = np.abs(s - data.latent.spike) / np.abs(data.latent.spike)
+        rel = np.abs(s - data.latent) / np.abs(data.latent)
         assert rel.max() < 1e-12
 
     def test_matches_latent_orthogonal(self):
@@ -279,7 +282,7 @@ class TestPopulationScores:
         )
         data = generate_sample(spec, 32)
         s = population_scores(data)
-        rel = np.abs(s - data.latent.spike) / np.maximum(np.abs(data.latent.spike), 1e-12)
+        rel = np.abs(s - data.latent) / np.maximum(np.abs(data.latent), 1e-12)
         assert rel.max() < 1e-10
 
     def test_brute_force_oracle_small_case(self):
@@ -310,7 +313,7 @@ class TestPopulationScores:
         spec = single_spike_spec(d=80, n=7, mean=ConstantMean(3.0))
         data = generate_sample(spec, 44)
         s = population_scores(data)
-        assert np.allclose(s, data.latent.spike, atol=1e-10)
+        assert np.allclose(s, data.latent, atol=1e-10)
 
 
 class TestSpikeProjection:
@@ -386,7 +389,7 @@ class TestCanonicalGram:
         scale = np.full(spec.d, np.sqrt(2.0))
         scale[:2] = np.sqrt(spec.spike_eigenvalues)
         data = generate_sample(spec, 17)
-        assert np.array_equal(data.latent.spike, z[:, :2])
+        assert np.array_equal(data.latent, z[:, :2])
         assert np.array_equal(data.values, (z * scale + spec.mean_vector_value).T)
 
 
@@ -497,7 +500,7 @@ class TestThreadedDraw:
             assert np.array_equal(threaded_proj, proj)
             threaded = with_draw_threads(threads, generate_sample, spec, seed)
             assert np.array_equal(threaded.values, data.values)
-            assert np.array_equal(threaded.latent.spike, data.latent.spike)
+            assert np.array_equal(threaded.latent, data.latent)
         assert threading.active_count() == running  # no draw thread outlives its call
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -552,7 +555,7 @@ class TestBlockSeeds:
         a = generate_sample(spec, 17)
         b = generate_sample(spec, np.random.SeedSequence(17))
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.latent.spike, b.latent.spike)
+        assert np.array_equal(a.latent, b.latent)
 
     def test_blocks_are_standard_normal_and_distinct(self):
         from scipy import stats
@@ -604,6 +607,39 @@ class TestSampleGram:
         x = generate_sample(spec, seed).values
         for got, expected in ((gram, x.T @ x), (proj, x.T @ basis_vectors(spec))):
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestSpikeColumnsAcrossBlocks:
+    # Four-column blocks, so the six spike columns fill block 0 and half of
+    # block 1: each block contributes its own share of S = GU_m.
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    def test_gram_and_projection_match_the_sample(self, basis, mean, monkeypatch):
+        monkeypatch.setattr(spike_model, "SAMPLE_BLOCK", 4)
+        spec = SpikeSpec(
+            spikes=tuple(SpikeProfile.fixed(v) for v in (9e6, 7e6, 5e6, 3e6, 2e6, 1e6)),
+            n=12,
+            d=30,
+            tail_value=2.0,
+            basis=basis,
+            mean=mean,
+        )
+        seed = 23
+        gram, proj = sample_gram(spec, seed)
+        data = generate_sample(spec, seed)
+        x = data.values
+        expected = x.T @ x
+        assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+        expected = spike_projection(data)
+        if isinstance(basis, CanonicalAxes):
+            assert np.array_equal(proj, expected)
+            z = np.hstack([reference_block(seed, k, (12, 4)) for k in (0, 1)])
+            assert np.array_equal(data.latent, z[:, :6])
+        else:
+            # Past one block P is assembled in n-space on a random basis.
+            assert np.max(np.abs(proj - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestEnumDefaults:
