@@ -2,11 +2,17 @@
 
 The package has four layers:
 
-- ``spike_model``: spiked-covariance populations, O(dn) sample generation,
-  and ``sample_gram``, which reduces a sample to its Gram X'X and its
-  projection P = X'U_m on the spike directions.
-- ``pca_engine``: sample eigenvalues and score vectors from the n x n Gram
-  matrix; loadings are never stored.
+- ``spike_model``: spiked-covariance populations, O(dn) sample generation
+  (``generate_sample``, with ``spike_projection``, the projection
+  P = X'U_m on the spike directions), and ``sample_gram``, which reduces a
+  sample past one column block to its Gram X'X and P without holding it.
+- ``pca_engine``: sample eigenvalues and score vectors, from the sample
+  (``dual_pca``, which at n = d from n = 337 on runs Lanczos on
+  v -> X'(X v) and forms no Gram) or from the n x n Gram (``gram_pca``);
+  loadings are never stored.
+  A sweep replicate within one column block (``spike_model.is_one_block``)
+  runs ``generate_sample`` -> ``spike_projection`` -> ``dual_pca``; past
+  one block it runs ``sample_gram`` -> ``gram_pca``.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
   decomposition, and ``spike_diagnostics``, which turns the overlap matrix
   of ``projection_overlaps`` into eigenvalue ratios, angles, cross-spike

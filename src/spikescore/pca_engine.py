@@ -1,19 +1,25 @@
-"""Sample PCA through the n x n Gram matrix.
+"""Sample PCA through the n x n Gram matrix, or through the sample as an operator.
 
 For d >> n data the d x d sample covariance is never formed: eigenvalues
 and score vectors come from the Gram matrix X'X / divisor.  ``gram_pca``
 decomposes a Gram it is given, so a caller that assembles X'X from sums
-over column blocks (a sweep past one block) never holds X; ``dual_pca``
-forms the Gram from X and hands it to ``gram_pca``, so both give the same
-bits from the same Gram.  No loading vector is stored: where a diagnostic
-needs the unit loading u_hat_j = X v_j / ||X v_j||, it divides by
-``loading_norms``, the one place that holds the norm
-sqrt(divisor) sqrt(eigenvalue) and the zero-eigenvalue cut.
-Finiteness is read from the Gram diagonal, so no d x n mask is built.
+over column blocks (a sweep replicate past one block) never holds X.
+``dual_pca`` takes a sample and chooses, by a weighted flop count read
+from its sizes, between two routes to the same eigenpairs.  Where few
+components are wanted and n is large against d (a growing-n replicate,
+n = d from n = 337 on), Lanczos runs on v -> X'(X v) / divisor, so the
+n x n Gram, n^2 d flops, is never formed; otherwise (an hdlss replicate
+at n = 50, d >> n) it forms the Gram and hands it to ``gram_pca``.
+No loading vector is stored: where a diagnostic needs the unit loading
+u_hat_j = X v_j / ||X v_j||, it divides by ``loading_norms``, the one
+place that holds the norm sqrt(divisor) sqrt(eigenvalue) and the
+zero-eigenvalue cut.
+Finiteness is read from the Gram diagonal, or on the operator route from
+the column sums of squares, so no d x n mask is built.
 ``gram_pca`` decomposes (G + G') / (2 divisor), the symmetric part of the
 Gram it is given, and holds one n x n array beyond its input.
-When fewer than n components are wanted, the leading eigenpairs of the
-Gram come from implicitly restarted Lanczos (ARPACK, through
+When fewer than n components are wanted, the leading eigenpairs come from
+implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
 n x n Gram is never tridiagonalized and the result is reproducible.
 """
@@ -29,6 +35,12 @@ import numpy as np
 # Eigenvalues below this fraction of the top one are treated as exactly
 # zero by ``loading_norms``, to avoid dividing by a rounding artifact.
 ZERO_EIGENVALUE_RTOL = 1e-12
+
+# What one flop of a matrix-vector product costs, in flops of a matrix
+# product: the former streams its matrix from memory, the latter runs from
+# cache.  Measured on one core (OpenBLAS, AVX-512 Xeon) at n = d = 1600:
+# Lanczos on X'(X v) ran at 4.8 GFLOP/s, forming X'X at 36 GFLOP/s.
+_MATVEC_FLOP_COST = 8
 
 # Absolute threshold for "first nonzero component" in the sign convention;
 # score vectors have unit norm, so any real entry is far above this.
@@ -81,6 +93,63 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resolve_rank(rank: Optional[int], n: int, d: int) -> int:
+    max_rank = min(n, d)
+    if rank is None:
+        return max_rank
+    if not 1 <= rank <= max_rank:
+        raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
+    return rank
+
+
+def _operator_is_cheaper(n: int, d: int, rank: int) -> bool:
+    """Whether Lanczos on v -> X'(X v) costs less than forming the Gram and
+    running Lanczos on it.
+
+    Either route takes ncv + 1 Lanczos steps, ncv = min(n, max(2 rank + 1,
+    20)) being ``eigsh``'s default.  A step costs 4 n d flops on the d x n
+    sample (two matrix-vector products) and 2 n^2 on the Gram, which first
+    costs n^2 d flops of a matrix product (one triangle of X'X).
+    Matrix-vector flops count ``_MATVEC_FLOP_COST`` each.  So for
+    rank <= 9 the operator wins at any d from n = 84 x 8 = 672 on, and
+    below that while d < 336 n / (672 - n): at n = d from n = 337 on, and
+    at n = 50 only for d < 28.
+    """
+    steps = min(n, max(2 * rank + 1, 20)) + 1
+    matvec = steps * _MATVEC_FLOP_COST
+    return matvec * 4 * n * d < n * n * d + matvec * 2 * n * n
+
+
+def _leading_pairs(a, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``rank`` largest eigenpairs of the symmetric n x n ``a``, an array
+    or a ``LinearOperator``, in ascending order.
+
+    Lanczos (``eigsh``, to machine precision) starts from the fixed vector
+    ``default_rng(0).uniform(-1, 1, n)``, so repeated calls are bitwise
+    equal.  The start vector is not ``ones``, a null vector of a centered
+    Gram, from which the Krylov space would grow out of rounding noise.
+    """
+    from scipy.sparse.linalg import eigsh
+
+    v0 = np.random.default_rng(0).uniform(-1, 1, n)
+    w, v = eigsh(a, k=rank, which="LA", v0=v0, tol=0)
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
+def _result(w: np.ndarray, v: np.ndarray, div: float, centered: bool, d: int) -> PcaResult:
+    """The PcaResult of ascending eigenpairs: largest first, eigenvalues
+    clipped at zero, signs fixed."""
+    return PcaResult(
+        sample_eigenvalues=np.maximum(w[::-1], 0.0),
+        score_vectors=_fix_signs(v[:, ::-1]),
+        divisor=div,
+        centered=centered,
+        n=v.shape[0],
+        d=d,
+    )
+
+
 def dual_pca(
     x: np.ndarray,
     *,
@@ -88,23 +157,48 @@ def dual_pca(
     divisor: Union[str, int, float] = "n",
     rank: Optional[int] = None,
 ) -> PcaResult:
-    """Eigenvalues and scores of the sample covariance, via the Gram matrix.
+    """Eigenvalues and scores of the sample covariance, in the dual (n-space) form.
 
     ``x`` is d x n with one observation per column.  The eigenpairs of
     G = X'X / divisor (after optional column centering) give the sample
     eigenvalues and score vectors; the nonzero eigenvalues agree with those
     of XX' / divisor.  ``rank`` limits how many leading components are
-    retained (default min(n, d)).  The Gram is formed here and decomposed
-    by ``gram_pca``, which documents the eigensolvers.
+    retained (default min(n, d)).
+
+    Two routes give the same eigenpairs to rounding, and the input sizes
+    choose the cheaper one (``_operator_is_cheaper``).  With ``rank < n``
+    and n large against d (n = d from n = 337 on, as in a growing-n sweep
+    replicate, or any d from n = 672 on), Lanczos runs on the operator
+    v -> X_c'(X_c v) / divisor over the sample, so no n x n array is formed,
+    with the same start vector and tolerance as ``gram_pca``.  Otherwise (an
+    hdlss replicate at n = 50, d >> n, or ``rank == n``) the Gram is formed
+    here and decomposed by ``gram_pca``, which documents the eigensolvers.  Either
+    route refuses a NaN or Inf entry, or a sample whose Gram overflows, with
+    the same ValueError: the operator route runs only where twice the trace
+    of X_c'X_c, which bounds every entry of G + G' and every Krylov vector,
+    is positive and finite, and hands any other sample (including a zero
+    one) to ``gram_pca``'s checks.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"x must be a 2-d matrix, got shape {x.shape}")
-    # Overflow and NaN are left to gram_pca's check of the Gram diagonal.
+    d, n = x.shape
+    rank = _resolve_rank(rank, n, d)
+    div = _resolve_divisor(divisor, n)
+    # Overflow and NaN are left to the trace bound and gram_pca's check of
+    # the Gram diagonal.
     with np.errstate(invalid="ignore", over="ignore"):
         xc = x - x.mean(axis=1, keepdims=True) if center else x
+        if rank < n and _operator_is_cheaper(n, d, rank):
+            # Column sums of squares, the Gram diagonal, with no d x n mask.
+            bound = 2.0 * np.einsum("ij,ij->j", xc, xc).sum()
+            if 0.0 < bound < np.inf:
+                from scipy.sparse.linalg import LinearOperator
+
+                op = LinearOperator((n, n), matvec=lambda v: xc.T @ (xc @ v) / div, dtype=float)
+                return _result(*_leading_pairs(op, n, rank), div, center, d)
         gram = xc.T @ xc
-    return gram_pca(gram, x.shape[0], divisor=divisor, rank=rank, centered=center)
+    return gram_pca(gram, d, divisor=div, rank=rank, centered=center)
 
 
 def gram_pca(
@@ -119,9 +213,9 @@ def gram_pca(
 
     ``gram`` is not yet divided; ``centered`` records whether the sample
     was centered before it was formed.  This is the eigen-part of
-    ``dual_pca``, shared with sweep replicates, which take their Gram from
-    ``spike_model.sample_gram``, so both give the same bits from the same
-    Gram.
+    ``dual_pca``'s Gram route, shared with the sweep replicates past one
+    column block, which take their Gram from ``spike_model.sample_gram``;
+    a one-block replicate calls ``dual_pca`` on its sample.
 
     The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
     array beyond ``gram``, which is left as it is.  The Grams a sweep
@@ -135,22 +229,15 @@ def gram_pca(
     two diagonal entries).
 
     With ``rank < n`` the ``rank`` largest eigenpairs come from Lanczos
-    (``eigsh``, to machine precision) started from the fixed vector
-    ``default_rng(0).uniform(-1, 1, n)``, so repeated calls are bitwise
-    equal.  The start vector is not ``ones``, a null vector of a centered
-    Gram, from which the Krylov space would grow out of rounding noise.
-    With ``rank == n``, or for a zero Gram, the spectrum comes from
-    ``np.linalg.eigh``.  A single-vector Krylov method can miss a copy of
-    an exactly repeated eigenvalue, and where it meets an invariant
-    subspace early (e.g. a multiple of the identity) ARPACK restarts from a
-    random vector; generic (noisy) data has neither.
+    (``_leading_pairs``) on that matrix.  With ``rank == n``, or for a zero
+    Gram, the spectrum comes from ``np.linalg.eigh``.  A single-vector
+    Krylov method can miss a copy of an exactly repeated eigenvalue, and
+    where it meets an invariant subspace early (e.g. a multiple of the
+    identity) ARPACK restarts from a random vector; generic (noisy) data
+    has neither.
     """
     n = gram.shape[0]
-    max_rank = min(n, d)
-    if rank is None:
-        rank = max_rank
-    if not 1 <= rank <= max_rank:
-        raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
+    rank = _resolve_rank(rank, n, d)
     div = _resolve_divisor(divisor, n)
 
     # A NaN or Inf in column i makes G_ii, a sum of squares that cannot
@@ -168,27 +255,11 @@ def gram_pca(
     # g is positive semidefinite, so a zero trace means g = 0 (all-zero or,
     # centered, constant data): Lanczos cannot start there.
     if rank < n and np.trace(g) > 0:
-        from scipy.sparse.linalg import eigsh
-
-        v0 = np.random.default_rng(0).uniform(-1, 1, n)
-        w, v = eigsh(g, k=rank, which="LA", v0=v0, tol=0)
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
+        w, v = _leading_pairs(g, n, rank)
     else:
         w, v = np.linalg.eigh(g)
         w, v = w[n - rank :], v[:, n - rank :]
-    w = w[::-1]
-    v = v[:, ::-1]
-    w = np.maximum(w, 0.0)
-    v = _fix_signs(v)
-    return PcaResult(
-        sample_eigenvalues=w,
-        score_vectors=v,
-        divisor=div,
-        centered=centered,
-        n=n,
-        d=d,
-    )
+    return _result(w, v, div, centered, d)
 
 
 def loading_norms(result: PcaResult) -> np.ndarray:

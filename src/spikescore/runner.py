@@ -26,16 +26,20 @@ can reject a correct model once the replicates are many.
 row per grid point and spike, the mean |median ratio - 1|, and checks that
 it shrinks as n grows: the rescaling "paradox disappears".
 
-Each replicate takes one route on either basis: ``sample_gram`` reduces
-the d x n sample to two n-space arrays, the Gram X'X of dual PCA and the
-projection on the spike directions, P = X'U_m; ``gram_pca`` gives the
-sample eigenvalues w and score vectors V from the Gram; and the
-diagnostics read only w, V, the population scores S and P.
-``sample_gram`` reads the stream of raw standard-normal column blocks and
-reduces each block while it is in cache: it sums the block's Gram and its
-projection on the spike directions, and assembles X'X and P in n-space,
-on either basis.  So past one block a replicate never holds the n x d
-sample.
+Each replicate takes one of two routes, the same on either basis, and
+``spike_model.is_one_block`` chooses.  Within one column block (d <=
+``SAMPLE_BLOCK``, every growing-n replicate up to d = 8192) it runs the
+public chain: ``generate_sample`` draws the d x n sample,
+``spike_projection`` gives its projection on the spike directions,
+P = X'U_m, and ``dual_pca`` gives the sample eigenvalues w and score
+vectors V; at n = d from n = 337 on that is Lanczos on v -> X'(X v), with
+no n x n Gram.
+Past one block ``sample_gram`` reads the stream of raw standard-normal
+column blocks and reduces each block while it is in cache: it sums the
+block's Gram and its projection on the spike directions, and assembles
+X'X and P in n-space, so the replicate never holds the n x d sample; and
+``gram_pca`` decomposes that Gram.  Either way the diagnostics read only
+w, V, the population scores S and P.
 
 The sweep owns its parallelism and derives it, with no setting of its
 own: ``workers`` processes take the replicates, and each process draws
@@ -43,9 +47,9 @@ the column blocks on up to (usable CPUs) // workers threads
 (``spike_model.set_draw_threads``), on either basis.
 The count is set in the serial sweep and in each pool worker as it
 starts, together with the eigensolver import, so no replicate's timings
-hold that import.  The draw threads live only inside one ``sample_gram``
-call.  Neither count changes a record's bits; ``report.json`` names both
-under ``parallelism``.
+hold that import.  The draw threads live only inside one
+``generate_sample`` or ``sample_gram`` call.  Neither count changes a
+record's bits; ``report.json`` names both under ``parallelism``.
 """
 
 from __future__ import annotations
@@ -86,9 +90,12 @@ from .spike_model import (
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
+    generate_sample,
+    is_one_block,
     projection_scores,
     sample_gram,
     set_draw_threads,
+    spike_projection,
 )
 
 log = logging.getLogger(__name__)
@@ -98,8 +105,10 @@ MODE_HDLSS = "hdlss-sweep"
 MODE_GROWING_N = "growing-n-sweep"
 
 # Stages that compute_replicate times, in order, the same on either basis:
-# "generate" draws the sample and forms its Gram and P (sample_gram), "pca"
-# is the eigen-part (gram_pca), and "diagnostics" reads n-space arrays only.
+# "generate" gives the sample and P (generate_sample and spike_projection)
+# within one block, and the Gram and P (sample_gram) past it; "pca" is
+# dual_pca on the sample or gram_pca on the Gram; and "diagnostics" reads
+# n-space arrays only.
 STAGES = ("generate", "pca", "diagnostics")
 
 RECORDS_HEADER = "grid,replicate,j,median_ratio,rel_spread,eig_ratio,angle_rad,leakage,n_excluded"
@@ -290,19 +299,28 @@ def compute_replicate(
     The replicate stream is ``SeedSequence((master_seed, grid_value,
     replicate))``, whose column block k is drawn by SFC64 seeded with k
     appended to that spawn key, so any record can be regenerated in
-    isolation with ``sample_gram`` and ``gram_pca``.  ``generate_sample``
-    and ``dual_pca`` give the same record to the bit up to d =
-    ``SAMPLE_BLOCK`` on either basis; past that X'X and P are assembled in
-    n-space from sums over column blocks, so they agree to rounding.
+    isolation with the public calls it makes.  Within one column block
+    (``is_one_block``) those are ``generate_sample``, ``spike_projection``
+    and ``dual_pca``, which at n = d from n = 337 on runs Lanczos on the
+    sample as an operator and never forms the n x n Gram.  Past one block
+    they are ``sample_gram``, which assembles X'X and P in n-space from sums
+    over column blocks, and ``gram_pca``; ``generate_sample`` and
+    ``dual_pca`` agree with them to rounding there.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
     seed = np.random.SeedSequence((int(master_seed), int(grid_value), int(replicate)))
 
     t0 = time.perf_counter()
-    gram, proj = sample_gram(spec, seed)
-    t1 = time.perf_counter()
-    pca = gram_pca(gram, spec.d, divisor="n", rank=m)
+    if is_one_block(spec):
+        data = generate_sample(spec, seed)
+        proj = spike_projection(data)
+        t1 = time.perf_counter()
+        pca = dual_pca(data.values, divisor="n", rank=m)
+    else:
+        gram, proj = sample_gram(spec, seed)
+        t1 = time.perf_counter()
+        pca = gram_pca(gram, spec.d, divisor="n", rank=m)
     t2 = time.perf_counter()
     s_pop = projection_scores(spec, proj)
     s_hat = comparable_sample_scores(pca, m)
@@ -336,9 +354,9 @@ def _start_process(threads: int) -> int:
     """Ready this process to run replicates; return its previous draw-thread
     count.
 
-    Imports the eigensolver that ``gram_pca`` loads on first use, so the
-    first replicate's "pca" stage times the eigensolve, not the import, and
-    sets the draw threads.
+    Imports the eigensolver that ``dual_pca`` and ``gram_pca`` load on
+    first use, so the first replicate's "pca" stage times the eigensolve,
+    not the import, and sets the draw threads.
     """
     import scipy.sparse.linalg  # noqa: F401
 

@@ -5,8 +5,13 @@ list of dominant eigenvalues (the spikes), a constant tail level, and a
 choice of eigenbasis.  Only the m spike directions U_m are ever held,
 since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
 covariance is never formed, so dimensions in the millions stay cheap.
-``sample_gram`` reduces a replicate to the two n-space arrays every
-diagnostic reads, the Gram X'X and P = X'U_m; ``projection_scores`` turns
+A sweep replicate reads one of two routes, by ``is_one_block``, the one
+place that tells them apart.  Within one column block it draws the sample
+(``generate_sample``) and projects it on the spike directions
+(``spike_projection``), and ``pca_engine.dual_pca`` decomposes the
+sample.  Past one block ``sample_gram`` reduces it to the two n-space
+arrays every diagnostic reads, the Gram X'X and P = X'U_m, and
+``pca_engine.gram_pca`` decomposes the Gram.  ``projection_scores`` turns
 P into the population scores.
 
 On either basis the sample is the symmetric square root of the
@@ -23,10 +28,11 @@ takes the population scores S = GU_m, block by block, from
 formed.  ``generate_sample`` lays the raw blocks side by side, scales them
 by sqrt(tau) and applies the spike term to the laid sample.
 ``sample_gram`` returns the products of that sample, bitwise, within one
-block.  Past one block it sums K = GG', S (and the row sums G1 under a
-non-zero mean) over the raw blocks and assembles X'X and P in n-space,
-equal to those products to rounding and with the same bits at any
-draw-thread count; so past one block it never holds the sample.
+block, for a public caller that wants them.  Past one block it sums
+K = GG', S (and the row sums G1 under a non-zero mean) over the raw blocks
+and assembles X'X and P in n-space, equal to those products to rounding
+and with the same bits at any draw-thread count; so past one block it
+never holds the sample.
 """
 
 from __future__ import annotations
@@ -263,6 +269,16 @@ def basis_vectors(spec: SpikeSpec) -> np.ndarray:
     return np.eye(spec.d, spec.m) if u is None else u
 
 
+def is_one_block(spec: SpikeSpec) -> bool:
+    """Whether the raw draw is one column block (d <= SAMPLE_BLOCK).
+
+    Then ``generate_sample`` lays no copy of the draw and a sweep replicate
+    decomposes the sample itself; past one block the replicate reads
+    ``sample_gram``, which never holds the sample.
+    """
+    return spec.d <= SAMPLE_BLOCK
+
+
 def set_draw_threads(threads: int) -> int:
     """Set how many column blocks this process draws at once, on either
     basis; return the previous count.
@@ -363,7 +379,7 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     ``set_draw_threads``.
     """
     # With one block that block is the draw itself, not a copy.
-    z = np.empty((spec.n, spec.d)) if spec.d > SAMPLE_BLOCK else None
+    z = None if is_one_block(spec) else np.empty((spec.n, spec.d))
 
     def lay(lo, block):
         nonlocal z
@@ -403,9 +419,12 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
 def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``.
 
-    With d <= SAMPLE_BLOCK the one block is the sample, and X'X and P are
-    the products ``dual_pca`` and ``spike_projection`` form from it, to the
-    bit.  Past that the raw blocks of ``SAMPLE_BLOCK`` columns (block k
+    Within one block (``is_one_block``) the block is the sample, and X'X and
+    P are the products ``dual_pca``'s Gram route and ``spike_projection``
+    form from it, to the bit; a sweep replicate does not come here then, but
+    decomposes the sample with ``dual_pca``, which at n = d from n = 337
+    on forms no Gram.
+    Past that the raw blocks of ``SAMPLE_BLOCK`` columns (block k
     from its own SFC64 generator, seeded by ``seed`` with k appended to its
     spawn key) are drawn up to ``set_draw_threads`` at a time, reduced on the
     drawing threads and summed in block order, and X'X and P are assembled
@@ -415,7 +434,7 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     """
     # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
     with np.errstate(invalid="ignore", over="ignore"):
-        if spec.d > SAMPLE_BLOCK:
+        if not is_one_block(spec):
             return _assembled_gram(spec, seed)
         data = generate_sample(spec, seed)
         return data.values.T @ data.values, spike_projection(data)

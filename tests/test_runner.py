@@ -585,6 +585,26 @@ class TestRunnerMatchesApi:
             assert diag.eig_ratio == diags.eig_ratios[j]
 
 
+class TestOperatorRouteReplicate:
+    # At n = d = 400 a one-block replicate's dual_pca forms no Gram; the
+    # record is still that of the public chain, to the bit.
+    @pytest.mark.parametrize("basis", [CanonicalAxes(), RandomOrthogonal(seed=4)],
+                             ids=["canonical", "orthogonal"])
+    def test_equals_public_chain(self, basis):
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)), n=400, basis=basis
+        )
+        guard = rn.DEFAULT_DENOMINATOR_GUARD
+        record = compute_replicate(template, MODE_HDLSS, 400, 1, master_seed=29, guard=guard)
+        _, _, table, diags = public_chain(template, 400, 1, 29, guard)
+        for j, diag in enumerate(record.spikes):
+            assert diag.median_ratio == table.medians[j]
+            assert diag.rel_spread == table.rel_spreads[j]
+            assert diag.angle_rad == diags.angles[j]
+            assert diag.leakage == diags.leakage[j]
+            assert diag.eig_ratio == diags.eig_ratios[j]
+
+
 class TestOneProjectionPerReplicate:
     def test_canonical_replicate_builds_no_basis(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -751,11 +771,11 @@ class TestEigensolverImport:
         code = (
             f"import json, sys; sys.path.insert(0, {src!r})\n"
             "import spikescore.runner as rn\n"
-            "seen, real = [], rn.sample_gram\n"
+            "seen, real = [], rn.generate_sample\n"
             "def wrapper(*args):\n"
             "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "    return real(*args)\n"
-            "rn.sample_gram = wrapper\n"
+            "rn.generate_sample = wrapper\n"
             f"rn.run_hdlss_sweep(rn.parse_config({TINY_CONFIG.format(out=tmp_path)!r}))\n"
             "print(json.dumps(seen))\n"
         )
@@ -779,6 +799,21 @@ class TestGrowingNReplicateMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * n * n
+        assert all(np.isfinite(d.median_ratio) for d in record.spikes)
+
+    def test_no_gram_beside_the_sample(self):
+        # At n = d a one-block replicate runs dual_pca's operator route: the
+        # 8 n^2-byte sample is its one n x n array.
+        n = 400
+        template = SpikeTemplate(spikes=(SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0)))
+        compute_replicate(template, MODE_GROWING_N, 40, 0, master_seed=1)  # imports the eigensolver
+        tracemalloc.start()
+        try:
+            record = compute_replicate(template, MODE_GROWING_N, n, 0, master_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
         assert all(np.isfinite(d.median_ratio) for d in record.spikes)
 
 
