@@ -4,12 +4,14 @@ The package has four layers:
 
 - ``spike_model``: spiked-covariance populations, O(dn) sample generation
   (``generate_sample``, with ``spike_projection``, the projection
-  P = X'U_m on the spike directions), and ``sample_gram``, which reduces a
-  sample past one column block to its Gram X'X and P without holding it.
+  P = X'U_m on the spike directions), and ``sample_gram``, which
+  assembles the sample's Gram X'X and P in n-space from sums over its
+  column blocks, without holding it.
 - ``pca_engine``: sample eigenvalues and score vectors, from the sample
-  (``dual_pca``, which at n = d from n = 337 on runs Lanczos on
-  v -> X'(X v) and forms no Gram) or from the n x n Gram (``gram_pca``);
-  loadings are never stored.
+  (``dual_pca``, which runs Lanczos on v -> X'(X v) and forms no Gram
+  where ``_operator_is_cheaper`` finds that route cheaper, as for n large
+  against d) or from the n x n Gram (``gram_pca``); loadings are never
+  stored.
   A sweep replicate within one column block (``spike_model.is_one_block``)
   runs ``generate_sample`` -> ``spike_projection`` -> ``dual_pca``; past
   one block it runs ``sample_gram`` -> ``gram_pca``.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pca_engine import PcaResult, loading_norms, sample_score_matrix
-from .spike_model import DataMatrix, ZeroMean, basis_vectors
+from .spike_model import DataMatrix, basis_vectors
 
 DEFAULT_DENOMINATOR_GUARD = 1e-8
 
@@ -191,7 +191,7 @@ def ratio_decomposition(
     tail parts.
     """
     spec = data.spec
-    if not isinstance(spec.mean, ZeroMean):
+    if spec.mean_vector_value != 0.0:
         raise ValueError("ratio decomposition is defined for the zero-mean model")
     if pca.centered:
         # The terms project the raw x_i, which a centered PCA did not use.

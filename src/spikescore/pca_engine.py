@@ -5,11 +5,12 @@ and score vectors come from the Gram matrix X'X / divisor.  ``gram_pca``
 decomposes a Gram it is given, so a caller that assembles X'X from sums
 over column blocks (a sweep replicate past one block) never holds X.
 ``dual_pca`` takes a sample and chooses, by a weighted flop count read
-from its sizes, between two routes to the same eigenpairs.  Where few
-components are wanted and n is large against d (a growing-n replicate,
-n = d from n = 337 on), Lanczos runs on v -> X'(X v) / divisor, so the
-n x n Gram, n^2 d flops, is never formed; otherwise (an hdlss replicate
-at n = 50, d >> n) it forms the Gram and hands it to ``gram_pca``.
+from its sizes (``_operator_is_cheaper``, which states the crossover),
+between two routes to the same eigenpairs.  Where few components are
+wanted and n is large against d (a large growing-n replicate), Lanczos
+runs on v -> X'(X v) / divisor, so the n x n Gram, n^2 d flops, is never
+formed; otherwise (an hdlss replicate at n = 50, d >> n) it forms the
+Gram and hands it to ``gram_pca``.
 No loading vector is stored: where a diagnostic needs the unit loading
 u_hat_j = X v_j / ||X v_j||, it divides by ``loading_norms``, the one
 place that holds the norm sqrt(divisor) sqrt(eigenvalue) and the
@@ -110,10 +111,10 @@ def _operator_is_cheaper(n: int, d: int, rank: int) -> bool:
     20)) being ``eigsh``'s default.  A step costs 4 n d flops on the d x n
     sample (two matrix-vector products) and 2 n^2 on the Gram, which first
     costs n^2 d flops of a matrix product (one triangle of X'X).
-    Matrix-vector flops count ``_MATVEC_FLOP_COST`` each.  So for
-    rank <= 9 the operator wins at any d from n = 84 x 8 = 672 on, and
-    below that while d < 336 n / (672 - n): at n = d from n = 337 on, and
-    at n = 50 only for d < 28.
+    Matrix-vector flops count ``_MATVEC_FLOP_COST`` each.  So, with that
+    one machine's ratio of 8, for rank <= 9 the operator wins at any d from
+    n = 84 x 8 = 672 on, and below that while d < 336 n / (672 - n): at
+    n = d from n = 337 on, and at n = 50 only for d < 28.
     """
     steps = min(n, max(2 * rank + 1, 20)) + 1
     matvec = steps * _MATVEC_FLOP_COST
@@ -166,9 +167,9 @@ def dual_pca(
     retained (default min(n, d)).
 
     Two routes give the same eigenpairs to rounding, and the input sizes
-    choose the cheaper one (``_operator_is_cheaper``).  With ``rank < n``
-    and n large against d (n = d from n = 337 on, as in a growing-n sweep
-    replicate, or any d from n = 672 on), Lanczos runs on the operator
+    choose the cheaper one (``_operator_is_cheaper``, which states the
+    crossover).  With ``rank < n`` and n large against d (as in a large
+    growing-n sweep replicate), Lanczos runs on the operator
     v -> X_c'(X_c v) / divisor over the sample, so no n x n array is formed,
     with the same start vector and tolerance as ``gram_pca``.  Otherwise (an
     hdlss replicate at n = 50, d >> n, or ``rank == n``) the Gram is formed

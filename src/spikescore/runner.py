@@ -32,8 +32,8 @@ Each replicate takes one of two routes, the same on either basis, and
 public chain: ``generate_sample`` draws the d x n sample,
 ``spike_projection`` gives its projection on the spike directions,
 P = X'U_m, and ``dual_pca`` gives the sample eigenvalues w and score
-vectors V; at n = d from n = 337 on that is Lanczos on v -> X'(X v), with
-no n x n Gram.
+vectors V; where ``pca_engine._operator_is_cheaper`` says so (n large
+against d) that is Lanczos on v -> X'(X v), with no n x n Gram.
 Past one block ``sample_gram`` reads the stream of raw standard-normal
 column blocks and reduces each block while it is in cache: it sums the
 block's Gram and its projection on the spike directions, and assembles
@@ -301,11 +301,11 @@ def compute_replicate(
     appended to that spawn key, so any record can be regenerated in
     isolation with the public calls it makes.  Within one column block
     (``is_one_block``) those are ``generate_sample``, ``spike_projection``
-    and ``dual_pca``, which at n = d from n = 337 on runs Lanczos on the
-    sample as an operator and never forms the n x n Gram.  Past one block
-    they are ``sample_gram``, which assembles X'X and P in n-space from sums
-    over column blocks, and ``gram_pca``; ``generate_sample`` and
-    ``dual_pca`` agree with them to rounding there.
+    and ``dual_pca``, which runs Lanczos on the sample as an operator, and
+    never forms the n x n Gram, where ``_operator_is_cheaper`` says so.
+    Past one block they are ``sample_gram``, which assembles X'X and P in
+    n-space from sums over column blocks, and ``gram_pca``;
+    ``generate_sample`` and ``dual_pca`` agree with them to rounding there.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
@@ -512,9 +512,10 @@ class _HdlssSweep(_SweepMode):
     j = 1, and only as lambda_2 / lambda_1 -> 0, since the sample score
     vectors are orthonormal and the population score columns are not.  So
     a later spike's row can reject a correct model once the replicates are
-    many: at n = 10, d = 5000, spikes ``power:1:2,power:1:1.5`` and 3000
-    replicates, spike 2 reads p = 4e-5.  The check notes the rows that
-    reject at alpha = 0.01.
+    many: at n = 10, d = 5000, spikes ``power:1:2,power:1:1.5``, 3000
+    replicates and master seed 11, spike 2 reads D = 0.0438 and exact
+    p = 1.9e-5 (spike 1: p = 0.74).  The check notes the rows that reject
+    at alpha = 0.01.
     """
 
     grid_key = "grid.d"

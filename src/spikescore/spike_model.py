@@ -27,12 +27,10 @@ takes the population scores S = GU_m, block by block, from
 ``_spike_coords``, the one place where the two bases differ in how S is
 formed.  ``generate_sample`` lays the raw blocks side by side, scales them
 by sqrt(tau) and applies the spike term to the laid sample.
-``sample_gram`` returns the products of that sample, bitwise, within one
-block, for a public caller that wants them.  Past one block it sums
-K = GG', S (and the row sums G1 under a non-zero mean) over the raw blocks
-and assembles X'X and P in n-space, equal to those products to rounding
-and with the same bits at any draw-thread count; so past one block it
-never holds the sample.
+``sample_gram``, at every d, sums K = GG', S (and the row sums G1 under a
+non-zero mean) over the raw blocks and assembles X'X and P in n-space,
+equal to the products of that sample to rounding and with the same bits
+at any draw-thread count; so it never holds the sample.
 """
 
 from __future__ import annotations
@@ -417,41 +415,26 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
 
 
 def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
-    """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``.
+    """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``,
+    assembled in n-space without holding the sample.
 
-    Within one block (``is_one_block``) the block is the sample, and X'X and
-    P are the products ``dual_pca``'s Gram route and ``spike_projection``
-    form from it, to the bit; a sweep replicate does not come here then, but
-    decomposes the sample with ``dual_pca``, which at n = d from n = 337
-    on forms no Gram.
-    Past that the raw blocks of ``SAMPLE_BLOCK`` columns (block k
-    from its own SFC64 generator, seeded by ``seed`` with k appended to its
-    spawn key) are drawn up to ``set_draw_threads`` at a time, reduced on the
-    drawing threads and summed in block order, and X'X and P are assembled
-    in n-space (``_assembled_gram``): so the d x n sample is never held, the
-    result has the same bits at any thread count, and it equals those
-    products to rounding.  The same holds on either basis.
-    """
-    # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
-    with np.errstate(invalid="ignore", over="ignore"):
-        if not is_one_block(spec):
-            return _assembled_gram(spec, seed)
-        data = generate_sample(spec, seed)
-        return data.values.T @ data.values, spike_projection(data)
-
-
-def _assembled_gram(spec, seed):
-    """X'X and P = X'U_m assembled in n-space from sums over the raw blocks
-    g of the draw G: K = GG', S = GU_m and, under a non-zero mean, r = G1.
-
-    The sample is X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11',
-    so P = S Lambda^{1/2} + mu 1 (1'U_m) and
+    The raw blocks g of the draw G (block k from its own SFC64 generator,
+    seeded by ``seed`` with k appended to its spawn key) are drawn up to
+    ``set_draw_threads`` at a time and reduced on the drawing threads to
+    sums taken in block order: K = GG', S = GU_m and, under a non-zero
+    mean, r = G1.  The sample is
+    X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11', so
+    P = S Lambda^{1/2} + mu 1 (1'U_m) and
     X'X = tau (K - SS') + PP' + mu (a1' + 1a') + mu^2 d 11', with
     a = sqrt(tau) (r - S U_m'1) + S Lambda^{1/2} U_m'1 the row sums of the
-    mean-free sample.  Each term is symmetric, so X'X is too.  Each block's
-    share of S comes from ``_spike_coords``, as in ``generate_sample``, so on
-    the canonical axes S is the raw first m columns and P is bitwise
-    ``spike_projection`` of the sample.
+    mean-free sample.  Each term is symmetric, so X'X is too.  The result
+    has the same bits at any thread count and equals the products of the
+    sample to rounding.  Each block's share of S comes from
+    ``_spike_coords``, as in ``generate_sample``, so on the canonical axes
+    S is the raw first m columns and P is bitwise ``spike_projection`` of
+    the sample.  A sweep replicate reads it past one column block
+    (``is_one_block``); within one it decomposes the sample itself with
+    ``dual_pca``.
     """
     mu = spec.mean_vector_value
     # U_m is built here: on a cache miss every draw thread would build its own.
@@ -460,27 +443,29 @@ def _assembled_gram(spec, seed):
     def moments(lo, g):
         return g @ g.T, _spike_coords(spec, lo, g), g.sum(axis=1) if mu != 0.0 else None
 
-    gram = spike = rows = None
-    for block_gram, block_spike, block_rows in _normal_blocks(spec, seed, moments):
-        if gram is None:  # block 0 holds spike columns on either basis
-            gram, spike, rows = block_gram, block_spike, block_rows
-        else:
-            gram += block_gram
-            if block_spike is not None:
-                spike += block_spike
-            if rows is not None:
-                rows += block_rows
-    tau = float(spec.tail_value)
-    proj = spike * np.sqrt(spec.spike_eigenvalues)
-    gram -= spike @ spike.T  # the Gram of the tail, G (I - U_m U_m') G'
-    if tau != 1.0:
-        gram *= tau
-    gram += proj @ proj.T
-    if mu != 0.0:
-        ones_u = _ones_u(spec)
-        a = math.sqrt(tau) * (rows - spike @ ones_u) + proj @ ones_u
-        gram += mu * (a[:, None] + a) + mu * mu * spec.d
-        proj += mu * ones_u
+    # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = spike = rows = None
+        for block_gram, block_spike, block_rows in _normal_blocks(spec, seed, moments):
+            if gram is None:  # block 0 holds spike columns on either basis
+                gram, spike, rows = block_gram, block_spike, block_rows
+            else:
+                gram += block_gram
+                if block_spike is not None:
+                    spike += block_spike
+                if rows is not None:
+                    rows += block_rows
+        tau = float(spec.tail_value)
+        proj = spike * np.sqrt(spec.spike_eigenvalues)
+        gram -= spike @ spike.T  # the Gram of the tail, G (I - U_m U_m') G'
+        if tau != 1.0:
+            gram *= tau
+        gram += proj @ proj.T
+        if mu != 0.0:
+            ones_u = _ones_u(spec)
+            a = math.sqrt(tau) * (rows - spike @ ones_u) + proj @ ones_u
+            gram += mu * (a[:, None] + a) + mu * mu * spec.d
+            proj += mu * ones_u
     return gram, proj
 
 

@@ -11,7 +11,7 @@ from spikescore.asymptotics import (
     score_ratio_table,
     spike_diagnostics,
 )
-from spikescore.pca_engine import PcaResult, dual_pca, gram_pca
+from spikescore.pca_engine import PcaResult, dual_pca
 from spikescore.spike_model import (
     CanonicalAxes,
     ConstantMean,
@@ -19,10 +19,10 @@ from spikescore.spike_model import (
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
+    ZeroMean,
     basis_vectors,
     generate_sample,
     projection_scores,
-    sample_gram,
     spike_projection,
 )
 
@@ -44,9 +44,11 @@ def explicit_loadings(x, pca):
 
 
 def replicate_diagnostics(spec, seed):
-    """spike_diagnostics of one replicate through the runner's route."""
-    gram, proj = sample_gram(spec, seed)
-    pca = gram_pca(gram, spec.d, rank=spec.m)
+    """spike_diagnostics of one replicate within one column block through
+    the runner's route: generate_sample, spike_projection and dual_pca."""
+    data = generate_sample(spec, seed)
+    pca = dual_pca(data.values, rank=spec.m)
+    proj = spike_projection(data)
     return spike_diagnostics(projection_overlaps(pca, proj), spec.spike_eigenvalues,
                              pca.sample_eigenvalues)
 
@@ -369,6 +371,15 @@ class TestRatioDecomposition:
         pca = dual_pca(data.values, rank=1)
         with pytest.raises(ValueError, match="zero-mean"):
             ratio_decomposition(data, pca, 0, 0)
+
+    def test_zero_constant_mean_is_the_zero_mean_model(self):
+        # ConstantMean(0.0) adds no mean, so its sample is the zero-mean one.
+        decompositions = []
+        for mean in (ZeroMean(), ConstantMean(0.0)):
+            spec = SpikeSpec(spikes=(SpikeProfile.fixed(9.0),), n=4, d=20, mean=mean)
+            data = generate_sample(spec, 3)
+            decompositions.append(ratio_decomposition(data, dual_pca(data.values, rank=1), 0, 0))
+        assert decompositions[0] == decompositions[1]
 
     def test_requires_uncentered_pca(self):
         # The terms project the raw x_i; a centered PCA's total is a ratio

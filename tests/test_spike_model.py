@@ -361,11 +361,8 @@ class TestCanonicalGram:
         x = data.values
         assert np.array_equal(proj, spike_projection(data))
         expected = x.T @ x
-        if d <= spike_model.SAMPLE_BLOCK:
-            assert np.array_equal(gram, expected)
-        else:
-            # The block sums add in another order than the one product.
-            assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # X'X is assembled in n-space, in another order than the one product.
+        assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
     def test_sample_is_the_scaled_block_stream(self, mean):
@@ -571,29 +568,12 @@ class TestBlockSeeds:
 
 
 class TestSampleGram:
-    # Within one block the random-basis sample is drawn whole; its Gram and
-    # P are the very products dual_pca and spike_projection form from it.
-    @pytest.mark.parametrize("d", [5_000])
+    # X'X and P are assembled from sums over the raw blocks, which add in
+    # another order than the products of the whole sample: within one block
+    # and past it.
+    @pytest.mark.parametrize("d", [5_000, 3 * spike_model.SAMPLE_BLOCK + 17])
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    def test_random_basis_is_bitwise_the_sample_products(self, d, mean):
-        spec = SpikeSpec(
-            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
-            n=7,
-            d=d,
-            basis=RandomOrthogonal(seed=3),
-            mean=mean,
-        )
-        seed = np.random.SeedSequence((5, d, 2))
-        gram, proj = sample_gram(spec, seed)
-        x = generate_sample(spec, seed).values
-        assert np.array_equal(gram, x.T @ x)
-        assert np.array_equal(proj, x.T @ basis_vectors(spec))
-
-    # Past one block X'X and P are assembled from sums over the raw blocks,
-    # which add in another order than the products of the whole sample.
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    def test_random_basis_past_one_block_matches_the_sample_products(self, mean):
-        d = 3 * spike_model.SAMPLE_BLOCK + 17
+    def test_random_basis_matches_the_sample_products(self, d, mean):
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
             n=7,
