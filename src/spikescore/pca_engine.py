@@ -22,7 +22,12 @@ Gram it is given, and holds one n x n array beyond its input.
 When fewer than n components are wanted, the leading eigenpairs come from
 implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
-n x n Gram is never tridiagonalized and the result is reproducible.
+n x n Gram is never tridiagonalized and the result is reproducible.  The
+Krylov size follows the wanted rank (``_krylov_size``: 2 rank + 1 vectors,
+not ``eigsh``'s default of at least 20).  In the spiked spectra the sweeps
+draw, the m spike eigenvalues sit far above the bulk, so a few vectors
+hold them to machine precision: a rank-2 growing-n replicate's eigensolve
+takes 6 operator steps, not 21.
 """
 
 from __future__ import annotations
@@ -103,20 +108,28 @@ def _resolve_rank(rank: Optional[int], n: int, d: int) -> int:
     return rank
 
 
+def _krylov_size(n: int, rank: int) -> int:
+    """The number of Lanczos vectors ``_leading_pairs`` builds for ``rank``
+    eigenpairs of an n x n matrix: 2 rank + 1, at most n."""
+    return min(n, 2 * rank + 1)
+
+
 def _operator_is_cheaper(n: int, d: int, rank: int) -> bool:
     """Whether Lanczos on v -> X'(X v) costs less than forming the Gram and
     running Lanczos on it.
 
-    Either route takes ncv + 1 Lanczos steps, ncv = min(n, max(2 rank + 1,
-    20)) being ``eigsh``'s default.  A step costs 4 n d flops on the d x n
-    sample (two matrix-vector products) and 2 n^2 on the Gram, which first
-    costs n^2 d flops of a matrix product (one triangle of X'X).
-    Matrix-vector flops count ``_MATVEC_FLOP_COST`` each.  So, with that
-    one machine's ratio of 8, for rank <= 9 the operator wins at any d from
-    n = 84 x 8 = 672 on, and below that while d < 336 n / (672 - n): at
-    n = d from n = 337 on, and at n = 50 only for d < 28.
+    Either route takes steps = ncv + 1 Lanczos steps, ncv = ``_krylov_size``
+    = 2 rank + 1 (at most n), so 2 rank + 2 while 2 rank < n.  A step costs
+    4 n d flops on the d x n sample (two matrix-vector products) and 2 n^2
+    on the Gram, which first costs n^2 d flops of a matrix product (one
+    triangle of X'X).  Matrix-vector flops count ``_MATVEC_FLOP_COST`` = c
+    each.  So the operator wins at any d from n = 4 c steps on, and below
+    that while d < 2 c steps n / (4 c steps - n).  With that one machine's
+    ratio c = 8, at rank 2 (steps = 6) that is any d from n = 192 on, n = d
+    from n = 97 on, and at n = 50 only d < 34; at rank 1 (steps = 4), n = d
+    from n = 65 on.
     """
-    steps = min(n, max(2 * rank + 1, 20)) + 1
+    steps = _krylov_size(n, rank) + 1
     matvec = steps * _MATVEC_FLOP_COST
     return matvec * 4 * n * d < n * n * d + matvec * 2 * n * n
 
@@ -129,11 +142,24 @@ def _leading_pairs(a, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     ``default_rng(0).uniform(-1, 1, n)``, so repeated calls are bitwise
     equal.  The start vector is not ``ones``, a null vector of a centered
     Gram, from which the Krylov space would grow out of rounding noise.
+
+    The Krylov size follows the wanted rank: ``_krylov_size`` = 2 rank + 1
+    vectors, not ``eigsh``'s default max(2 rank + 1, 20), whose first
+    factorization ARPACK always completes.  Where the wanted eigenvalues sit
+    far above the rest, as the spikes of every sweep replicate do (the
+    hdlss guard requires d / lambda_m < 1, and growing-n requires
+    d / (n lambda_m) to shrink), that small space already holds them to
+    machine precision: on a growing-n sample at rank 2 the solve takes 6
+    operator steps in place of 21, and its eigenvalues agree with the
+    default's to 4e-16 relative.  The trade is a flat spectrum with no
+    spike, where the smaller space restarts more often: pure noise at
+    n = d = 400 took 244 operator steps against 128 at rank 2, and 582
+    against 81 at rank 1.
     """
     from scipy.sparse.linalg import eigsh
 
     v0 = np.random.default_rng(0).uniform(-1, 1, n)
-    w, v = eigsh(a, k=rank, which="LA", v0=v0, tol=0)
+    w, v = eigsh(a, k=rank, which="LA", v0=v0, tol=0, ncv=_krylov_size(n, rank))
     order = np.argsort(w)
     return w[order], v[:, order]
 

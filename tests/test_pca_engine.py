@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from spikescore.asymptotics import projection_overlaps
 from spikescore.pca_engine import (
     ZERO_EIGENVALUE_RTOL,
     PcaResult,
+    _leading_pairs,
     _operator_is_cheaper,
     dual_pca,
     gram_pca,
@@ -17,6 +19,7 @@ from spikescore.pca_engine import (
     loading_norms,
     sample_score_matrix,
 )
+from spikescore.spike_model import SpikeProfile, SpikeSpec, generate_sample
 
 
 def direct_eigen(x, center, div):
@@ -253,8 +256,8 @@ class TestOperatorRoute:
 
     @pytest.mark.parametrize(
         "n, d, operator",
-        [(50, 8192, False), (50, 2000, False), (40, 5, True), (100, 100, False),
-         (400, 400, True), (450, 600, True), (400, 8192, False), (1600, 1600, True),
+        [(50, 8192, False), (50, 2000, False), (40, 5, True), (100, 100, True),
+         (400, 400, True), (450, 600, True), (400, 8192, True), (1600, 1600, True),
          (800, 8192, True)],
     )
     def test_route_follows_the_weighted_flop_count(self, n, d, operator):
@@ -333,6 +336,50 @@ class TestOperatorRoute:
         res = dual_pca(x, rank=2, center=center)
         assert np.array_equal(res.sample_eigenvalues, np.zeros(2))
         assert np.allclose(res.score_vectors.T @ res.score_vectors, np.eye(2))
+
+
+class TestKrylovSize:
+    """Lanczos builds 2 rank + 1 vectors: a spiked spectrum converges in the
+    first factorization, and a flat one, which restarts more often, still
+    converges to the eigh reference."""
+
+    def test_spiked_sample_takes_two_rank_plus_two_steps(self):
+        # A one-block growing-n sample at n = d = 400, with that sweep's
+        # spikes power:2:2,power:1:2.
+        n, rank = 400, 2
+        spikes = (SpikeProfile(scale=2.0, exponent=2.0), SpikeProfile(scale=1.0, exponent=2.0))
+        x = generate_sample(SpikeSpec(spikes=spikes, n=n, d=n), 7).values
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return x.T @ (x @ v) / n
+
+        op = LinearOperator((n, n), matvec=matvec, dtype=float)
+        w, v = _leading_pairs(op, n, rank)
+        assert len(calls) <= 2 * rank + 2
+        ref_w, ref_v = gram_eigh(x, False, rank)
+        assert np.allclose(w[::-1], ref_w, rtol=0, atol=1e-14 * ref_w[0])
+        assert np.allclose(v @ v.T, ref_v @ ref_v.T, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_flat_spectrum_converges_on_both_routes(self, rank):
+        # Pure noise: no eigenvalue stands above the bulk, so ARPACK restarts.
+        # The sample at n = d = 400 takes the operator route, the 60 x 60 Gram
+        # gram_pca; either must converge with no ArpackNoConvergence or warning.
+        x = np.random.default_rng(34).standard_normal((400, 400))
+        y = np.random.default_rng(35).standard_normal((150, 60))
+        assert _operator_is_cheaper(400, 400, rank)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [(dual_pca(x, rank=rank), x.T @ x / 400),
+                       (gram_pca(y.T @ y, 150, rank=rank), y.T @ y / 60)]
+        for res, g in results:
+            w = np.linalg.eigvalsh(g)[::-1][:rank]
+            v = np.linalg.eigh(g)[1][:, ::-1][:, :rank]
+            assert np.allclose(res.sample_eigenvalues, w, rtol=1e-12, atol=0)
+            p_res = res.score_vectors @ res.score_vectors.T
+            assert np.allclose(p_res, v @ v.T, rtol=0, atol=1e-10)
 
 
 class TestGramPca:
