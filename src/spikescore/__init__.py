@@ -4,9 +4,10 @@ The package has four layers:
 
 - ``spike_model``: spiked-covariance populations, O(dn) sample generation
   (``generate_sample``, with ``spike_projection``, the projection
-  P = X'U_m on the spike directions), and ``sample_gram``, which
-  assembles the sample's Gram X'X and P in n-space from sums over its
-  column blocks, without holding it.
+  P = X'U_m on the spike directions), ``sample_gram``, which assembles
+  the sample's Gram X'X and P in n-space from sums over its column
+  blocks, without holding it, and ``wishart_gram``, which draws X'X and P
+  in their joint law at a cost free of d (Bartlett's decomposition).
 - ``pca_engine``: sample eigenvalues and score vectors, from the sample
   (``dual_pca``, which runs Lanczos on v -> X'(X v) and forms no Gram
   where ``_operator_is_cheaper`` finds that route cheaper, as for n large
@@ -14,7 +15,7 @@ The package has four layers:
   stored.
   A sweep replicate within one column block (``spike_model.is_one_block``)
   runs ``generate_sample`` -> ``spike_projection`` -> ``dual_pca``; past
-  one block it runs ``sample_gram`` -> ``gram_pca``.
+  one block it runs ``wishart_gram`` -> ``gram_pca``.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
   decomposition, and ``spike_diagnostics``, which turns the overlap matrix
   of ``projection_overlaps`` into eigenvalue ratios, angles, cross-spike
@@ -23,7 +24,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .spike_model import (
     CanonicalAxes,
@@ -38,6 +39,7 @@ from .spike_model import (
     projection_scores,
     sample_gram,
     spike_projection,
+    wishart_gram,
 )
 from .pca_engine import (
     PcaResult,
@@ -89,6 +91,7 @@ __all__ = [
     "projection_scores",
     "sample_gram",
     "spike_projection",
+    "wishart_gram",
     "PcaResult",
     "dual_pca",
     "gram_pca",

@@ -241,8 +241,9 @@ def gram_pca(
     ``gram`` is not yet divided; ``centered`` records whether the sample
     was centered before it was formed.  This is the eigen-part of
     ``dual_pca``'s Gram route, shared with the sweep replicates past one
-    column block, which take their Gram from ``spike_model.sample_gram``;
-    a one-block replicate calls ``dual_pca`` on its sample.
+    column block, which take their Gram from ``spike_model.wishart_gram``
+    (``spike_model.sample_gram`` is its dense reference); a one-block
+    replicate calls ``dual_pca`` on its sample.
 
     The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
     array beyond ``gram``, which is left as it is.  The Grams a sweep

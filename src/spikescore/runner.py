@@ -5,9 +5,10 @@ the score-ratio and eigen-structure diagnostics, and writes one CSV row per
 (replicate, spike) plus a JSON report with distributional test outcomes,
 trend tables, per-stage timings and the regime ratio of each grid point.
 Replicate streams are keyed by (master_seed, grid_value, replicate): the
-replicate's SeedSequence seeds one SFC64 generator per column block, with
-the block index appended to its spawn key, so results are byte-identical
-regardless of worker count, draw-thread count or scheduling.  A worker pool
+replicate's SeedSequence seeds the one SFC64 generator of an n-space draw,
+or, within one column block, the generator of that block, with the block
+index appended to its spawn key, so results are byte-identical regardless
+of worker count, draw-thread count or scheduling.  A worker pool
 takes the replicates one at a time, largest grid value first, so the
 costliest ones start early and no worker is left alone with them at the end;
 outcomes are put back in task order.  Each finished grid point logs one
@@ -34,17 +35,20 @@ public chain: ``generate_sample`` draws the d x n sample,
 P = X'U_m, and ``dual_pca`` gives the sample eigenvalues w and score
 vectors V; where ``pca_engine._operator_is_cheaper`` says so (n large
 against d) that is Lanczos on v -> X'(X v), with no n x n Gram.
-Past one block ``sample_gram`` reads the stream of raw standard-normal
-column blocks and reduces each block while it is in cache: it sums the
-block's Gram and its projection on the spike directions, and assembles
-X'X and P in n-space, so the replicate never holds the n x d sample; and
-``gram_pca`` decomposes that Gram.  Either way the diagnostics read only
-w, V, the population scores S and P.
+Past one block ``wishart_gram`` draws X'X and P in n-space, in the joint
+law of the sample's products (the tail Gram by Bartlett's decomposition,
+the spike coordinates as an n x m normal draw), at a cost free of d; so
+the replicate draws no n x d sample, and ``gram_pca`` decomposes that
+Gram.  There a record matches the dense reference chain
+(``sample_gram``) in law, not in bits, and under a zero mean it does not
+depend on the basis seed.  Either way the diagnostics read only w, V, the
+population scores S and P.
 
 The sweep owns its parallelism and derives it, with no setting of its
-own: ``workers`` processes take the replicates, and each process draws
-the column blocks on up to (usable CPUs) // workers threads
-(``spike_model.set_draw_threads``), on either basis.
+own: ``workers`` processes take the replicates, and each process may draw
+column blocks on up to (usable CPUs) // workers threads
+(``spike_model.set_draw_threads``), on either basis; a replicate draws at
+most one block, so in a sweep only the workers run in parallel.
 The count is set in the serial sweep and in each pool worker as it
 starts, together with the eigensolver import, so no replicate's timings
 hold that import.  The draw threads live only inside one
@@ -93,9 +97,9 @@ from .spike_model import (
     generate_sample,
     is_one_block,
     projection_scores,
-    sample_gram,
     set_draw_threads,
     spike_projection,
+    wishart_gram,
 )
 
 log = logging.getLogger(__name__)
@@ -106,7 +110,7 @@ MODE_GROWING_N = "growing-n-sweep"
 
 # Stages that compute_replicate times, in order, the same on either basis:
 # "generate" gives the sample and P (generate_sample and spike_projection)
-# within one block, and the Gram and P (sample_gram) past it; "pca" is
+# within one block, and the Gram and P (wishart_gram) past it; "pca" is
 # dual_pca on the sample or gram_pca on the Gram; and "diagnostics" reads
 # n-space arrays only.
 STAGES = ("generate", "pca", "diagnostics")
@@ -297,15 +301,17 @@ def compute_replicate(
     """Generate, decompose, and summarize one replicate.
 
     The replicate stream is ``SeedSequence((master_seed, grid_value,
-    replicate))``, whose column block k is drawn by SFC64 seeded with k
-    appended to that spawn key, so any record can be regenerated in
-    isolation with the public calls it makes.  Within one column block
-    (``is_one_block``) those are ``generate_sample``, ``spike_projection``
-    and ``dual_pca``, which runs Lanczos on the sample as an operator, and
+    replicate))``, so any record can be regenerated in isolation with the
+    public calls it makes.  Within one column block (``is_one_block``)
+    those are ``generate_sample``, whose one block is drawn by SFC64 seeded
+    with 0 appended to that spawn key, ``spike_projection`` and
+    ``dual_pca``, which runs Lanczos on the sample as an operator, and
     never forms the n x n Gram, where ``_operator_is_cheaper`` says so.
-    Past one block they are ``sample_gram``, which assembles X'X and P in
-    n-space from sums over column blocks, and ``gram_pca``;
-    ``generate_sample`` and ``dual_pca`` agree with them to rounding there.
+    Past one block they are ``wishart_gram``, which draws X'X and P in
+    n-space from one SFC64 seeded by the stream, and ``gram_pca``.  There
+    the record follows the law of the dense chain (``sample_gram``, or
+    ``generate_sample`` and ``dual_pca``), not its bits; under a zero mean
+    it reads no basis, so the basis seed does not change it.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
@@ -318,7 +324,7 @@ def compute_replicate(
         t1 = time.perf_counter()
         pca = dual_pca(data.values, divisor="n", rank=m)
     else:
-        gram, proj = sample_gram(spec, seed)
+        gram, proj = wishart_gram(spec, seed)
         t1 = time.perf_counter()
         pca = gram_pca(gram, spec.d, divisor="n", rank=m)
     t2 = time.perf_counter()

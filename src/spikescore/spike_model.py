@@ -9,8 +9,9 @@ A sweep replicate reads one of two routes, by ``is_one_block``, the one
 place that tells them apart.  Within one column block it draws the sample
 (``generate_sample``) and projects it on the spike directions
 (``spike_projection``), and ``pca_engine.dual_pca`` decomposes the
-sample.  Past one block ``sample_gram`` reduces it to the two n-space
-arrays every diagnostic reads, the Gram X'X and P = X'U_m, and
+sample.  Past one block ``wishart_gram`` draws the two n-space arrays
+every diagnostic reads, the Gram X'X and P = X'U_m, in their joint law
+and at a cost free of d (Bartlett's decomposition of the tail Gram), and
 ``pca_engine.gram_pca`` decomposes the Gram.  ``projection_scores`` turns
 P into the population scores.
 
@@ -30,7 +31,11 @@ by sqrt(tau) and applies the spike term to the laid sample.
 ``sample_gram``, at every d, sums K = GG', S (and the row sums G1 under a
 non-zero mean) over the raw blocks and assembles X'X and P in n-space,
 equal to the products of that sample to rounding and with the same bits
-at any draw-thread count; so it never holds the sample.
+at any draw-thread count; so it never holds the sample.  It is the dense
+reference that ``wishart_gram`` matches in law, and the two share one
+n-space assembly (``_assemble``).  Under a zero mean ``wishart_gram``
+never reads the basis, so there a past-one-block replicate does not
+depend on the basis seed.
 """
 
 from __future__ import annotations
@@ -272,7 +277,7 @@ def is_one_block(spec: SpikeSpec) -> bool:
 
     Then ``generate_sample`` lays no copy of the draw and a sweep replicate
     decomposes the sample itself; past one block the replicate reads
-    ``sample_gram``, which never holds the sample.
+    ``wishart_gram``, which draws no sample at all.
     """
     return spec.d <= SAMPLE_BLOCK
 
@@ -281,8 +286,9 @@ def set_draw_threads(threads: int) -> int:
     """Set how many column blocks this process draws at once, on either
     basis; return the previous count.
 
-    A sweep sets it in each process it runs replicates in.  The count does
-    not change any bit of a sample, only how long the draw takes.
+    A sweep sets it in each process it runs replicates in, though no sweep
+    replicate draws more than one block.  The count does not change any bit
+    of a sample, only how long the draw takes.
     """
     global _draw_threads
     if int(threads) < 1:
@@ -432,9 +438,9 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     sample to rounding.  Each block's share of S comes from
     ``_spike_coords``, as in ``generate_sample``, so on the canonical axes
     S is the raw first m columns and P is bitwise ``spike_projection`` of
-    the sample.  A sweep replicate reads it past one column block
-    (``is_one_block``); within one it decomposes the sample itself with
-    ``dual_pca``.
+    the sample.  The assembly from (K - SS', S, r - S U_m'1) is the one that
+    ``wishart_gram`` shares; no sweep replicate reads this function, which
+    stays the dense reference that ``wishart_gram`` matches in law.
     """
     mu = spec.mean_vector_value
     # U_m is built here: on a cache miss every draw thread would build its own.
@@ -455,18 +461,87 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
                     spike += block_spike
                 if rows is not None:
                     rows += block_rows
-        tau = float(spec.tail_value)
-        proj = spike * np.sqrt(spec.spike_eigenvalues)
         gram -= spike @ spike.T  # the Gram of the tail, G (I - U_m U_m') G'
-        if tau != 1.0:
-            gram *= tau
-        gram += proj @ proj.T
+        ones_u = tail_rows = None
         if mu != 0.0:
             ones_u = _ones_u(spec)
-            a = math.sqrt(tau) * (rows - spike @ ones_u) + proj @ ones_u
-            gram += mu * (a[:, None] + a) + mu * mu * spec.d
-            proj += mu * ones_u
-    return gram, proj
+            tail_rows = rows - spike @ ones_u
+        return _assemble(spec, gram, spike, tail_rows, ones_u)
+
+
+def wishart_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
+    """X'X (n x n) and P = X'U_m (n x m) of a sample of the spiked model,
+    drawn in n-space at a cost free of d: the law of ``sample_gram``'s pair,
+    not its bits.
+
+    Write the draw as G = SU_m' + G(I - U_mU_m').  The spike coordinates
+    S = GU_m (n x m) are standard normal and independent of the tail part,
+    whose n rows are standard normal in the (d - m)-dimensional complement
+    of the spike directions.  Take an orthonormal basis of that complement
+    whose first vector is c / ||c||, with c = (I - U_mU_m')1, so
+    ||c||^2 = d - |U_m'1|^2 (d - m on the canonical axes).  The tail's
+    coordinate along it is a standard-normal n-vector a, and the rest have
+    the Gram LL' ~ Wishart_n(d - m - 1, I), which Bartlett's decomposition
+    draws as a lower-trapezoidal n x k factor L, k = min(n, d - m - 1):
+    N(0, 1) below the diagonal, L_ii = sqrt(chi2(d - m - i)) for i = 1..k,
+    zero above.  So the tail Gram is T = aa' + LL' and the tail row sums are
+    G(I - U_mU_m')1 = ||c|| a, and ``sample_gram``'s n-space assembly turns
+    (T, S, ||c|| a) into X'X and P.  Each term is symmetric, so X'X is too.
+
+    One SFC64 generator seeded by ``seed`` (a SeedSequence, or an int or a
+    tuple of ints for ``SeedSequence(seed)``) draws, in order, S as an
+    n x m standard-normal array, a as an n-vector, an n x k standard-normal
+    array whose upper triangle and diagonal are then set to zero, and the k
+    chi-square variates of its diagonal, df = d - m - 1, ..., d - m - k.
+    Its seed carries no block index, so it shares no draw with the block
+    stream of ``generate_sample`` and ``sample_gram``.  U_m is built only
+    under a non-zero mean (for U_m'1); under a zero mean the basis does not
+    enter at all.  A sweep replicate reads it past one column block
+    (``is_one_block``).
+    """
+    n, m, d = spec.n, spec.m, spec.d
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.SFC64(root))
+    spike = rng.standard_normal((n, m))
+    a = rng.standard_normal(n)
+    k = min(n, d - m - 1)
+    lower = np.tril(rng.standard_normal((n, k)), -1)
+    diag = np.arange(k)
+    lower[diag, diag] = np.sqrt(rng.chisquare(d - m - 1 - diag))
+    with np.errstate(invalid="ignore", over="ignore"):
+        tail = np.outer(a, a)
+        tail += lower @ lower.T
+        ones_u = tail_rows = None
+        if spec.mean_vector_value != 0.0:
+            ones_u = _ones_u(spec)
+            tail_rows = math.sqrt(d - ones_u @ ones_u) * a
+        return _assemble(spec, tail, spike, tail_rows, ones_u)
+
+
+def _assemble(spec: SpikeSpec, tail: np.ndarray, spike: np.ndarray,
+              tail_rows: Optional[np.ndarray],
+              ones_u: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """X'X and P from the tail Gram T = G(I - U_mU_m')G' (n x n, overwritten
+    to become X'X), S = GU_m (n x m) and, under a non-zero mean, the tail row
+    sums G(I - U_mU_m')1 and U_m'1 (both None under a zero mean).
+
+    The sample is X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11',
+    so P = S Lambda^{1/2} + mu 1 (1'U_m) and
+    X'X = tau T + PP' + mu (b1' + 1b') + mu^2 d 11', with
+    b = sqrt(tau) G(I - U_mU_m')1 + S Lambda^{1/2} U_m'1 the row sums of the
+    mean-free sample.  Each term is symmetric, so X'X is too if T is.
+    """
+    tau = float(spec.tail_value)
+    proj = spike * np.sqrt(spec.spike_eigenvalues)
+    if tau != 1.0:
+        tail *= tau
+    tail += proj @ proj.T
+    mu = spec.mean_vector_value
+    if mu != 0.0:
+        b = math.sqrt(tau) * tail_rows + proj @ ones_u
+        tail += mu * (b[:, None] + b) + mu * mu * spec.d
+        proj += mu * ones_u
+    return tail, proj
 
 
 def spike_projection(data: DataMatrix) -> np.ndarray:

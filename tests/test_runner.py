@@ -21,7 +21,7 @@ from spikescore.asymptotics import (
     spike_diagnostics,
 )
 from spikescore.cli import cli_main
-from spikescore.pca_engine import dual_pca
+from spikescore.pca_engine import dual_pca, gram_pca
 from spikescore.runner import (
     MODE_GROWING_N,
     MODE_HDLSS,
@@ -46,6 +46,7 @@ from spikescore.spike_model import (
     generate_sample,
     projection_scores,
     spike_projection,
+    wishart_gram,
 )
 
 TINY_CONFIG = """
@@ -617,8 +618,8 @@ class TestOneProjectionPerReplicate:
 
 
 class TestStreamedReplicate:
-    # The canonical replicate sums the Gram over column blocks; past one
-    # block it must agree with the whole-sample chain to rounding.
+    # Past one block the replicate draws its Gram and P in n-space
+    # (wishart_gram); it must agree with that public chain to rounding.
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
     def test_multi_block_matches_public_chain(self, mean):
         d = 3 * spike_model.SAMPLE_BLOCK + 17
@@ -627,7 +628,14 @@ class TestStreamedReplicate:
         )
         guard = 1e-3
         record = compute_replicate(template, MODE_HDLSS, d, 3, master_seed=23, guard=guard)
-        _, _, table, diags = public_chain(template, d, 3, 23, guard)
+        spec = template.spec_at(MODE_HDLSS, d)
+        gram, proj = wishart_gram(spec, np.random.SeedSequence((23, d, 3)))
+        pca = gram_pca(gram, d, divisor="n", rank=spec.m)
+        s_pop = projection_scores(spec, proj)
+        table = score_ratio_table(comparable_sample_scores(pca, spec.m), s_pop, guard)
+        diags = spike_diagnostics(
+            projection_overlaps(pca, proj), spec.spike_eigenvalues, pca.sample_eigenvalues
+        )
         # Angle and leakage are read off cosines near 1 and norms near 0,
         # so their rounding is absolute (about 1e-13), not relative.
         def close(expected):
@@ -836,6 +844,111 @@ class TestFrameReuse:
             spike_model._cached_spike_basis.cache_clear()
         assert info.misses == 2
         assert info.hits > 0
+
+
+class TestBasisOnlyWhenRead:
+    D = 2 * spike_model.SAMPLE_BLOCK + 17
+
+    def test_zero_mean_replicate_builds_no_basis(self):
+        # Past one block a zero-mean replicate reads neither U_m nor 1'U_m.
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9)
+        )
+        spike_model._cached_spike_basis.cache_clear()
+        try:
+            record = compute_replicate(template, MODE_HDLSS, self.D, 0, master_seed=5)
+            info = spike_model._cached_spike_basis.cache_info()
+        finally:
+            spike_model._cached_spike_basis.cache_clear()
+        assert info.misses == 0
+        assert np.isfinite(record.spikes[0].median_ratio)
+
+    def test_shifted_sweep_builds_one_frame_per_grid_point(self, tmp_path):
+        spike_model._cached_spike_basis.cache_clear()
+        cfg = tiny_config(
+            tmp_path,
+            template=SpikeTemplate(
+                spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9),
+                mean=ConstantMean(2.5),
+            ),
+            grid=(self.D, self.D + spike_model.SAMPLE_BLOCK),
+            replicates=3,
+        )
+        try:
+            run_hdlss_sweep(cfg)
+            info = spike_model._cached_spike_basis.cache_info()
+        finally:
+            spike_model._cached_spike_basis.cache_clear()
+        assert info.misses == 2
+        assert info.hits > 0
+
+    def test_replicate_at_d_1e12_is_small(self):
+        # The draw takes O(n^2) memory at any d: the benchmark's spikes at
+        # n = 50 and d = 1e12, where the n x d sample would be 400 TB.
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(2.0, 1.5), SpikeProfile.power(1.0, 1.5)), n=50
+        )
+        compute_replicate(template, MODE_HDLSS, self.D, 0, master_seed=5)  # imports the eigensolver
+        tracemalloc.start()
+        try:
+            record = compute_replicate(template, MODE_HDLSS, 10**12, 0, master_seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert all(np.isfinite(d.median_ratio) for d in record.spikes)
+
+
+class TestWishartGramLaw:
+    # Past one block a replicate draws X'X and P in n-space (wishart_gram);
+    # the same chain on the dense block stream (sample_gram) must give the
+    # same laws.  Two-sample KS with fixed seeds, so the p-values are fixed.
+    D = 2 * spike_model.SAMPLE_BLOCK + 17
+    M = 300
+
+    @pytest.mark.parametrize(
+        "basis, mean, tail_value",
+        [
+            (CanonicalAxes(), ZeroMean(), 1.0),
+            (RandomOrthogonal(seed=3), ConstantMean(2.5), 2.0),
+            (CanonicalAxes(), ConstantMean(-1.5), 2.0),
+        ],
+        ids=["canonical", "orthogonal-shifted", "canonical-shifted"],
+    )
+    def test_replicates_match_the_dense_stream_in_law(self, basis, mean, tail_value,
+                                                       monkeypatch):
+        from scipy import stats
+
+        template = SpikeTemplate(
+            spikes=(SpikeProfile.power(1.0, 1.5), SpikeProfile.power(1.0, 1.2)),
+            n=20, tail_value=tail_value, basis=basis, mean=mean,
+        )
+
+        def chain(draw, master_seed):
+            entries = []
+
+            def traced(spec, seed):
+                gram, proj = draw(spec, seed)
+                entries.append(gram[0, 1])
+                return gram, proj
+
+            monkeypatch.setattr(rn, "wishart_gram", traced)
+            records = [
+                compute_replicate(template, MODE_HDLSS, self.D, r, master_seed)
+                for r in range(self.M)
+            ]
+            columns = {
+                f"{name}_{j}": [getattr(record.spikes[j], name) for record in records]
+                for name in ("median_ratio", "eig_ratio", "leakage")
+                for j in range(template.m)
+            }
+            columns["gram_01"] = entries
+            return columns
+
+        fast = chain(spike_model.wishart_gram, 1)
+        dense = chain(spike_model.sample_gram, 2)
+        pvalues = {key: stats.ks_2samp(fast[key], dense[key]).pvalue for key in fast}
+        assert min(pvalues.values()) > 1e-3, pvalues
 
 
 class TestSpikeEigenvaluesOnly:

@@ -21,6 +21,7 @@ from spikescore.spike_model import (
     projection_scores,
     sample_gram,
     spike_projection,
+    wishart_gram,
 )
 
 
@@ -620,6 +621,85 @@ class TestSpikeColumnsAcrossBlocks:
         else:
             # Past one block P is assembled in n-space on a random basis.
             assert np.max(np.abs(proj - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def reference_wishart(spec, seed):
+    """X'X and P drawn in n-space, from scratch: one SFC64 generator seeded
+    by the SeedSequence of ``seed`` draws S (n x m), a (n), an n x k normal
+    array whose strictly lower part is kept, and the k chi-square variates
+    of the diagonal, df = d - m - 1, ..., d - m - k, k = min(n, d - m - 1).
+    Then X'X = tau (aa' + LL') + PP' plus the mean terms."""
+    n, m, d = spec.n, spec.m, spec.d
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    s = rng.standard_normal((n, m))
+    a = rng.standard_normal(n)
+    k = min(n, d - m - 1)
+    z = rng.standard_normal((n, k))
+    chi = rng.chisquare([d - m - i for i in range(1, k + 1)])
+    lower = np.zeros((n, k))
+    for i in range(n):
+        for j in range(min(i + 1, k)):
+            lower[i, j] = np.sqrt(chi[i]) if i == j else z[i, j]
+    tau, mu = spec.tail_value, spec.mean_vector_value
+    proj = s * np.sqrt(spec.spike_eigenvalues)
+    gram = np.outer(a, a) + lower @ lower.T
+    gram = gram * tau + proj @ proj.T
+    ones_u = basis_vectors(spec).sum(axis=0)
+    rows = np.sqrt(tau) * (np.sqrt(d - ones_u @ ones_u) * a) + proj @ ones_u
+    gram += mu * (rows[:, None] + rows) + mu * mu * d
+    return gram, proj + mu * ones_u
+
+
+class TestWishartGram:
+    # With four-column blocks, as in TestSpikeColumnsAcrossBlocks, every d
+    # below is past one block, the route on which a sweep replicate reads it.
+    SPIKES = tuple(SpikeProfile.fixed(v) for v in (40.0, 30.0, 20.0, 10.0))
+
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    @pytest.mark.parametrize("d", [8, 5], ids=["d8", "k0"])
+    def test_rank_is_that_of_the_sample(self, d, basis, monkeypatch):
+        # d = 8: L is 12 x 3; d = m + 1: no L, the tail Gram is aa'.
+        monkeypatch.setattr(spike_model, "SAMPLE_BLOCK", 4)
+        spec = SpikeSpec(
+            spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=ConstantMean(2.5)
+        )
+        assert not spike_model.is_one_block(spec)
+        gram, proj = wishart_gram(spec, 23)
+        assert np.linalg.matrix_rank(gram) == min(spec.n, d)
+        assert proj.shape == (12, 4)
+
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("tail_value", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "basis, d",
+        [(CanonicalAxes(), 5), (CanonicalAxes(), 10), (CanonicalAxes(), 10**12),
+         (RandomOrthogonal(seed=3), 10), (RandomOrthogonal(seed=3), 5_000)],
+    )
+    def test_exactly_symmetric(self, basis, d, tail_value, mean):
+        # gram_pca decomposes (G + G') / 2, which is G to the bit only when
+        # G is exactly symmetric.
+        spec = SpikeSpec(spikes=self.SPIKES, n=12, d=d, tail_value=tail_value, basis=basis,
+                         mean=mean)
+        gram, _ = wishart_gram(spec, np.random.SeedSequence((5, d, 1)))
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    @pytest.mark.parametrize("d", [10, 30], ids=["trapezoid", "triangle"])
+    def test_bits_follow_the_documented_draw(self, d, basis, mean, monkeypatch):
+        monkeypatch.setattr(spike_model, "SAMPLE_BLOCK", 4)
+        spec = SpikeSpec(spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=mean)
+        gram, proj = wishart_gram(spec, 17)
+        expected_gram, expected_proj = reference_wishart(spec, 17)
+        assert np.array_equal(gram, expected_gram)
+        assert np.array_equal(proj, expected_proj)
+        # An int seed is its SeedSequence.
+        again = wishart_gram(spec, np.random.SeedSequence(17))
+        assert np.array_equal(again[0], gram) and np.array_equal(again[1], proj)
 
 
 class TestEnumDefaults:
