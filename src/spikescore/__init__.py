@@ -6,16 +6,16 @@ The package has four layers:
   (``generate_sample``, with ``spike_projection``, the projection
   P = X'U_m on the spike directions), ``sample_gram``, which assembles
   the sample's Gram X'X and P in n-space from sums over its column
-  blocks, without holding it, and ``wishart_gram``, which draws X'X and P
-  in their joint law at a cost free of d (Bartlett's decomposition).
+  blocks, without holding it, and ``wishart_factor``, which draws an
+  n x min(d, n + m + 1) factor F of the sample, FF' = X'X and
+  F[:, :m] = P in their joint law, at a cost free of d (Bartlett's
+  decomposition).
 - ``pca_engine``: sample eigenvalues and score vectors, from the sample
   (``dual_pca``, which runs Lanczos on v -> X'(X v) and forms no Gram
   where ``_operator_is_cheaper`` finds that route cheaper, as for n large
   against d) or from the n x n Gram (``gram_pca``); loadings are never
   stored.
-  A sweep replicate within one column block (``spike_model.is_one_block``)
-  runs ``generate_sample`` -> ``spike_projection`` -> ``dual_pca``; past
-  one block it runs ``wishart_gram`` -> ``gram_pca``.
+  A sweep replicate runs ``wishart_factor`` -> ``dual_pca`` at every d.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
   decomposition, and ``spike_diagnostics``, which turns the overlap matrix
   of ``projection_overlaps`` into eigenvalue ratios, angles, cross-spike
@@ -24,7 +24,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .spike_model import (
     CanonicalAxes,
@@ -39,7 +39,7 @@ from .spike_model import (
     projection_scores,
     sample_gram,
     spike_projection,
-    wishart_gram,
+    wishart_factor,
 )
 from .pca_engine import (
     PcaResult,
@@ -91,7 +91,7 @@ __all__ = [
     "projection_scores",
     "sample_gram",
     "spike_projection",
-    "wishart_gram",
+    "wishart_factor",
     "PcaResult",
     "dual_pca",
     "gram_pca",

@@ -3,13 +3,15 @@
 For d >> n data the d x d sample covariance is never formed: eigenvalues
 and score vectors come from the Gram matrix X'X / divisor.  ``gram_pca``
 decomposes a Gram it is given, so a caller that assembles X'X from sums
-over column blocks (a sweep replicate past one block) never holds X.
-``dual_pca`` takes a sample and chooses, by a weighted flop count read
-from its sizes (``_operator_is_cheaper``, which states the crossover),
-between two routes to the same eigenpairs.  Where few components are
-wanted and n is large against d (a large growing-n replicate), Lanczos
+over column blocks (``spike_model.sample_gram``) never holds X.
+``dual_pca`` takes a sample, or any d' x n matrix F' with FF' = X'X such
+as a sweep replicate's factor (``spike_model.wishart_factor``), and
+chooses, by a weighted flop count read from its sizes
+(``_operator_is_cheaper``, which states the crossover), between two
+routes to the same eigenpairs.  Where few components are wanted and n is
+large against d (a large growing-n replicate, n = d' = 1600), Lanczos
 runs on v -> X'(X v) / divisor, so the n x n Gram, n^2 d flops, is never
-formed; otherwise (an hdlss replicate at n = 50, d >> n) it forms the
+formed; otherwise (an hdlss replicate at n = 50, d' = 53) it forms the
 Gram and hands it to ``gram_pca``.
 No loading vector is stored: where a diagnostic needs the unit loading
 u_hat_j = X v_j / ||X v_j||, it divides by ``loading_norms``, the one
@@ -240,10 +242,8 @@ def gram_pca(
 
     ``gram`` is not yet divided; ``centered`` records whether the sample
     was centered before it was formed.  This is the eigen-part of
-    ``dual_pca``'s Gram route, shared with the sweep replicates past one
-    column block, which take their Gram from ``spike_model.wishart_gram``
-    (``spike_model.sample_gram`` is its dense reference); a one-block
-    replicate calls ``dual_pca`` on its sample.
+    ``dual_pca``'s Gram route, and decomposes the Gram that
+    ``spike_model.sample_gram`` assembles without the sample.
 
     The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
     array beyond ``gram``, which is left as it is.  The Grams a sweep

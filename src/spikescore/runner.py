@@ -5,13 +5,11 @@ the score-ratio and eigen-structure diagnostics, and writes one CSV row per
 (replicate, spike) plus a JSON report with distributional test outcomes,
 trend tables, per-stage timings and the regime ratio of each grid point.
 Replicate streams are keyed by (master_seed, grid_value, replicate): the
-replicate's SeedSequence seeds the one SFC64 generator of an n-space draw,
-or, within one column block, the generator of that block, with the block
-index appended to its spawn key, so results are byte-identical regardless
-of worker count, draw-thread count or scheduling.  A worker pool
-takes the replicates one at a time, largest grid value first, so the
-costliest ones start early and no worker is left alone with them at the end;
-outcomes are put back in task order.  Each finished grid point logs one
+replicate's SeedSequence seeds the one SFC64 generator of its n-space
+draw, so results are byte-identical regardless of worker count or
+scheduling.  A worker pool takes the replicates one at a time, largest
+grid value first, so the costliest ones start early and no worker is left
+alone with them at the end; outcomes are put back in task order.  Each finished grid point logs one
 progress line with an ETA.
 
 Each sweep mode is defined once, as one entry of ``_MODE_TABLE``: its grid
@@ -27,33 +25,27 @@ can reject a correct model once the replicates are many.
 row per grid point and spike, the mean |median ratio - 1|, and checks that
 it shrinks as n grows: the rescaling "paradox disappears".
 
-Each replicate takes one of two routes, the same on either basis, and
-``spike_model.is_one_block`` chooses.  Within one column block (d <=
-``SAMPLE_BLOCK``, every growing-n replicate up to d = 8192) it runs the
-public chain: ``generate_sample`` draws the d x n sample,
-``spike_projection`` gives its projection on the spike directions,
-P = X'U_m, and ``dual_pca`` gives the sample eigenvalues w and score
-vectors V; where ``pca_engine._operator_is_cheaper`` says so (n large
-against d) that is Lanczos on v -> X'(X v), with no n x n Gram.
-Past one block ``wishart_gram`` draws X'X and P in n-space, in the joint
-law of the sample's products (the tail Gram by Bartlett's decomposition,
-the spike coordinates as an n x m normal draw), at a cost free of d; so
-the replicate draws no n x d sample, and ``gram_pca`` decomposes that
-Gram.  There a record matches the dense reference chain
-(``sample_gram``) in law, not in bits, and under a zero mean it does not
-depend on the basis seed.  Either way the diagnostics read only w, V, the
+Every replicate takes one route, at every d and on either basis.
+``wishart_factor`` draws an n x d' factor F of the sample,
+d' = min(d, n + m + 1): in law, the sample written in an orthonormal frame
+whose first m axes are the spike directions, with its tail Gram drawn by
+Bartlett's decomposition, so FF' = X'X and F[:, :m] = P = X'U_m in the
+joint law of the sample's products, at a cost free of d.  ``dual_pca``
+on F' gives the sample eigenvalues w and score vectors V, choosing its
+route by ``pca_engine._operator_is_cheaper``: the Gram at an hdlss point
+(n = 50, d' = 53), Lanczos on v -> F(F'v) with no n x n Gram at a large
+growing-n point (n = d' = 1600).  A record matches the dense reference
+chain (``generate_sample`` -> ``dual_pca``, or ``sample_gram`` ->
+``gram_pca``) in law, not in bits, and under a zero mean it does not
+depend on the basis seed.  The diagnostics read only w, V, the
 population scores S and P.
 
 The sweep owns its parallelism and derives it, with no setting of its
-own: ``workers`` processes take the replicates, and each process may draw
-column blocks on up to (usable CPUs) // workers threads
-(``spike_model.set_draw_threads``), on either basis; a replicate draws at
-most one block, so in a sweep only the workers run in parallel.
-The count is set in the serial sweep and in each pool worker as it
-starts, together with the eigensolver import, so no replicate's timings
-hold that import.  The draw threads live only inside one
-``generate_sample`` or ``sample_gram`` call.  Neither count changes a
-record's bits; ``report.json`` names both under ``parallelism``.
+own: ``workers`` processes take the replicates, one at a time each, and
+``report.json`` names the count under ``parallelism``; it changes no
+record's bits.  The eigensolver is imported before the pool starts (and
+again in each worker, for a start method that does not fork), so no
+replicate's timings hold that import.
 """
 
 from __future__ import annotations
@@ -83,7 +75,7 @@ from .asymptotics import (
     spike_diagnostics,
 )
 from .limit_dist import RLaw, ks_test
-from .pca_engine import PcaResult, dual_pca, gram_pca
+from .pca_engine import PcaResult, dual_pca
 from .spike_model import (
     BasisChoice,
     CanonicalAxes,
@@ -94,12 +86,8 @@ from .spike_model import (
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
-    generate_sample,
-    is_one_block,
     projection_scores,
-    set_draw_threads,
-    spike_projection,
-    wishart_gram,
+    wishart_factor,
 )
 
 log = logging.getLogger(__name__)
@@ -108,11 +96,10 @@ log = logging.getLogger(__name__)
 MODE_HDLSS = "hdlss-sweep"
 MODE_GROWING_N = "growing-n-sweep"
 
-# Stages that compute_replicate times, in order, the same on either basis:
-# "generate" gives the sample and P (generate_sample and spike_projection)
-# within one block, and the Gram and P (wishart_gram) past it; "pca" is
-# dual_pca on the sample or gram_pca on the Gram; and "diagnostics" reads
-# n-space arrays only.
+# Stages that compute_replicate times, in order, the same at every d and on
+# either basis: "generate" draws the factor F, whose first m columns are P
+# (wishart_factor); "pca" is dual_pca on F'; and "diagnostics" reads n-space
+# arrays only.
 STAGES = ("generate", "pca", "diagnostics")
 
 RECORDS_HEADER = "grid,replicate,j,median_ratio,rel_spread,eig_ratio,angle_rad,leakage,n_excluded"
@@ -302,31 +289,24 @@ def compute_replicate(
 
     The replicate stream is ``SeedSequence((master_seed, grid_value,
     replicate))``, so any record can be regenerated in isolation with the
-    public calls it makes.  Within one column block (``is_one_block``)
-    those are ``generate_sample``, whose one block is drawn by SFC64 seeded
-    with 0 appended to that spawn key, ``spike_projection`` and
-    ``dual_pca``, which runs Lanczos on the sample as an operator, and
-    never forms the n x n Gram, where ``_operator_is_cheaper`` says so.
-    Past one block they are ``wishart_gram``, which draws X'X and P in
-    n-space from one SFC64 seeded by the stream, and ``gram_pca``.  There
-    the record follows the law of the dense chain (``sample_gram``, or
-    ``generate_sample`` and ``dual_pca``), not its bits; under a zero mean
-    it reads no basis, so the basis seed does not change it.
+    public calls it makes, the same at every d: ``wishart_factor``, which
+    draws the n x min(d, n + m + 1) factor F from one SFC64 seeded by the
+    stream, and ``dual_pca`` on F', which runs Lanczos on F as an operator,
+    and never forms the n x n Gram, where ``_operator_is_cheaper`` says so.
+    F[:, :m] is P = X'U_m.  The record follows the law of the dense chain
+    (``generate_sample`` and ``dual_pca``, or ``sample_gram`` and
+    ``gram_pca``), not its bits; under a zero mean it reads no basis, so
+    the basis seed does not change it.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
     seed = np.random.SeedSequence((int(master_seed), int(grid_value), int(replicate)))
 
     t0 = time.perf_counter()
-    if is_one_block(spec):
-        data = generate_sample(spec, seed)
-        proj = spike_projection(data)
-        t1 = time.perf_counter()
-        pca = dual_pca(data.values, divisor="n", rank=m)
-    else:
-        gram, proj = wishart_gram(spec, seed)
-        t1 = time.perf_counter()
-        pca = gram_pca(gram, spec.d, divisor="n", rank=m)
+    f = wishart_factor(spec, seed)
+    proj = f[:, :m]
+    t1 = time.perf_counter()
+    pca = dual_pca(f.T, divisor="n", rank=m)
     t2 = time.perf_counter()
     s_pop = projection_scores(spec, proj)
     s_hat = comparable_sample_scores(pca, m)
@@ -356,17 +336,11 @@ def compute_replicate(
     )
 
 
-def _start_process(threads: int) -> int:
-    """Ready this process to run replicates; return its previous draw-thread
-    count.
-
-    Imports the eigensolver that ``dual_pca`` and ``gram_pca`` load on
-    first use, so the first replicate's "pca" stage times the eigensolve,
-    not the import, and sets the draw threads.
-    """
+def _start_process() -> None:
+    """Ready this process to run replicates: import the eigensolver that
+    ``dual_pca`` loads on first use, so the first replicate's "pca" stage
+    times the eigensolve, not the import."""
     import scipy.sparse.linalg  # noqa: F401
-
-    return set_draw_threads(threads)
 
 
 def _safe_compute(args):
@@ -655,18 +629,12 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     ]
     total = len(tasks)
     workers = min(config.resolved_workers(), total)
-    # Each process draws the column blocks on its share of the CPUs.
-    threads = max(1, usable_cpus() // workers)
+    # Before the pool starts, so forked workers inherit the import.
+    _start_process()
     if workers <= 1:
-        previous = _start_process(threads)
-        try:
-            outcomes = _collect_with_progress(map(_safe_compute, tasks), config.replicates, total)
-        finally:
-            set_draw_threads(previous)
+        outcomes = _collect_with_progress(map(_safe_compute, tasks), config.replicates, total)
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_process, initargs=(threads,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_process) as pool:
             # Cost grows with the grid value, so dispatch the largest first,
             # one task at a time, and reverse the outcomes back.
             arriving = pool.map(_safe_compute, tasks[::-1], chunksize=1)
@@ -722,7 +690,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         checks={"passed": not check_notes, "detail": "; ".join(check_notes) or "ok"},
         failures={"count": len(failure_detail), "total": total, "detail": failure_detail},
         versions=_versions(),
-        parallelism={"workers": workers, "draw_threads": threads},
+        parallelism={"workers": workers},
         total_runtime_s=time.perf_counter() - start,
         records_path=records_path,
         report_path=out_dir / "report.json",

@@ -5,15 +5,14 @@ list of dominant eigenvalues (the spikes), a constant tail level, and a
 choice of eigenbasis.  Only the m spike directions U_m are ever held,
 since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
 covariance is never formed, so dimensions in the millions stay cheap.
-A sweep replicate reads one of two routes, by ``is_one_block``, the one
-place that tells them apart.  Within one column block it draws the sample
-(``generate_sample``) and projects it on the spike directions
-(``spike_projection``), and ``pca_engine.dual_pca`` decomposes the
-sample.  Past one block ``wishart_gram`` draws the two n-space arrays
-every diagnostic reads, the Gram X'X and P = X'U_m, in their joint law
-and at a cost free of d (Bartlett's decomposition of the tail Gram), and
-``pca_engine.gram_pca`` decomposes the Gram.  ``projection_scores`` turns
-P into the population scores.
+A sweep replicate reads one route at every d: ``wishart_factor`` draws an
+n x min(d, n + m + 1) factor F of the sample, in law the sample written
+in an orthonormal frame whose first m axes are the spike directions, so
+FF' = X'X and F[:, :m] = P = X'U_m, the two n-space arrays every
+diagnostic reads, in their joint law and at a cost free of d (Bartlett's
+decomposition of the tail Gram).  ``pca_engine.dual_pca`` decomposes F'
+as it would the sample, and ``projection_scores`` turns P into the
+population scores.
 
 On either basis the sample is the symmetric square root of the
 covariance applied to an n x d standard-normal draw G, streamed as raw
@@ -31,11 +30,11 @@ by sqrt(tau) and applies the spike term to the laid sample.
 ``sample_gram``, at every d, sums K = GG', S (and the row sums G1 under a
 non-zero mean) over the raw blocks and assembles X'X and P in n-space,
 equal to the products of that sample to rounding and with the same bits
-at any draw-thread count; so it never holds the sample.  It is the dense
-reference that ``wishart_gram`` matches in law, and the two share one
-n-space assembly (``_assemble``).  Under a zero mean ``wishart_gram``
-never reads the basis, so there a past-one-block replicate does not
-depend on the basis seed.
+at any draw-thread count; so it never holds the sample.  These three are
+the dense references that ``wishart_factor`` matches in law; its FF' is
+``sample_gram``'s n-space assembly (``_assemble``) applied to F's own
+columns.  Under a zero mean ``wishart_factor`` never reads the basis, so
+there a replicate does not depend on the basis seed.
 """
 
 from __future__ import annotations
@@ -52,6 +51,10 @@ import numpy as np
 # block while it is still in cache, so a replicate never holds the d x n
 # sample.
 SAMPLE_BLOCK = 2**13
+
+# Entries of L that wishart_factor fills at once (256 KB of normals and a
+# 32 KB mask), so its draw holds little beyond F.
+_FACTOR_BLOCK = 2**15
 
 # Column blocks this process draws at once (set_draw_threads).
 _draw_threads = 1
@@ -273,12 +276,9 @@ def basis_vectors(spec: SpikeSpec) -> np.ndarray:
 
 
 def is_one_block(spec: SpikeSpec) -> bool:
-    """Whether the raw draw is one column block (d <= SAMPLE_BLOCK).
-
-    Then ``generate_sample`` lays no copy of the draw and a sweep replicate
-    decomposes the sample itself; past one block the replicate reads
-    ``wishart_gram``, which draws no sample at all.
-    """
+    """Whether the raw draw is one column block (d <= SAMPLE_BLOCK): then
+    ``generate_sample`` lays no copy of the draw, but uses its one block as
+    the sample."""
     return spec.d <= SAMPLE_BLOCK
 
 
@@ -286,8 +286,8 @@ def set_draw_threads(threads: int) -> int:
     """Set how many column blocks this process draws at once, on either
     basis; return the previous count.
 
-    A sweep sets it in each process it runs replicates in, though no sweep
-    replicate draws more than one block.  The count does not change any bit
+    It serves ``generate_sample`` and ``sample_gram`` past one block; no
+    sweep replicate draws column blocks.  The count does not change any bit
     of a sample, only how long the draw takes.
     """
     global _draw_threads
@@ -438,9 +438,10 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     sample to rounding.  Each block's share of S comes from
     ``_spike_coords``, as in ``generate_sample``, so on the canonical axes
     S is the raw first m columns and P is bitwise ``spike_projection`` of
-    the sample.  The assembly from (K - SS', S, r - S U_m'1) is the one that
-    ``wishart_gram`` shares; no sweep replicate reads this function, which
-    stays the dense reference that ``wishart_gram`` matches in law.
+    the sample.  No sweep replicate reads this function, which stays the
+    dense reference that ``wishart_factor`` matches in law: the factor's FF'
+    is the assembly (``_assemble``) of its own tail Gram, S and tail row
+    sums.
     """
     mu = spec.mean_vector_value
     # U_m is built here: on a cache miss every draw thread would build its own.
@@ -469,53 +470,62 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
         return _assemble(spec, gram, spike, tail_rows, ones_u)
 
 
-def wishart_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
-    """X'X (n x n) and P = X'U_m (n x m) of a sample of the spiked model,
-    drawn in n-space at a cost free of d: the law of ``sample_gram``'s pair,
-    not its bits.
+def wishart_factor(spec: SpikeSpec, seed) -> np.ndarray:
+    """An n x d' factor F of a sample of the spiked model, d' = min(d, n + m + 1),
+    drawn in n-space: FF' = X'X and F[:, :m] = P = X'U_m, jointly in the law
+    of ``sample_gram``'s pair, not its bits.
 
-    Write the draw as G = SU_m' + G(I - U_mU_m').  The spike coordinates
-    S = GU_m (n x m) are standard normal and independent of the tail part,
-    whose n rows are standard normal in the (d - m)-dimensional complement
-    of the spike directions.  Take an orthonormal basis of that complement
-    whose first vector is c / ||c||, with c = (I - U_mU_m')1, so
-    ||c||^2 = d - |U_m'1|^2 (d - m on the canonical axes).  The tail's
-    coordinate along it is a standard-normal n-vector a, and the rest have
-    the Gram LL' ~ Wishart_n(d - m - 1, I), which Bartlett's decomposition
-    draws as a lower-trapezoidal n x k factor L, k = min(n, d - m - 1):
-    N(0, 1) below the diagonal, L_ii = sqrt(chi2(d - m - i)) for i = 1..k,
-    zero above.  So the tail Gram is T = aa' + LL' and the tail row sums are
-    G(I - U_mU_m')1 = ||c|| a, and ``sample_gram``'s n-space assembly turns
-    (T, S, ||c|| a) into X'X and P.  Each term is symmetric, so X'X is too.
+    In law, F' is the sample written in an orthonormal frame of R^d whose
+    first m axes are U_m and whose next axis is c / ||c||, with
+    c = (I - U_mU_m')1, so ||c||^2 = d - |U_m'1|^2 (d - m on the canonical
+    axes).  Write the draw as G = SU_m' + G(I - U_mU_m').  The spike
+    coordinates S = GU_m (n x m) are standard normal and independent of the
+    tail part, whose coordinate along c / ||c|| is a standard-normal
+    n-vector a and whose other coordinates have the Gram
+    LL' ~ Wishart_n(d - m - 1, I).  Bartlett's
+    decomposition draws L as a lower-trapezoidal n x k factor,
+    k = min(n, d - m - 1): N(0, 1) below the diagonal,
+    L_ii = sqrt(chi2(d - m - i)) for i = 1..k, zero above.  The sample is
+    X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11', and the
+    mean lies in span(U_m, c), so
+    F = [S Lambda^{1/2} + mu 1 (1'U_m) | sqrt(tau) a + mu ||c|| 1 | sqrt(tau) L].
+    The first m columns are P; the mean needs no column of its own.
 
     One SFC64 generator seeded by ``seed`` (a SeedSequence, or an int or a
     tuple of ints for ``SeedSequence(seed)``) draws, in order, S as an
-    n x m standard-normal array, a as an n-vector, an n x k standard-normal
-    array whose upper triangle and diagonal are then set to zero, and the k
+    n x m standard-normal array, a as an n-vector, the strictly lower
+    entries of L row by row (row i holds min(i - 1, k) of them), and the k
     chi-square variates of its diagonal, df = d - m - 1, ..., d - m - k.
-    Its seed carries no block index, so it shares no draw with the block
-    stream of ``generate_sample`` and ``sample_gram``.  U_m is built only
-    under a non-zero mean (for U_m'1); under a zero mean the basis does not
-    enter at all.  A sweep replicate reads it past one column block
-    (``is_one_block``).
+    No entry above the diagonal is drawn: at d = n that is about n^2 / 2
+    normals.  L is filled in row blocks of about ``_FACTOR_BLOCK`` entries,
+    so the draw holds little beyond F.  Its seed carries no block index, so
+    it shares no draw with the block stream of ``generate_sample`` and
+    ``sample_gram``.  U_m is built only under a non-zero mean (for U_m'1);
+    under a zero mean the basis does not enter at all.
     """
     n, m, d = spec.n, spec.m, spec.d
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.SFC64(root))
-    spike = rng.standard_normal((n, m))
-    a = rng.standard_normal(n)
     k = min(n, d - m - 1)
-    lower = np.tril(rng.standard_normal((n, k)), -1)
+    f = np.zeros((n, m + 1 + k))
+    f[:, :m] = rng.standard_normal((n, m)) * np.sqrt(spec.spike_eigenvalues)
+    f[:, m] = rng.standard_normal(n)
+    lower = f[:, m + 1 :]
+    rows = max(1, _FACTOR_BLOCK // max(k, 1))
+    for lo in range(1, n, rows):  # row 0 has no entry below the diagonal
+        below = np.tri(min(rows, n - lo), k, lo - 1, dtype=bool)
+        lower[lo : lo + rows][below] = rng.standard_normal(np.count_nonzero(below))
     diag = np.arange(k)
     lower[diag, diag] = np.sqrt(rng.chisquare(d - m - 1 - diag))
-    with np.errstate(invalid="ignore", over="ignore"):
-        tail = np.outer(a, a)
-        tail += lower @ lower.T
-        ones_u = tail_rows = None
-        if spec.mean_vector_value != 0.0:
-            ones_u = _ones_u(spec)
-            tail_rows = math.sqrt(d - ones_u @ ones_u) * a
-        return _assemble(spec, tail, spike, tail_rows, ones_u)
+    root_tau = math.sqrt(spec.tail_value)
+    if root_tau != 1.0:
+        f[:, m:] *= root_tau
+    mu = spec.mean_vector_value
+    if mu != 0.0:
+        ones_u = _ones_u(spec)
+        f[:, :m] += mu * ones_u
+        f[:, m] += mu * math.sqrt(d - ones_u @ ones_u)
+    return f
 
 
 def _assemble(spec: SpikeSpec, tail: np.ndarray, spike: np.ndarray,

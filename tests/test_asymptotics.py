@@ -24,6 +24,7 @@ from spikescore.spike_model import (
     generate_sample,
     projection_scores,
     spike_projection,
+    wishart_factor,
 )
 
 
@@ -45,11 +46,20 @@ def explicit_loadings(x, pca):
 
 def replicate_diagnostics(spec, seed):
     """spike_diagnostics of one replicate within one column block through
-    the runner's route: generate_sample, spike_projection and dual_pca."""
+    the dense chain: generate_sample, spike_projection and dual_pca."""
     data = generate_sample(spec, seed)
     pca = dual_pca(data.values, rank=spec.m)
     proj = spike_projection(data)
     return spike_diagnostics(projection_overlaps(pca, proj), spec.spike_eigenvalues,
+                             pca.sample_eigenvalues)
+
+
+def factor_diagnostics(spec, seed):
+    """spike_diagnostics of one replicate through the runner's route:
+    wishart_factor, then dual_pca of F', with P = F[:, :m]."""
+    f = wishart_factor(spec, seed)
+    pca = dual_pca(f.T, rank=spec.m)
+    return spike_diagnostics(projection_overlaps(pca, f[:, : spec.m]), spec.spike_eigenvalues,
                              pca.sample_eigenvalues)
 
 
@@ -176,7 +186,7 @@ class TestCrossSpikeOverlap:
         )
         record = runner.compute_replicate(template, runner.MODE_HDLSS, 400, 0, master_seed=3)
         spec = template.spec_at(runner.MODE_HDLSS, 400)
-        cross = replicate_diagnostics(spec, np.random.SeedSequence((3, 400, 0))).cross_overlaps
+        cross = factor_diagnostics(spec, np.random.SeedSequence((3, 400, 0))).cross_overlaps
         for j, diag in enumerate(record.spikes):
             assert diag.cross_overlaps == tuple(np.delete(cross[j], j))
 

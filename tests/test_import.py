@@ -36,11 +36,12 @@ def test_import_leaves_scipy_linear_algebra_out():
 
 
 # Names removed from the API: the d-space duplicates of the n-space
-# diagnostics, and the one-field wrapper that S (n x m) was kept in.
+# diagnostics, the one-field wrapper that S (n x m) was kept in, and the
+# n-space Gram draw that the factor draw (wishart_factor) replaced.
 REMOVED = (
     "angle_to_population", "cross_spike_overlap", "tail_leakage", "eigenvalue_ratio",
     "spike_overlaps", "align_signs", "orthogonal_matrix", "population_score_matrix",
-    "resolve_eigenvalues", "chi_square_cdf", "LatentScores",
+    "resolve_eigenvalues", "chi_square_cdf", "LatentScores", "wishart_gram",
 )
 
 

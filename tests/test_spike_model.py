@@ -21,7 +21,7 @@ from spikescore.spike_model import (
     projection_scores,
     sample_gram,
     spike_projection,
-    wishart_gram,
+    wishart_factor,
 )
 
 
@@ -623,52 +623,49 @@ class TestSpikeColumnsAcrossBlocks:
             assert np.max(np.abs(proj - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def reference_wishart(spec, seed):
-    """X'X and P drawn in n-space, from scratch: one SFC64 generator seeded
-    by the SeedSequence of ``seed`` draws S (n x m), a (n), an n x k normal
-    array whose strictly lower part is kept, and the k chi-square variates
-    of the diagonal, df = d - m - 1, ..., d - m - k, k = min(n, d - m - 1).
-    Then X'X = tau (aa' + LL') + PP' plus the mean terms."""
+def reference_factor(spec, seed):
+    """The factor F drawn from scratch, one row of L at a time: one SFC64
+    generator seeded by the SeedSequence of ``seed`` draws S (n x m), a (n),
+    the strictly lower entries of each row of L in turn, and the k
+    chi-square variates of the diagonal, df = d - m - 1, ..., d - m - k,
+    k = min(n, d - m - 1).  Then
+    F = [S Lambda^{1/2} + mu 1 (1'U_m) | sqrt(tau) a + mu ||c|| 1 | sqrt(tau) L]."""
     n, m, d = spec.n, spec.m, spec.d
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     s = rng.standard_normal((n, m))
     a = rng.standard_normal(n)
     k = min(n, d - m - 1)
-    z = rng.standard_normal((n, k))
-    chi = rng.chisquare([d - m - i for i in range(1, k + 1)])
     lower = np.zeros((n, k))
     for i in range(n):
-        for j in range(min(i + 1, k)):
-            lower[i, j] = np.sqrt(chi[i]) if i == j else z[i, j]
-    tau, mu = spec.tail_value, spec.mean_vector_value
-    proj = s * np.sqrt(spec.spike_eigenvalues)
-    gram = np.outer(a, a) + lower @ lower.T
-    gram = gram * tau + proj @ proj.T
+        for j, z in enumerate(rng.standard_normal(min(i, k))):
+            lower[i, j] = z
+    for i, chi in enumerate(rng.chisquare([d - m - i for i in range(1, k + 1)])):
+        lower[i, i] = np.sqrt(chi)
+    root_tau, mu = np.sqrt(spec.tail_value), spec.mean_vector_value
     ones_u = basis_vectors(spec).sum(axis=0)
-    rows = np.sqrt(tau) * (np.sqrt(d - ones_u @ ones_u) * a) + proj @ ones_u
-    gram += mu * (rows[:, None] + rows) + mu * mu * d
-    return gram, proj + mu * ones_u
+    f = np.zeros((n, m + 1 + k))
+    for i in range(n):
+        f[i, :m] = s[i] * np.sqrt(spec.spike_eigenvalues) + mu * ones_u
+        f[i, m] = root_tau * a[i] + mu * np.sqrt(d - ones_u @ ones_u)
+        f[i, m + 1 :] = root_tau * lower[i]
+    return f
 
 
-class TestWishartGram:
-    # With four-column blocks, as in TestSpikeColumnsAcrossBlocks, every d
-    # below is past one block, the route on which a sweep replicate reads it.
+class TestWishartFactor:
     SPIKES = tuple(SpikeProfile.fixed(v) for v in (40.0, 30.0, 20.0, 10.0))
 
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
     )
     @pytest.mark.parametrize("d", [8, 5], ids=["d8", "k0"])
-    def test_rank_is_that_of_the_sample(self, d, basis, monkeypatch):
-        # d = 8: L is 12 x 3; d = m + 1: no L, the tail Gram is aa'.
-        monkeypatch.setattr(spike_model, "SAMPLE_BLOCK", 4)
+    def test_rank_is_that_of_the_sample(self, d, basis):
+        # d = 8: L is 12 x 3; d = m + 1: no L, F is [P | sqrt(tau) a + mu ||c|| 1].
         spec = SpikeSpec(
             spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=ConstantMean(2.5)
         )
-        assert not spike_model.is_one_block(spec)
-        gram, proj = wishart_gram(spec, 23)
-        assert np.linalg.matrix_rank(gram) == min(spec.n, d)
-        assert proj.shape == (12, 4)
+        f = wishart_factor(spec, 23)
+        assert f.shape == (12, d)
+        assert np.linalg.matrix_rank(f @ f.T) == min(spec.n, d)
 
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
     @pytest.mark.parametrize("tail_value", [1.0, 2.0])
@@ -677,29 +674,57 @@ class TestWishartGram:
         [(CanonicalAxes(), 5), (CanonicalAxes(), 10), (CanonicalAxes(), 10**12),
          (RandomOrthogonal(seed=3), 10), (RandomOrthogonal(seed=3), 5_000)],
     )
-    def test_exactly_symmetric(self, basis, d, tail_value, mean):
-        # gram_pca decomposes (G + G') / 2, which is G to the bit only when
-        # G is exactly symmetric.
+    def test_gram_is_the_n_space_assembly(self, basis, d, tail_value, mean):
+        # FF' is X'X as sample_gram assembles it (spike_model._assemble) from
+        # the tail Gram aa' + LL', S and the tail row sums ||c|| a, all read
+        # back from F's own columns; F[:, :m] is its P.
         spec = SpikeSpec(spikes=self.SPIKES, n=12, d=d, tail_value=tail_value, basis=basis,
                          mean=mean)
-        gram, _ = wishart_gram(spec, np.random.SeedSequence((5, d, 1)))
-        assert np.array_equal(gram, gram.T)
+        f = wishart_factor(spec, np.random.SeedSequence((5, d, 1)))
+        m, mu, root_tau = spec.m, spec.mean_vector_value, np.sqrt(tail_value)
+        ones_u = np.ones(m) if isinstance(basis, CanonicalAxes) else basis_vectors(spec).sum(axis=0)
+        norm_c = np.sqrt(d - ones_u @ ones_u)
+        spike = (f[:, :m] - mu * ones_u) / np.sqrt(spec.spike_eigenvalues)
+        a = (f[:, m] - mu * norm_c) / root_tau
+        lower = f[:, m + 1 :] / root_tau
+        tail = np.outer(a, a) + lower @ lower.T
+        shifted = mu != 0.0
+        gram, proj = spike_model._assemble(
+            spec, tail, spike, norm_c * a if shifted else None, ones_u if shifted else None
+        )
+        assert np.max(np.abs(f @ f.T - gram)) <= 1e-14 * np.max(np.abs(gram))
+        assert np.max(np.abs(f[:, :m] - proj)) <= 1e-14 * np.max(np.abs(proj))
 
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
     )
-    @pytest.mark.parametrize("d", [10, 30], ids=["trapezoid", "triangle"])
+    @pytest.mark.parametrize(
+        "d", [30, 12, 8, 5], ids=["k-is-n", "d-is-n", "d-below-n", "k0"]
+    )
     def test_bits_follow_the_documented_draw(self, d, basis, mean, monkeypatch):
-        monkeypatch.setattr(spike_model, "SAMPLE_BLOCK", 4)
+        # n = 12, m = 4: k = 12, 7, 3 and 0.  Row blocks of 16 entries of L,
+        # so the draw crosses block edges: one row, two or five at a time.
+        monkeypatch.setattr(spike_model, "_FACTOR_BLOCK", 16)
         spec = SpikeSpec(spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=mean)
-        gram, proj = wishart_gram(spec, 17)
-        expected_gram, expected_proj = reference_wishart(spec, 17)
-        assert np.array_equal(gram, expected_gram)
-        assert np.array_equal(proj, expected_proj)
+        f = wishart_factor(spec, 17)
+        assert np.array_equal(f, reference_factor(spec, 17))
         # An int seed is its SeedSequence.
-        again = wishart_gram(spec, np.random.SeedSequence(17))
-        assert np.array_equal(again[0], gram) and np.array_equal(again[1], proj)
+        assert np.array_equal(wishart_factor(spec, np.random.SeedSequence(17)), f)
+
+    def test_holds_little_beyond_the_factor(self):
+        # At n = d = 800 the only temporaries are one row block of L and its
+        # mask; no n x n array beside F.
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0)), n=800, d=800
+        )
+        tracemalloc.start()
+        try:
+            f = wishart_factor(spec, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * f.nbytes
 
 
 class TestEnumDefaults:
