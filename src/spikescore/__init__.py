@@ -6,16 +6,16 @@ The package has four layers:
   (``generate_sample``, with ``spike_projection``, the projection
   P = X'U_m on the spike directions), ``sample_gram``, which assembles
   the sample's Gram X'X and P in n-space from sums over its column
-  blocks, without holding it, and ``wishart_factor``, which draws an
-  n x min(d, n + m + 1) factor F of the sample, FF' = X'X and
-  F[:, :m] = P in their joint law, at a cost free of d (Bartlett's
-  decomposition).
+  blocks, without holding it, and ``frame_sample``, which draws a sample
+  in a random frame K of R^n at O(n m) whatever d is: X'X = K A K' in
+  law, with the tail Gram a bidiagonal factor (Dumitriu & Edelman's
+  Laguerre model).
 - ``pca_engine``: sample eigenvalues and score vectors, from the sample
-  (``dual_pca``, which runs Lanczos on v -> X'(X v) and forms no Gram
-  where ``_operator_is_cheaper`` finds that route cheaper, as for n large
-  against d) or from the n x n Gram (``gram_pca``); loadings are never
+  (``dual_pca``), from the n x n Gram (``gram_pca``), or from a frame
+  sample (``frame_pca``, Lanczos on A at O(n m) per step, with the score
+  vectors and population scores carried back by K); loadings are never
   stored.
-  A sweep replicate runs ``wishart_factor`` -> ``dual_pca`` at every d.
+  A sweep replicate runs ``frame_sample`` -> ``frame_pca`` at every n and d.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
   decomposition, and ``spike_diagnostics``, which turns the overlap matrix
   of ``projection_overlaps`` into eigenvalue ratios, angles, cross-spike
@@ -24,26 +24,29 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .spike_model import (
     CanonicalAxes,
     ConstantMean,
     DataMatrix,
+    FrameSample,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
     basis_vectors,
+    frame_sample,
     generate_sample,
+    population_projection,
     projection_scores,
     sample_gram,
     spike_projection,
-    wishart_factor,
 )
 from .pca_engine import (
     PcaResult,
     dual_pca,
+    frame_pca,
     gram_pca,
     load_matrix_csv,
     sample_score_matrix,
@@ -82,18 +85,21 @@ __all__ = [
     "CanonicalAxes",
     "ConstantMean",
     "DataMatrix",
+    "FrameSample",
     "RandomOrthogonal",
     "SpikeProfile",
     "SpikeSpec",
     "ZeroMean",
     "basis_vectors",
+    "frame_sample",
     "generate_sample",
+    "population_projection",
     "projection_scores",
     "sample_gram",
     "spike_projection",
-    "wishart_factor",
     "PcaResult",
     "dual_pca",
+    "frame_pca",
     "gram_pca",
     "load_matrix_csv",
     "sample_score_matrix",

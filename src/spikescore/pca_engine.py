@@ -1,30 +1,24 @@
-"""Sample PCA through the n x n Gram matrix, or through the sample as an operator.
+"""Sample PCA through the n x n Gram matrix, or through a sample's random frame.
 
 For d >> n data the d x d sample covariance is never formed: eigenvalues
-and score vectors come from the Gram matrix X'X / divisor.  ``gram_pca``
-decomposes a Gram it is given, so a caller that assembles X'X from sums
-over column blocks (``spike_model.sample_gram``) never holds X.
-``dual_pca`` takes a sample, or any d' x n matrix F' with FF' = X'X such
-as a sweep replicate's factor (``spike_model.wishart_factor``), and
-chooses, by a weighted flop count read from its sizes
-(``_operator_is_cheaper``, which states the crossover), between two
-routes to the same eigenpairs.  Where few components are wanted and n is
-large against d (a large growing-n replicate, n = d' = 1600), Lanczos
-runs on v -> X'(X v) / divisor, so the n x n Gram, n^2 d flops, is never
-formed; otherwise (an hdlss replicate at n = 50, d' = 53) it forms the
-Gram and hands it to ``gram_pca``.
+and score vectors come from the Gram matrix X'X / divisor.  ``dual_pca``
+forms the Gram of a d x n sample and hands it to ``gram_pca``, which
+decomposes a Gram it is given.  ``frame_pca`` decomposes a sample drawn in
+a random frame (``spike_model.frame_sample``, X'X = K A K' in law): every
+sweep replicate takes that route, Lanczos on v -> A v at O(n m) per step,
+so no n x n array is formed at any n.
 No loading vector is stored: where a diagnostic needs the unit loading
 u_hat_j = X v_j / ||X v_j||, it divides by ``loading_norms``, the one
 place that holds the norm sqrt(divisor) sqrt(eigenvalue) and the
 zero-eigenvalue cut.
-Finiteness is read from the Gram diagonal, or on the operator route from
-the column sums of squares, so no d x n mask is built.
+Finiteness is read from the Gram diagonal, or from the trace of A, so no
+d x n mask is built.
 ``gram_pca`` decomposes (G + G') / (2 divisor), the symmetric part of the
 Gram it is given, and holds one n x n array beyond its input.
 When fewer than n components are wanted, the leading eigenpairs come from
 implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
-n x n Gram is never tridiagonalized and the result is reproducible.  The
+n x n matrix is never tridiagonalized and the result is reproducible.  The
 Krylov size follows the wanted rank (``_krylov_size``: 2 rank + 1 vectors,
 not ``eigsh``'s default of at least 20).  In the spiked spectra the sweeps
 draw, the m spike eigenvalues sit far above the bulk, so a few vectors
@@ -40,15 +34,14 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .spike_model import FrameSample
+
 # Eigenvalues below this fraction of the top one are treated as exactly
 # zero by ``loading_norms``, to avoid dividing by a rounding artifact.
 ZERO_EIGENVALUE_RTOL = 1e-12
 
-# What one flop of a matrix-vector product costs, in flops of a matrix
-# product: the former streams its matrix from memory, the latter runs from
-# cache.  Measured on one core (OpenBLAS, AVX-512 Xeon) at n = d = 1600:
-# Lanczos on X'(X v) ran at 4.8 GFLOP/s, forming X'X at 36 GFLOP/s.
-_MATVEC_FLOP_COST = 8
+# The one refusal of a sample with a NaN or Inf entry or an overflowing Gram.
+_NON_FINITE = "the sample contains NaN or Inf entries, or its Gram overflows"
 
 # Absolute threshold for "first nonzero component" in the sign convention;
 # score vectors have unit norm, so any real entry is far above this.
@@ -116,26 +109,6 @@ def _krylov_size(n: int, rank: int) -> int:
     return min(n, 2 * rank + 1)
 
 
-def _operator_is_cheaper(n: int, d: int, rank: int) -> bool:
-    """Whether Lanczos on v -> X'(X v) costs less than forming the Gram and
-    running Lanczos on it.
-
-    Either route takes steps = ncv + 1 Lanczos steps, ncv = ``_krylov_size``
-    = 2 rank + 1 (at most n), so 2 rank + 2 while 2 rank < n.  A step costs
-    4 n d flops on the d x n sample (two matrix-vector products) and 2 n^2
-    on the Gram, which first costs n^2 d flops of a matrix product (one
-    triangle of X'X).  Matrix-vector flops count ``_MATVEC_FLOP_COST`` = c
-    each.  So the operator wins at any d from n = 4 c steps on, and below
-    that while d < 2 c steps n / (4 c steps - n).  With that one machine's
-    ratio c = 8, at rank 2 (steps = 6) that is any d from n = 192 on, n = d
-    from n = 97 on, and at n = 50 only d < 34; at rank 1 (steps = 4), n = d
-    from n = 65 on.
-    """
-    steps = _krylov_size(n, rank) + 1
-    matvec = steps * _MATVEC_FLOP_COST
-    return matvec * 4 * n * d < n * n * d + matvec * 2 * n * n
-
-
 def _leading_pairs(a, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``rank`` largest eigenpairs of the symmetric n x n ``a``, an array
     or a ``LinearOperator``, in ascending order.
@@ -186,48 +159,50 @@ def dual_pca(
     divisor: Union[str, int, float] = "n",
     rank: Optional[int] = None,
 ) -> PcaResult:
-    """Eigenvalues and scores of the sample covariance, in the dual (n-space) form.
+    """Eigenvalues and scores of the sample covariance, via the Gram matrix.
 
     ``x`` is d x n with one observation per column.  The eigenpairs of
     G = X'X / divisor (after optional column centering) give the sample
     eigenvalues and score vectors; the nonzero eigenvalues agree with those
     of XX' / divisor.  ``rank`` limits how many leading components are
-    retained (default min(n, d)).
-
-    Two routes give the same eigenpairs to rounding, and the input sizes
-    choose the cheaper one (``_operator_is_cheaper``, which states the
-    crossover).  With ``rank < n`` and n large against d (as in a large
-    growing-n sweep replicate), Lanczos runs on the operator
-    v -> X_c'(X_c v) / divisor over the sample, so no n x n array is formed,
-    with the same start vector and tolerance as ``gram_pca``.  Otherwise (an
-    hdlss replicate at n = 50, d >> n, or ``rank == n``) the Gram is formed
-    here and decomposed by ``gram_pca``, which documents the eigensolvers.  Either
-    route refuses a NaN or Inf entry, or a sample whose Gram overflows, with
-    the same ValueError: the operator route runs only where twice the trace
-    of X_c'X_c, which bounds every entry of G + G' and every Krylov vector,
-    is positive and finite, and hands any other sample (including a zero
-    one) to ``gram_pca``'s checks.
+    retained (default min(n, d)).  The Gram is formed here and decomposed
+    by ``gram_pca``, which documents the eigensolvers.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"x must be a 2-d matrix, got shape {x.shape}")
-    d, n = x.shape
-    rank = _resolve_rank(rank, n, d)
-    div = _resolve_divisor(divisor, n)
-    # Overflow and NaN are left to the trace bound and gram_pca's check of
-    # the Gram diagonal.
+    # Overflow and NaN are left to gram_pca's check of the Gram diagonal.
     with np.errstate(invalid="ignore", over="ignore"):
         xc = x - x.mean(axis=1, keepdims=True) if center else x
-        if rank < n and _operator_is_cheaper(n, d, rank):
-            # Column sums of squares, the Gram diagonal, with no d x n mask.
-            bound = 2.0 * np.einsum("ij,ij->j", xc, xc).sum()
-            if 0.0 < bound < np.inf:
-                from scipy.sparse.linalg import LinearOperator
-
-                op = LinearOperator((n, n), matvec=lambda v: xc.T @ (xc @ v) / div, dtype=float)
-                return _result(*_leading_pairs(op, n, rank), div, center, d)
         gram = xc.T @ xc
-    return gram_pca(gram, d, divisor=div, rank=rank, centered=center)
+    return gram_pca(gram, x.shape[0], divisor=divisor, rank=rank, centered=center)
+
+
+def frame_pca(frame: FrameSample) -> tuple[PcaResult, np.ndarray]:
+    """The m leading eigenpairs of a sample drawn in a random frame, and its
+    population scores S, both in the observation frame.
+
+    ``frame`` is a ``spike_model.FrameSample``: X'X = K A K' in law, with A
+    an O(n m) operator.  Lanczos (``_leading_pairs``) finds the m largest
+    eigenpairs (w, V~) of A / n, and one call of ``frame.to_observation``
+    carries [V~ | S~] to [V | S] by the same K, so the result is that of an
+    uncentered ``dual_pca`` of the sample with divisor n, in law, and
+    ``_fix_signs`` acts in the observation frame.  A non-finite or zero
+    trace of A is refused with ``gram_pca``'s ValueError: the trace bounds
+    every entry of A and every Krylov vector, and Lanczos cannot start from
+    A = 0.
+    """
+    n, m = frame.n, frame.spikes.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace = frame.trace()
+    if not 0.0 < trace < np.inf:
+        raise ValueError(_NON_FINITE)
+    from scipy.sparse.linalg import LinearOperator
+
+    op = LinearOperator((n, n), matvec=lambda v: frame.matvec(v) / n, dtype=float)
+    w, v = _leading_pairs(op, n, m)
+    rotated = frame.to_observation(np.hstack([v, frame.spikes]))
+    return _result(w, rotated[:, :m], float(n), False, frame.d), rotated[:, m:]
 
 
 def gram_pca(
@@ -242,12 +217,12 @@ def gram_pca(
 
     ``gram`` is not yet divided; ``centered`` records whether the sample
     was centered before it was formed.  This is the eigen-part of
-    ``dual_pca``'s Gram route, and decomposes the Gram that
-    ``spike_model.sample_gram`` assembles without the sample.
+    ``dual_pca``, and decomposes the Gram that ``spike_model.sample_gram``
+    assembles without the sample.
 
     The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
-    array beyond ``gram``, which is left as it is.  The Grams a sweep
-    forms are exactly symmetric (one ``A @ A.T`` product, which numpy
+    array beyond ``gram``, which is left as it is.  The Grams these
+    form are exactly symmetric (one ``A @ A.T`` product, which numpy
     computes as a mirrored triangle, or a sum of such products and other
     symmetric terms), so for them it is G / divisor to the bit; a
     non-symmetric Gram gets its symmetric part.
@@ -278,7 +253,7 @@ def gram_pca(
         g = np.add(gram, gram.T)
         g /= 2.0 * div
     if not np.all(np.isfinite(np.diagonal(g))):
-        raise ValueError("the sample contains NaN or Inf entries, or its Gram overflows")
+        raise ValueError(_NON_FINITE)
 
     # g is positive semidefinite, so a zero trace means g = 0 (all-zero or,
     # centered, constant data): Lanczos cannot start there.

@@ -25,20 +25,19 @@ can reject a correct model once the replicates are many.
 row per grid point and spike, the mean |median ratio - 1|, and checks that
 it shrinks as n grows: the rescaling "paradox disappears".
 
-Every replicate takes one route, at every d and on either basis.
-``wishart_factor`` draws an n x d' factor F of the sample,
-d' = min(d, n + m + 1): in law, the sample written in an orthonormal frame
-whose first m axes are the spike directions, with its tail Gram drawn by
-Bartlett's decomposition, so FF' = X'X and F[:, :m] = P = X'U_m in the
-joint law of the sample's products, at a cost free of d.  ``dual_pca``
-on F' gives the sample eigenvalues w and score vectors V, choosing its
-route by ``pca_engine._operator_is_cheaper``: the Gram at an hdlss point
-(n = 50, d' = 53), Lanczos on v -> F(F'v) with no n x n Gram at a large
-growing-n point (n = d' = 1600).  A record matches the dense reference
-chain (``generate_sample`` -> ``dual_pca``, or ``sample_gram`` ->
-``gram_pca``) in law, not in bits, and under a zero mean it does not
-depend on the basis seed.  The diagnostics read only w, V, the
-population scores S and P.
+Every replicate takes one route, at every n and d and on either basis,
+at O(n m) memory and time.  ``frame_sample`` draws the sample in a random
+frame K of R^n: X'X = K A K' in law, with A = BB' + LL', where B is the
+lower-bidiagonal factor of the tail Gram (Dumitriu & Edelman's Laguerre
+model) and L the n x (m + 1) factor of the spike and mean terms.
+``frame_pca`` runs Lanczos on A and carries the m leading
+score vectors V and the population scores S back to the observation
+frame by one draw of K, and ``population_projection`` gives
+P = X'U_m from S.  No n x n or n x d array is formed.  A record matches
+the dense reference chain (``generate_sample`` -> ``dual_pca``, or
+``sample_gram`` -> ``gram_pca``) in law, not in bits, and under a zero
+mean it does not depend on the basis seed.  The diagnostics read only w,
+V, S and P.
 
 The sweep owns its parallelism and derives it, with no setting of its
 own: ``workers`` processes take the replicates, one at a time each, and
@@ -75,7 +74,7 @@ from .asymptotics import (
     spike_diagnostics,
 )
 from .limit_dist import RLaw, ks_test
-from .pca_engine import PcaResult, dual_pca
+from .pca_engine import PcaResult, dual_pca, frame_pca
 from .spike_model import (
     BasisChoice,
     CanonicalAxes,
@@ -86,8 +85,8 @@ from .spike_model import (
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
-    projection_scores,
-    wishart_factor,
+    frame_sample,
+    population_projection,
 )
 
 log = logging.getLogger(__name__)
@@ -96,10 +95,11 @@ log = logging.getLogger(__name__)
 MODE_HDLSS = "hdlss-sweep"
 MODE_GROWING_N = "growing-n-sweep"
 
-# Stages that compute_replicate times, in order, the same at every d and on
-# either basis: "generate" draws the factor F, whose first m columns are P
-# (wishart_factor); "pca" is dual_pca on F'; and "diagnostics" reads n-space
-# arrays only.
+# Stages that compute_replicate times, in order, the same at every n and d
+# and on either basis: "generate" draws the sample in its random frame
+# (frame_sample); "pca" is the eigensolve of A and the rotation of the score
+# vectors and population scores back (frame_pca); and "diagnostics" reads
+# n-space arrays only.
 STAGES = ("generate", "pca", "diagnostics")
 
 RECORDS_HEADER = "grid,replicate,j,median_ratio,rel_spread,eig_ratio,angle_rad,leakage,n_excluded"
@@ -289,12 +289,13 @@ def compute_replicate(
 
     The replicate stream is ``SeedSequence((master_seed, grid_value,
     replicate))``, so any record can be regenerated in isolation with the
-    public calls it makes, the same at every d: ``wishart_factor``, which
-    draws the n x min(d, n + m + 1) factor F from one SFC64 seeded by the
-    stream, and ``dual_pca`` on F', which runs Lanczos on F as an operator,
-    and never forms the n x n Gram, where ``_operator_is_cheaper`` says so.
-    F[:, :m] is P = X'U_m.  The record follows the law of the dense chain
-    (``generate_sample`` and ``dual_pca``, or ``sample_gram`` and
+    public calls it makes, the same at every n and d: ``frame_sample``,
+    which draws the sample in a random frame from one SFC64 seeded by the
+    stream; ``frame_pca``, which takes the m leading eigenpairs of its
+    O(n m) operator and carries the score vectors and the population
+    scores S back to the observation frame; and ``population_projection``,
+    which gives P = X'U_m from S.  The record follows the law of the dense
+    chain (``generate_sample`` and ``dual_pca``, or ``sample_gram`` and
     ``gram_pca``), not its bits; under a zero mean it reads no basis, so
     the basis seed does not change it.
     """
@@ -303,12 +304,11 @@ def compute_replicate(
     seed = np.random.SeedSequence((int(master_seed), int(grid_value), int(replicate)))
 
     t0 = time.perf_counter()
-    f = wishart_factor(spec, seed)
-    proj = f[:, :m]
+    frame = frame_sample(spec, seed)
     t1 = time.perf_counter()
-    pca = dual_pca(f.T, divisor="n", rank=m)
+    pca, s_pop = frame_pca(frame)
     t2 = time.perf_counter()
-    s_pop = projection_scores(spec, proj)
+    proj = population_projection(spec, s_pop)
     s_hat = comparable_sample_scores(pca, m)
     table = score_ratio_table(s_hat, s_pop, guard)
     overlaps = projection_overlaps(pca, proj)
@@ -338,7 +338,7 @@ def compute_replicate(
 
 def _start_process() -> None:
     """Ready this process to run replicates: import the eigensolver that
-    ``dual_pca`` loads on first use, so the first replicate's "pca" stage
+    ``frame_pca`` loads on first use, so the first replicate's "pca" stage
     times the eigensolve, not the import."""
     import scipy.sparse.linalg  # noqa: F401
 

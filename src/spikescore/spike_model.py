@@ -5,14 +5,15 @@ list of dominant eigenvalues (the spikes), a constant tail level, and a
 choice of eigenbasis.  Only the m spike directions U_m are ever held,
 since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
 covariance is never formed, so dimensions in the millions stay cheap.
-A sweep replicate reads one route at every d: ``wishart_factor`` draws an
-n x min(d, n + m + 1) factor F of the sample, in law the sample written
-in an orthonormal frame whose first m axes are the spike directions, so
-FF' = X'X and F[:, :m] = P = X'U_m, the two n-space arrays every
-diagnostic reads, in their joint law and at a cost free of d (Bartlett's
-decomposition of the tail Gram).  ``pca_engine.dual_pca`` decomposes F'
-as it would the sample, and ``projection_scores`` turns P into the
-population scores.
+A sweep replicate reads one route at every n and d: ``frame_sample``
+draws the sample in a random frame K of R^n, X'X = K A K' in law, with
+A = tau BB' + LL' an O(n m) operator: B is the lower-bidiagonal factor of
+the tail Gram (Dumitriu & Edelman's beta = 1 Laguerre model) and L holds
+the spike and mean terms.  ``pca_engine.frame_pca`` decomposes A and
+carries the score vectors and the population scores S back by K
+(``FrameSample.to_observation``), and ``population_projection`` turns S
+into P = X'U_m.  No n x n or n x d array is formed, so the cost is free
+of d and linear in n.
 
 On either basis the sample is the symmetric square root of the
 covariance applied to an n x d standard-normal draw G, streamed as raw
@@ -31,10 +32,10 @@ by sqrt(tau) and applies the spike term to the laid sample.
 non-zero mean) over the raw blocks and assembles X'X and P in n-space,
 equal to the products of that sample to rounding and with the same bits
 at any draw-thread count; so it never holds the sample.  These three are
-the dense references that ``wishart_factor`` matches in law; its FF' is
-``sample_gram``'s n-space assembly (``_assemble``) applied to F's own
-columns.  Under a zero mean ``wishart_factor`` never reads the basis, so
-there a replicate does not depend on the basis seed.
+the dense references that ``frame_sample`` matches in law.  The basis
+and its column sums 1'U_m are cached together; under a zero mean
+``frame_sample`` never reads them, so there a replicate does not depend
+on the basis seed.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ import numpy as np
 # block while it is still in cache, so a replicate never holds the d x n
 # sample.
 SAMPLE_BLOCK = 2**13
-
-# Entries of L that wishart_factor fills at once (256 KB of normals and a
-# 32 KB mask), so its draw holds little beyond F.
-_FACTOR_BLOCK = 2**15
 
 # Column blocks this process draws at once (set_draw_threads).
 _draw_threads = 1
@@ -243,26 +240,30 @@ def _basis_draw(seed: int, d: int, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _cached_spike_basis(seed: int, d: int, m: int) -> np.ndarray:
-    # Keyed on the three ints that determine U_m, not on the spec, so every
-    # replicate of a grid point (whatever its n or spikes) shares it.  One
-    # entry: a sweep visits grid points in order.  Shared, so read-only.
+def _cached_spike_basis(seed: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # U_m and its column sums 1'U_m, keyed on the three ints that determine
+    # U_m, not on the spec, so every replicate of a grid point (whatever its
+    # n or spikes) shares them.  One entry: a sweep visits grid points in
+    # order.  Shared, so read-only.
     u = np.linalg.qr(_basis_draw(seed, d, m))[0]
-    u.flags.writeable = False
-    return u
+    ones_u = u.sum(axis=0)
+    u.flags.writeable = ones_u.flags.writeable = False
+    return u, ones_u
 
 
 def _spike_basis(spec: SpikeSpec) -> Optional[np.ndarray]:
     """The spike directions U_m (d x m), or None on the canonical axes."""
     if isinstance(spec.basis, CanonicalAxes):
         return None
-    return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)
+    return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)[0]
 
 
 def _ones_u(spec: SpikeSpec) -> np.ndarray:
-    """1'U_m (m,): 1 on the canonical axes, the column sums of U_m otherwise."""
-    u = _spike_basis(spec)
-    return np.ones(spec.m) if u is None else u.sum(axis=0)
+    """1'U_m (m,): 1 on the canonical axes, the cached column sums of U_m
+    otherwise."""
+    if isinstance(spec.basis, CanonicalAxes):
+        return np.ones(spec.m)
+    return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)[1]
 
 
 def basis_vectors(spec: SpikeSpec) -> np.ndarray:
@@ -438,11 +439,8 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     sample to rounding.  Each block's share of S comes from
     ``_spike_coords``, as in ``generate_sample``, so on the canonical axes
     S is the raw first m columns and P is bitwise ``spike_projection`` of
-    the sample.  No sweep replicate reads this function, which stays the
-    dense reference that ``wishart_factor`` matches in law: the factor's FF'
-    is the assembly (``_assemble``) of its own tail Gram, S and tail row
-    sums.
-    """
+    the sample.  No sweep replicate reads this function, which stays a
+    dense reference that ``frame_sample`` matches in law."""
     mu = spec.mean_vector_value
     # U_m is built here: on a cache miss every draw thread would build its own.
     _spike_basis(spec)
@@ -470,62 +468,139 @@ def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
         return _assemble(spec, gram, spike, tail_rows, ones_u)
 
 
-def wishart_factor(spec: SpikeSpec, seed) -> np.ndarray:
-    """An n x d' factor F of a sample of the spiked model, d' = min(d, n + m + 1),
-    drawn in n-space: FF' = X'X and F[:, :m] = P = X'U_m, jointly in the law
-    of ``sample_gram``'s pair, not its bits.
+@dataclass(frozen=True)
+class FrameSample:
+    """A sample of the spiked model drawn in a random frame K of R^n.
 
-    In law, F' is the sample written in an orthonormal frame of R^d whose
-    first m axes are U_m and whose next axis is c / ||c||, with
-    c = (I - U_mU_m')1, so ||c||^2 = d - |U_m'1|^2 (d - m on the canonical
-    axes).  Write the draw as G = SU_m' + G(I - U_mU_m').  The spike
-    coordinates S = GU_m (n x m) are standard normal and independent of the
-    tail part, whose coordinate along c / ||c|| is a standard-normal
-    n-vector a and whose other coordinates have the Gram
-    LL' ~ Wishart_n(d - m - 1, I).  Bartlett's
-    decomposition draws L as a lower-trapezoidal n x k factor,
-    k = min(n, d - m - 1): N(0, 1) below the diagonal,
-    L_ii = sqrt(chi2(d - m - i)) for i = 1..k, zero above.  The sample is
-    X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11', and the
-    mean lies in span(U_m, c), so
-    F = [S Lambda^{1/2} + mu 1 (1'U_m) | sqrt(tau) a + mu ||c|| 1 | sqrt(tau) L].
-    The first m columns are P; the mean needs no column of its own.
+    In law X'X = K A K' with A = BB' + LL' and K Haar on O(n), drawn by
+    ``frame_sample``.  ``lead`` is L (n x (m + 1)), ``spikes`` is S~ = K'S
+    (n x m), ``ones`` is h = K'1, and ``tail_diag`` (r) and ``tail_sub``
+    (min(n - 1, r)) are the diagonal and subdiagonal of the lower-bidiagonal
+    n x r factor B of the tail Gram, already scaled by sqrt(tau).
+    ``stiefel`` is the (n - 1) x min(2m, n - 1) frame W that stands in for
+    K's free part (``to_observation``), and ``d`` the sample's dimension.
+    Every array is O(n m).
+    """
+
+    lead: np.ndarray
+    tail_diag: np.ndarray
+    tail_sub: np.ndarray
+    spikes: np.ndarray
+    ones: np.ndarray
+    stiefel: np.ndarray
+    d: int
+
+    @property
+    def n(self) -> int:
+        return self.lead.shape[0]
+
+    def trace(self) -> float:
+        """tr A, the sum of squares of B and L."""
+        return float(self.tail_diag @ self.tail_diag + self.tail_sub @ self.tail_sub
+                     + np.einsum("ij,ij->", self.lead, self.lead))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v = B(B'v) + L(L'v), at O(n m)."""
+        v = np.ravel(v)
+        diag, sub = self.tail_diag, self.tail_sub
+        r, s = diag.size, sub.size
+        u = diag * v[:r]
+        u[:s] += sub * v[1 : s + 1]
+        out = self.lead @ (self.lead.T @ v)
+        out[:r] += diag * u
+        out[1 : s + 1] += sub * u[:s]
+        return out
+
+    def to_observation(self, z: np.ndarray) -> np.ndarray:
+        """K z for an n x c array z of K's frame, with c <= 2m unless
+        n - 1 <= 2m.
+
+        Given h, K = R_1 (1 (+) J) R_h, where the Householder reflection R_h
+        takes h / sqrt(n) to s e_1, s = -sign(h_1) (the sign that avoids
+        cancellation), R_1 takes s e_1 to 1 / sqrt(n), and J is Haar on
+        O(n - 1).  J acts
+        on the lower block Y = Q_Y R_Y of R_h z as W R_Y, since J Q_Y is
+        uniform on the Stiefel manifold whatever Y is; W is its draw.  So
+        the result is exact in law jointly with A, h and S~, if every array
+        that must share one K is mapped in one call.  O(n c^2).
+        """
+        v = self.ones / math.sqrt(self.n)
+        sigma = -1.0 if v[0] >= 0.0 else 1.0
+        first = v.copy()
+        first[0] -= sigma
+        z = _reflect(np.array(z, dtype=float), first)
+        q, r = np.linalg.qr(z[1:])
+        if q.shape[1] > self.stiefel.shape[1]:
+            raise ValueError(f"the frame maps at most {self.stiefel.shape[1]} columns at n = "
+                             f"{self.n}, got {z.shape[1]}")
+        z[1:] = self.stiefel[:, : q.shape[1]] @ r
+        second = np.full(self.n, -1.0 / math.sqrt(self.n))
+        second[0] += sigma
+        return _reflect(z, second)
+
+
+def _reflect(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(I - 2ww' / w'w) z, in place."""
+    z -= np.outer(w, (2.0 / (w @ w)) * (w @ z))
+    return z
+
+
+def frame_sample(spec: SpikeSpec, seed) -> FrameSample:
+    """One sample of the spiked model in a random frame of R^n, at O(n m)
+    memory and time whatever d is: exact in law, and no n x n or n x d
+    array is formed.
+
+    Write the draw in an orthonormal frame of R^d whose first m axes are U_m
+    and whose next axis is c / ||c||, c = (I - U_mU_m')1, so
+    ||c||^2 = d - |U_m'1|^2.  The sample is then
+    X' = [S Lambda^{1/2} + mu 1 (1'U_m) | sqrt(tau) a + mu ||c|| 1 | sqrt(tau) G],
+    with S (n x m), a (n) and G (n x nu), nu = d - m - 1, independent
+    standard normals.  By Dumitriu & Edelman's beta = 1 Laguerre model
+    (J. Math. Phys. 43 (2002) 5830), GG' = K BB' K' in law, with K Haar on
+    O(n) and independent of B, the lower-bidiagonal n x r matrix,
+    r = min(n, nu), with diagonal chi_nu, ..., chi_{nu-r+1} and subdiagonal
+    chi_{n-1}, chi_{n-2}, ... in rows 2 to min(n, r + 1).  With S~ = K'S and
+    a~ = K'a (again independent standard normals) and h = K'1 (uniform on
+    the sphere of radius sqrt(n)), X'X = K A K' with A = tau BB' + LL' and
+    L = [S~ Lambda^{1/2} + mu h (1'U_m) | sqrt(tau) a~ + mu ||c|| h].
+    ``FrameSample.to_observation`` carries n-space arrays back by K, and
+    ``pca_engine.frame_pca`` decomposes A.
 
     One SFC64 generator seeded by ``seed`` (a SeedSequence, or an int or a
-    tuple of ints for ``SeedSequence(seed)``) draws, in order, S as an
-    n x m standard-normal array, a as an n-vector, the strictly lower
-    entries of L row by row (row i holds min(i - 1, k) of them), and the k
-    chi-square variates of its diagonal, df = d - m - 1, ..., d - m - k.
-    No entry above the diagonal is drawn: at d = n that is about n^2 / 2
-    normals.  L is filled in row blocks of about ``_FACTOR_BLOCK`` entries,
-    so the draw holds little beyond F.  Its seed carries no block index, so
-    it shares no draw with the block stream of ``generate_sample`` and
-    ``sample_gram``.  U_m is built only under a non-zero mean (for U_m'1);
-    under a zero mean the basis does not enter at all.
+    tuple of ints for ``SeedSequence(seed)``) draws, in order: z (n), with
+    h = sqrt(n) z / ||z||, under either mean; S~ (n x m); a~ (n); the r
+    chi-square variates of B's diagonal, df nu, ..., nu - r + 1; the
+    min(n - 1, r) of its subdiagonal, df n - 1, n - 2, ...; and an
+    (n - 1) x min(2m, n - 1) standard-normal array, whose Q factor with the
+    signs of R's diagonal made positive is W, uniform on the Stiefel
+    manifold.  At d = m + 1, nu = 0 and B is empty.  U_m'1 is read only
+    under a non-zero mean, so a zero-mean sample does not depend on the
+    basis.
     """
     n, m, d = spec.n, spec.m, spec.d
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.SFC64(root))
-    k = min(n, d - m - 1)
-    f = np.zeros((n, m + 1 + k))
-    f[:, :m] = rng.standard_normal((n, m)) * np.sqrt(spec.spike_eigenvalues)
-    f[:, m] = rng.standard_normal(n)
-    lower = f[:, m + 1 :]
-    rows = max(1, _FACTOR_BLOCK // max(k, 1))
-    for lo in range(1, n, rows):  # row 0 has no entry below the diagonal
-        below = np.tri(min(rows, n - lo), k, lo - 1, dtype=bool)
-        lower[lo : lo + rows][below] = rng.standard_normal(np.count_nonzero(below))
-    diag = np.arange(k)
-    lower[diag, diag] = np.sqrt(rng.chisquare(d - m - 1 - diag))
+    z = rng.standard_normal(n)
+    h = math.sqrt(n) * z / np.linalg.norm(z)
+    spikes = rng.standard_normal((n, m))
+    a = rng.standard_normal(n)
+    nu = d - m - 1
+    r = min(n, nu)
+    diag = np.sqrt(rng.chisquare(nu - np.arange(r)))
+    sub = np.sqrt(rng.chisquare(n - 1 - np.arange(min(n - 1, r))))
+    q, rr = np.linalg.qr(rng.standard_normal((n - 1, min(2 * m, n - 1))))
+    q *= np.where(np.diagonal(rr) < 0.0, -1.0, 1.0)
     root_tau = math.sqrt(spec.tail_value)
-    if root_tau != 1.0:
-        f[:, m:] *= root_tau
+    lead = np.empty((n, m + 1))
+    lead[:, :m] = spikes * np.sqrt(spec.spike_eigenvalues)
+    lead[:, m] = root_tau * a
     mu = spec.mean_vector_value
     if mu != 0.0:
         ones_u = _ones_u(spec)
-        f[:, :m] += mu * ones_u
-        f[:, m] += mu * math.sqrt(d - ones_u @ ones_u)
-    return f
+        lead[:, :m] += np.outer(mu * h, ones_u)
+        lead[:, m] += mu * math.sqrt(d - ones_u @ ones_u) * h
+    return FrameSample(lead=lead, tail_diag=root_tau * diag, tail_sub=root_tau * sub,
+                       spikes=spikes, ones=h, stiefel=q, d=d)
 
 
 def _assemble(spec: SpikeSpec, tail: np.ndarray, spike: np.ndarray,
@@ -572,3 +647,14 @@ def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
     if mu != 0.0:
         proj = proj - mu * _ones_u(spec)
     return proj / np.sqrt(spec.spike_eigenvalues)
+
+
+def population_projection(spec: SpikeSpec, scores: np.ndarray) -> np.ndarray:
+    """P = X'U_m = S Lambda^{1/2} + mu 1 (1'U_m) from the population scores S,
+    the inverse of ``projection_scores``.  U_m'1 is read only under a
+    non-zero mean."""
+    proj = scores * np.sqrt(spec.spike_eigenvalues)
+    mu = spec.mean_vector_value
+    if mu != 0.0:
+        proj += mu * _ones_u(spec)
+    return proj

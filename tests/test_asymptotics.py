@@ -11,7 +11,7 @@ from spikescore.asymptotics import (
     score_ratio_table,
     spike_diagnostics,
 )
-from spikescore.pca_engine import PcaResult, dual_pca
+from spikescore.pca_engine import PcaResult, dual_pca, frame_pca
 from spikescore.spike_model import (
     CanonicalAxes,
     ConstantMean,
@@ -21,10 +21,11 @@ from spikescore.spike_model import (
     SpikeSpec,
     ZeroMean,
     basis_vectors,
+    frame_sample,
     generate_sample,
+    population_projection,
     projection_scores,
     spike_projection,
-    wishart_factor,
 )
 
 
@@ -56,10 +57,10 @@ def replicate_diagnostics(spec, seed):
 
 def factor_diagnostics(spec, seed):
     """spike_diagnostics of one replicate through the runner's route:
-    wishart_factor, then dual_pca of F', with P = F[:, :m]."""
-    f = wishart_factor(spec, seed)
-    pca = dual_pca(f.T, rank=spec.m)
-    return spike_diagnostics(projection_overlaps(pca, f[:, : spec.m]), spec.spike_eigenvalues,
+    frame_sample, then frame_pca, with P from the population scores."""
+    pca, scores = frame_pca(frame_sample(spec, seed))
+    proj = population_projection(spec, scores)
+    return spike_diagnostics(projection_overlaps(pca, proj), spec.spike_eigenvalues,
                              pca.sample_eigenvalues)
 
 

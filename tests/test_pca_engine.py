@@ -1,5 +1,6 @@
 """Dual-route PCA against direct eigendecomposition oracles."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -12,14 +13,22 @@ from spikescore.pca_engine import (
     ZERO_EIGENVALUE_RTOL,
     PcaResult,
     _leading_pairs,
-    _operator_is_cheaper,
     dual_pca,
+    frame_pca,
     gram_pca,
     load_matrix_csv,
     loading_norms,
     sample_score_matrix,
 )
-from spikescore.spike_model import SpikeProfile, SpikeSpec, generate_sample
+from spikescore.spike_model import (
+    ConstantMean,
+    RandomOrthogonal,
+    SpikeProfile,
+    SpikeSpec,
+    ZeroMean,
+    frame_sample,
+    generate_sample,
+)
 
 
 def direct_eigen(x, center, div):
@@ -242,100 +251,52 @@ class TestLanczosPath:
         assert np.allclose(res.score_vectors.T @ res.score_vectors, np.eye(2))
 
 
-def spiked_square(n, center):
-    """An n x n sample with two spikes, as a growing-n replicate draws it."""
-    x = np.random.default_rng(25).standard_normal((n, n)) + (3.0 if center else 0.0)
-    x[:2] *= [[40.0], [20.0]]
-    return x
+class TestFramePca:
+    """frame_pca decomposes the frame's O(n m) operator A / n and carries
+    the score vectors and population scores back by one K."""
 
+    SPIKES = (SpikeProfile.fixed(400.0), SpikeProfile.fixed(60.0))
+    SPEC = SpikeSpec(spikes=SPIKES, n=30, d=45, tail_value=1.5, basis=RandomOrthogonal(seed=3),
+                     mean=ConstantMean(2.5))
 
-class TestOperatorRoute:
-    """With rank < n and n large against d, dual_pca runs Lanczos on
-    v -> X'(X v) / divisor and forms no Gram; the reference is still
-    np.linalg.eigh of the Gram."""
+    @staticmethod
+    def dense_a(frame):
+        n, r, s = frame.n, frame.tail_diag.size, frame.tail_sub.size
+        b = np.zeros((n, r))
+        b[np.arange(r), np.arange(r)] = frame.tail_diag
+        b[np.arange(1, s + 1), np.arange(s)] = frame.tail_sub
+        return b @ b.T + frame.lead @ frame.lead.T
 
-    @pytest.mark.parametrize(
-        "n, d, operator",
-        [(50, 8192, False), (50, 2000, False), (40, 5, True), (100, 100, True),
-         (400, 400, True), (450, 600, True), (400, 8192, True), (1600, 1600, True),
-         (800, 8192, True)],
-    )
-    def test_route_follows_the_weighted_flop_count(self, n, d, operator):
-        assert _operator_is_cheaper(n, d, 2) == operator
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("d", [45, 8, 3], ids=["nu-above-n", "d-below-n", "nu0"])
+    def test_matches_eigh_of_the_dense_operator(self, d, mean):
+        spec = dataclasses.replace(self.SPEC, d=d, mean=mean)
+        frame = frame_sample(spec, 11)
+        res, scores = frame_pca(frame)
+        w, v = np.linalg.eigh(self.dense_a(frame) / 30)
+        assert np.allclose(res.sample_eigenvalues, w[::-1][:2], rtol=1e-13, atol=0)
+        assert (res.divisor, res.centered, res.n, res.d, res.rank) == (30.0, False, 30, d, 2)
+        assert np.allclose(res.score_vectors.T @ res.score_vectors, np.eye(2), atol=1e-14)
+        # K is orthogonal, so the inner products of V and S are those of V~
+        # and S~, up to the signs of V~.
+        cross = res.score_vectors.T @ scores
+        expected = v[:, ::-1][:, :2].T @ frame.spikes
+        assert np.allclose(np.abs(cross), np.abs(expected), rtol=0, atol=1e-12)
+        assert np.allclose(scores.T @ scores, frame.spikes.T @ frame.spikes, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("center", [False, True])
-    def test_square_sample(self, center):
-        x = spiked_square(400, center)
-        res = assert_matches_gram_eigh(x, 2, center=center)
-        if center:
-            assert np.allclose(res.score_vectors.sum(axis=0), 0.0, atol=1e-12)
-
-    def test_strongly_spiked_sample(self):
-        # As test_strongly_spiked_gram at lambda_1 / lambda_2 = 1e12, on a
-        # sample with n large enough against d for the operator route.
-        rng = np.random.default_rng(26)
-        lam = np.ones(600)
-        lam[1] = 50.0
-        lam[0] = 1e12 * lam[1]
-        x = np.sqrt(lam)[:, None] * rng.standard_normal((600, 450))
-        w, v = gram_eigh(x, False, 3)
-        bound = np.finfo(float).eps * w[0] / (w[1] - w[2])
-        res = assert_matches_gram_eigh(x, 2, span_atol=bound)
-        assert res.sample_eigenvalues[0] == pytest.approx(w[0], rel=1e-14)
-        assert abs(res.score_vectors[:, 0] @ v[:, 0]) == pytest.approx(1.0, abs=1e-14)
-
-    def test_no_n_by_n_array(self):
-        n = 400
-        x = spiked_square(n, False)
-        dual_pca(x, rank=2)  # imports the eigensolver
-        tracemalloc.start()
-        try:
-            res = dual_pca(x, rank=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * 8 * n * n
-        assert res.rank == 2
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("center", [False, True])
-    def test_non_finite_entry_rejected(self, bad, center):
-        x = spiked_square(400, False)
-        x[7, 3] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="NaN or Inf"):
-                dual_pca(x, rank=2, center=center)
-
-    @pytest.mark.parametrize("share", [0.6, 2.0])
-    def test_overflow_rejected_as_by_the_gram_route(self, share):
-        # Each column's sum of squares is share x the float maximum: at 0.6
-        # the Gram is finite and G + G' overflows, at 2.0 the Gram does.
-        value = np.sqrt(share / 400) * np.sqrt(np.finfo(float).max)
-        x = np.full((400, 400), value)
-        with np.errstate(over="ignore"):
-            gram = x.T @ x
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_refuses_a_non_finite_or_zero_trace(self, bad):
+        frame = frame_sample(self.SPEC, 11)
+        if bad == 0.0:  # A = 0
+            broken = dataclasses.replace(frame, lead=0.0 * frame.lead,
+                                         tail_diag=0.0 * frame.tail_diag,
+                                         tail_sub=0.0 * frame.tail_sub)
+        else:
+            lead = frame.lead.copy()
+            lead[3, 1] = bad
+            broken = dataclasses.replace(frame, lead=lead)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            gram_pca(gram, 400, rank=2)
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            dual_pca(x, rank=2)
-
-    def test_sum_overflowing_but_entries_finite_takes_the_gram_route(self):
-        # Twice the trace overflows, but no entry of G + G' does: the Gram
-        # route accepts the sample, and so does dual_pca.
-        value = np.sqrt(0.2 / 400) * np.sqrt(np.finfo(float).max)
-        x = value * np.random.default_rng(27).uniform(0.5, 1.0, (400, 400))
-        res = dual_pca(x, rank=2)
-        ref = gram_pca(x.T @ x, 400, rank=2)
-        assert np.array_equal(res.sample_eigenvalues, ref.sample_eigenvalues)
-        assert np.array_equal(res.score_vectors, ref.score_vectors)
-
-    @pytest.mark.parametrize("center", [False, True])
-    def test_zero_sample_falls_back_to_eigh(self, center):
-        x = np.full((400, 400), 2.5 if center else 0.0)
-        res = dual_pca(x, rank=2, center=center)
-        assert np.array_equal(res.sample_eigenvalues, np.zeros(2))
-        assert np.allclose(res.score_vectors.T @ res.score_vectors, np.eye(2))
+            frame_pca(broken)
 
 
 class TestKrylovSize:
@@ -365,11 +326,11 @@ class TestKrylovSize:
     @pytest.mark.parametrize("rank", [1, 2, 5])
     def test_flat_spectrum_converges_on_both_routes(self, rank):
         # Pure noise: no eigenvalue stands above the bulk, so ARPACK restarts.
-        # The sample at n = d = 400 takes the operator route, the 60 x 60 Gram
-        # gram_pca; either must converge with no ArpackNoConvergence or warning.
+        # The sample at n = d = 400 goes through dual_pca, the 60 x 60 Gram
+        # through gram_pca; either must converge with no ArpackNoConvergence
+        # or warning.
         x = np.random.default_rng(34).standard_normal((400, 400))
         y = np.random.default_rng(35).standard_normal((150, 60))
-        assert _operator_is_cheaper(400, 400, rank)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = [(dual_pca(x, rank=rank), x.T @ x / 400),

@@ -4,6 +4,7 @@ import json
 import logging
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -21,7 +22,7 @@ from spikescore.asymptotics import (
     spike_diagnostics,
 )
 from spikescore.cli import cli_main
-from spikescore.pca_engine import dual_pca, gram_pca
+from spikescore.pca_engine import dual_pca, frame_pca, gram_pca
 from spikescore.runner import (
     MODE_GROWING_N,
     MODE_HDLSS,
@@ -42,11 +43,12 @@ from spikescore.spike_model import (
     SpikeProfile,
     SpikeSpec,
     ZeroMean,
+    frame_sample,
     generate_sample,
+    population_projection,
     projection_scores,
     sample_gram,
     spike_projection,
-    wishart_factor,
 )
 
 TINY_CONFIG = """
@@ -92,27 +94,33 @@ def tiny_config(out, **overrides):
 
 
 def public_chain(template, grid_value, replicate, master_seed, guard):
-    """One replicate through the public chain: wishart_factor -> dual_pca of
-    F' -> P = F[:, :m] / projection_scores -> projection_overlaps ->
-    spike_diagnostics.  Returns the factor, the PCA, the ratio table and the
-    diagnostics."""
+    """One replicate through the public chain: frame_sample -> frame_pca ->
+    population_projection -> projection_overlaps -> spike_diagnostics.
+    Returns the frame, the PCA, the ratio table and the diagnostics."""
     spec = template.spec_at(MODE_HDLSS, grid_value)
-    f = wishart_factor(spec, np.random.SeedSequence((master_seed, grid_value, replicate)))
-    pca = dual_pca(f.T, divisor="n", rank=spec.m)
-    proj = f[:, : spec.m]
-    s_pop = projection_scores(spec, proj)
+    frame = frame_sample(spec, np.random.SeedSequence((master_seed, grid_value, replicate)))
+    pca, s_pop = frame_pca(frame)
+    proj = population_projection(spec, s_pop)
     table = score_ratio_table(comparable_sample_scores(pca, spec.m), s_pop, guard)
     diags = spike_diagnostics(
         projection_overlaps(pca, proj), spec.spike_eigenvalues, pca.sample_eigenvalues
     )
-    return f, pca, table, diags
+    return frame, pca, table, diags
 
 
-def dense_diagnostics(f, spec, pca):
+def dense_diagnostics(frame, spec):
     """Dense oracle: angles, leakage and weighted cross overlaps of the
-    explicit loadings F'v_j / ||F'v_j|| (zero-mean model).  F' is the sample
-    in a frame whose first m axes are the spike directions."""
-    u_hat = f.T @ pca.score_vectors
+    explicit loadings F'v_j / ||F'v_j|| (zero-mean model), with the frame's
+    factor F = [L | B] and the leading eigenvectors v_j of FF' = A from
+    eigh.  F' is the sample in a frame of R^d whose first m axes are the
+    spike directions, written in K's frame of R^n, where the eigenvectors
+    of A are K'V; the loadings do not depend on K."""
+    n, r, s = frame.n, frame.tail_diag.size, frame.tail_sub.size
+    b = np.zeros((n, r))
+    b[np.arange(r), np.arange(r)] = frame.tail_diag
+    b[np.arange(1, s + 1), np.arange(s)] = frame.tail_sub
+    f = np.hstack([frame.lead, b])
+    u_hat = f.T @ np.linalg.eigh(f @ f.T)[1][:, ::-1][:, : spec.m]
     u_hat /= np.linalg.norm(u_hat, axis=0)
     basis = np.eye(f.shape[1], spec.m)
     o = u_hat.T @ basis
@@ -558,8 +566,8 @@ class TestRunnerMatchesApi:
         )
         record = compute_replicate(template, MODE_HDLSS, 300, 1, master_seed=21)
         # The replicate stream compute_replicate draws from, regenerated.
-        f, pca, _, diags = public_chain(template, 300, 1, 21, rn.DEFAULT_DENOMINATOR_GUARD)
-        angles, leakage, cross = dense_diagnostics(f, template.spec_at(MODE_HDLSS, 300), pca)
+        frame, _, _, diags = public_chain(template, 300, 1, 21, rn.DEFAULT_DENOMINATOR_GUARD)
+        angles, leakage, cross = dense_diagnostics(frame, template.spec_at(MODE_HDLSS, 300))
         for j, diag in enumerate(record.spikes):
             assert diag.angle_rad == diags.angles[j]
             assert diag.leakage == diags.leakage[j]
@@ -588,8 +596,8 @@ class TestRunnerMatchesApi:
 
 
 class TestOperatorRouteReplicate:
-    # At n = d = 400 the replicate's dual_pca forms no Gram of its 400 x 400
-    # factor; the record is still that of the public chain, to the bit.
+    # At n = d = 400 the replicate runs Lanczos on its frame's O(n m)
+    # operator; the record is still that of the public chain, to the bit.
     @pytest.mark.parametrize("basis", [CanonicalAxes(), RandomOrthogonal(seed=4)],
                              ids=["canonical", "orthogonal"])
     def test_equals_public_chain(self, basis):
@@ -619,8 +627,8 @@ class TestOneProjectionPerReplicate:
 
 
 class TestStreamedReplicate:
-    # Past one block the replicate draws its factor in n-space
-    # (wishart_factor); it must agree with that public chain to rounding.
+    # Past one block the replicate draws its sample in a random frame of
+    # n-space (frame_sample); it must agree with that public chain.
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
     def test_multi_block_matches_public_chain(self, mean):
         d = 3 * spike_model.SAMPLE_BLOCK + 17
@@ -630,10 +638,8 @@ class TestStreamedReplicate:
         guard = 1e-3
         record = compute_replicate(template, MODE_HDLSS, d, 3, master_seed=23, guard=guard)
         spec = template.spec_at(MODE_HDLSS, d)
-        f = wishart_factor(spec, np.random.SeedSequence((23, d, 3)))
-        proj = f[:, : spec.m]
-        pca = dual_pca(f.T, divisor="n", rank=spec.m)
-        s_pop = projection_scores(spec, proj)
+        pca, s_pop = frame_pca(frame_sample(spec, np.random.SeedSequence((23, d, 3))))
+        proj = population_projection(spec, s_pop)
         table = score_ratio_table(comparable_sample_scores(pca, spec.m), s_pop, guard)
         diags = spike_diagnostics(
             projection_overlaps(pca, proj), spec.spike_eigenvalues, pca.sample_eigenvalues
@@ -780,11 +786,11 @@ class TestEigensolverImport:
         code = (
             f"import json, sys; sys.path.insert(0, {src!r})\n"
             "import spikescore.runner as rn\n"
-            "seen, real = [], rn.wishart_factor\n"
+            "seen, real = [], rn.frame_sample\n"
             "def wrapper(*args):\n"
             "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "    return real(*args)\n"
-            "rn.wishart_factor = wrapper\n"
+            "rn.frame_sample = wrapper\n"
             f"rn.run_hdlss_sweep(rn.parse_config({TINY_CONFIG.format(out=tmp_path)!r}))\n"
             "print(json.dumps(seen))\n"
         )
@@ -795,34 +801,18 @@ class TestEigensolverImport:
 
 
 class TestGrowingNReplicateMemory:
-    def test_at_most_two_gram_sized_arrays(self):
-        # At n = d the sample block, the Gram and gram_pca's working matrix
-        # are each 8 n^2 bytes; no more than two are held at once.
-        n = 400
+    def test_holds_o_n_m_arrays(self):
+        # At n = d = 1e4 the replicate holds O(n m) arrays; one n x n array,
+        # such as the Gram or the factor F, would be 800 MB.
         template = SpikeTemplate(spikes=(SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0)))
         compute_replicate(template, MODE_GROWING_N, 40, 0, master_seed=1)  # imports the eigensolver
         tracemalloc.start()
         try:
-            record = compute_replicate(template, MODE_GROWING_N, n, 0, master_seed=1)
+            record = compute_replicate(template, MODE_GROWING_N, 10_000, 0, master_seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * n * n
-        assert all(np.isfinite(d.median_ratio) for d in record.spikes)
-
-    def test_no_gram_beside_the_sample(self):
-        # At n = d a one-block replicate runs dual_pca's operator route: the
-        # 8 n^2-byte sample is its one n x n array.
-        n = 400
-        template = SpikeTemplate(spikes=(SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0)))
-        compute_replicate(template, MODE_GROWING_N, 40, 0, master_seed=1)  # imports the eigensolver
-        tracemalloc.start()
-        try:
-            record = compute_replicate(template, MODE_GROWING_N, n, 0, master_seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert peak < 8e6
         assert all(np.isfinite(d.median_ratio) for d in record.spikes)
 
 
@@ -885,6 +875,28 @@ class TestBasisOnlyWhenRead:
         assert info.misses == 2
         assert info.hits > 0
 
+    def test_shifted_replicate_costs_about_a_zero_mean_one(self):
+        # 1'U_m is cached with U_m, so with the cache warm a replicate under a
+        # mean does not sum the d x m basis: at d = 1e6 that sum alone took
+        # 20 ms, against about 1 ms for the whole replicate.
+        spikes = (SpikeProfile.power(2.0, 1.5), SpikeProfile.power(1.0, 1.5))
+        shifted = SpikeTemplate(spikes=spikes, n=50, basis=RandomOrthogonal(seed=7),
+                                mean=ConstantMean(2.5))
+        zero = SpikeTemplate(spikes=spikes, n=50)
+        d = 10**6
+        spike_model._cached_spike_basis.cache_clear()
+        try:
+            compute_replicate(shifted, MODE_HDLSS, d, 0, master_seed=5)  # builds the basis
+            best = {}
+            for template in (shifted, zero) * 7:
+                t0 = time.perf_counter()
+                compute_replicate(template, MODE_HDLSS, d, 1, master_seed=5)
+                elapsed = time.perf_counter() - t0
+                best[template] = min(best.get(template, elapsed), elapsed)
+        finally:
+            spike_model._cached_spike_basis.cache_clear()
+        assert best[shifted] < 2 * best[zero]
+
     def test_replicate_at_d_1e12_is_small(self):
         # The draw takes O(n^2) memory at any d: the benchmark's spikes at
         # n = 50 and d = 1e12, where the n x d sample would be 400 TB.
@@ -905,16 +917,13 @@ class TestBasisOnlyWhenRead:
 def dense_chain(spec, seed, guard):
     """One replicate through the dense reference chain: generate_sample ->
     dual_pca within one column block, sample_gram -> gram_pca past it.
-    Returns the Gram entry (0, 1), the ratio table and the diagnostics."""
+    Returns the ratio table and the diagnostics."""
     if spike_model.is_one_block(spec):
         data = generate_sample(spec, seed)
-        x = data.values
-        gram_01 = x[:, 0] @ x[:, 1]
-        pca = dual_pca(x, divisor="n", rank=spec.m)
+        pca = dual_pca(data.values, divisor="n", rank=spec.m)
         proj = spike_projection(data)
     else:
         gram, proj = sample_gram(spec, seed)
-        gram_01 = gram[0, 1]
         pca = gram_pca(gram, spec.d, divisor="n", rank=spec.m)
     table = score_ratio_table(
         comparable_sample_scores(pca, spec.m), projection_scores(spec, proj), guard
@@ -922,18 +931,44 @@ def dense_chain(spec, seed, guard):
     diags = spike_diagnostics(
         projection_overlaps(pca, proj), spec.spike_eigenvalues, pca.sample_eigenvalues
     )
-    return gram_01, table, diags
+    return table, diags
 
 
-class TestWishartFactorLaw:
-    # A replicate draws its factor F in n-space (wishart_factor); the dense
-    # chain on the block stream must give the same laws, within one column
-    # block and past it.  Two-sample KS with fixed seeds, so the p-values
-    # are fixed.
+def law_pvalues(mode, grid_value, template, replicates):
+    """Two-sample KS p-values of each record column of each spike: the
+    replicates of compute_replicate against those of the dense chain, with
+    fixed seeds, so the p-values are fixed."""
+    from scipy import stats
+
+    guard = rn.DEFAULT_DENOMINATOR_GUARD
+    spec = template.spec_at(mode, grid_value)
+    names = ("median_ratio", "rel_spread", "eig_ratio", "angle_rad", "leakage")
+    records = [compute_replicate(template, mode, grid_value, r, 1, guard)
+               for r in range(replicates)]
+    fast = {(name, j): [getattr(record.spikes[j], name) for record in records]
+            for name in names for j in range(spec.m)}
+    dense = {key: [] for key in fast}
+    for r in range(replicates):
+        table, diags = dense_chain(spec, np.random.SeedSequence((2, grid_value, r)), guard)
+        columns = {"median_ratio": table.medians, "rel_spread": table.rel_spreads,
+                   "eig_ratio": diags.eig_ratios, "angle_rad": diags.angles,
+                   "leakage": diags.leakage}
+        for name, j in dense:
+            dense[name, j].append(columns[name][j])
+    return {key: stats.ks_2samp(fast[key], dense[key]).pvalue for key in fast}
+
+
+class TestFrameLaw:
+    # A replicate draws its sample in a random frame of n-space
+    # (frame_sample); the dense chain on the block stream must give the same
+    # laws, within one column block and past it, and at nu = d - m - 1 = 0.
     D = 2 * spike_model.SAMPLE_BLOCK + 17
     M = 300
     HDLSS_SPIKES = (SpikeProfile.power(1.0, 1.5), SpikeProfile.power(1.0, 1.2))
     GROWING_SPIKES = (SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0))
+    HALF_ORTHOGONAL_SHIFTED = SpikeTemplate(spikes=GROWING_SPIKES, d_over_n=0.5, tail_value=2.0,
+                                            basis=RandomOrthogonal(seed=3),
+                                            mean=ConstantMean(2.5))
 
     @pytest.mark.parametrize(
         "mode, grid_value, template",
@@ -944,49 +979,26 @@ class TestWishartFactorLaw:
             (MODE_HDLSS, D, SpikeTemplate(spikes=HDLSS_SPIKES, n=20, tail_value=2.0,
                                           mean=ConstantMean(-1.5))),
             (MODE_GROWING_N, 40, SpikeTemplate(spikes=GROWING_SPIKES)),
-            (MODE_GROWING_N, 40, SpikeTemplate(spikes=GROWING_SPIKES, d_over_n=0.5, tail_value=2.0,
-                                               basis=RandomOrthogonal(seed=3),
-                                               mean=ConstantMean(2.5))),
+            (MODE_GROWING_N, 40, HALF_ORTHOGONAL_SHIFTED),
             (MODE_HDLSS, 300, SpikeTemplate(spikes=HDLSS_SPIKES, n=20, tail_value=2.0,
                                             mean=ConstantMean(-1.5))),
+            (MODE_GROWING_N, 60, SpikeTemplate(spikes=(SpikeProfile.fixed(400.0),
+                                                       SpikeProfile.fixed(50.0)),
+                                               d_over_n=0.05)),
         ],
         ids=["canonical", "orthogonal-shifted", "canonical-shifted", "growing-square",
-             "growing-half-orthogonal-shifted", "one-block-canonical-shifted"],
+             "growing-half-orthogonal-shifted", "one-block-canonical-shifted", "growing-nu0"],
     )
-    def test_replicates_match_the_dense_stream_in_law(self, mode, grid_value, template,
-                                                       monkeypatch):
-        from scipy import stats
-
-        guard = rn.DEFAULT_DENOMINATOR_GUARD
-        spec = template.spec_at(mode, grid_value)
-        entries = []
-
-        def traced(spec, seed):
-            f = wishart_factor(spec, seed)
-            entries.append(f[0] @ f[1])
-            return f
-
-        monkeypatch.setattr(rn, "wishart_factor", traced)
-        records = [compute_replicate(template, mode, grid_value, r, 1, guard)
-                   for r in range(self.M)]
-        fast = {
-            f"{name}_{j}": [getattr(record.spikes[j], name) for record in records]
-            for name in ("median_ratio", "eig_ratio", "leakage")
-            for j in range(template.m)
-        }
-        fast["gram_01"] = entries
-        dense = {key: [] for key in fast}
-        for r in range(self.M):
-            gram_01, table, diags = dense_chain(
-                spec, np.random.SeedSequence((2, grid_value, r)), guard
-            )
-            dense["gram_01"].append(gram_01)
-            for j in range(template.m):
-                dense[f"median_ratio_{j}"].append(table.medians[j])
-                dense[f"eig_ratio_{j}"].append(diags.eig_ratios[j])
-                dense[f"leakage_{j}"].append(diags.leakage[j])
-        pvalues = {key: stats.ks_2samp(fast[key], dense[key]).pvalue for key in fast}
+    def test_replicates_match_the_dense_stream_in_law(self, mode, grid_value, template):
+        pvalues = law_pvalues(mode, grid_value, template, self.M)
         assert min(pvalues.values()) > 1e-3, pvalues
+
+    def test_frame_not_conditioned_on_ones_is_rejected(self, monkeypatch):
+        # Without its two reflections, K no longer takes h to 1, so the mean
+        # lands on the wrong direction of n-space; the law test must see it.
+        monkeypatch.setattr(spike_model, "_reflect", lambda z, w: z)
+        pvalues = law_pvalues(MODE_GROWING_N, 40, self.HALF_ORTHOGONAL_SHIFTED, self.M)
+        assert min(pvalues.values()) < 1e-6, pvalues
 
 
 class TestSpikeEigenvaluesOnly:
@@ -1186,10 +1198,12 @@ class TestProgressAndSpread:
                 assert 0 < t["p50_s"] <= t["p95_s"] <= t["sum_s"]
 
     def test_rise_reported_in_standard_errors(self, tmp_path):
-        # Master seed 5 is the first seed >= 3 at which the mean |median - 1|
-        # rises from n = 20 to n = 30, by under one standard error; the check
+        # The master seed is the first one >= 3 at which the mean
+        # |median - 1| rises from n = 20 to n = 30 by under one standard
+        # error (0 < z < 1): 8 for the replicates frame_sample draws.  It
+        # moves whenever the replicate stream's law or bits do.  The check
         # still rejects, and its note says by how many standard errors.
-        report = run_growing_n_sweep(small_growing_n(tmp_path, master_seed=5))
+        report = run_growing_n_sweep(small_growing_n(tmp_path, master_seed=8))
         rows = report.consistency
         for row in rows:
             err = np.array(

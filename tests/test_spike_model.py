@@ -1,5 +1,6 @@
 """Spiked-model resolution, generation, and population scores."""
 
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -17,11 +18,12 @@ from spikescore.spike_model import (
     SpikeSpec,
     ZeroMean,
     basis_vectors,
+    frame_sample,
     generate_sample,
+    population_projection,
     projection_scores,
     sample_gram,
     spike_projection,
-    wishart_factor,
 )
 
 
@@ -623,35 +625,54 @@ class TestSpikeColumnsAcrossBlocks:
             assert np.max(np.abs(proj - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def reference_factor(spec, seed):
-    """The factor F drawn from scratch, one row of L at a time: one SFC64
-    generator seeded by the SeedSequence of ``seed`` draws S (n x m), a (n),
-    the strictly lower entries of each row of L in turn, and the k
-    chi-square variates of the diagonal, df = d - m - 1, ..., d - m - k,
-    k = min(n, d - m - 1).  Then
-    F = [S Lambda^{1/2} + mu 1 (1'U_m) | sqrt(tau) a + mu ||c|| 1 | sqrt(tau) L]."""
+def frame_factor(frame):
+    """The frame's dense n x (m + 1 + r) factor [L | sqrt(tau) B] in K's
+    frame, whose Gram is A."""
+    n, r, s = frame.n, frame.tail_diag.size, frame.tail_sub.size
+    b = np.zeros((n, r))
+    b[np.arange(r), np.arange(r)] = frame.tail_diag
+    b[np.arange(1, s + 1), np.arange(s)] = frame.tail_sub
+    return np.hstack([frame.lead, b])
+
+
+def reference_frame(spec, seed):
+    """The frame drawn from scratch, one variate at a time: one SFC64
+    generator seeded by the SeedSequence of ``seed`` draws z (n), with
+    h = sqrt(n) z / ||z||, S~ (n x m), a~ (n), the r chi-square variates of
+    B's diagonal (df nu, ..., nu - r + 1, nu = d - m - 1, r = min(n, nu)),
+    the min(n - 1, r) of its subdiagonal (df n - 1, n - 2, ...), and the
+    (n - 1) x min(2m, n - 1) Gaussian whose sign-fixed Q factor is W.
+    Returns [L | sqrt(tau) B], with
+    L = [S~ Lambda^{1/2} + mu h (1'U_m) | sqrt(tau) a~ + mu ||c|| h], and
+    h, S~ and W."""
     n, m, d = spec.n, spec.m, spec.d
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    z = rng.standard_normal(n)
+    h = np.sqrt(n) * z / np.linalg.norm(z)
     s = rng.standard_normal((n, m))
     a = rng.standard_normal(n)
-    k = min(n, d - m - 1)
-    lower = np.zeros((n, k))
-    for i in range(n):
-        for j, z in enumerate(rng.standard_normal(min(i, k))):
-            lower[i, j] = z
-    for i, chi in enumerate(rng.chisquare([d - m - i for i in range(1, k + 1)])):
-        lower[i, i] = np.sqrt(chi)
+    nu = d - m - 1
+    r = min(n, nu)
+    b = np.zeros((n, r))
+    for i, chi in enumerate(rng.chisquare([nu - i for i in range(r)])):
+        b[i, i] = np.sqrt(chi)
+    for i, chi in enumerate(rng.chisquare([n - 1 - i for i in range(min(n - 1, r))])):
+        b[i + 1, i] = np.sqrt(chi)
+    q, rr = np.linalg.qr(rng.standard_normal((n - 1, min(2 * m, n - 1))))
+    w = q * np.sign(np.diagonal(rr))
     root_tau, mu = np.sqrt(spec.tail_value), spec.mean_vector_value
     ones_u = basis_vectors(spec).sum(axis=0)
-    f = np.zeros((n, m + 1 + k))
+    f = np.zeros((n, m + 1 + r))
     for i in range(n):
-        f[i, :m] = s[i] * np.sqrt(spec.spike_eigenvalues) + mu * ones_u
-        f[i, m] = root_tau * a[i] + mu * np.sqrt(d - ones_u @ ones_u)
-        f[i, m + 1 :] = root_tau * lower[i]
-    return f
+        f[i, :m] = s[i] * np.sqrt(spec.spike_eigenvalues) + mu * h[i] * ones_u
+        f[i, m] = root_tau * a[i] + mu * np.sqrt(d - ones_u @ ones_u) * h[i]
+        f[i, m + 1 :] = root_tau * b[i]
+    return f, h, s, w
 
 
 class TestWishartFactor:
+    # The frame's factor [L | sqrt(tau) B] (frame_factor) is, in K's frame,
+    # the n x min(d, n + m + 1) factor of the sample.
     SPIKES = tuple(SpikeProfile.fixed(v) for v in (40.0, 30.0, 20.0, 10.0))
 
     @pytest.mark.parametrize(
@@ -659,11 +680,11 @@ class TestWishartFactor:
     )
     @pytest.mark.parametrize("d", [8, 5], ids=["d8", "k0"])
     def test_rank_is_that_of_the_sample(self, d, basis):
-        # d = 8: L is 12 x 3; d = m + 1: no L, F is [P | sqrt(tau) a + mu ||c|| 1].
+        # d = 8: B is 12 x 3; d = m + 1: B is empty, the factor is L.
         spec = SpikeSpec(
             spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=ConstantMean(2.5)
         )
-        f = wishart_factor(spec, 23)
+        f = frame_factor(frame_sample(spec, 23))
         assert f.shape == (12, d)
         assert np.linalg.matrix_rank(f @ f.T) == min(spec.n, d)
 
@@ -675,12 +696,18 @@ class TestWishartFactor:
          (RandomOrthogonal(seed=3), 10), (RandomOrthogonal(seed=3), 5_000)],
     )
     def test_gram_is_the_n_space_assembly(self, basis, d, tail_value, mean):
-        # FF' is X'X as sample_gram assembles it (spike_model._assemble) from
-        # the tail Gram aa' + LL', S and the tail row sums ||c|| a, all read
-        # back from F's own columns; F[:, :m] is its P.
+        # Any rotation that takes h to 1 (here the reflection across h - 1)
+        # carries the frame's factor to a factor F of a sample in the
+        # observation frame.  FF' is X'X as sample_gram assembles it
+        # (spike_model._assemble) from the tail Gram aa' + LL', S and the
+        # tail row sums ||c|| a, all read back from F's own columns; F[:, :m]
+        # is its P.
         spec = SpikeSpec(spikes=self.SPIKES, n=12, d=d, tail_value=tail_value, basis=basis,
                          mean=mean)
-        f = wishart_factor(spec, np.random.SeedSequence((5, d, 1)))
+        frame = frame_sample(spec, np.random.SeedSequence((5, d, 1)))
+        w = frame.ones - 1.0
+        f = frame_factor(frame)
+        f -= np.outer(w, (2.0 / (w @ w)) * (w @ f))
         m, mu, root_tau = spec.m, spec.mean_vector_value, np.sqrt(tail_value)
         ones_u = np.ones(m) if isinstance(basis, CanonicalAxes) else basis_vectors(spec).sum(axis=0)
         norm_c = np.sqrt(d - ones_u @ ones_u)
@@ -700,31 +727,99 @@ class TestWishartFactor:
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
     )
     @pytest.mark.parametrize(
-        "d", [30, 12, 8, 5], ids=["k-is-n", "d-is-n", "d-below-n", "k0"]
+        "n, d", [(12, 30), (12, 12), (12, 8), (12, 5), (6, 30)],
+        ids=["r-is-n", "d-is-n", "d-below-n", "nu0", "w-square"],
     )
-    def test_bits_follow_the_documented_draw(self, d, basis, mean, monkeypatch):
-        # n = 12, m = 4: k = 12, 7, 3 and 0.  Row blocks of 16 entries of L,
-        # so the draw crosses block edges: one row, two or five at a time.
-        monkeypatch.setattr(spike_model, "_FACTOR_BLOCK", 16)
-        spec = SpikeSpec(spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=mean)
-        f = wishart_factor(spec, 17)
-        assert np.array_equal(f, reference_factor(spec, 17))
+    def test_bits_follow_the_documented_draw(self, n, d, basis, mean):
+        # m = 4: r = 12, 7, 3, 0 at n = 12, where W is 11 x 8; at n = 6, W is
+        # square (5 x 5).
+        spec = SpikeSpec(spikes=self.SPIKES, n=n, d=d, tail_value=2.0, basis=basis, mean=mean)
+        frame = frame_sample(spec, 17)
+        f, h, s, w = reference_frame(spec, 17)
+        assert np.array_equal(frame_factor(frame), f)
+        assert np.array_equal(frame.ones, h)
+        assert np.array_equal(frame.spikes, s)
+        assert np.array_equal(frame.stiefel, w)
         # An int seed is its SeedSequence.
-        assert np.array_equal(wishart_factor(spec, np.random.SeedSequence(17)), f)
+        again = frame_sample(spec, np.random.SeedSequence(17))
+        assert np.array_equal(frame_factor(again), frame_factor(frame))
 
     def test_holds_little_beyond_the_factor(self):
-        # At n = d = 800 the only temporaries are one row block of L and its
-        # mask; no n x n array beside F.
+        # At n = d = 800 the draw holds its O(n m) arrays and temporaries of
+        # their size; no n x n array.
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0)), n=800, d=800
         )
         tracemalloc.start()
         try:
-            f = wishart_factor(spec, 3)
+            frame = frame_sample(spec, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * f.nbytes
+        nbytes = sum(getattr(frame, name).nbytes for name in
+                     ("lead", "tail_diag", "tail_sub", "spikes", "ones", "stiefel"))
+        assert peak < 2 * nbytes < 0.1 * 8 * spec.n**2
+
+
+class TestFrame:
+    """The frame's operator, trace and rotation, against dense oracles."""
+
+    SPEC = SpikeSpec(spikes=(SpikeProfile.fixed(60.0), SpikeProfile.fixed(12.0)), n=5, d=9,
+                     tail_value=1.5, basis=RandomOrthogonal(seed=3), mean=ConstantMean(2.5))
+
+    @pytest.mark.parametrize("d", [9, 6, 3], ids=["nu-above-n", "nu-below-n", "nu0"])
+    def test_operator_and_trace_are_those_of_the_factor(self, d):
+        frame = frame_sample(dataclasses.replace(self.SPEC, d=d), 1)
+        f = frame_factor(frame)
+        v = np.random.default_rng(0).standard_normal((5, 1))
+        assert np.allclose(frame.matvec(v), (f @ f.T @ v).ravel(), rtol=1e-14, atol=0)
+        assert frame.trace() == pytest.approx(np.trace(f @ f.T), rel=1e-14)
+
+    def test_rotation_is_orthogonal_and_takes_h_to_ones(self):
+        # At n - 1 <= 2m the frame maps n columns, so K itself is read back.
+        frame = frame_sample(self.SPEC, 1)
+        k = frame.to_observation(np.eye(5))
+        assert np.allclose(k.T @ k, np.eye(5), rtol=0, atol=1e-14)
+        assert np.allclose(k @ frame.ones, 1.0, rtol=0, atol=1e-14)
+
+    def test_refuses_more_columns_than_its_stiefel_frame(self):
+        spec = SpikeSpec(spikes=(SpikeProfile.fixed(60.0),), n=8, d=9)
+        frame = frame_sample(spec, 1)
+        assert frame.to_observation(np.ones((8, 2))).shape == (8, 2)
+        with pytest.raises(ValueError, match="at most 2 columns"):
+            frame.to_observation(np.eye(8)[:, :3])
+
+    @pytest.mark.parametrize("n, nu", [(8, 12), (10, 4)])
+    def test_bidiagonal_has_the_wishart_spectrum(self, n, nu):
+        # The largest and the smallest nonzero eigenvalue of BB' against those
+        # of GG' for a dense n x nu Gaussian G (Dumitriu & Edelman).
+        from scipy import stats
+
+        spec = SpikeSpec(spikes=(SpikeProfile.fixed(1e6),), n=n, d=nu + 2)
+        rng = np.random.default_rng(8)
+        k, runs = min(n, nu), 2000
+        tail, dense = [], []
+        for seed in range(runs):
+            b = frame_factor(frame_sample(spec, seed))[:, 2:]
+            tail.append(np.linalg.eigvalsh(b @ b.T)[[-1, -k]])
+            g = rng.standard_normal((n, nu))
+            dense.append(np.linalg.eigvalsh(g @ g.T)[[-1, -k]])
+        tail, dense = np.array(tail), np.array(dense)
+        pvalues = [stats.ks_2samp(tail[:, i], dense[:, i]).pvalue for i in range(2)]
+        assert min(pvalues) > 1e-3, pvalues
+
+
+class TestPopulationProjection:
+    @pytest.mark.parametrize("basis", [CanonicalAxes(), RandomOrthogonal(seed=3)],
+                             ids=["canonical", "orthogonal"])
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    def test_inverts_projection_scores(self, basis, mean):
+        spec = SpikeSpec(spikes=(SpikeProfile.fixed(60.0), SpikeProfile.fixed(12.0)), n=6,
+                         d=50, basis=basis, mean=mean)
+        data = generate_sample(spec, 4)
+        proj = spike_projection(data)
+        back = population_projection(spec, projection_scores(spec, proj))
+        assert np.allclose(back, proj, rtol=1e-14, atol=1e-13)
 
 
 class TestEnumDefaults:
