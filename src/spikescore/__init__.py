@@ -3,13 +3,11 @@
 The package has four layers:
 
 - ``spike_model``: spiked-covariance populations, O(dn) sample generation
-  (``generate_sample``, with ``spike_projection``, the projection
-  P = X'U_m on the spike directions), ``sample_gram``, which assembles
-  the sample's Gram X'X and P in n-space from sums over its column
-  blocks, without holding it, and ``frame_sample``, which draws a sample
-  in a random frame K of R^n at O(n m) whatever d is: X'X = K A K' in
-  law, with the tail Gram a bidiagonal factor (Dumitriu & Edelman's
-  Laguerre model).
+  from one SFC64 draw (``generate_sample``, with ``spike_projection``, the
+  projection P = X'U_m on the spike directions), and ``frame_sample``,
+  which draws a sample in a random frame K of R^n at O(n m) whatever d
+  is: X'X = K A K' in law, with the tail Gram a bidiagonal factor
+  (Dumitriu & Edelman's Laguerre model).
 - ``pca_engine``: sample eigenvalues and score vectors, from the sample
   (``dual_pca``), from the n x n Gram (``gram_pca``), or from a frame
   sample (``frame_pca``, Lanczos on A at O(n m) per step, with the score
@@ -24,7 +22,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .spike_model import (
     CanonicalAxes,
@@ -40,7 +38,6 @@ from .spike_model import (
     generate_sample,
     population_projection,
     projection_scores,
-    sample_gram,
     spike_projection,
 )
 from .pca_engine import (
@@ -95,7 +92,6 @@ __all__ = [
     "generate_sample",
     "population_projection",
     "projection_scores",
-    "sample_gram",
     "spike_projection",
     "PcaResult",
     "dual_pca",

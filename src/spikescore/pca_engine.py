@@ -217,8 +217,7 @@ def gram_pca(
 
     ``gram`` is not yet divided; ``centered`` records whether the sample
     was centered before it was formed.  This is the eigen-part of
-    ``dual_pca``, and decomposes the Gram that ``spike_model.sample_gram``
-    assembles without the sample.
+    ``dual_pca``, for a Gram formed without the sample at hand.
 
     The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
     array beyond ``gram``, which is left as it is.  The Grams these

@@ -34,10 +34,9 @@ model) and L the n x (m + 1) factor of the spike and mean terms.
 score vectors V and the population scores S back to the observation
 frame by one draw of K, and ``population_projection`` gives
 P = X'U_m from S.  No n x n or n x d array is formed.  A record matches
-the dense reference chain (``generate_sample`` -> ``dual_pca``, or
-``sample_gram`` -> ``gram_pca``) in law, not in bits, and under a zero
-mean it does not depend on the basis seed.  The diagnostics read only w,
-V, S and P.
+the dense reference chain (``generate_sample`` -> ``dual_pca``) in law,
+not in bits, and under a zero mean it does not depend on the basis seed.
+The diagnostics read only w, V, S and P.
 
 The sweep owns its parallelism and derives it, with no setting of its
 own: ``workers`` processes take the replicates, one at a time each, and
@@ -295,9 +294,8 @@ def compute_replicate(
     O(n m) operator and carries the score vectors and the population
     scores S back to the observation frame; and ``population_projection``,
     which gives P = X'U_m from S.  The record follows the law of the dense
-    chain (``generate_sample`` and ``dual_pca``, or ``sample_gram`` and
-    ``gram_pca``), not its bits; under a zero mean it reads no basis, so
-    the basis seed does not change it.
+    chain (``generate_sample`` and ``dual_pca``), not its bits; under a
+    zero mean it reads no basis, so the basis seed does not change it.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m

@@ -15,46 +15,27 @@ carries the score vectors and the population scores S back by K
 into P = X'U_m.  No n x n or n x d array is formed, so the cost is free
 of d and linear in n.
 
-On either basis the sample is the symmetric square root of the
-covariance applied to an n x d standard-normal draw G, streamed as raw
-blocks of ``SAMPLE_BLOCK`` columns.  Block k is drawn by an SFC64
-generator of its own, seeded by the replicate's SeedSequence with k
-appended to its spawn key, so the blocks can be drawn on several threads
-(``set_draw_threads``) with the same bits at any count.  The stream knows
-nothing of the model; its readers apply it.  On a random basis U_m is the
-Q factor of a seeded d x m Gaussian, cached per process; on the canonical
-axes it is [e_1, ..., e_m], which the sampler never builds.  Every reader
-takes the population scores S = GU_m, block by block, from
-``_spike_coords``, the one place where the two bases differ in how S is
-formed.  ``generate_sample`` lays the raw blocks side by side, scales them
-by sqrt(tau) and applies the spike term to the laid sample.
-``sample_gram``, at every d, sums K = GG', S (and the row sums G1 under a
-non-zero mean) over the raw blocks and assembles X'X and P in n-space,
-equal to the products of that sample to rounding and with the same bits
-at any draw-thread count; so it never holds the sample.  These three are
-the dense references that ``frame_sample`` matches in law.  The basis
-and its column sums 1'U_m are cached together; under a zero mean
-``frame_sample`` never reads them, so there a replicate does not depend
-on the basis seed.
+On either basis the dense sample (``generate_sample``) is the symmetric
+square root of the covariance applied to an n x d standard-normal draw G,
+one SFC64 draw seeded by the replicate's SeedSequence.  On a random basis
+U_m is the Q factor of a seeded d x m Gaussian, cached per process; on the
+canonical axes it is [e_1, ..., e_m], which the sampler never builds.  The
+population scores S = GU_m, and the projection P = X'U_m of a sample
+(``spike_projection``), come from ``_spike_coords``, the one place where
+the two bases differ in how such a product is formed.  The dense sample is
+the reference that ``frame_sample`` matches in law.  The basis and its
+column sums 1'U_m are cached together; under a zero mean ``frame_sample``
+never reads them, so there a replicate does not depend on the basis seed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-
-# Columns per block of the sample (3.3 MB at n = 50): a sweep reduces each
-# block while it is still in cache, so a replicate never holds the d x n
-# sample.
-SAMPLE_BLOCK = 2**13
-
-# Column blocks this process draws at once (set_draw_threads).
-_draw_threads = 1
 
 # Domain-separation tag for the basis RNG stream, so a basis seed can
 # never collide with a (master_seed, grid, replicate) data stream.
@@ -276,89 +257,15 @@ def basis_vectors(spec: SpikeSpec) -> np.ndarray:
     return np.eye(spec.d, spec.m) if u is None else u
 
 
-def is_one_block(spec: SpikeSpec) -> bool:
-    """Whether the raw draw is one column block (d <= SAMPLE_BLOCK): then
-    ``generate_sample`` lays no copy of the draw, but uses its one block as
-    the sample."""
-    return spec.d <= SAMPLE_BLOCK
-
-
-def set_draw_threads(threads: int) -> int:
-    """Set how many column blocks this process draws at once, on either
-    basis; return the previous count.
-
-    It serves ``generate_sample`` and ``sample_gram`` past one block; no
-    sweep replicate draws column blocks.  The count does not change any bit
-    of a sample, only how long the draw takes.
-    """
-    global _draw_threads
-    if int(threads) < 1:
-        raise ValueError(f"draw threads must be >= 1, got {threads}")
-    previous, _draw_threads = _draw_threads, int(threads)
-    return previous
-
-
-def _normal_blocks(spec: SpikeSpec, seed, reduce):
-    """reduce(lo, block) of each n x w standard-normal column block of the
-    raw draw (n x d), in block order; lo is the block's first column.
-
-    Block k is drawn by ``SFC64(SeedSequence(root.entropy, spawn_key=
-    root.spawn_key + (k,), pool_size=root.pool_size))``, where root is
-    ``seed`` if it is a SeedSequence and ``SeedSequence(seed)`` otherwise.
-    So any thread can draw block k without the blocks before it, and no
-    block depends on how often ``seed`` was spawned from (``spawn`` counts
-    its calls; this key does not).  With d <= SAMPLE_BLOCK the one block is
-    the whole (n, d) draw.  The blocks are drawn on one thread, or on
-    ``_draw_threads`` pool threads that end with the iteration.  Each
-    drawing thread fills one buffer of its own, which its next block
-    overwrites: so ``reduce`` runs on the drawing thread and must not keep
-    the block, unless it is the only one.
-    """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    starts = range(0, spec.d, SAMPLE_BLOCK)
-    local = threading.local()
-
-    def draw(lo):
-        w = min(SAMPLE_BLOCK, spec.d - lo)
-        if not hasattr(local, "buf"):
-            local.buf = np.empty(spec.n * min(SAMPLE_BLOCK, spec.d))
-        # A short last block is a view of the buffer's first n w elements.
-        block = local.buf[: spec.n * w].reshape(spec.n, w)
-        key = (*root.spawn_key, lo // SAMPLE_BLOCK)
-        ss = np.random.SeedSequence(root.entropy, spawn_key=key, pool_size=root.pool_size)
-        np.random.Generator(np.random.SFC64(ss)).standard_normal(out=block)
-        return reduce(lo, block)
-
-    threads = min(_draw_threads, len(starts))
-    if threads == 1:
-        yield from map(draw, starts)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only a threaded draw needs it
-
-    # A reader that stops early cancels the blocks not yet started, and the
-    # pool waits for the ones being drawn before the generator closes.
-    with ThreadPoolExecutor(threads) as pool:
-        yield from pool.map(draw, starts)
-
-
-def _spike_coords(spec: SpikeSpec, lo: int, g: np.ndarray) -> Optional[np.ndarray]:
-    """This n x w raw block's share of S = GU_m, the draw's coordinates on
-    the spike directions; lo is the block's first column.
-
-    On a random basis it is g U_m[lo : lo + w].  On the canonical axes it is
-    the block's own spike columns in their places of an n x m array of
-    zeros, or None past column m: x + 0.0 == x, so the shares of spike
-    columns that span blocks sum to the raw columns, bitwise.
-    """
+def _spike_coords(spec: SpikeSpec, g: np.ndarray) -> np.ndarray:
+    """GU_m (n x m) of an n x d array G, as a new array: the one place where
+    the two bases differ in how it is formed.  On a random basis it is one
+    product with the cached U_m.  On the canonical axes, where u_j = e_j,
+    it is G's first m columns: every other term of the product is an exact
+    zero, so the bits are those of the product, and no d x m matrix is
+    built."""
     u = _spike_basis(spec)
-    if u is not None:
-        return g @ u[lo : lo + g.shape[1]]
-    if lo >= spec.m:
-        return None
-    w = min(g.shape[1], spec.m - lo)
-    spike = np.zeros((spec.n, spec.m))
-    spike[:, lo : lo + w] = g[:, :w]
-    return spike
+    return g[:, : spec.m].copy() if u is None else g @ u
 
 
 def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
@@ -367,10 +274,9 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     Each column is mean + A g_i with g_i i.i.d. standard normal and
     A = sqrt(tau) I + U_m (Lambda_m^{1/2} - sqrt(tau) I) U_m', the
     symmetric square root of the covariance, so the population scores are
-    exactly U_m'g_i.  One rule on either basis: the raw blocks of the stream
-    that ``sample_gram`` reads (block k from its own SFC64 generator, seeded
-    by ``seed`` with k appended to its spawn key) are laid side by side into
-    G, S = GU_m is taken (``_spike_coords``), and G is scaled by sqrt(tau) in
+    exactly U_m'g_i.  One rule on either basis: G (n x d) is one draw of
+    the SFC64 generator seeded by ``seed``, as in ``frame_sample``;
+    S = GU_m is taken (``_spike_coords``), and G is scaled by sqrt(tau) in
     place (no pass at all when tau = 1, since x * 1.0 == x).  The spike term
     follows: on the canonical axes it sets the m spike columns to
     S Lambda^{1/2}; otherwise the rank-m term S (Lambda^{1/2} - sqrt(tau)) U_m'
@@ -378,24 +284,11 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     n x d array.  ``latent`` is S (n x m).
     Deterministic given (spec, seed); seed may be an int, a tuple of ints,
     or a numpy SeedSequence, and an int or tuple gives the same sample as
-    ``SeedSequence(seed)``.  Each block's seed is derived from ``seed`` and
-    the block's index alone, so replicate streams, and the blocks within
-    one, do not depend on execution order, and the bits do not depend on
-    ``set_draw_threads``.
+    ``SeedSequence(seed)``.  The draw reads ``seed`` alone, so replicate
+    streams do not depend on execution order.
     """
-    # With one block that block is the draw itself, not a copy.
-    z = None if is_one_block(spec) else np.empty((spec.n, spec.d))
-
-    def lay(lo, block):
-        nonlocal z
-        if z is None:
-            z = block
-        else:
-            z[:, lo : lo + block.shape[1]] = block
-
-    for _ in _normal_blocks(spec, seed, lay):
-        pass
-    spike = _spike_coords(spec, 0, z)
+    z = np.random.Generator(np.random.SFC64(seed)).standard_normal((spec.n, spec.d))
+    spike = _spike_coords(spec, z)
     root_lam = np.sqrt(spec.spike_eigenvalues)
     root_tau = np.sqrt(float(spec.tail_value))
     if root_tau != 1.0:
@@ -419,53 +312,6 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     if mu != 0.0:
         x += mu
     return DataMatrix(values=x, latent=spike, spec=spec)
-
-
-def sample_gram(spec: SpikeSpec, seed) -> tuple[np.ndarray, np.ndarray]:
-    """X'X (n x n) and P = X'U_m (n x m) of ``generate_sample(spec, seed)``,
-    assembled in n-space without holding the sample.
-
-    The raw blocks g of the draw G (block k from its own SFC64 generator,
-    seeded by ``seed`` with k appended to its spawn key) are drawn up to
-    ``set_draw_threads`` at a time and reduced on the drawing threads to
-    sums taken in block order: K = GG', S = GU_m and, under a non-zero
-    mean, r = G1.  The sample is
-    X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11', so
-    P = S Lambda^{1/2} + mu 1 (1'U_m) and
-    X'X = tau (K - SS') + PP' + mu (a1' + 1a') + mu^2 d 11', with
-    a = sqrt(tau) (r - S U_m'1) + S Lambda^{1/2} U_m'1 the row sums of the
-    mean-free sample.  Each term is symmetric, so X'X is too.  The result
-    has the same bits at any thread count and equals the products of the
-    sample to rounding.  Each block's share of S comes from
-    ``_spike_coords``, as in ``generate_sample``, so on the canonical axes
-    S is the raw first m columns and P is bitwise ``spike_projection`` of
-    the sample.  No sweep replicate reads this function, which stays a
-    dense reference that ``frame_sample`` matches in law."""
-    mu = spec.mean_vector_value
-    # U_m is built here: on a cache miss every draw thread would build its own.
-    _spike_basis(spec)
-
-    def moments(lo, g):
-        return g @ g.T, _spike_coords(spec, lo, g), g.sum(axis=1) if mu != 0.0 else None
-
-    # Overflow and NaN are left to the Gram-diagonal check of pca_engine.gram_pca.
-    with np.errstate(invalid="ignore", over="ignore"):
-        gram = spike = rows = None
-        for block_gram, block_spike, block_rows in _normal_blocks(spec, seed, moments):
-            if gram is None:  # block 0 holds spike columns on either basis
-                gram, spike, rows = block_gram, block_spike, block_rows
-            else:
-                gram += block_gram
-                if block_spike is not None:
-                    spike += block_spike
-                if rows is not None:
-                    rows += block_rows
-        gram -= spike @ spike.T  # the Gram of the tail, G (I - U_m U_m') G'
-        ones_u = tail_rows = None
-        if mu != 0.0:
-            ones_u = _ones_u(spec)
-            tail_rows = rows - spike @ ones_u
-        return _assemble(spec, gram, spike, tail_rows, ones_u)
 
 
 @dataclass(frozen=True)
@@ -578,8 +424,7 @@ def frame_sample(spec: SpikeSpec, seed) -> FrameSample:
     basis.
     """
     n, m, d = spec.n, spec.m, spec.d
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.SFC64(root))
+    rng = np.random.Generator(np.random.SFC64(seed))
     z = rng.standard_normal(n)
     h = math.sqrt(n) * z / np.linalg.norm(z)
     spikes = rng.standard_normal((n, m))
@@ -603,42 +448,13 @@ def frame_sample(spec: SpikeSpec, seed) -> FrameSample:
                        spikes=spikes, ones=h, stiefel=q, d=d)
 
 
-def _assemble(spec: SpikeSpec, tail: np.ndarray, spike: np.ndarray,
-              tail_rows: Optional[np.ndarray],
-              ones_u: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and P from the tail Gram T = G(I - U_mU_m')G' (n x n, overwritten
-    to become X'X), S = GU_m (n x m) and, under a non-zero mean, the tail row
-    sums G(I - U_mU_m')1 and U_m'1 (both None under a zero mean).
-
-    The sample is X' = sqrt(tau) G + S (Lambda^{1/2} - sqrt(tau)) U_m' + mu 11',
-    so P = S Lambda^{1/2} + mu 1 (1'U_m) and
-    X'X = tau T + PP' + mu (b1' + 1b') + mu^2 d 11', with
-    b = sqrt(tau) G(I - U_mU_m')1 + S Lambda^{1/2} U_m'1 the row sums of the
-    mean-free sample.  Each term is symmetric, so X'X is too if T is.
-    """
-    tau = float(spec.tail_value)
-    proj = spike * np.sqrt(spec.spike_eigenvalues)
-    if tau != 1.0:
-        tail *= tau
-    tail += proj @ proj.T
-    mu = spec.mean_vector_value
-    if mu != 0.0:
-        b = math.sqrt(tau) * tail_rows + proj @ ones_u
-        tail += mu * (b[:, None] + b) + mu * mu * spec.d
-        proj += mu * ones_u
-    return tail, proj
-
-
 def spike_projection(data: DataMatrix) -> np.ndarray:
     """P = X'U_m (n x m), every observation projected on the spike directions.
 
-    The whole of X' is one block at column 0 for ``_spike_coords``: one
-    product with the cached U_m on a random basis, and on the canonical
-    axes, where u_j = e_j, the first m rows of X, transposed.  There every
-    other term of the product is an exact zero, so the bits are those of
-    the matrix product, and no d x m matrix is built.
+    It is ``_spike_coords`` of X': on the canonical axes the first m rows
+    of X, transposed.
     """
-    return _spike_coords(data.spec, 0, data.values.T)
+    return _spike_coords(data.spec, data.values.T)
 
 
 def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:

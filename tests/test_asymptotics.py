@@ -46,8 +46,8 @@ def explicit_loadings(x, pca):
 
 
 def replicate_diagnostics(spec, seed):
-    """spike_diagnostics of one replicate within one column block through
-    the dense chain: generate_sample, spike_projection and dual_pca."""
+    """spike_diagnostics of one replicate through the dense chain:
+    generate_sample, spike_projection and dual_pca."""
     data = generate_sample(spec, seed)
     pca = dual_pca(data.values, rank=spec.m)
     proj = spike_projection(data)

@@ -37,11 +37,13 @@ def test_import_leaves_scipy_linear_algebra_out():
 
 # Names removed from the API: the d-space duplicates of the n-space
 # diagnostics, the one-field wrapper that S (n x m) was kept in, and the
-# n-space Gram and factor draws that the frame draw (frame_sample) replaced.
+# n-space Gram and factor draws that the frame draw (frame_sample) replaced,
+# among them the column-block Gram of the dense sample.
 REMOVED = (
     "angle_to_population", "cross_spike_overlap", "tail_leakage", "eigenvalue_ratio",
     "spike_overlaps", "align_signs", "orthogonal_matrix", "population_score_matrix",
     "resolve_eigenvalues", "chi_square_cdf", "LatentScores", "wishart_gram", "wishart_factor",
+    "sample_gram",
 )
 
 

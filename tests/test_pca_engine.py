@@ -305,7 +305,7 @@ class TestKrylovSize:
     converges to the eigh reference."""
 
     def test_spiked_sample_takes_two_rank_plus_two_steps(self):
-        # A one-block growing-n sample at n = d = 400, with that sweep's
+        # A growing-n sample at n = d = 400, with that sweep's
         # spikes power:2:2,power:1:2.
         n, rank = 400, 2
         spikes = (SpikeProfile(scale=2.0, exponent=2.0), SpikeProfile(scale=1.0, exponent=2.0))

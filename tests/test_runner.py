@@ -22,7 +22,7 @@ from spikescore.asymptotics import (
     spike_diagnostics,
 )
 from spikescore.cli import cli_main
-from spikescore.pca_engine import dual_pca, frame_pca, gram_pca
+from spikescore.pca_engine import dual_pca, frame_pca
 from spikescore.runner import (
     MODE_GROWING_N,
     MODE_HDLSS,
@@ -47,7 +47,6 @@ from spikescore.spike_model import (
     generate_sample,
     population_projection,
     projection_scores,
-    sample_gram,
     spike_projection,
 )
 
@@ -627,11 +626,11 @@ class TestOneProjectionPerReplicate:
 
 
 class TestStreamedReplicate:
-    # Past one block the replicate draws its sample in a random frame of
-    # n-space (frame_sample); it must agree with that public chain.
+    # At d = 24,593 as at any d the replicate draws its sample in a random
+    # frame of n-space (frame_sample); it must agree with that public chain.
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
     def test_multi_block_matches_public_chain(self, mean):
-        d = 3 * spike_model.SAMPLE_BLOCK + 17
+        d = 24_593
         template = SpikeTemplate(
             spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)), n=10, mean=mean
         )
@@ -659,7 +658,7 @@ class TestStreamedReplicate:
             assert diag.cross_overlaps == close((diags.cross_overlaps[j, 1 - j],))
 
     def test_holds_no_n_by_d_array(self):
-        n, d = 8, 5 * spike_model.SAMPLE_BLOCK
+        n, d = 8, 40_960
         template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=n)
         compute_replicate(template, MODE_HDLSS, 200, 0, master_seed=5)  # imports the eigensolver
         tracemalloc.start()
@@ -673,24 +672,8 @@ class TestStreamedReplicate:
 
 
 class TestDrawThreads:
-    # Three full blocks and a remainder.  No replicate draws column blocks,
-    # so no record may depend on the draw threads.
-    D = 3 * spike_model.SAMPLE_BLOCK + 17
-
-    def test_replicate_has_the_same_bits_at_any_thread_count(self):
-        template = SpikeTemplate(
-            spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
-            n=10,
-            mean=ConstantMean(2.5),
-        )
-        records = []
-        for threads in (1, 2, 3):
-            previous = spike_model.set_draw_threads(threads)
-            try:
-                records.append(compute_replicate(template, MODE_HDLSS, self.D, 3, master_seed=23))
-            finally:
-                spike_model.set_draw_threads(previous)
-        assert records[1] == records[0] and records[2] == records[0]
+    # d = 24,593: no record may depend on the worker count.
+    D = 24_593
 
     def test_multi_block_records_identical_across_workers(self, tmp_path):
         for workers in (1, 2):
@@ -706,7 +689,6 @@ class TestDrawThreads:
         payload = json.loads((tmp_path / "report.json").read_text())
         expected = {"workers": workers}
         assert payload["parallelism"] == report.parallelism == expected
-        assert spike_model._draw_threads == 1  # the serial sweep gives the budget back
 
     def test_both_bases_report_the_draw_threads(self, tmp_path, monkeypatch):
         # No replicate draws column blocks, so neither basis sets draw threads.
@@ -732,26 +714,13 @@ class TestDrawThreads:
             tmp_path / "w2" / "records.csv"
         ).read_bytes()
 
-    # Past one block, on a random basis, with the mean's n-space term.
+    # At d = 24,593, on a random basis, with the mean's n-space term.
     MULTI_BLOCK_RANDOM_BASIS = SpikeTemplate(
         spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
         n=10,
         basis=RandomOrthogonal(seed=4),
         mean=ConstantMean(2.5),
     )
-
-    def test_multi_block_random_basis_replicate_has_the_same_bits_at_any_thread_count(self):
-        records = []
-        for threads in (1, 2, 3):
-            previous = spike_model.set_draw_threads(threads)
-            try:
-                record = compute_replicate(
-                    self.MULTI_BLOCK_RANDOM_BASIS, MODE_HDLSS, self.D, 3, master_seed=23
-                )
-                records.append(record)
-            finally:
-                spike_model.set_draw_threads(previous)
-        assert records[1] == records[0] and records[2] == records[0]
 
     def test_multi_block_random_basis_records_identical_across_workers(self, tmp_path):
         for workers in (1, 2):
@@ -840,10 +809,10 @@ class TestFrameReuse:
 
 
 class TestBasisOnlyWhenRead:
-    D = 2 * spike_model.SAMPLE_BLOCK + 17
+    D = 16_401
 
     def test_zero_mean_replicate_builds_no_basis(self):
-        # Past one block a zero-mean replicate reads neither U_m nor 1'U_m.
+        # A zero-mean replicate reads neither U_m nor 1'U_m.
         template = SpikeTemplate(
             spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9)
         )
@@ -864,7 +833,7 @@ class TestBasisOnlyWhenRead:
                 spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9),
                 mean=ConstantMean(2.5),
             ),
-            grid=(self.D, self.D + spike_model.SAMPLE_BLOCK),
+            grid=(self.D, 24_593),
             replicates=3,
         )
         try:
@@ -898,7 +867,7 @@ class TestBasisOnlyWhenRead:
         assert best[shifted] < 2 * best[zero]
 
     def test_replicate_at_d_1e12_is_small(self):
-        # The draw takes O(n^2) memory at any d: the benchmark's spikes at
+        # The draw takes O(n m) memory at any d: the benchmark's spikes at
         # n = 50 and d = 1e12, where the n x d sample would be 400 TB.
         template = SpikeTemplate(
             spikes=(SpikeProfile.power(2.0, 1.5), SpikeProfile.power(1.0, 1.5)), n=50
@@ -916,15 +885,10 @@ class TestBasisOnlyWhenRead:
 
 def dense_chain(spec, seed, guard):
     """One replicate through the dense reference chain: generate_sample ->
-    dual_pca within one column block, sample_gram -> gram_pca past it.
-    Returns the ratio table and the diagnostics."""
-    if spike_model.is_one_block(spec):
-        data = generate_sample(spec, seed)
-        pca = dual_pca(data.values, divisor="n", rank=spec.m)
-        proj = spike_projection(data)
-    else:
-        gram, proj = sample_gram(spec, seed)
-        pca = gram_pca(gram, spec.d, divisor="n", rank=spec.m)
+    dual_pca.  Returns the ratio table and the diagnostics."""
+    data = generate_sample(spec, seed)
+    pca = dual_pca(data.values, divisor="n", rank=spec.m)
+    proj = spike_projection(data)
     table = score_ratio_table(
         comparable_sample_scores(pca, spec.m), projection_scores(spec, proj), guard
     )
@@ -960,9 +924,9 @@ def law_pvalues(mode, grid_value, template, replicates):
 
 class TestFrameLaw:
     # A replicate draws its sample in a random frame of n-space
-    # (frame_sample); the dense chain on the block stream must give the same
-    # laws, within one column block and past it, and at nu = d - m - 1 = 0.
-    D = 2 * spike_model.SAMPLE_BLOCK + 17
+    # (frame_sample); the dense chain must give the same laws, at d = 300
+    # and d = 16,401, on both bases and means, and at nu = d - m - 1 = 0.
+    D = 16_401
     M = 300
     HDLSS_SPIKES = (SpikeProfile.power(1.0, 1.5), SpikeProfile.power(1.0, 1.2))
     GROWING_SPIKES = (SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0))

@@ -1,8 +1,6 @@
 """Spiked-model resolution, generation, and population scores."""
 
 import dataclasses
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +20,6 @@ from spikescore.spike_model import (
     generate_sample,
     population_projection,
     projection_scores,
-    sample_gram,
     spike_projection,
 )
 
@@ -42,14 +39,10 @@ def population_scores(data):
     return projection_scores(data.spec, spike_projection(data))
 
 
-def reference_block(seed, k, shape):
-    """Column block k of the raw draw: an SFC64 generator seeded by the
-    SeedSequence of ``seed`` with k appended to its spawn key."""
-    root = np.random.SeedSequence(seed)
-    ss = np.random.SeedSequence(
-        root.entropy, spawn_key=(*root.spawn_key, k), pool_size=root.pool_size
-    )
-    return np.random.Generator(np.random.SFC64(ss)).standard_normal(shape)
+def reference_draw(seed, shape):
+    """The raw draw G: one standard-normal array from an SFC64 generator
+    seeded by the SeedSequence of ``seed``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed))).standard_normal(shape)
 
 
 class TestResolveEigenvalues:
@@ -117,7 +110,7 @@ class TestGeneration:
     def test_canonical_rows_are_scaled_latents(self):
         spec = SpikeSpec(spikes=(SpikeProfile.fixed(9.0),), n=8, d=50)
         data = generate_sample(spec, 123)
-        z = reference_block(123, 0, (8, 50))
+        z = reference_draw(123, (8, 50))
         assert np.array_equal(data.values[0], 3.0 * z[:, 0])
         assert np.array_equal(data.values[1], z[:, 1])
         assert np.array_equal(data.latent[:, 0], z[:, 0])
@@ -222,7 +215,7 @@ class TestRandomOrthogonalBasis:
         u = complete_basis(spec)
         lam = np.r_[spec.spike_eigenvalues, np.full(spec.d - spec.m, spec.tail_value)]
         root_lam = np.sqrt(lam)[:, None]
-        g = reference_block(123, 0, (spec.n, spec.d)).T
+        g = reference_draw(123, (spec.n, spec.d)).T
         expected = u @ (root_lam * (u.T @ g))
         values = generate_sample(spec, 123).values
         assert np.linalg.norm(values - expected) < 1e-12 * np.linalg.norm(expected)
@@ -345,47 +338,19 @@ class TestSpikeProjection:
         assert np.array_equal(proj, expected)
 
 
-class TestCanonicalGram:
-    # One block, and three full blocks plus a 17-column remainder.
-    @pytest.mark.parametrize("d", [400, 3 * spike_model.SAMPLE_BLOCK + 17])
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    @pytest.mark.parametrize("tail_value", [1.0, 2.0])
-    def test_matches_the_generated_sample(self, d, mean, tail_value):
-        spec = SpikeSpec(
-            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
-            n=7,
-            d=d,
-            tail_value=tail_value,
-            mean=mean,
-        )
-        seed = np.random.SeedSequence((5, d, 1))
-        gram, proj = sample_gram(spec, seed)
-        data = generate_sample(spec, seed)
-        x = data.values
-        assert np.array_equal(proj, spike_projection(data))
-        expected = x.T @ x
-        # X'X is assembled in n-space, in another order than the one product.
-        assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
-
+class TestDocumentedDraw:
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
-    def test_sample_is_the_scaled_block_stream(self, mean):
-        # Reference: n x w blocks side by side, block k from SFC64 seeded
-        # with k appended to the spawn key, then the row scaling and the
-        # mean of the model.
-        block = spike_model.SAMPLE_BLOCK
+    def test_sample_is_the_scaled_draw(self, mean):
+        # Reference: one SFC64 draw of G (n x d), then the row scaling and
+        # the mean of the model, past the width of any BLAS or cache block.
         spec = SpikeSpec(
             spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
             n=3,
-            d=2 * block + 5,
+            d=16_389,
             tail_value=2.0,
             mean=mean,
         )
-        z = np.hstack(
-            [
-                reference_block(17, k, (3, min(block, spec.d - lo)))
-                for k, lo in enumerate(range(0, spec.d, block))
-            ]
-        )
+        z = reference_draw(17, (3, spec.d))
         scale = np.full(spec.d, np.sqrt(2.0))
         scale[:2] = np.sqrt(spec.spike_eigenvalues)
         data = generate_sample(spec, 17)
@@ -393,162 +358,22 @@ class TestCanonicalGram:
         assert np.array_equal(data.values, (z * scale + spec.mean_vector_value).T)
 
 
-def with_draw_threads(threads, fn, *args):
-    """fn(*args) with the process drawing column blocks on `threads` threads."""
-    previous = spike_model.set_draw_threads(threads)
-    try:
-        return fn(*args)
-    finally:
-        spike_model.set_draw_threads(previous)
-
-
-class TestThreadedDraw:
-    # Three full blocks and a 17-column remainder.
-    D = 3 * spike_model.SAMPLE_BLOCK + 17
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_blocks_in_flight_are_bounded_by_the_threads(self, threads):
-        # Eight full blocks and a remainder: holding one block more per
-        # block drawn, or queueing every block's Gram, would grow with d.
-        n = 8
-        spec = single_spike_spec(d=8 * spike_model.SAMPLE_BLOCK + 17, n=n)
-        with_draw_threads(threads, sample_gram, spec, 1)  # imports the thread pool
-        tracemalloc.start()
-        try:
-            gram, _ = with_draw_threads(threads, sample_gram, spec, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < (threads + 1) * n * spike_model.SAMPLE_BLOCK * 8 + gram.nbytes
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stream_is_the_raw_normal_draw(self, threads):
-        # The stream knows nothing of the model: the tail, the mean and the
-        # spikes leave its blocks the raw per-block SFC64 draws.
-        block = spike_model.SAMPLE_BLOCK
-        spec = single_spike_spec(d=2 * block + 5, n=3, tail_value=2.0, mean=ConstantMean(1.5))
-        expected = [
-            (lo, reference_block(17, k, (3, min(block, spec.d - lo))))
-            for k, lo in enumerate(range(0, spec.d, block))
-        ]
-        got = with_draw_threads(
-            threads, list, spike_model._normal_blocks(spec, 17, lambda lo, b: (lo, b.copy()))
-        )
-        assert [lo for lo, _ in got] == [lo for lo, _ in expected]
-        assert all(np.array_equal(b, e) for (_, b), (_, e) in zip(got, expected))
-
-    def test_a_reader_that_stops_early_leaves_no_block_being_drawn(self):
-        # Past the first block each reduction takes a while, so blocks are
-        # being drawn when the reader stops after one.
-        spec = single_spike_spec(d=8 * spike_model.SAMPLE_BLOCK + 17, n=4)
-        running = threading.active_count()
-        started, finished = [], []
-
-        def reduce(lo, block):
-            started.append(lo)
-            if lo:
-                time.sleep(0.05)
-            finished.append(lo)
-            return lo
-
-        previous = spike_model.set_draw_threads(2)
-        try:
-            blocks = spike_model._normal_blocks(spec, 1, reduce)
-            assert next(blocks) == 0
-            blocks.close()
-        finally:
-            spike_model.set_draw_threads(previous)
-        assert sorted(finished) == sorted(started)
-        assert len(started) <= 3  # the block read and at most one more per thread
-        assert threading.active_count() == running
-
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    @pytest.mark.parametrize(
-        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
-    )
-    def test_same_bits_at_any_thread_count(self, basis, mean, monkeypatch):
-        spec = SpikeSpec(
-            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
-            n=7,
-            d=self.D,
-            tail_value=2.0,
-            basis=basis,
-            mean=mean,
-        )
-        seed = np.random.SeedSequence((5, self.D, 4))
-        running = threading.active_count()
-        drawn_on = []
-        real = spike_model._normal_blocks
-
-        def spy(spec, seed, reduce):
-            def traced(lo, block):
-                drawn_on.append(threading.get_ident())
-                return reduce(lo, block)
-
-            return real(spec, seed, traced)
-
-        monkeypatch.setattr(spike_model, "_normal_blocks", spy)
-        gram, proj = with_draw_threads(1, sample_gram, spec, seed)
-        data = with_draw_threads(1, generate_sample, spec, seed)
-        assert set(drawn_on) == {threading.get_ident()}
-        for threads in (2, 3):
-            drawn_on.clear()
-            threaded_gram, threaded_proj = with_draw_threads(threads, sample_gram, spec, seed)
-            # Past one thread every block is drawn on a pool thread.
-            assert len(drawn_on) == 4 and threading.get_ident() not in drawn_on
-            assert np.array_equal(threaded_gram, gram)
-            assert np.array_equal(threaded_proj, proj)
-            threaded = with_draw_threads(threads, generate_sample, spec, seed)
-            assert np.array_equal(threaded.values, data.values)
-            assert np.array_equal(threaded.latent, data.latent)
-        assert threading.active_count() == running  # no draw thread outlives its call
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_random_basis_holds_no_sample(self, threads):
-        # Eight full blocks and a remainder: the n x d sample is four times
-        # the bound at one thread and twice it at three.  U_m is built
-        # first, as a sweep holds it cached.
-        n = 8
-        spec = single_spike_spec(
-            d=8 * spike_model.SAMPLE_BLOCK + 17,
-            n=n,
-            basis=RandomOrthogonal(seed=5),
-            mean=ConstantMean(1.5),
-        )
-        spike_model._spike_basis(spec)
-        with_draw_threads(threads, sample_gram, spec, 1)  # imports the thread pool
-        tracemalloc.start()
-        try:
-            gram, proj = with_draw_threads(threads, sample_gram, spec, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The n x m arrays: S, P, and one projection per block in flight.
-        n_by_m = (threads + 2) * proj.nbytes
-        assert peak < (threads + 1) * n * spike_model.SAMPLE_BLOCK * 8 + gram.nbytes + n_by_m
-
-    def test_thread_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="draw threads must be >= 1"):
-            spike_model.set_draw_threads(0)
-
-
-class TestBlockSeeds:
-    # Three full blocks and a 17-column remainder.
-    D = 3 * spike_model.SAMPLE_BLOCK + 17
+class TestSeeds:
+    D = 24_593
 
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
     )
     def test_spawning_from_the_seed_changes_no_bit(self, basis):
-        # spawn() counts its calls on the SeedSequence; the block keys
-        # must not read that count.
+        # spawn() counts its calls on the SeedSequence; the draw must not
+        # read that count.
         spec = single_spike_spec(d=self.D, n=5, basis=basis)
-        gram, proj = sample_gram(spec, np.random.SeedSequence((5, self.D, 1)))
+        data = generate_sample(spec, np.random.SeedSequence((5, self.D, 1)))
         seed = np.random.SeedSequence((5, self.D, 1))
         seed.spawn(3)
-        spawned_gram, spawned_proj = sample_gram(spec, seed)
-        assert np.array_equal(spawned_gram, gram)
-        assert np.array_equal(spawned_proj, proj)
+        spawned = generate_sample(spec, seed)
+        assert np.array_equal(spawned.values, data.values)
+        assert np.array_equal(spawned.latent, data.latent)
 
     def test_int_seed_is_its_seed_sequence(self):
         spec = single_spike_spec(d=self.D, n=5)
@@ -557,72 +382,17 @@ class TestBlockSeeds:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.latent, b.latent)
 
-    def test_blocks_are_standard_normal_and_distinct(self):
+    def test_tail_columns_are_standard_normal(self):
+        # On the canonical axes with tau = 1 and a zero mean the tail rows of
+        # the sample are the raw draw.
         from scipy import stats
 
-        block = spike_model.SAMPLE_BLOCK
-        spec = single_spike_spec(d=3 * block, n=4)
-        blocks = list(spike_model._normal_blocks(spec, 17, lambda lo, b: b.copy()))
-        assert len(blocks) == 3
-        assert stats.kstest(np.concatenate([b.ravel() for b in blocks]), "norm").pvalue > 1e-3
-        # No value of block 1 is in block 0: so no row, and no shifted
-        # stretch of the same stream.
-        assert np.intersect1d(blocks[0], blocks[1]).size == 0
-
-
-class TestSampleGram:
-    # X'X and P are assembled from sums over the raw blocks, which add in
-    # another order than the products of the whole sample: within one block
-    # and past it.
-    @pytest.mark.parametrize("d", [5_000, 3 * spike_model.SAMPLE_BLOCK + 17])
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    def test_random_basis_matches_the_sample_products(self, d, mean):
-        spec = SpikeSpec(
-            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
-            n=7,
-            d=d,
-            tail_value=2.0,
-            basis=RandomOrthogonal(seed=3),
-            mean=mean,
-        )
-        seed = np.random.SeedSequence((5, d, 2))
-        gram, proj = sample_gram(spec, seed)
-        x = generate_sample(spec, seed).values
-        for got, expected in ((gram, x.T @ x), (proj, x.T @ basis_vectors(spec))):
-            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-class TestSpikeColumnsAcrossBlocks:
-    # Four-column blocks, so the six spike columns fill block 0 and half of
-    # block 1: each block contributes its own share of S = GU_m.
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    @pytest.mark.parametrize(
-        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
-    )
-    def test_gram_and_projection_match_the_sample(self, basis, mean, monkeypatch):
-        monkeypatch.setattr(spike_model, "SAMPLE_BLOCK", 4)
-        spec = SpikeSpec(
-            spikes=tuple(SpikeProfile.fixed(v) for v in (9e6, 7e6, 5e6, 3e6, 2e6, 1e6)),
-            n=12,
-            d=30,
-            tail_value=2.0,
-            basis=basis,
-            mean=mean,
-        )
-        seed = 23
-        gram, proj = sample_gram(spec, seed)
-        data = generate_sample(spec, seed)
-        x = data.values
-        expected = x.T @ x
-        assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
-        expected = spike_projection(data)
-        if isinstance(basis, CanonicalAxes):
-            assert np.array_equal(proj, expected)
-            z = np.hstack([reference_block(seed, k, (12, 4)) for k in (0, 1)])
-            assert np.array_equal(data.latent, z[:, :6])
-        else:
-            # Past one block P is assembled in n-space on a random basis.
-            assert np.max(np.abs(proj - expected)) <= 1e-12 * np.max(np.abs(expected))
+        spec = single_spike_spec(d=24_576, n=4)
+        tail = generate_sample(spec, 17).values[spec.m :]
+        assert stats.kstest(tail.ravel(), "norm").pvalue > 1e-3
+        # No value repeats: so no row, and no shifted stretch of the same
+        # stream, is drawn twice.
+        assert np.unique(tail).size == tail.size
 
 
 def frame_factor(frame):
@@ -698,10 +468,12 @@ class TestWishartFactor:
     def test_gram_is_the_n_space_assembly(self, basis, d, tail_value, mean):
         # Any rotation that takes h to 1 (here the reflection across h - 1)
         # carries the frame's factor to a factor F of a sample in the
-        # observation frame.  FF' is X'X as sample_gram assembles it
-        # (spike_model._assemble) from the tail Gram aa' + LL', S and the
-        # tail row sums ||c|| a, all read back from F's own columns; F[:, :m]
-        # is its P.
+        # observation frame.  From F's own columns read back S, the tail Gram
+        # T = aa' + LL' and the tail row sums ||c|| a.  With P_0 = S Lambda^{1/2}
+        # the projection of the mean-free sample and b = sqrt(tau) ||c|| a +
+        # P_0 U_m'1 its row sums, FF' must be
+        # X'X = tau T + P_0P_0' + mu (b1' + 1b') + mu^2 d 11', and F[:, :m]
+        # must be P = P_0 + mu 1 (1'U_m).
         spec = SpikeSpec(spikes=self.SPIKES, n=12, d=d, tail_value=tail_value, basis=basis,
                          mean=mean)
         frame = frame_sample(spec, np.random.SeedSequence((5, d, 1)))
@@ -715,10 +487,10 @@ class TestWishartFactor:
         a = (f[:, m] - mu * norm_c) / root_tau
         lower = f[:, m + 1 :] / root_tau
         tail = np.outer(a, a) + lower @ lower.T
-        shifted = mu != 0.0
-        gram, proj = spike_model._assemble(
-            spec, tail, spike, norm_c * a if shifted else None, ones_u if shifted else None
-        )
+        free = spike * np.sqrt(spec.spike_eigenvalues)
+        b = root_tau * norm_c * a + free @ ones_u
+        gram = tail_value * tail + free @ free.T + mu * (b[:, None] + b) + mu * mu * d
+        proj = free + mu * ones_u
         assert np.max(np.abs(f @ f.T - gram)) <= 1e-14 * np.max(np.abs(gram))
         assert np.max(np.abs(f[:, :m] - proj)) <= 1e-14 * np.max(np.abs(proj))
 
