@@ -173,6 +173,27 @@ class TestGeneration:
             tracemalloc.stop()
         assert peak < max_ratio * data.values.nbytes
 
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=5)], ids=["canonical", "orthogonal"]
+    )
+    def test_no_second_copy_of_a_wide_draw(self, basis):
+        # d = 65,553 with every term of the model.  At n = 8 a random
+        # basis's rank-m correction is added in sixteen blocks of 4096
+        # columns, the last with a 17-column remainder; the canonical axes
+        # set the spike columns in place.  Neither may hold a second n x d
+        # array.
+        spec = single_spike_spec(
+            d=65_553, n=8, basis=basis, mean=ConstantMean(1.5), tail_value=2.0
+        )
+        spike_model._spike_basis(spec)
+        tracemalloc.start()
+        try:
+            data = generate_sample(spec, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.values.nbytes
+
     def test_mismatched_shapes_rejected(self):
         spec = single_spike_spec(d=20, n=4)
         latent = np.zeros((4, 1))
@@ -337,6 +358,66 @@ class TestSpikeProjection:
         assert proj.shape == (9, len(spikes))
         assert np.array_equal(proj, expected)
 
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    def test_is_the_scaled_latent(self, basis, mean):
+        # Six spike columns: P = X'U_m = S Lambda^{1/2} + mu 1 (1'U_m), with
+        # S = GU_m of the raw draw, the identity the frame's L is built on.
+        spec = SpikeSpec(
+            spikes=tuple(SpikeProfile.fixed(v) for v in (9e6, 7e6, 5e6, 3e6, 2e6, 1e6)),
+            n=12,
+            d=30,
+            tail_value=2.0,
+            basis=basis,
+            mean=mean,
+        )
+        data = generate_sample(spec, 23)
+        z = reference_draw(23, (12, 30))
+        proj = spike_projection(data)
+        expected = population_projection(spec, data.latent)
+        if isinstance(basis, CanonicalAxes):
+            assert np.array_equal(data.latent, z[:, :6])
+            assert np.array_equal(proj, expected)
+        else:
+            latent = z @ basis_vectors(spec)
+            assert np.max(np.abs(data.latent - latent)) <= 1e-14 * np.max(np.abs(latent))
+            assert np.max(np.abs(proj - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestDenseGram:
+    # X' = GA + mu 11' for the raw draw G (n x d) and the symmetric root A,
+    # so X'X = tau GG' + S (Lambda - tau) S' + mu (b1' + 1b') + mu^2 d 11'
+    # with S = GU_m and b = GA1 = sqrt(tau) G1 + S (Lambda^{1/2} - sqrt(tau)) U_m'1:
+    # the n-space form of the Gram that the frame draws in law.
+    @pytest.mark.parametrize("d", [400, 24_593])
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("tail_value", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    def test_is_the_n_space_assembly(self, basis, tail_value, mean, d):
+        spec = SpikeSpec(
+            spikes=(SpikeProfile.power(1.0, 1.6), SpikeProfile.power(1.0, 1.4)),
+            n=7,
+            d=d,
+            tail_value=tail_value,
+            basis=basis,
+            mean=mean,
+        )
+        seed = (5, d, 1)
+        x = generate_sample(spec, seed).values
+        g = reference_draw(seed, (spec.n, d))
+        u = basis_vectors(spec)
+        s = g @ u
+        lam, root_tau, mu = spec.spike_eigenvalues, np.sqrt(tail_value), spec.mean_vector_value
+        b = root_tau * g.sum(axis=1) + s @ ((np.sqrt(lam) - root_tau) * u.sum(axis=0))
+        gram = tail_value * (g @ g.T) + (s * (lam - tail_value)) @ s.T
+        gram += mu * (b[:, None] + b) + mu * mu * d
+        expected = x.T @ x
+        assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestDocumentedDraw:
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
@@ -379,6 +460,13 @@ class TestSeeds:
         spec = single_spike_spec(d=self.D, n=5)
         a = generate_sample(spec, 17)
         b = generate_sample(spec, np.random.SeedSequence(17))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.latent, b.latent)
+
+    def test_tuple_seed_is_its_seed_sequence(self):
+        spec = single_spike_spec(d=self.D, n=5, basis=RandomOrthogonal(seed=3))
+        a = generate_sample(spec, (5, self.D, 1))
+        b = generate_sample(spec, np.random.SeedSequence((5, self.D, 1)))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.latent, b.latent)
 
@@ -531,6 +619,73 @@ class TestWishartFactor:
         nbytes = sum(getattr(frame, name).nbytes for name in
                      ("lead", "tail_diag", "tail_sub", "spikes", "ones", "stiefel"))
         assert peak < 2 * nbytes < 0.1 * 8 * spec.n**2
+
+
+class TestFrameSeeds:
+    SPEC = SpikeSpec(spikes=TestWishartFactor.SPIKES, n=12, d=30, tail_value=2.0,
+                     mean=ConstantMean(2.5))
+
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    def test_spawning_from_the_seed_changes_no_bit(self, basis):
+        # spawn() counts its calls on the SeedSequence; the draw must not
+        # read that count.
+        spec = dataclasses.replace(self.SPEC, basis=basis)
+        frame = frame_sample(spec, np.random.SeedSequence((5, 30, 1)))
+        seed = np.random.SeedSequence((5, 30, 1))
+        seed.spawn(3)
+        spawned = frame_sample(spec, seed)
+        assert np.array_equal(frame_factor(spawned), frame_factor(frame))
+        assert np.array_equal(spawned.spikes, frame.spikes)
+        assert np.array_equal(spawned.stiefel, frame.stiefel)
+
+    def test_tuple_seed_is_its_seed_sequence(self):
+        a = frame_sample(self.SPEC, (5, 30, 1))
+        b = frame_sample(self.SPEC, np.random.SeedSequence((5, 30, 1)))
+        assert np.array_equal(frame_factor(a), frame_factor(b))
+        assert np.array_equal(a.ones, b.ones)
+
+    @pytest.mark.parametrize("d", [30, 5], ids=["r-is-n", "nu0"])
+    def test_zero_mean_draw_does_not_depend_on_the_basis(self, d):
+        # U_m'1 is read only under a non-zero mean.
+        frames = [
+            frame_sample(dataclasses.replace(self.SPEC, d=d, basis=basis, mean=mean), 17)
+            for mean in (ZeroMean(), ConstantMean(2.5))
+            for basis in (CanonicalAxes(), RandomOrthogonal(seed=3), RandomOrthogonal(seed=4))
+        ]
+        zero, shifted = frames[:3], frames[3:]
+        assert all(np.array_equal(frame_factor(f), frame_factor(zero[0])) for f in zero[1:])
+        assert not any(np.array_equal(f.lead, shifted[0].lead) for f in shifted[1:])
+
+
+class TestConcurrentDraws:
+    # Each draw reads its seed alone, and the one-entry basis cache is
+    # shared read-only: on three threads, with d alternating so that the
+    # cache is replaced between calls, every draw has its serial bits.
+    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize(
+        "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
+    )
+    def test_threads_draw_the_serial_bits(self, basis, mean):
+        from concurrent.futures import ThreadPoolExecutor
+
+        specs = [
+            SpikeSpec(spikes=TestWishartFactor.SPIKES, n=12, d=d, tail_value=2.0, basis=basis,
+                      mean=mean)
+            for d in (300, 301)
+        ]
+
+        def draw(k):
+            spec = specs[k % 2]
+            data = generate_sample(spec, (7, k))
+            return data.values, data.latent, frame_factor(frame_sample(spec, (7, k)))
+
+        serial = [draw(k) for k in range(12)]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = list(pool.map(draw, range(12)))
+        for got, expected in zip(threaded, serial):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 class TestFrame:
