@@ -8,11 +8,11 @@ The package has four layers:
   which draws a sample in a random frame K of R^n at O(n m) whatever d
   is: X'X = K A K' in law, with the tail Gram a bidiagonal factor
   (Dumitriu & Edelman's Laguerre model).
-- ``pca_engine``: sample eigenvalues and score vectors, from the sample
-  (``dual_pca``), from the n x n Gram (``gram_pca``), or from a frame
-  sample (``frame_pca``, Lanczos on A at O(n m) per step, with the score
-  vectors and population scores carried back by K); loadings are never
-  stored.
+- ``pca_engine``: sample eigenvalues and score vectors, from the dense
+  sample through its n x n Gram (``dual_pca``, which holds that one n x n
+  array), or from a frame sample (``frame_pca``, Lanczos on A at O(n m)
+  per step, with the score vectors and population scores carried back by
+  K); loadings are never stored.
   A sweep replicate runs ``frame_sample`` -> ``frame_pca`` at every n and d.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
   decomposition, and ``spike_diagnostics``, which turns the overlap matrix
@@ -22,7 +22,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .spike_model import (
     CanonicalAxes,
@@ -44,9 +44,7 @@ from .pca_engine import (
     PcaResult,
     dual_pca,
     frame_pca,
-    gram_pca,
     load_matrix_csv,
-    sample_score_matrix,
 )
 from .asymptotics import (
     RatioDecomposition,
@@ -96,9 +94,7 @@ __all__ = [
     "PcaResult",
     "dual_pca",
     "frame_pca",
-    "gram_pca",
     "load_matrix_csv",
-    "sample_score_matrix",
     "RatioDecomposition",
     "ScoreRatioTable",
     "comparable_sample_scores",

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .pca_engine import PcaResult, loading_norms, sample_score_matrix
+from .pca_engine import PcaResult, loading_norms
 from .spike_model import DataMatrix, basis_vectors
 
 DEFAULT_DENOMINATOR_GUARD = 1e-8
@@ -247,6 +247,9 @@ def comparable_sample_scores(pca: PcaResult, m: int) -> np.ndarray:
     The unit-norm score vectors are rescaled by sqrt(divisor), which makes
     them the per-observation projections on the sample directions divided
     by sqrt(sample eigenvalue) -- the normalization under which the ratio
-    to the population scores has the sqrt(n / chi2_n) limit.
+    to the population scores has the sqrt(n / chi2_n) limit.  Raises if m
+    is not in [1, rank].
     """
-    return math.sqrt(pca.divisor) * sample_score_matrix(pca, m)
+    if not 1 <= m <= pca.rank:
+        raise ValueError(f"m must be in [1, {pca.rank}], got {m}")
+    return math.sqrt(pca.divisor) * pca.score_vectors[:, :m]

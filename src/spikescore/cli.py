@@ -10,6 +10,7 @@ distributional check rejects.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from typing import Optional
@@ -19,7 +20,6 @@ from .pca_engine import dual_pca, load_matrix_csv
 from .runner import (
     _FILE_KEYS,
     _MODE_TABLE,
-    config_with_overrides,
     export_scores_scatter,
     load_config,
 )
@@ -110,7 +110,7 @@ def _run_sweep_command(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--workers: {exc}") from None
     if overrides:
-        config = config_with_overrides(config, **overrides)
+        config = dataclasses.replace(config, **overrides)  # re-validated
     report = _MODE_TABLE[args.command].run(config)
     print(f"records: {report.records_path}")
     print(f"report:  {report.report_path}")
@@ -126,7 +126,7 @@ def _run_pca_command(args) -> int:
     result = dual_pca(x, center=args.center, divisor=args.divisor, rank=rank)
     print("component eigenvalue")
     for j, w in enumerate(result.sample_eigenvalues, start=1):
-        print(f"{j} {w!r}")
+        print(f"{j} {float(w)!r}")
     return EXIT_OK
 
 

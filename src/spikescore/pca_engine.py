@@ -2,19 +2,17 @@
 
 For d >> n data the d x d sample covariance is never formed: eigenvalues
 and score vectors come from the Gram matrix X'X / divisor.  ``dual_pca``
-forms the Gram of a d x n sample and hands it to ``gram_pca``, which
-decomposes a Gram it is given.  ``frame_pca`` decomposes a sample drawn in
-a random frame (``spike_model.frame_sample``, X'X = K A K' in law): every
-sweep replicate takes that route, Lanczos on v -> A v at O(n m) per step,
-so no n x n array is formed at any n.
+forms the Gram of a d x n sample, divides it in place and decomposes it,
+so below rank n the Gram is the one n x n array it holds.  ``frame_pca``
+decomposes a sample drawn in a random frame (``spike_model.frame_sample``,
+X'X = K A K' in law): every sweep replicate takes that route, Lanczos on
+v -> A v at O(n m) per step, so no n x n array is formed at any n.
 No loading vector is stored: where a diagnostic needs the unit loading
 u_hat_j = X v_j / ||X v_j||, it divides by ``loading_norms``, the one
 place that holds the norm sqrt(divisor) sqrt(eigenvalue) and the
 zero-eigenvalue cut.
 Finiteness is read from the Gram diagonal, or from the trace of A, so no
 d x n mask is built.
-``gram_pca`` decomposes (G + G') / (2 divisor), the symmetric part of the
-Gram it is given, and holds one n x n array beyond its input.
 When fewer than n components are wanted, the leading eigenpairs come from
 implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
@@ -23,7 +21,8 @@ Krylov size follows the wanted rank (``_krylov_size``: 2 rank + 1 vectors,
 not ``eigsh``'s default of at least 20).  In the spiked spectra the sweeps
 draw, the m spike eigenvalues sit far above the bulk, so a few vectors
 hold them to machine precision: a rank-2 growing-n replicate's eigensolve
-takes 6 operator steps, not 21.
+takes 6 operator steps, not 21.  All n components, or those of a zero Gram,
+come from ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -161,21 +160,49 @@ def dual_pca(
 ) -> PcaResult:
     """Eigenvalues and scores of the sample covariance, via the Gram matrix.
 
-    ``x`` is d x n with one observation per column.  The eigenpairs of
-    G = X'X / divisor (after optional column centering) give the sample
-    eigenvalues and score vectors; the nonzero eigenvalues agree with those
-    of XX' / divisor.  ``rank`` limits how many leading components are
-    retained (default min(n, d)).  The Gram is formed here and decomposed
-    by ``gram_pca``, which documents the eigensolvers.
+    ``x`` is d x n with one observation per column, and is left as it is.
+    The eigenpairs of G = X_c'X_c / divisor (X_c = X, or X with its row
+    means taken out when ``center``) give the sample eigenvalues and score
+    vectors; the nonzero eigenvalues agree with those of X_cX_c' / divisor.
+    ``rank`` limits how many leading components are retained (default
+    min(n, d)).
+
+    G is formed as one ``X_c.T @ X_c`` product, which numpy computes as a
+    mirrored triangle, so it is exactly symmetric; it is divided in place,
+    so the Gram is the one n x n array formed here (at rank n, ``eigh``
+    adds its eigenvectors and workspace).  With ``rank < n`` the
+    ``rank`` largest eigenpairs come from Lanczos (``_leading_pairs``) on
+    G.  With ``rank == n``, or for a zero Gram, the spectrum comes from
+    ``np.linalg.eigh``.  A single-vector Krylov method can miss a copy of
+    an exactly repeated eigenvalue, and where it meets an invariant
+    subspace early (e.g. a multiple of the identity) ARPACK restarts from a
+    random vector; generic (noisy) data has neither.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"x must be a 2-d matrix, got shape {x.shape}")
-    # Overflow and NaN are left to gram_pca's check of the Gram diagonal.
+    d, n = x.shape
+    rank = _resolve_rank(rank, n, d)
+    div = _resolve_divisor(divisor, n)
+
+    # A NaN or Inf in column i makes G_ii, a sum of squares that cannot
+    # cancel, non-finite, and so does an overflowing Gram: the diagonal is
+    # checked in place of a d x n mask, and the warnings are left to it.
     with np.errstate(invalid="ignore", over="ignore"):
         xc = x - x.mean(axis=1, keepdims=True) if center else x
-        gram = xc.T @ xc
-    return gram_pca(gram, x.shape[0], divisor=divisor, rank=rank, centered=center)
+        g = xc.T @ xc
+        g /= div
+    if not np.all(np.isfinite(np.diagonal(g))):
+        raise ValueError(_NON_FINITE)
+
+    # g is positive semidefinite, so a zero trace means g = 0 (all-zero or,
+    # centered, constant data): Lanczos cannot start there.
+    if rank < n and np.trace(g) > 0:
+        w, v = _leading_pairs(g, n, rank)
+    else:
+        w, v = np.linalg.eigh(g)
+        w, v = w[n - rank :], v[:, n - rank :]
+    return _result(w, v, div, center, d)
 
 
 def frame_pca(frame: FrameSample) -> tuple[PcaResult, np.ndarray]:
@@ -188,7 +215,7 @@ def frame_pca(frame: FrameSample) -> tuple[PcaResult, np.ndarray]:
     carries [V~ | S~] to [V | S] by the same K, so the result is that of an
     uncentered ``dual_pca`` of the sample with divisor n, in law, and
     ``_fix_signs`` acts in the observation frame.  A non-finite or zero
-    trace of A is refused with ``gram_pca``'s ValueError: the trace bounds
+    trace of A is refused with ``dual_pca``'s ValueError: the trace bounds
     every entry of A and every Krylov vector, and Lanczos cannot start from
     A = 0.
     """
@@ -205,65 +232,6 @@ def frame_pca(frame: FrameSample) -> tuple[PcaResult, np.ndarray]:
     return _result(w, rotated[:, :m], float(n), False, frame.d), rotated[:, m:]
 
 
-def gram_pca(
-    gram: np.ndarray,
-    d: int,
-    *,
-    divisor: Union[str, int, float] = "n",
-    rank: Optional[int] = None,
-    centered: bool = False,
-) -> PcaResult:
-    """Eigenvalues and score vectors from the n x n Gram X_c'X_c of a d x n sample.
-
-    ``gram`` is not yet divided; ``centered`` records whether the sample
-    was centered before it was formed.  This is the eigen-part of
-    ``dual_pca``, for a Gram formed without the sample at hand.
-
-    The matrix decomposed is (G + G') / (2 divisor), formed as one n x n
-    array beyond ``gram``, which is left as it is.  The Grams these
-    form are exactly symmetric (one ``A @ A.T`` product, which numpy
-    computes as a mirrored triangle, or a sum of such products and other
-    symmetric terms), so for them it is G / divisor to the bit; a
-    non-symmetric Gram gets its symmetric part.
-    The sum is formed before the division, so a Gram entry above half the
-    float maximum overflows and is refused by the check of the diagonal
-    (an entry of a positive semidefinite Gram is at most the larger of its
-    two diagonal entries).
-
-    With ``rank < n`` the ``rank`` largest eigenpairs come from Lanczos
-    (``_leading_pairs``) on that matrix.  With ``rank == n``, or for a zero
-    Gram, the spectrum comes from ``np.linalg.eigh``.  A single-vector
-    Krylov method can miss a copy of an exactly repeated eigenvalue, and
-    where it meets an invariant subspace early (e.g. a multiple of the
-    identity) ARPACK restarts from a random vector; generic (noisy) data
-    has neither.
-    """
-    n = gram.shape[0]
-    rank = _resolve_rank(rank, n, d)
-    div = _resolve_divisor(divisor, n)
-
-    # A NaN or Inf in column i makes G_ii, a sum of squares that cannot
-    # cancel, non-finite, and so does an overflowing Gram or sum G + G':
-    # the diagonal is checked in place of a d x n mask, and the warnings
-    # are left to it.  The sum takes the one n x n allocation and is
-    # divided in place; on a symmetric Gram (2x) / (2 div) rounds exactly
-    # as x / div.
-    with np.errstate(invalid="ignore", over="ignore"):
-        g = np.add(gram, gram.T)
-        g /= 2.0 * div
-    if not np.all(np.isfinite(np.diagonal(g))):
-        raise ValueError(_NON_FINITE)
-
-    # g is positive semidefinite, so a zero trace means g = 0 (all-zero or,
-    # centered, constant data): Lanczos cannot start there.
-    if rank < n and np.trace(g) > 0:
-        w, v = _leading_pairs(g, n, rank)
-    else:
-        w, v = np.linalg.eigh(g)
-        w, v = w[n - rank :], v[:, n - rank :]
-    return _result(w, v, div, centered, d)
-
-
 def loading_norms(result: PcaResult) -> np.ndarray:
     """Norms ||X_c v_j|| = sqrt(divisor) sqrt(w_j) that turn scores into loadings.
 
@@ -278,16 +246,6 @@ def loading_norms(result: PcaResult) -> np.ndarray:
     norms = np.full(w.shape, np.nan)
     norms[valid] = np.sqrt(result.divisor) * np.sqrt(w[valid])
     return norms
-
-
-def sample_score_matrix(result: PcaResult, m: int) -> np.ndarray:
-    """First m score vectors as an n x m matrix (pure extraction).
-
-    Columns have unit Euclidean norm.  Raises if m exceeds the retained rank.
-    """
-    if not 1 <= m <= result.rank:
-        raise ValueError(f"m must be in [1, {result.rank}], got {m}")
-    return result.score_vectors[:, :m].copy()
 
 
 def load_matrix_csv(path: Union[str, Path], header: bool = False) -> np.ndarray:

@@ -211,12 +211,6 @@ def _parse_workers(value) -> Union[int, str]:
     return value if value == "auto" else int(value)
 
 
-def _regime_ratio(mode: str, spec: SpikeSpec) -> float:
-    """d / lambda_m in ``hdlss-sweep``, d / (n lambda_m) in ``growing-n-sweep``:
-    the rate that validation guards on and report.json records."""
-    return _MODE_TABLE[mode].ratio(spec)
-
-
 @dataclass(frozen=True)
 class SpikeDiagnostics:
     """Per-spike summary of one replicate (j is 0-based)."""
@@ -742,10 +736,6 @@ _MODES = tuple(_MODE_TABLE)
 # The config-file key of the grid each mode sweeps (ExperimentConfig.grid).
 GRID_KEYS = {name: mode.grid_key for name, mode in _MODE_TABLE.items()}
 
-# Per grid point, report.json names the rate whose vanishing the mode's
-# asymptotics need, under these keys.
-REGIME_RATIO_KEYS = {name: mode.ratio_key for name, mode in _MODE_TABLE.items()}
-
 
 def export_scores_scatter(
     source: Union[DataMatrix, PcaResult, np.ndarray],
@@ -945,8 +935,3 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         if value is not None and config.mode in entry.modes:
             echo[key] = entry.show(value)
     return echo
-
-
-def config_with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """A copy of config with the given fields replaced (re-validated)."""
-    return dataclasses.replace(config, **overrides)

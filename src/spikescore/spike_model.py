@@ -280,8 +280,8 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     place (no pass at all when tau = 1, since x * 1.0 == x).  The spike term
     follows: on the canonical axes it sets the m spike columns to
     S Lambda^{1/2}; otherwise the rank-m term S (Lambda^{1/2} - sqrt(tau)) U_m'
-    is added block by block.  The mean comes last, so the sample is the only
-    n x d array.  ``latent`` is S (n x m).
+    is added in place by one BLAS ``dgemm``.  The mean comes last, so the
+    sample is the only n x d array.  ``latent`` is S (n x m).
     Deterministic given (spec, seed); seed may be an int, a tuple of ints,
     or a numpy SeedSequence, and an int or tuple gives the same sample as
     ``SeedSequence(seed)``.  The draw reads ``seed`` alone, so replicate
@@ -294,20 +294,18 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     if root_tau != 1.0:
         z *= root_tau
     u = _spike_basis(spec)
+    x = z.T  # (d, n), Fortran-ordered
     if u is None:
         z[:, : spec.m] = spike * root_lam
     else:
+        from scipy.linalg.blas import dgemm
+
+        # X += U_m C', C = S (Lambda^{1/2} - sqrt(tau)): one rank-m BLAS
+        # update of the Fortran-ordered X in place, so no second n x d
+        # array is held; U_m enters as its transpose, which is Fortran-ordered
+        # too, so it is not copied either.
         corr = (root_lam - root_tau) * spike
-        # Added in column blocks of about 256 KB, so no second n x d array
-        # is held.  Widths are multiples of 64 and the last block takes the
-        # remainder: a block that splits a BLAS register tile, or one column
-        # (a matrix-vector product), rounds differently from the whole product.
-        step = max(64, 2**15 // spec.n // 64 * 64)
-        blocks = max(1, spec.d // step)
-        for k in range(blocks):
-            lo, hi = k * step, spec.d if k == blocks - 1 else (k + 1) * step
-            z[:, lo:hi] += corr @ u[lo:hi].T
-    x = z.T  # (d, n)
+        x = dgemm(1.0, u.T, corr, beta=1.0, c=x, trans_a=True, trans_b=True, overwrite_c=True)
     mu = spec.mean_vector_value
     if mu != 0.0:
         x += mu

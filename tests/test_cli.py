@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import spikescore
+from spikescore.pca_engine import dual_pca
 
 SRC = str(Path(spikescore.__file__).resolve().parents[1])
 
@@ -99,3 +103,89 @@ def test_sweep_help_is_the_mode_summary():
     for name, mode in _MODE_TABLE.items():
         assert name in text
         assert mode.__doc__.splitlines()[0] in text
+
+
+# A 6 x 4 sample: rows are dimensions, columns are observations.
+DENSE_SAMPLE = np.array([
+    [1.0, 2.0, 0.0, 4.0],
+    [3.0, 1.0, 5.0, 2.0],
+    [0.0, 6.0, 2.0, 1.0],
+    [4.0, 4.0, 1.0, 3.0],
+    [2.0, 0.0, 3.0, 5.0],
+    [5.0, 1.0, 1.0, 0.5],
+])
+
+
+def write_sample(tmp_path, header=False):
+    path = tmp_path / "x.csv"
+    rows = [",".join(map(repr, row)) for row in DENSE_SAMPLE.tolist()]
+    path.write_text("\n".join(["a,b,c,d"] * header + rows) + "\n")
+    return path
+
+
+def eigenvalue_lines(result):
+    return ["component eigenvalue"] + [
+        f"{j} {float(w)!r}" for j, w in enumerate(result.sample_eigenvalues, start=1)
+    ]
+
+
+class TestDensePca:
+    def test_prints_the_dual_pca_eigenvalues(self, tmp_path, capsys):
+        from spikescore.cli import cli_main
+
+        assert cli_main(["pca", "--input", str(write_sample(tmp_path))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == eigenvalue_lines(dual_pca(DENSE_SAMPLE))
+        assert len(lines) == 5
+
+    @pytest.mark.parametrize("rank, kept", [(2, 2), (4, 4), (9, 4)])
+    def test_rank_is_clamped_to_the_smaller_side(self, tmp_path, capsys, rank, kept):
+        from spikescore.cli import cli_main
+
+        path = write_sample(tmp_path)
+        assert cli_main(["pca", "--input", str(path), "--rank", str(rank)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == eigenvalue_lines(dual_pca(DENSE_SAMPLE, rank=kept))
+        assert len(lines) == 1 + kept
+
+    def test_header_center_and_divisor(self, tmp_path, capsys):
+        from spikescore.cli import cli_main
+
+        path = write_sample(tmp_path, header=True)
+        argv = ["pca", "--input", str(path), "--header", "--center", "--divisor", "n-1",
+                "--rank", "3"]
+        assert cli_main(argv) == 0
+        expected = dual_pca(DENSE_SAMPLE, center=True, divisor="n-1", rank=3)
+        assert capsys.readouterr().out.splitlines() == eigenvalue_lines(expected)
+
+
+class TestDenseScatter:
+    @pytest.mark.parametrize("a, b", [(1, 2), (3, 1)])
+    @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+    def test_columns_are_the_score_vectors(self, tmp_path, capsys, a, b, center):
+        from spikescore.cli import cli_main
+
+        out = tmp_path / "scatter.csv"
+        argv = ["scatter", "--input", str(write_sample(tmp_path, header=True)), "--header",
+                "--components", f"{a},{b}", "--out", str(out), "--divisor", "n-1"]
+        assert cli_main(argv + ["--center"] * center) == 0
+        assert capsys.readouterr().out == f"scatter: {out}\n"
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"sample_index,score_{a},score_{b}"
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        scores = dual_pca(DENSE_SAMPLE, center=center, divisor="n-1",
+                          rank=max(a, b)).score_vectors
+        assert np.array_equal(table[:, 0], np.arange(4))
+        assert np.array_equal(table[:, 1], scores[:, a - 1])
+        assert np.array_equal(table[:, 2], scores[:, b - 1])
+
+    @pytest.mark.parametrize("components", ["1", "1,2,3", "1,x", "0,1", "1,5"])
+    def test_bad_components_exit_1(self, tmp_path, capsys, components):
+        from spikescore.cli import cli_main
+
+        out = tmp_path / "scatter.csv"
+        argv = ["scatter", "--input", str(write_sample(tmp_path)), "--components", components,
+                "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

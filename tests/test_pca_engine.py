@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
-from spikescore.asymptotics import projection_overlaps
+from spikescore.asymptotics import comparable_sample_scores, projection_overlaps
 from spikescore.pca_engine import (
     ZERO_EIGENVALUE_RTOL,
     PcaResult,
     _leading_pairs,
     dual_pca,
     frame_pca,
-    gram_pca,
     load_matrix_csv,
     loading_norms,
-    sample_score_matrix,
 )
 from spikescore.spike_model import (
     ConstantMean,
@@ -62,11 +60,12 @@ class TestToyCases:
     def test_score_extraction(self):
         rng = np.random.default_rng(0)
         res = dual_pca(rng.standard_normal((12, 5)))
-        s = sample_score_matrix(res, res.rank)
-        assert np.array_equal(s, res.score_vectors)
-        assert np.allclose(np.linalg.norm(s, axis=0), 1.0, atol=1e-12)
-        with pytest.raises(ValueError):
-            sample_score_matrix(res, res.rank + 1)
+        s = comparable_sample_scores(res, res.rank)
+        assert np.array_equal(s, np.sqrt(5.0) * res.score_vectors)
+        assert np.allclose(np.linalg.norm(s, axis=0), np.sqrt(5.0), atol=1e-12)
+        for m in (0, res.rank + 1):
+            with pytest.raises(ValueError, match=r"m must be in \[1, 5\]"):
+                comparable_sample_scores(res, m)
 
 
 class TestDualVsDirectOracle:
@@ -326,15 +325,14 @@ class TestKrylovSize:
     @pytest.mark.parametrize("rank", [1, 2, 5])
     def test_flat_spectrum_converges_on_both_routes(self, rank):
         # Pure noise: no eigenvalue stands above the bulk, so ARPACK restarts.
-        # The sample at n = d = 400 goes through dual_pca, the 60 x 60 Gram
-        # through gram_pca; either must converge with no ArpackNoConvergence
-        # or warning.
+        # Both the sample at n = d = 400 and the 150 x 60 one must converge
+        # with no ArpackNoConvergence or warning.
         x = np.random.default_rng(34).standard_normal((400, 400))
         y = np.random.default_rng(35).standard_normal((150, 60))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = [(dual_pca(x, rank=rank), x.T @ x / 400),
-                       (gram_pca(y.T @ y, 150, rank=rank), y.T @ y / 60)]
+                       (dual_pca(y, rank=rank), y.T @ y / 60)]
         for res, g in results:
             w = np.linalg.eigvalsh(g)[::-1][:rank]
             v = np.linalg.eigh(g)[1][:, ::-1][:, :rank]
@@ -343,56 +341,62 @@ class TestKrylovSize:
             assert np.allclose(p_res, v @ v.T, rtol=0, atol=1e-10)
 
 
-class TestGramPca:
-    """gram_pca decomposes (G + G') / (2 divisor) from one n x n array."""
+def first_nonzero_positive(v):
+    """Columns of v flipped so that each one's first entry above 1e-12 in
+    magnitude is positive."""
+    first = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
+    return v * np.where(first < 0, -1.0, 1.0)
 
-    def test_one_n_by_n_array_beyond_the_input(self):
-        # A two-spike Gram at n = d = 400, as a growing-n replicate forms it.
-        x = np.random.default_rng(30).standard_normal((400, 400))
+
+class TestDualPcaGram:
+    """dual_pca divides its Gram in place and decomposes it: one n x n array."""
+
+    def test_holds_one_n_by_n_array(self):
+        # A two-spike sample at n = d = 400, as a growing-n replicate draws it.
+        n = 400
+        x = np.random.default_rng(30).standard_normal((n, n))
         x[:2] *= [[40.0], [20.0]]
-        gram = x.T @ x
-        gram_pca(gram, 400, rank=2)  # imports the eigensolver
+        dual_pca(x, rank=2)  # imports the eigensolver
         tracemalloc.start()
         try:
-            res = gram_pca(gram, 400, rank=2)
+            res = dual_pca(x, rank=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * gram.nbytes
+        assert peak < 1.5 * 8 * n * n
         assert res.rank == 2
 
-    @pytest.mark.parametrize("rank", [3, 30])
-    def test_non_symmetric_gram_gets_its_symmetric_part(self, rank):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal((80, 30))
-        x[:3] *= [[9.0], [6.0], [4.0]]
-        a = x.T @ x + 0.1 * rng.standard_normal((30, 30))
-        res = gram_pca(a, 80, rank=rank)
-        w, v = np.linalg.eigh((a + a.T) / 2 / 30)
-        w, v = w[::-1][:rank], v[:, ::-1][:, :rank]
-        assert np.allclose(res.sample_eigenvalues, w, rtol=1e-12, atol=0)
-        # Each score vector is the eigenvector up to its sign.
-        dots = np.abs(np.sum(res.score_vectors * v, axis=0))
-        assert np.allclose(dots, 1.0, rtol=0, atol=1e-12)
-
-    def test_divisor_folds_in_exactly(self):
-        # On a symmetric Gram (2x) / (2 div) rounds as x / div, so dividing
-        # first gives the same bits.
-        x = np.random.default_rng(32).standard_normal((500, 40))
+    @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+    @pytest.mark.parametrize("divisor", ["n", "n-1", 7.5])
+    @pytest.mark.parametrize("shape", [(500, 40), (12, 30)], ids=["d-above-n", "d-below-n"])
+    def test_is_the_decomposition_of_the_divided_gram(self, shape, divisor, center):
+        # The same bits as _leading_pairs (rank < n) or eigh (rank = n) of
+        # (X_c'X_c) / divisor, formed out of place.
+        d, n = shape
+        x = np.random.default_rng(32).standard_normal(shape)
         x[:2] *= [[30.0], [10.0]]
-        gram = x.T @ x
-        assert np.array_equal(gram, gram.T)
-        for rank in (2, 40):
-            res = gram_pca(gram, 500, rank=rank)
-            pre = gram_pca(gram / 40, 500, divisor=1.0, rank=rank)
-            assert np.array_equal(res.sample_eigenvalues, pre.sample_eigenvalues)
-            assert np.array_equal(res.score_vectors, pre.score_vectors)
+        xc = x - x.mean(axis=1, keepdims=True) if center else x
+        div = {"n": n, "n-1": n - 1}.get(divisor, divisor)
+        g = xc.T @ xc / div
+        for rank in (2, min(n, d)):
+            res = dual_pca(x, center=center, divisor=divisor, rank=rank)
+            if rank < n:
+                w, v = _leading_pairs(g, n, rank)
+            else:
+                w, v = np.linalg.eigh(g)
+                w, v = w[n - rank :], v[:, n - rank :]
+            assert np.array_equal(res.sample_eigenvalues, np.maximum(w[::-1], 0.0))
+            assert np.array_equal(res.score_vectors, first_nonzero_positive(v[:, ::-1]))
+            assert (res.divisor, res.centered, res.n, res.d) == (div, center, n, d)
 
-    def test_input_is_left_as_it_is(self):
-        gram = np.random.default_rng(33).standard_normal((6, 6))
-        before = gram.copy()
-        gram_pca(gram, 10, rank=2)
-        assert np.array_equal(gram, before)
+    @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+    def test_input_is_left_as_it_is(self, center):
+        x = np.random.default_rng(33).standard_normal((10, 6)) + 2.0
+        for sample in (x, np.asfortranarray(x)):
+            before = sample.copy()
+            dual_pca(sample, center=center, rank=2)
+            dual_pca(sample, center=center)
+            assert np.array_equal(sample, before)
 
 
 class TestEdgeCases:

@@ -1,5 +1,6 @@
 """Sweep orchestration: configs, records, reports, reproducibility."""
 
+import dataclasses
 import json
 import logging
 import subprocess
@@ -89,7 +90,7 @@ def tiny_config(out, **overrides):
         output_dir=out,
         workers=1,
     )
-    return rn.config_with_overrides(cfg, **overrides) if overrides else cfg
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def public_chain(template, grid_value, replicate, master_seed, guard):
@@ -629,7 +630,7 @@ class TestStreamedReplicate:
     # At d = 24,593 as at any d the replicate draws its sample in a random
     # frame of n-space (frame_sample); it must agree with that public chain.
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
-    def test_multi_block_matches_public_chain(self, mean):
+    def test_wide_d_matches_public_chain(self, mean):
         d = 24_593
         template = SpikeTemplate(
             spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)), n=10, mean=mean
@@ -671,11 +672,11 @@ class TestStreamedReplicate:
         assert np.isfinite(record.spikes[0].median_ratio)
 
 
-class TestDrawThreads:
+class TestWorkerCount:
     # d = 24,593: no record may depend on the worker count.
     D = 24_593
 
-    def test_multi_block_records_identical_across_workers(self, tmp_path):
+    def test_wide_d_records_identical_across_workers(self, tmp_path):
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
             run_hdlss_sweep(tiny_config(out, grid=(self.D,), replicates=4, workers=workers))
@@ -684,14 +685,15 @@ class TestDrawThreads:
         ).read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_report_names_workers_and_draw_threads(self, tmp_path, workers):
+    def test_report_names_the_workers(self, tmp_path, workers):
         report = run_hdlss_sweep(tiny_config(tmp_path, replicates=4, workers=workers))
         payload = json.loads((tmp_path / "report.json").read_text())
         expected = {"workers": workers}
         assert payload["parallelism"] == report.parallelism == expected
 
-    def test_both_bases_report_the_draw_threads(self, tmp_path, monkeypatch):
-        # No replicate draws column blocks, so neither basis sets draw threads.
+    def test_both_bases_report_one_worker(self, tmp_path, monkeypatch):
+        # With four usable CPUs and workers = 1, either basis reports the one
+        # worker and nothing more.
         monkeypatch.setattr(rn, "usable_cpus", lambda: 4)
         template = SpikeTemplate(
             spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=2)
@@ -715,18 +717,18 @@ class TestDrawThreads:
         ).read_bytes()
 
     # At d = 24,593, on a random basis, with the mean's n-space term.
-    MULTI_BLOCK_RANDOM_BASIS = SpikeTemplate(
+    WIDE_D_RANDOM_BASIS = SpikeTemplate(
         spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
         n=10,
         basis=RandomOrthogonal(seed=4),
         mean=ConstantMean(2.5),
     )
 
-    def test_multi_block_random_basis_records_identical_across_workers(self, tmp_path):
+    def test_wide_d_random_basis_records_identical_across_workers(self, tmp_path):
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
             cfg = tiny_config(
-                out, template=self.MULTI_BLOCK_RANDOM_BASIS, grid=(self.D,), replicates=4,
+                out, template=self.WIDE_D_RANDOM_BASIS, grid=(self.D,), replicates=4,
                 workers=workers,
             )
             run_hdlss_sweep(cfg)
@@ -951,7 +953,7 @@ class TestFrameLaw:
                                                d_over_n=0.05)),
         ],
         ids=["canonical", "orthogonal-shifted", "canonical-shifted", "growing-square",
-             "growing-half-orthogonal-shifted", "one-block-canonical-shifted", "growing-nu0"],
+             "growing-half-orthogonal-shifted", "small-d-canonical-shifted", "growing-nu0"],
     )
     def test_replicates_match_the_dense_stream_in_law(self, mode, grid_value, template):
         pvalues = law_pvalues(mode, grid_value, template, self.M)
@@ -975,7 +977,7 @@ class TestSpikeEigenvaluesOnly:
         tracemalloc.start()
         try:
             spec = template.spec_at(MODE_HDLSS, 10**7)
-            ratio = rn._regime_ratio(MODE_HDLSS, spec)
+            ratio = rn._MODE_TABLE[MODE_HDLSS].ratio(spec)
             scores = projection_scores(spec, np.ones((10, 2)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1006,7 +1008,7 @@ class TestReportObservability:
             assert row["replicates"] == 2
             for stage in rn.STAGES:
                 assert 0 < row[stage]["p50_s"] <= row[stage]["sum_s"]
-        key = rn.REGIME_RATIO_KEYS[mode]
+        key = rn._MODE_TABLE[mode].ratio_key
         for row, g in zip(payload["regime"], cfg.grid):
             spec = cfg.template.spec_at(mode, g)
             lam_m = spec.spike_eigenvalues[spec.m - 1]
@@ -1195,12 +1197,12 @@ class TestModeTable:
             template.spec_at("growing-n", 200)
         spec = template.spec_at(MODE_HDLSS, 200)
         with pytest.raises(ValueError, match="unknown mode 'hdlss'"):
-            rn._regime_ratio("hdlss", spec)
+            rn._MODE_TABLE["hdlss"].ratio(spec)
 
     def test_views_follow_the_table(self):
         assert rn._MODES == (MODE_HDLSS, MODE_GROWING_N)
         assert rn.GRID_KEYS == {MODE_HDLSS: "grid.d", MODE_GROWING_N: "grid.n"}
-        assert rn.REGIME_RATIO_KEYS == {
+        assert {name: mode.ratio_key for name, mode in rn._MODE_TABLE.items()} == {
             MODE_HDLSS: "d_over_lambda_m", MODE_GROWING_N: "d_over_n_lambda_m"
         }
 

@@ -528,7 +528,7 @@ def reference_frame(spec, seed):
     return f, h, s, w
 
 
-class TestWishartFactor:
+class TestFrameFactor:
     # The frame's factor [L | sqrt(tau) B] (frame_factor) is, in K's frame,
     # the n x min(d, n + m + 1) factor of the sample.
     SPIKES = tuple(SpikeProfile.fixed(v) for v in (40.0, 30.0, 20.0, 10.0))
@@ -622,7 +622,7 @@ class TestWishartFactor:
 
 
 class TestFrameSeeds:
-    SPEC = SpikeSpec(spikes=TestWishartFactor.SPIKES, n=12, d=30, tail_value=2.0,
+    SPEC = SpikeSpec(spikes=TestFrameFactor.SPIKES, n=12, d=30, tail_value=2.0,
                      mean=ConstantMean(2.5))
 
     @pytest.mark.parametrize(
@@ -671,7 +671,7 @@ class TestConcurrentDraws:
         from concurrent.futures import ThreadPoolExecutor
 
         specs = [
-            SpikeSpec(spikes=TestWishartFactor.SPIKES, n=12, d=d, tail_value=2.0, basis=basis,
+            SpikeSpec(spikes=TestFrameFactor.SPIKES, n=12, d=d, tail_value=2.0, basis=basis,
                       mean=mean)
             for d in (300, 301)
         ]
