@@ -22,7 +22,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .spike_model import (
     CanonicalAxes,

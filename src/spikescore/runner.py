@@ -38,6 +38,11 @@ the dense reference chain (``generate_sample`` -> ``dual_pca``) in law,
 not in bits, and under a zero mean it does not depend on the basis seed.
 The diagnostics read only w, V, S and P.
 
+``RECORD_DTYPE`` is the one record schema: a replicate's per-spike
+diagnostics are one structured array of that dtype, one row per spike, and
+``records.csv`` writes those fields, in that order, after the grid value
+and the replicate index.
+
 The sweep owns its parallelism and derives it, with no setting of its
 own: ``workers`` processes take the replicates, one at a time each, and
 ``report.json`` names the count under ``parallelism``; it changes no
@@ -101,7 +106,19 @@ MODE_GROWING_N = "growing-n-sweep"
 # n-space arrays only.
 STAGES = ("generate", "pca", "diagnostics")
 
-RECORDS_HEADER = "grid,replicate,j,median_ratio,rel_spread,eig_ratio,angle_rad,leakage,n_excluded"
+# One row of a replicate's per-spike diagnostics; j is 0-based.  A record
+# holds these fields, records.csv writes them, and the report reads them.
+RECORD_DTYPE = np.dtype([
+    ("j", np.int64),
+    ("median_ratio", np.float64),
+    ("rel_spread", np.float64),
+    ("eig_ratio", np.float64),
+    ("angle_rad", np.float64),
+    ("leakage", np.float64),
+    ("n_excluded", np.int64),
+])
+
+RECORDS_HEADER = ",".join(("grid", "replicate", *RECORD_DTYPE.names))
 
 # Abort a sweep when more than this fraction of replicates fail; silently
 # dropping more would distort the distributional samples.
@@ -211,26 +228,21 @@ def _parse_workers(value) -> Union[int, str]:
     return value if value == "auto" else int(value)
 
 
-@dataclass(frozen=True)
-class SpikeDiagnostics:
-    """Per-spike summary of one replicate (j is 0-based)."""
-
-    j: int
-    median_ratio: float
-    rel_spread: float
-    eig_ratio: float
-    angle_rad: float
-    leakage: float
-    cross_overlaps: tuple[float, ...]
-    n_excluded: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicateRecord:
+    """One replicate of one grid point.
+
+    ``spikes`` is an (m,) ``np.recarray`` of ``RECORD_DTYPE``: row j holds
+    spike j's diagnostics, read as ``spikes[j].median_ratio`` or as the
+    column ``spikes.median_ratio``.  ``timings`` maps each of ``STAGES`` to
+    its seconds.  Records compare by identity, since an array field has no
+    single truth value.
+    """
+
     grid_value: int
     replicate: int
-    spikes: tuple[SpikeDiagnostics, ...]
-    timings: dict = field(default_factory=dict, compare=False)
+    spikes: np.recarray
+    timings: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -290,6 +302,7 @@ def compute_replicate(
     which gives P = X'U_m from S.  The record follows the law of the dense
     chain (``generate_sample`` and ``dual_pca``), not its bits; under a
     zero mean it reads no basis, so the basis seed does not change it.
+    The record's ``spikes`` holds one row of ``RECORD_DTYPE`` per spike.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
@@ -305,18 +318,10 @@ def compute_replicate(
     table = score_ratio_table(s_hat, s_pop, guard)
     overlaps = projection_overlaps(pca, proj)
     spike = spike_diagnostics(overlaps, spec.spike_eigenvalues, pca.sample_eigenvalues)
-    diags = tuple(
-        SpikeDiagnostics(
-            j=j,
-            median_ratio=float(table.medians[j]),
-            rel_spread=float(table.rel_spreads[j]),
-            eig_ratio=float(spike.eig_ratios[j]),
-            angle_rad=float(spike.angles[j]),
-            leakage=float(spike.leakage[j]),
-            cross_overlaps=tuple(np.delete(spike.cross_overlaps[j], j).tolist()),
-            n_excluded=int(table.n_excluded[j]),
-        )
-        for j in range(m)
+    diags = np.rec.fromarrays(
+        (np.arange(m), table.medians, table.rel_spreads, spike.eig_ratios, spike.angles,
+         spike.leakage, table.n_excluded),
+        dtype=RECORD_DTYPE,
     )
     t3 = time.perf_counter()
     timings = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)))
@@ -349,25 +354,13 @@ def _format_float(x: float) -> str:
 
 
 def write_records_csv(records: list, path: Path) -> None:
-    """One row per (replicate, spike); the j column is 1-based."""
+    """One row per (replicate, spike): the grid value, the replicate index
+    and the ``RECORD_DTYPE`` fields, with j 1-based.  A float is written as
+    its ``repr``, which reads back to the same bits."""
     lines = [RECORDS_HEADER]
     for rec in records:
-        for diag in rec.spikes:
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.grid_value),
-                        str(rec.replicate),
-                        str(diag.j + 1),
-                        _format_float(diag.median_ratio),
-                        _format_float(diag.rel_spread),
-                        _format_float(diag.eig_ratio),
-                        _format_float(diag.angle_rad),
-                        _format_float(diag.leakage),
-                        str(diag.n_excluded),
-                    ]
-                )
-            )
+        for j, *values in rec.spikes.tolist():
+            lines.append(",".join(map(str, (rec.grid_value, rec.replicate, j + 1, *values))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -384,22 +377,18 @@ def _skipped(key: dict, sample_size: int, reason: str) -> dict:
     return {**key, "skipped": True, "sample_size": int(sample_size), "reason": reason}
 
 
-def _nanmean(values: list) -> float:
+def _nanmean(values: np.ndarray) -> float:
     """Mean of the non-NaN values; NaN, without a warning, if there are none."""
     v = np.asarray(values, dtype=float)
     return float(np.nanmean(v)) if (~np.isnan(v)).any() else float("nan")
 
 
-def _trend_row(grid_value: int, recs: list, m: int) -> dict:
-    """Per spike, the mean of each eigen-structure diagnostic over one grid point."""
+def _trend_row(grid_value: int, diags: np.ndarray) -> dict:
+    """Per spike, the mean of each eigen-structure diagnostic over one grid
+    point, from its (replicates, m) ``RECORD_DTYPE`` array."""
     row = {"grid": grid_value}
-    for name, attr in (
-        ("mean_rel_spread", "rel_spread"),
-        ("mean_angle_rad", "angle_rad"),
-        ("mean_leakage", "leakage"),
-        ("mean_eig_ratio", "eig_ratio"),
-    ):
-        row[name] = [_nanmean([getattr(r.spikes[j], attr) for r in recs]) for j in range(m)]
+    for name in ("rel_spread", "angle_rad", "leakage", "eig_ratio"):
+        row[f"mean_{name}"] = [_nanmean(column) for column in diags[name].T]
     return row
 
 
@@ -653,13 +642,14 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
     regime = []
     for g in config.grid:
         recs = [r for r in records if r.grid_value == g]
-        trend.append(_trend_row(g, recs, m))
+        # (replicates, m), also when every replicate of the point failed.
+        diags = np.array([r.spikes for r in recs], dtype=RECORD_DTYPE).reshape(len(recs), m)
+        trend.append(_trend_row(g, diags))
         timings.append(_timing_row(g, recs))
         spec = config.template.spec_at(config.mode, g)
         regime.append({"grid": g, mode.ratio_key: mode.ratio(spec)})
-        for j in range(m):
+        for j, medians in enumerate(diags["median_ratio"].T):
             key = {"grid": g, "j": j + 1}
-            medians = np.array([r.spikes[j].median_ratio for r in recs])
             medians = medians[np.isfinite(medians)]
             rows[mode.rows_key].append(mode.row(key, medians, spec, trend[-1]))
     check_notes = mode.notes(rows[mode.rows_key], m)

@@ -108,6 +108,10 @@ class RandomOrthogonal:
 
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:  # SeedSequence takes non-negative entropy only
+            raise ValueError(f"basis seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class ZeroMean:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from spikescore import runner
 from spikescore.asymptotics import (
     comparable_sample_scores,
     projection_overlaps,
@@ -11,7 +10,7 @@ from spikescore.asymptotics import (
     score_ratio_table,
     spike_diagnostics,
 )
-from spikescore.pca_engine import PcaResult, dual_pca, frame_pca
+from spikescore.pca_engine import PcaResult, dual_pca
 from spikescore.spike_model import (
     CanonicalAxes,
     ConstantMean,
@@ -21,9 +20,7 @@ from spikescore.spike_model import (
     SpikeSpec,
     ZeroMean,
     basis_vectors,
-    frame_sample,
     generate_sample,
-    population_projection,
     projection_scores,
     spike_projection,
 )
@@ -51,15 +48,6 @@ def replicate_diagnostics(spec, seed):
     data = generate_sample(spec, seed)
     pca = dual_pca(data.values, rank=spec.m)
     proj = spike_projection(data)
-    return spike_diagnostics(projection_overlaps(pca, proj), spec.spike_eigenvalues,
-                             pca.sample_eigenvalues)
-
-
-def factor_diagnostics(spec, seed):
-    """spike_diagnostics of one replicate through the runner's route:
-    frame_sample, then frame_pca, with P from the population scores."""
-    pca, scores = frame_pca(frame_sample(spec, seed))
-    proj = population_projection(spec, scores)
     return spike_diagnostics(projection_overlaps(pca, proj), spec.spike_eigenvalues,
                              pca.sample_eigenvalues)
 
@@ -178,18 +166,6 @@ class TestCrossSpikeOverlap:
         # orthogonal to the other spike -> 0
         o = hand_overlaps(np.eye(4, 2) * 2.0, [1.0])
         assert spike_diagnostics(o, [4.0, 4.0], [1.0]).cross_overlaps[0, 1] == 0.0
-
-    def test_rejects_equal_indices(self):
-        # Entry (j, j) is the own-direction cosine, not a cross overlap: a
-        # record keeps the m - 1 entries with k != j.
-        template = runner.SpikeTemplate(
-            spikes=tuple(SpikeProfile.power(1.0, e) for e in (1.8, 1.6, 1.4)), n=12
-        )
-        record = runner.compute_replicate(template, runner.MODE_HDLSS, 400, 0, master_seed=3)
-        spec = template.spec_at(runner.MODE_HDLSS, 400)
-        cross = factor_diagnostics(spec, np.random.SeedSequence((3, 400, 0))).cross_overlaps
-        for j, diag in enumerate(record.spikes):
-            assert diag.cross_overlaps == tuple(np.delete(cross[j], j))
 
     def test_decreases_with_dimension(self):
         means = []

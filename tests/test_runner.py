@@ -381,6 +381,22 @@ class TestConfigValidation:
         assert cli_main([mode, "--config", str(path)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mean", ["zero", "constant:2.5"])
+    def test_negative_basis_seed_refused(self, tmp_path, monkeypatch, mean):
+        # Refused at load, so the CLI exits 1 before any replicate runs,
+        # whether or not the mean makes a replicate read the basis.
+        text = (f"mode = hdlss-sweep\ntemplate.spikes = power:1:1.6\ntemplate.n = 6\n"
+                f"template.basis = orthogonal:-1\ntemplate.mean = {mean}\ngrid.d = 200\n"
+                f"output_dir = {tmp_path / 'out'}\n")
+        with pytest.raises(ValueError, match=r"^config line 4: template.basis: basis seed "
+                                             r"must be >= 0, got -1$"):
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        monkeypatch.setattr("spikescore.cli._log_progress_to_stderr", lambda: None)
+        assert cli_main([MODE_HDLSS, "--config", str(path)]) == 1
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     def test_mode_checked_by_entrypoints(self, tmp_path):
         cfg = tiny_config(tmp_path)
         with pytest.raises(ValueError, match="mode"):
@@ -469,7 +485,39 @@ class TestSweepOutputs:
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2  # grid x replicates x spikes
         assert all(len(r.spikes) == 2 for r in report.records)
-        assert all(len(r.spikes[0].cross_overlaps) == 1 for r in report.records)
+
+    @pytest.mark.parametrize("case", ["two-spikes", "nan-medians"])
+    def test_records_csv_reads_back_to_the_records(self, tmp_path, case):
+        # Every cell, bit for bit: a float's text parses back to the
+        # record's value (or both are NaN), and j and n_excluded are
+        # integers.  guard = 1e6 excludes every cell, so every median is NaN.
+        if case == "two-spikes":
+            two = (SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.4))
+            cfg = tiny_config(tmp_path, template=SpikeTemplate(spikes=two, n=8),
+                              grid=(150, 300), replicates=2, master_seed=1)
+            report = run_hdlss_sweep(cfg)
+        else:
+            cfg = ExperimentConfig(
+                mode=MODE_GROWING_N,
+                template=SpikeTemplate(spikes=(SpikeProfile.power(1.0, 2.0),)),
+                grid=(20, 40), replicates=3, guard=1e6, output_dir=tmp_path, workers=1,
+            )
+            report = run_growing_n_sweep(cfg)
+            assert all(np.isnan(r.spikes.median_ratio).all() for r in report.records)
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert lines[0] == RECORDS_HEADER
+        expected = [(rec, diag) for rec in report.records for diag in rec.spikes]
+        assert len(lines) == 1 + len(expected) == 1 + 2 * cfg.replicates * cfg.template.m
+        for line, (rec, diag) in zip(lines[1:], expected):
+            cells = dict(zip(header, line.split(","), strict=True))
+            assert cells.pop("grid") == str(rec.grid_value)
+            assert cells.pop("replicate") == str(rec.replicate)
+            assert cells.pop("j") == str(diag.j + 1)
+            assert cells.pop("n_excluded") == str(diag.n_excluded)
+            for name, text in cells.items():
+                value = getattr(diag, name)
+                assert float(text) == value or (np.isnan(float(text)) and np.isnan(value))
 
 
 class TestGrowingNSweep:
@@ -572,10 +620,10 @@ class TestRunnerMatchesApi:
             assert diag.angle_rad == diags.angles[j]
             assert diag.leakage == diags.leakage[j]
             assert diag.eig_ratio == diags.eig_ratios[j]
-            assert diag.cross_overlaps == (diags.cross_overlaps[j, 1 - j],)
             assert diag.angle_rad == pytest.approx(angles[j], rel=0, abs=1e-10)
             assert diag.leakage == pytest.approx(leakage[j], rel=0, abs=1e-10)
-            assert diag.cross_overlaps == pytest.approx((cross[j, 1 - j],), rel=0, abs=1e-10)
+            assert diags.cross_overlaps[j, 1 - j] == pytest.approx(cross[j, 1 - j], rel=0,
+                                                                   abs=1e-10)
 
     def test_scores_and_overlaps_equal_public_chain_with_mean(self):
         template = SpikeTemplate(
@@ -595,7 +643,7 @@ class TestRunnerMatchesApi:
             assert diag.eig_ratio == diags.eig_ratios[j]
 
 
-class TestOperatorRouteReplicate:
+class TestSquareReplicate:
     # At n = d = 400 the replicate runs Lanczos on its frame's O(n m)
     # operator; the record is still that of the public chain, to the bit.
     @pytest.mark.parametrize("basis", [CanonicalAxes(), RandomOrthogonal(seed=4)],
@@ -626,7 +674,7 @@ class TestOneProjectionPerReplicate:
         assert np.isfinite(record.spikes[0].median_ratio)
 
 
-class TestStreamedReplicate:
+class TestWideDReplicate:
     # At d = 24,593 as at any d the replicate draws its sample in a random
     # frame of n-space (frame_sample); it must agree with that public chain.
     @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
@@ -656,7 +704,6 @@ class TestStreamedReplicate:
             assert diag.eig_ratio == close(diags.eig_ratios[j])
             assert diag.angle_rad == close(diags.angles[j])
             assert diag.leakage == close(diags.leakage[j])
-            assert diag.cross_overlaps == close((diags.cross_overlaps[j, 1 - j],))
 
     def test_holds_no_n_by_d_array(self):
         n, d = 8, 40_960
@@ -1032,6 +1079,34 @@ class TestFailurePolicy:
         assert report.failures["count"] == 1
         assert len(report.records) == 149
         assert report.ks_outcomes[0]["sample_size"] == 149
+
+    def test_grid_point_with_every_replicate_failed(self, tmp_path, monkeypatch):
+        # 1 failure in 100 is within the policy, and it empties grid point
+        # 250: its rows must still be written, empty, without a warning.
+        real = rn.compute_replicate
+
+        def flaky(template, mode, grid_value, replicate, master_seed, guard=1e-8):
+            if grid_value == 250:
+                raise np.linalg.LinAlgError("synthetic eigensolver failure")
+            return real(template, mode, grid_value, replicate, master_seed, guard)
+
+        monkeypatch.setattr(rn, "compute_replicate", flaky)
+        cfg = tiny_config(tmp_path, grid=tuple(range(200, 300)), replicates=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_hdlss_sweep(cfg)
+        assert report.failures["count"] == 1
+        assert len(report.records) == 99
+        timing, trend, ks = (rows[50] for rows in (report.timings, report.trend,
+                                                   report.ks_outcomes))
+        assert timing["grid"] == trend["grid"] == ks["grid"] == 250
+        assert timing["replicates"] == 0
+        for stage in rn.STAGES:
+            assert np.isnan(timing[stage]["p50_s"]) and np.isnan(timing[stage]["p95_s"])
+            assert timing[stage]["sum_s"] == 0.0
+        means = [trend[key] for key in trend if key.startswith("mean_")]
+        assert len(means) == 4 and np.isnan(means).all()
+        assert ks["skipped"] and ks["sample_size"] == 0
 
     def test_excessive_failures_abort(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -159,10 +159,10 @@ class TestGeneration:
     )
     def test_no_second_copy_of_the_draw(self, basis, max_ratio, mean, tail_value):
         # The draw is scaled in place and is the sample on either basis;
-        # the rank-m correction is added in blocks.  A kept copy of the
-        # draw, a scaled copy for sqrt(tau), a whole n x d correction, or a
-        # shifted copy for the mean would add one more n x d array.  U_m is
-        # built first, as a sweep holds it cached.
+        # the rank-m correction is added in place by one dgemm.  A kept copy
+        # of the draw, a scaled copy for sqrt(tau), a whole n x d correction,
+        # or a shifted copy for the mean would add one more n x d array.  U_m
+        # is built first, as a sweep holds it cached.
         spec = single_spike_spec(d=5_000, n=40, basis=basis, mean=mean, tail_value=tail_value)
         spike_model._spike_basis(spec)
         tracemalloc.start()
@@ -178,10 +178,9 @@ class TestGeneration:
     )
     def test_no_second_copy_of_a_wide_draw(self, basis):
         # d = 65,553 with every term of the model.  At n = 8 a random
-        # basis's rank-m correction is added in sixteen blocks of 4096
-        # columns, the last with a 17-column remainder; the canonical axes
-        # set the spike columns in place.  Neither may hold a second n x d
-        # array.
+        # basis's rank-m correction is added in place by one dgemm on the
+        # Fortran-ordered sample; the canonical axes set the spike columns
+        # in place.  Neither may hold a second n x d array.
         spec = single_spike_spec(
             d=65_553, n=8, basis=basis, mean=ConstantMean(1.5), tail_value=2.0
         )
@@ -218,6 +217,11 @@ class TestRandomOrthogonalBasis:
         u_full = complete_basis(spec)
         assert np.allclose(u_full.T @ u_full, np.eye(40), atol=1e-12)
         assert np.allclose(basis_vectors(spec), u_full[:, :2], atol=1e-12)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="basis seed must be >= 0, got -1"):
+            RandomOrthogonal(seed=-1)
+        assert RandomOrthogonal(seed=0).seed == 0
 
     def test_same_seed_same_rotation(self):
         spec = single_spike_spec(d=64, n=5, basis=RandomOrthogonal(seed=3))
