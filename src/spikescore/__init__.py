@@ -2,7 +2,9 @@
 
 The package has four layers:
 
-- ``spike_model``: spiked-covariance populations, O(dn) sample generation
+- ``spike_model``: spiked-covariance populations, given as plain numbers
+  (each spike is scale * d ** exponent, exponent 0 for a fixed spike, and
+  the mean is one float times the all-ones vector), O(dn) sample generation
   from one SFC64 draw (``generate_sample``, with ``spike_projection``, the
   projection P = X'U_m on the spike directions), and ``frame_sample``,
   which draws a sample in a random frame K of R^n at O(n m) whatever d
@@ -22,17 +24,15 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .spike_model import (
     CanonicalAxes,
-    ConstantMean,
     DataMatrix,
     FrameSample,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
-    ZeroMean,
     basis_vectors,
     frame_sample,
     generate_sample,
@@ -78,13 +78,11 @@ from .runner import (
 __all__ = [
     "__version__",
     "CanonicalAxes",
-    "ConstantMean",
     "DataMatrix",
     "FrameSample",
     "RandomOrthogonal",
     "SpikeProfile",
     "SpikeSpec",
-    "ZeroMean",
     "basis_vectors",
     "frame_sample",
     "generate_sample",

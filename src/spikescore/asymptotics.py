@@ -34,19 +34,18 @@ class ScoreRatioTable:
     """Per-cell score ratios |sample / population| with column summaries.
 
     Cells whose population score fell below the denominator guard are
-    excluded: NaN in ``ratios`` and listed in ``excluded``.  Columns with
-    more than n/2 exclusions are degenerate and get NaN statistics.
+    excluded: NaN in ``ratios`` and counted per column in ``n_excluded``.
+    Columns with more than n/2 exclusions are degenerate and get NaN
+    statistics.
     The relative spread is (max - min) / median over surviving cells,
     the operational measure of a common scaling across observations.
     """
 
     ratios: np.ndarray
-    excluded: frozenset
     medians: np.ndarray
     means: np.ndarray
     rel_spreads: np.ndarray
     n_excluded: np.ndarray
-    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,13 @@ def score_ratio_table(
     ratios = np.full((n, m), np.nan)
     np.divide(np.abs(s_hat), np.abs(s), out=ratios, where=ok)
 
-    excluded = frozenset(zip(*np.nonzero(~ok)))
     n_excluded = (~ok).sum(axis=0)
-    degenerate = n_excluded > n / 2
 
     medians = np.full(m, np.nan)
     means = np.full(m, np.nan)
     rel_spreads = np.full(m, np.nan)
     for j in range(m):
-        if degenerate[j]:
+        if n_excluded[j] > n / 2:
             continue
         col = ratios[ok[:, j], j]
         medians[j] = np.median(col)
@@ -117,12 +114,10 @@ def score_ratio_table(
             rel_spreads[j] = (col.max() - col.min()) / medians[j]
     return ScoreRatioTable(
         ratios=ratios,
-        excluded=excluded,
         medians=medians,
         means=means,
         rel_spreads=rel_spreads,
         n_excluded=n_excluded,
-        degenerate=degenerate,
     )
 
 
@@ -191,7 +186,7 @@ def ratio_decomposition(
     tail parts.
     """
     spec = data.spec
-    if spec.mean_vector_value != 0.0:
+    if spec.mean != 0.0:
         raise ValueError("ratio decomposition is defined for the zero-mean model")
     if pca.centered:
         # The terms project the raw x_i, which a centered PCA did not use.

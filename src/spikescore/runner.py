@@ -82,13 +82,10 @@ from .pca_engine import PcaResult, dual_pca, frame_pca
 from .spike_model import (
     BasisChoice,
     CanonicalAxes,
-    ConstantMean,
     DataMatrix,
-    MeanChoice,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
-    ZeroMean,
     frame_sample,
     population_projection,
 )
@@ -140,7 +137,7 @@ class SpikeTemplate:
     spikes: tuple[SpikeProfile, ...]
     tail_value: float = 1.0
     basis: BasisChoice = CanonicalAxes()
-    mean: MeanChoice = ZeroMean()
+    mean: float = 0.0
     n: Optional[int] = None
     d_over_n: float = 1.0
 
@@ -789,7 +786,7 @@ def _number_str(x: float) -> str:
 
 def _spikes_str(spikes: tuple[SpikeProfile, ...]) -> str:
     return ",".join(
-        f"literal:{_number_str(p.literal)}" if p.literal is not None
+        f"literal:{_number_str(p.scale)}" if p.exponent == 0.0
         else f"power:{_number_str(p.scale)}:{_number_str(p.exponent)}"
         for p in spikes
     )
@@ -810,19 +807,17 @@ def _basis_str(basis: BasisChoice) -> str:
     return "canonical"
 
 
-def _parse_mean(token: str) -> MeanChoice:
+def _parse_mean(token: str) -> float:
     parts = token.strip().split(":")
     if parts[0] == "zero" and len(parts) == 1:
-        return ZeroMean()
+        return 0.0
     if parts[0] == "constant" and len(parts) == 2:
-        return ConstantMean(value=float(parts[1]))
+        return float(parts[1])
     raise ValueError(f"bad mean {token!r}; expected zero or constant:VALUE")
 
 
-def _mean_str(mean: MeanChoice) -> str:
-    if isinstance(mean, ConstantMean):
-        return f"constant:{_number_str(mean.value)}"
-    return "zero"
+def _mean_str(mean: float) -> str:
+    return f"constant:{_number_str(mean)}" if mean != 0.0 else "zero"
 
 
 @dataclass(frozen=True)

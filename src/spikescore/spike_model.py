@@ -2,7 +2,9 @@
 
 The population covariance is described by its eigen-structure only: a short
 list of dominant eigenvalues (the spikes), a constant tail level, and a
-choice of eigenbasis.  Only the m spike directions U_m are ever held,
+choice of eigenbasis.  Each spike is one form, scale * d ** exponent, with
+exponent 0 for a fixed spike, and the population mean is one number mu
+times the all-ones vector.  Only the m spike directions U_m are ever held,
 since the covariance is tau I + U_m (Lambda_m - tau I) U_m'; the d x d
 covariance is never formed, so dimensions in the millions stay cheap.
 A sweep replicate reads one route at every n and d: ``frame_sample``
@@ -44,34 +46,21 @@ _BASIS_STREAM_TAG = 0x9E3779B9
 
 @dataclass(frozen=True)
 class SpikeProfile:
-    """One spike eigenvalue, either a power law in d or a fixed literal.
+    """One spike eigenvalue, ``scale * d ** exponent`` at dimension d.
 
-    A power-law spike resolves to ``scale * d ** exponent`` at a concrete
-    dimension d; a literal spike resolves to ``literal`` regardless of d.
-    Exactly one of the two forms must be given.
+    A fixed spike is the case exponent = 0 (``SpikeProfile.fixed``), since
+    ``d ** 0.0 == 1.0`` at every d; a power law in d is
+    ``SpikeProfile.power``.
     """
 
-    scale: Optional[float] = None
-    exponent: Optional[float] = None
-    literal: Optional[float] = None
+    scale: float
+    exponent: float = 0.0
 
     def __post_init__(self) -> None:
-        is_power = self.scale is not None or self.exponent is not None
-        is_literal = self.literal is not None
-        if is_power and is_literal:
-            raise ValueError("spike must be power-law or literal, not both")
-        if is_power:
-            if self.scale is None or self.exponent is None:
-                raise ValueError("power-law spike needs both scale and exponent")
-            if not 0 < self.scale < math.inf:
-                raise ValueError(f"spike scale must be positive and finite, got {self.scale}")
-            if not 0 <= self.exponent < math.inf:
-                raise ValueError(f"spike exponent must be >= 0 and finite, got {self.exponent}")
-        elif is_literal:
-            if not 0 < self.literal < math.inf:
-                raise ValueError(f"literal spike must be positive and finite, got {self.literal}")
-        else:
-            raise ValueError("spike must specify either (scale, exponent) or literal")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"spike scale must be positive and finite, got {self.scale}")
+        if not 0 <= self.exponent < math.inf:
+            raise ValueError(f"spike exponent must be >= 0 and finite, got {self.exponent}")
 
     @classmethod
     def power(cls, scale: float, exponent: float) -> "SpikeProfile":
@@ -79,12 +68,10 @@ class SpikeProfile:
 
     @classmethod
     def fixed(cls, value: float) -> "SpikeProfile":
-        return cls(literal=value)
+        return cls(scale=value)
 
     def resolve(self, d: int) -> float:
         """Concrete eigenvalue at dimension d."""
-        if self.literal is not None:
-            return float(self.literal)
         try:
             return float(self.scale) * float(d) ** float(self.exponent)
         except OverflowError:  # SpikeSpec refuses the non-finite value
@@ -113,24 +100,7 @@ class RandomOrthogonal:
             raise ValueError(f"basis seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class ZeroMean:
-    """Population mean is the zero vector."""
-
-
-@dataclass(frozen=True)
-class ConstantMean:
-    """Population mean is a constant vector (every coordinate equal)."""
-
-    value: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"mean value must be finite, got {self.value}")
-
-
 BasisChoice = Union[CanonicalAxes, RandomOrthogonal]
-MeanChoice = Union[ZeroMean, ConstantMean]
 
 
 @dataclass(frozen=True)
@@ -138,10 +108,12 @@ class SpikeSpec:
     """A concrete spiked population model at sample size n and dimension d.
 
     ``spikes`` holds the m dominant eigenvalues (m = len(spikes)); every
-    remaining eigenvalue equals ``tail_value``.  Resolved eigenvalues must
-    be finite and non-increasing at this d, and m < n, m < d; a ValueError
-    names the offending pair otherwise (including a spike falling below
-    the tail).
+    remaining eigenvalue equals ``tail_value``.  The population mean is
+    ``mean`` times the all-ones vector, so 0.0 is the zero-mean model.
+    ``basis`` is a ``CanonicalAxes`` or a ``RandomOrthogonal``.  Resolved
+    eigenvalues must be finite and non-increasing at this d, and m < n,
+    m < d; a ValueError names the offending pair otherwise (including a
+    spike falling below the tail).
     """
 
     spikes: tuple[SpikeProfile, ...]
@@ -149,7 +121,7 @@ class SpikeSpec:
     d: int
     tail_value: float = 1.0
     basis: BasisChoice = CanonicalAxes()
-    mean: MeanChoice = ZeroMean()
+    mean: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spikes", tuple(self.spikes))
@@ -157,6 +129,10 @@ class SpikeSpec:
             raise ValueError("at least one spike is required")
         if not 0 < self.tail_value < math.inf:
             raise ValueError(f"tail_value must be positive and finite, got {self.tail_value}")
+        if not isinstance(self.basis, (CanonicalAxes, RandomOrthogonal)):
+            raise ValueError(f"basis must be CanonicalAxes or RandomOrthogonal, got {self.basis!r}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean value must be finite, got {self.mean}")
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be positive, got n={self.n}, d={self.d}")
         m = len(self.spikes)
@@ -185,12 +161,6 @@ class SpikeSpec:
     def spike_eigenvalues(self) -> np.ndarray:
         """The m spike eigenvalues (lambda_1, ..., lambda_m) resolved at d."""
         return np.array([p.resolve(self.d) for p in self.spikes])
-
-    @property
-    def mean_vector_value(self) -> float:
-        if isinstance(self.mean, ConstantMean):
-            return float(self.mean.value)
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -310,9 +280,8 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
         # too, so it is not copied either.
         corr = (root_lam - root_tau) * spike
         x = dgemm(1.0, u.T, corr, beta=1.0, c=x, trans_a=True, trans_b=True, overwrite_c=True)
-    mu = spec.mean_vector_value
-    if mu != 0.0:
-        x += mu
+    if spec.mean != 0.0:
+        x += spec.mean
     return DataMatrix(values=x, latent=spike, spec=spec)
 
 
@@ -441,7 +410,7 @@ def frame_sample(spec: SpikeSpec, seed) -> FrameSample:
     lead = np.empty((n, m + 1))
     lead[:, :m] = spikes * np.sqrt(spec.spike_eigenvalues)
     lead[:, m] = root_tau * a
-    mu = spec.mean_vector_value
+    mu = spec.mean
     if mu != 0.0:
         ones_u = _ones_u(spec)
         lead[:, :m] += np.outer(mu * h, ones_u)
@@ -461,9 +430,8 @@ def spike_projection(data: DataMatrix) -> np.ndarray:
 
 def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
     """Population scores S = (P - mu 1'U_m) / sqrt(lambda) from P = X'U_m."""
-    mu = spec.mean_vector_value
-    if mu != 0.0:
-        proj = proj - mu * _ones_u(spec)
+    if spec.mean != 0.0:
+        proj = proj - spec.mean * _ones_u(spec)
     return proj / np.sqrt(spec.spike_eigenvalues)
 
 
@@ -472,7 +440,6 @@ def population_projection(spec: SpikeSpec, scores: np.ndarray) -> np.ndarray:
     the inverse of ``projection_scores``.  U_m'1 is read only under a
     non-zero mean."""
     proj = scores * np.sqrt(spec.spike_eigenvalues)
-    mu = spec.mean_vector_value
-    if mu != 0.0:
-        proj += mu * _ones_u(spec)
+    if spec.mean != 0.0:
+        proj += spec.mean * _ones_u(spec)
     return proj

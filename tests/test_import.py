@@ -43,7 +43,7 @@ REMOVED = (
     "angle_to_population", "cross_spike_overlap", "tail_leakage", "eigenvalue_ratio",
     "spike_overlaps", "align_signs", "orthogonal_matrix", "population_score_matrix",
     "resolve_eigenvalues", "chi_square_cdf", "LatentScores", "wishart_gram", "wishart_factor",
-    "sample_gram", "gram_pca", "sample_score_matrix",
+    "sample_gram", "gram_pca", "sample_score_matrix", "ZeroMean", "ConstantMean",
 )
 
 

@@ -19,11 +19,9 @@ from spikescore.pca_engine import (
     loading_norms,
 )
 from spikescore.spike_model import (
-    ConstantMean,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
-    ZeroMean,
     frame_sample,
     generate_sample,
 )
@@ -256,7 +254,7 @@ class TestFramePca:
 
     SPIKES = (SpikeProfile.fixed(400.0), SpikeProfile.fixed(60.0))
     SPEC = SpikeSpec(spikes=SPIKES, n=30, d=45, tail_value=1.5, basis=RandomOrthogonal(seed=3),
-                     mean=ConstantMean(2.5))
+                     mean=2.5)
 
     @staticmethod
     def dense_a(frame):
@@ -266,7 +264,7 @@ class TestFramePca:
         b[np.arange(1, s + 1), np.arange(s)] = frame.tail_sub
         return b @ b.T + frame.lead @ frame.lead.T
 
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
     @pytest.mark.parametrize("d", [45, 8, 3], ids=["nu-above-n", "d-below-n", "nu0"])
     def test_matches_eigh_of_the_dense_operator(self, d, mean):
         spec = dataclasses.replace(self.SPEC, d=d, mean=mean)

@@ -39,11 +39,9 @@ from spikescore.runner import (
 )
 from spikescore.spike_model import (
     CanonicalAxes,
-    ConstantMean,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
-    ZeroMean,
     frame_sample,
     generate_sample,
     population_projection,
@@ -157,9 +155,9 @@ class TestConfigParsing:
                 "guard = 1e-6\n"
                 "workers = auto\n"
             )
-        assert cfg.template.spikes[1].literal == 5.0
+        assert (cfg.template.spikes[1].scale, cfg.template.spikes[1].exponent) == (5.0, 0.0)
         assert cfg.template.basis == RandomOrthogonal(seed=9)
-        assert cfg.template.mean.value == 1.5
+        assert cfg.template.mean == 1.5
         assert cfg.template.d_over_n == 0.5
         assert cfg.workers == "auto"
         assert cfg.guard == 1e-6
@@ -211,6 +209,17 @@ class TestConfigParsing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             assert config_to_dict(parse_config(ALL_KEYS_CONFIG))["template.d_over_n"] == 0.5
+
+    def test_power_with_zero_exponent_echoes_literal(self):
+        # power:5:0 and literal:5 are one spike, so the echo writes it as
+        # literal:5, which parses back to the same template.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = parse_config(ALL_KEYS_CONFIG.replace("literal:5", "power:5:0"))
+            echo = config_to_dict(cfg)["template.spikes"]
+            assert echo == "power:1:2,literal:5"
+            back = parse_config(ALL_KEYS_CONFIG.replace("power:1:2, literal:5", echo))
+        assert back.template == cfg.template
 
     @pytest.mark.parametrize(
         "line, message",
@@ -381,6 +390,15 @@ class TestConfigValidation:
         assert cli_main([mode, "--config", str(path)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
+    def test_basis_of_wrong_type_refused(self, tmp_path, mean):
+        # Refused while the config is built, under either mean: neither run
+        # on the canonical axes nor failed one replicate at a time.
+        template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=3, mean=mean)
+        with pytest.raises(ValueError, match="^grid point 200: basis must be CanonicalAxes or "
+                                             "RandomOrthogonal, got 3$"):
+            tiny_config(tmp_path, template=template)
+
     @pytest.mark.parametrize("mean", ["zero", "constant:2.5"])
     def test_negative_basis_seed_refused(self, tmp_path, monkeypatch, mean):
         # Refused at load, so the CLI exits 1 before any replicate runs,
@@ -412,6 +430,19 @@ class TestSweepOutputs:
         run_hdlss_sweep(tiny_config(tmp_path / "b", replicates=1))
         second = (tmp_path / "b" / "records.csv").read_bytes()
         assert first == second
+
+    def test_template_mean_is_the_model_run(self, tmp_path):
+        # SpikeTemplate(mean=2.5) runs the shifted model: the echo names it,
+        # and its records differ from those of the zero-mean sweep.
+        zero = tiny_config(tmp_path / "zero")
+        run_hdlss_sweep(zero)
+        template = dataclasses.replace(zero.template, mean=2.5)
+        run_hdlss_sweep(tiny_config(tmp_path / "shifted", template=template))
+        echo = json.loads((tmp_path / "shifted" / "report.json").read_text())["config"]
+        assert echo["template.mean"] == "constant:2.5"
+        assert (tmp_path / "shifted" / "records.csv").read_bytes() != (
+            tmp_path / "zero" / "records.csv"
+        ).read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         run_hdlss_sweep(tiny_config(tmp_path / "w1", replicates=6))
@@ -629,7 +660,7 @@ class TestRunnerMatchesApi:
         template = SpikeTemplate(
             spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
             n=10,
-            mean=ConstantMean(2.5),
+            mean=2.5,
         )
         guard = 1e-3
         record = compute_replicate(template, MODE_HDLSS, 300, 2, master_seed=17, guard=guard)
@@ -677,7 +708,7 @@ class TestOneProjectionPerReplicate:
 class TestWideDReplicate:
     # At d = 24,593 as at any d the replicate draws its sample in a random
     # frame of n-space (frame_sample); it must agree with that public chain.
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
     def test_wide_d_matches_public_chain(self, mean):
         d = 24_593
         template = SpikeTemplate(
@@ -768,7 +799,7 @@ class TestWorkerCount:
         spikes=(SpikeProfile.power(1.0, 1.8), SpikeProfile.power(1.0, 1.5)),
         n=10,
         basis=RandomOrthogonal(seed=4),
-        mean=ConstantMean(2.5),
+        mean=2.5,
     )
 
     def test_wide_d_random_basis_records_identical_across_workers(self, tmp_path):
@@ -843,7 +874,7 @@ class TestFrameReuse:
             tmp_path,
             template=SpikeTemplate(
                 spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9),
-                mean=ConstantMean(2.5),
+                mean=2.5,
             ),
             grid=(200, 300),
             replicates=3,
@@ -880,7 +911,7 @@ class TestBasisOnlyWhenRead:
             tmp_path,
             template=SpikeTemplate(
                 spikes=(SpikeProfile.power(1.0, 1.6),), n=6, basis=RandomOrthogonal(seed=9),
-                mean=ConstantMean(2.5),
+                mean=2.5,
             ),
             grid=(self.D, 24_593),
             replicates=3,
@@ -899,7 +930,7 @@ class TestBasisOnlyWhenRead:
         # 20 ms, against about 1 ms for the whole replicate.
         spikes = (SpikeProfile.power(2.0, 1.5), SpikeProfile.power(1.0, 1.5))
         shifted = SpikeTemplate(spikes=spikes, n=50, basis=RandomOrthogonal(seed=7),
-                                mean=ConstantMean(2.5))
+                                mean=2.5)
         zero = SpikeTemplate(spikes=spikes, n=50)
         d = 10**6
         spike_model._cached_spike_basis.cache_clear()
@@ -981,20 +1012,20 @@ class TestFrameLaw:
     GROWING_SPIKES = (SpikeProfile.power(2.0, 2.0), SpikeProfile.power(1.0, 2.0))
     HALF_ORTHOGONAL_SHIFTED = SpikeTemplate(spikes=GROWING_SPIKES, d_over_n=0.5, tail_value=2.0,
                                             basis=RandomOrthogonal(seed=3),
-                                            mean=ConstantMean(2.5))
+                                            mean=2.5)
 
     @pytest.mark.parametrize(
         "mode, grid_value, template",
         [
             (MODE_HDLSS, D, SpikeTemplate(spikes=HDLSS_SPIKES, n=20)),
             (MODE_HDLSS, D, SpikeTemplate(spikes=HDLSS_SPIKES, n=20, tail_value=2.0,
-                                          basis=RandomOrthogonal(seed=3), mean=ConstantMean(2.5))),
+                                          basis=RandomOrthogonal(seed=3), mean=2.5)),
             (MODE_HDLSS, D, SpikeTemplate(spikes=HDLSS_SPIKES, n=20, tail_value=2.0,
-                                          mean=ConstantMean(-1.5))),
+                                          mean=-1.5)),
             (MODE_GROWING_N, 40, SpikeTemplate(spikes=GROWING_SPIKES)),
             (MODE_GROWING_N, 40, HALF_ORTHOGONAL_SHIFTED),
             (MODE_HDLSS, 300, SpikeTemplate(spikes=HDLSS_SPIKES, n=20, tail_value=2.0,
-                                            mean=ConstantMean(-1.5))),
+                                            mean=-1.5)),
             (MODE_GROWING_N, 60, SpikeTemplate(spikes=(SpikeProfile.fixed(400.0),
                                                        SpikeProfile.fixed(50.0)),
                                                d_over_n=0.05)),

@@ -1,6 +1,7 @@
 """Spiked-model resolution, generation, and population scores."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,12 +10,10 @@ import pytest
 from spikescore import spike_model
 from spikescore.spike_model import (
     CanonicalAxes,
-    ConstantMean,
     DataMatrix,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
-    ZeroMean,
     basis_vectors,
     frame_sample,
     generate_sample,
@@ -72,12 +71,8 @@ class TestResolveEigenvalues:
 
 class TestSpikeProfile:
     def test_needs_exactly_one_form(self):
-        with pytest.raises(ValueError):
-            SpikeProfile(scale=1.0, exponent=1.0, literal=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SpikeProfile()
-        with pytest.raises(ValueError):
-            SpikeProfile(scale=1.0)  # missing exponent
 
     def test_positivity(self):
         with pytest.raises(ValueError):
@@ -86,6 +81,14 @@ class TestSpikeProfile:
             SpikeProfile.power(1.0, -0.5)
         with pytest.raises(ValueError):
             SpikeProfile.fixed(0.0)
+
+    @pytest.mark.parametrize("d", [1, 10**6, 10**12])
+    def test_fixed_spike_is_its_value_at_every_d(self, d):
+        # d ** 0.0 == 1.0, so a fixed spike is the power law with exponent 0
+        # and resolves to its value bit for bit.
+        assert SpikeProfile.fixed(5.0) == SpikeProfile.power(5.0, 0.0)
+        for value in (5.0, 0.1, 2.0 / 3.0, 1e-300, 1e300):
+            assert SpikeProfile.fixed(value).resolve(d).hex() == value.hex()
 
 
 class TestSpecValidation:
@@ -100,6 +103,17 @@ class TestSpecValidation:
     def test_tail_positive(self):
         with pytest.raises(ValueError, match="tail"):
             SpikeSpec(spikes=(SpikeProfile.fixed(3),), n=5, d=10, tail_value=0.0)
+
+    @pytest.mark.parametrize("basis", [3, None, "canonical"])
+    def test_basis_of_wrong_type_refused(self, basis):
+        with pytest.raises(ValueError, match=re.escape(
+                f"basis must be CanonicalAxes or RandomOrthogonal, got {basis!r}")):
+            SpikeSpec(spikes=(SpikeProfile.fixed(3),), n=5, d=10, basis=basis)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mean_refused(self, mean):
+        with pytest.raises(ValueError, match="mean value must be finite"):
+            SpikeSpec(spikes=(SpikeProfile.fixed(3),), n=5, d=10, mean=mean)
 
     def test_d_less_than_n_allowed(self):
         spec = SpikeSpec(spikes=(SpikeProfile.fixed(3),), n=50, d=5)
@@ -134,7 +148,7 @@ class TestGeneration:
 
     def test_constant_mean_shifts_everything(self):
         base = single_spike_spec(d=60, n=6)
-        shifted = single_spike_spec(d=60, n=6, mean=ConstantMean(2.5))
+        shifted = single_spike_spec(d=60, n=6, mean=2.5)
         x0 = generate_sample(base, 9).values
         x1 = generate_sample(shifted, 9).values
         assert np.allclose(x1, x0 + 2.5, atol=0, rtol=0)
@@ -147,14 +161,14 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "basis, max_ratio, mean, tail_value",
         [
-            pytest.param(CanonicalAxes(), 1.5, ZeroMean(), 1.0, id="basis0-1.5"),
-            pytest.param(RandomOrthogonal(seed=6), 1.5, ZeroMean(), 1.0, id="basis1-1.5"),
-            pytest.param(CanonicalAxes(), 1.5, ConstantMean(2.0), 1.0, id="canonical-mean"),
+            pytest.param(CanonicalAxes(), 1.5, 0.0, 1.0, id="basis0-1.5"),
+            pytest.param(RandomOrthogonal(seed=6), 1.5, 0.0, 1.0, id="basis1-1.5"),
+            pytest.param(CanonicalAxes(), 1.5, 2.0, 1.0, id="canonical-mean"),
             pytest.param(
-                RandomOrthogonal(seed=6), 1.5, ConstantMean(2.0), 1.0, id="orthogonal-mean"
+                RandomOrthogonal(seed=6), 1.5, 2.0, 1.0, id="orthogonal-mean"
             ),
-            pytest.param(CanonicalAxes(), 1.5, ZeroMean(), 2.0, id="canonical-tail"),
-            pytest.param(RandomOrthogonal(seed=6), 1.5, ZeroMean(), 2.0, id="orthogonal-tail"),
+            pytest.param(CanonicalAxes(), 1.5, 0.0, 2.0, id="canonical-tail"),
+            pytest.param(RandomOrthogonal(seed=6), 1.5, 0.0, 2.0, id="orthogonal-tail"),
         ],
     )
     def test_no_second_copy_of_the_draw(self, basis, max_ratio, mean, tail_value):
@@ -182,7 +196,7 @@ class TestGeneration:
         # Fortran-ordered sample; the canonical axes set the spike columns
         # in place.  Neither may hold a second n x d array.
         spec = single_spike_spec(
-            d=65_553, n=8, basis=basis, mean=ConstantMean(1.5), tail_value=2.0
+            d=65_553, n=8, basis=basis, mean=1.5, tail_value=2.0
         )
         spike_model._spike_basis(spec)
         tracemalloc.start()
@@ -331,7 +345,7 @@ class TestPopulationScores:
         assert np.allclose(population_scores(hacked)[:, 0], [1.0, -2.0, 3.0])
 
     def test_constant_mean_is_removed(self):
-        spec = single_spike_spec(d=80, n=7, mean=ConstantMean(3.0))
+        spec = single_spike_spec(d=80, n=7, mean=3.0)
         data = generate_sample(spec, 44)
         s = population_scores(data)
         assert np.allclose(s, data.latent, atol=1e-10)
@@ -341,11 +355,11 @@ class TestSpikeProjection:
     @pytest.mark.parametrize(
         "spikes, basis, mean",
         [
-            ((100.0,), CanonicalAxes(), ZeroMean()),
-            ((100.0, 25.0), CanonicalAxes(), ZeroMean()),
-            ((100.0, 25.0), RandomOrthogonal(seed=8), ZeroMean()),
-            ((100.0, 25.0), CanonicalAxes(), ConstantMean(3.0)),
-            ((100.0, 25.0), RandomOrthogonal(seed=8), ConstantMean(-1.5)),
+            ((100.0,), CanonicalAxes(), 0.0),
+            ((100.0, 25.0), CanonicalAxes(), 0.0),
+            ((100.0, 25.0), RandomOrthogonal(seed=8), 0.0),
+            ((100.0, 25.0), CanonicalAxes(), 3.0),
+            ((100.0, 25.0), RandomOrthogonal(seed=8), -1.5),
         ],
     )
     def test_bitwise_equal_to_product_with_basis(self, spikes, basis, mean):
@@ -362,7 +376,7 @@ class TestSpikeProjection:
         assert proj.shape == (9, len(spikes))
         assert np.array_equal(proj, expected)
 
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
     )
@@ -396,7 +410,7 @@ class TestDenseGram:
     # with S = GU_m and b = GA1 = sqrt(tau) G1 + S (Lambda^{1/2} - sqrt(tau)) U_m'1:
     # the n-space form of the Gram that the frame draws in law.
     @pytest.mark.parametrize("d", [400, 24_593])
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
     @pytest.mark.parametrize("tail_value", [1.0, 2.0])
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
@@ -415,7 +429,7 @@ class TestDenseGram:
         g = reference_draw(seed, (spec.n, d))
         u = basis_vectors(spec)
         s = g @ u
-        lam, root_tau, mu = spec.spike_eigenvalues, np.sqrt(tail_value), spec.mean_vector_value
+        lam, root_tau, mu = spec.spike_eigenvalues, np.sqrt(tail_value), spec.mean
         b = root_tau * g.sum(axis=1) + s @ ((np.sqrt(lam) - root_tau) * u.sum(axis=0))
         gram = tail_value * (g @ g.T) + (s * (lam - tail_value)) @ s.T
         gram += mu * (b[:, None] + b) + mu * mu * d
@@ -424,7 +438,7 @@ class TestDenseGram:
 
 
 class TestDocumentedDraw:
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, -1.5], ids=["zero", "constant"])
     def test_sample_is_the_scaled_draw(self, mean):
         # Reference: one SFC64 draw of G (n x d), then the row scaling and
         # the mean of the model, past the width of any BLAS or cache block.
@@ -440,7 +454,7 @@ class TestDocumentedDraw:
         scale[:2] = np.sqrt(spec.spike_eigenvalues)
         data = generate_sample(spec, 17)
         assert np.array_equal(data.latent, z[:, :2])
-        assert np.array_equal(data.values, (z * scale + spec.mean_vector_value).T)
+        assert np.array_equal(data.values, (z * scale + spec.mean).T)
 
 
 class TestSeeds:
@@ -522,7 +536,7 @@ def reference_frame(spec, seed):
         b[i + 1, i] = np.sqrt(chi)
     q, rr = np.linalg.qr(rng.standard_normal((n - 1, min(2 * m, n - 1))))
     w = q * np.sign(np.diagonal(rr))
-    root_tau, mu = np.sqrt(spec.tail_value), spec.mean_vector_value
+    root_tau, mu = np.sqrt(spec.tail_value), spec.mean
     ones_u = basis_vectors(spec).sum(axis=0)
     f = np.zeros((n, m + 1 + r))
     for i in range(n):
@@ -544,13 +558,13 @@ class TestFrameFactor:
     def test_rank_is_that_of_the_sample(self, d, basis):
         # d = 8: B is 12 x 3; d = m + 1: B is empty, the factor is L.
         spec = SpikeSpec(
-            spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=ConstantMean(2.5)
+            spikes=self.SPIKES, n=12, d=d, tail_value=2.0, basis=basis, mean=2.5
         )
         f = frame_factor(frame_sample(spec, 23))
         assert f.shape == (12, d)
         assert np.linalg.matrix_rank(f @ f.T) == min(spec.n, d)
 
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(-1.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, -1.5], ids=["zero", "constant"])
     @pytest.mark.parametrize("tail_value", [1.0, 2.0])
     @pytest.mark.parametrize(
         "basis, d",
@@ -572,7 +586,7 @@ class TestFrameFactor:
         w = frame.ones - 1.0
         f = frame_factor(frame)
         f -= np.outer(w, (2.0 / (w @ w)) * (w @ f))
-        m, mu, root_tau = spec.m, spec.mean_vector_value, np.sqrt(tail_value)
+        m, mu, root_tau = spec.m, spec.mean, np.sqrt(tail_value)
         ones_u = np.ones(m) if isinstance(basis, CanonicalAxes) else basis_vectors(spec).sum(axis=0)
         norm_c = np.sqrt(d - ones_u @ ones_u)
         spike = (f[:, :m] - mu * ones_u) / np.sqrt(spec.spike_eigenvalues)
@@ -586,7 +600,7 @@ class TestFrameFactor:
         assert np.max(np.abs(f @ f.T - gram)) <= 1e-14 * np.max(np.abs(gram))
         assert np.max(np.abs(f[:, :m] - proj)) <= 1e-14 * np.max(np.abs(proj))
 
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
     )
@@ -627,7 +641,7 @@ class TestFrameFactor:
 
 class TestFrameSeeds:
     SPEC = SpikeSpec(spikes=TestFrameFactor.SPIKES, n=12, d=30, tail_value=2.0,
-                     mean=ConstantMean(2.5))
+                     mean=2.5)
 
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
@@ -655,19 +669,27 @@ class TestFrameSeeds:
         # U_m'1 is read only under a non-zero mean.
         frames = [
             frame_sample(dataclasses.replace(self.SPEC, d=d, basis=basis, mean=mean), 17)
-            for mean in (ZeroMean(), ConstantMean(2.5))
+            for mean in (0.0, 2.5)
             for basis in (CanonicalAxes(), RandomOrthogonal(seed=3), RandomOrthogonal(seed=4))
         ]
         zero, shifted = frames[:3], frames[3:]
         assert all(np.array_equal(frame_factor(f), frame_factor(zero[0])) for f in zero[1:])
         assert not any(np.array_equal(f.lead, shifted[0].lead) for f in shifted[1:])
 
+    def test_mean_is_the_float_given(self):
+        # A mean of 2.5 shifts the spike and mean columns of L; it is not
+        # read as the zero-mean model.
+        zero = frame_sample(dataclasses.replace(self.SPEC, mean=0.0), 17)
+        shifted = frame_sample(self.SPEC, 17)
+        assert np.array_equal(shifted.ones, zero.ones)
+        assert not np.array_equal(shifted.lead, zero.lead)
+
 
 class TestConcurrentDraws:
     # Each draw reads its seed alone, and the one-entry basis cache is
     # shared read-only: on three threads, with d alternating so that the
     # cache is replaced between calls, every draw has its serial bits.
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
     @pytest.mark.parametrize(
         "basis", [CanonicalAxes(), RandomOrthogonal(seed=3)], ids=["canonical", "orthogonal"]
     )
@@ -696,7 +718,7 @@ class TestFrame:
     """The frame's operator, trace and rotation, against dense oracles."""
 
     SPEC = SpikeSpec(spikes=(SpikeProfile.fixed(60.0), SpikeProfile.fixed(12.0)), n=5, d=9,
-                     tail_value=1.5, basis=RandomOrthogonal(seed=3), mean=ConstantMean(2.5))
+                     tail_value=1.5, basis=RandomOrthogonal(seed=3), mean=2.5)
 
     @pytest.mark.parametrize("d", [9, 6, 3], ids=["nu-above-n", "nu-below-n", "nu0"])
     def test_operator_and_trace_are_those_of_the_factor(self, d):
@@ -743,7 +765,7 @@ class TestFrame:
 class TestPopulationProjection:
     @pytest.mark.parametrize("basis", [CanonicalAxes(), RandomOrthogonal(seed=3)],
                              ids=["canonical", "orthogonal"])
-    @pytest.mark.parametrize("mean", [ZeroMean(), ConstantMean(2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("mean", [0.0, 2.5], ids=["zero", "constant"])
     def test_inverts_projection_scores(self, basis, mean):
         spec = SpikeSpec(spikes=(SpikeProfile.fixed(60.0), SpikeProfile.fixed(12.0)), n=6,
                          d=50, basis=basis, mean=mean)
@@ -757,6 +779,5 @@ class TestEnumDefaults:
     def test_defaults(self):
         spec = single_spike_spec()
         assert isinstance(spec.basis, CanonicalAxes)
-        assert isinstance(spec.mean, ZeroMean)
-        assert spec.mean_vector_value == 0.0
+        assert spec.mean == 0.0
         assert spec.m == 1
