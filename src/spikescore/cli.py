@@ -20,6 +20,7 @@ from .pca_engine import dual_pca, load_matrix_csv
 from .runner import (
     _FILE_KEYS,
     _MODE_TABLE,
+    _run_sweep,
     export_scores_scatter,
     load_config,
 )
@@ -98,8 +99,8 @@ def _log_progress_to_stderr() -> None:
 
 
 def _run_sweep_command(args) -> int:
-    """Run the sweep of the subcommand's mode; its entry point refuses a
-    config of another mode."""
+    """Run the sweep of the subcommand's mode, which refuses a config of
+    another mode."""
     _log_progress_to_stderr()
     config = load_config(args.config)
     flags = {"master_seed": args.seed, "workers": args.workers, "output_dir": args.out}
@@ -111,7 +112,7 @@ def _run_sweep_command(args) -> int:
             raise ValueError(f"--workers: {exc}") from None
     if overrides:
         config = dataclasses.replace(config, **overrides)  # re-validated
-    report = _MODE_TABLE[args.command].run(config)
+    report = _run_sweep(config, args.command)
     print(f"records: {report.records_path}")
     print(f"report:  {report.report_path}")
     print(f"checks:  {'passed' if report.checks['passed'] else 'REJECTED'} "

@@ -14,7 +14,9 @@ progress line with an ETA.
 
 Each sweep mode is defined once, as one entry of ``_MODE_TABLE``: its grid
 key, its (n, d) at a grid value, its regime ratio and guard, its report
-rows and the check that reads them.  The two modes test the paper's two
+rows and the check that reads them.  ``_run_sweep`` runs every mode, and
+refuses a config of a mode other than the one asked for; the two public
+entry points and the CLI call it.  The two modes test the paper's two
 claims.  ``hdlss-sweep`` (n fixed, d grows) writes one ``ks`` row per grid
 point and spike: a KS test of the per-replicate median ratios
 median_i |s_hat_ij / s_ij| against the law of sqrt(n / chi2_n), the common
@@ -41,7 +43,9 @@ The diagnostics read only w, V, S and P.
 ``RECORD_DTYPE`` is the one record schema: a replicate's per-spike
 diagnostics are one structured array of that dtype, one row per spike, and
 ``records.csv`` writes those fields, in that order, after the grid value
-and the replicate index.
+and the replicate index.  ``ExperimentReport`` is the one report schema:
+``report.json``'s keys are its field names, less the records and the two
+paths, and each mode's rows go in the field its ``rows_key`` names.
 
 The sweep owns its parallelism and derives it, with no setting of its
 own: ``workers`` processes take the replicates, one at a time each, and
@@ -244,11 +248,17 @@ class ReplicateRecord:
 
 @dataclass
 class ExperimentReport:
+    """A finished sweep.  Every field but ``records``, ``records_path`` and
+    ``report_path`` is a key of ``report.json``, under the field's name:
+    ``config`` is the config echo (``config_to_dict``), and each mode's rows
+    are the field named by its ``rows_key``, empty in a sweep of the other
+    mode."""
+
     mode: str
-    config_echo: dict
+    config: dict
     grid: tuple[int, ...]
     records: list
-    ks_outcomes: list
+    ks: list
     consistency: list
     trend: list
     timings: list
@@ -262,21 +272,8 @@ class ExperimentReport:
     report_path: Optional[Path] = None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": self.config_echo,
-            "grid": list(self.grid),
-            "ks": self.ks_outcomes,
-            "consistency": self.consistency,
-            "trend": self.trend,
-            "timings": self.timings,
-            "regime": self.regime,
-            "checks": self.checks,
-            "failures": self.failures,
-            "versions": self.versions,
-            "parallelism": self.parallelism,
-            "total_runtime_s": self.total_runtime_s,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in ("records", "records_path", "report_path")}
 
 
 def compute_replicate(
@@ -429,15 +426,14 @@ def _rise_note(a: dict, b: dict) -> str:
     return f"{a['grid']} -> {b['grid']}: +{rise:.3g} ({z:.2g} SE)"
 
 
-@dataclass(frozen=True)
 class _SweepMode:
     """One sweep mode: what the two modes differ in, as one entry of
-    ``_MODE_TABLE``, with ``run`` its public entry point.
+    ``_MODE_TABLE``.
 
     A subclass sets ``grid_key`` (the config-file key of the grid),
     ``ratio_key`` (the name of the regime ratio in report.json's ``regime``
-    rows) and ``rows_key`` (the report.json list its rows go in), and
-    defines:
+    rows) and ``rows_key`` (the ``ExperimentReport`` field, and so the
+    report.json key, its rows go in), and defines:
 
     - ``sizes(template, grid_value) -> (n, d)``;
     - ``ratio(spec)``, the rate whose vanishing the mode's asymptotics need;
@@ -451,13 +447,12 @@ class _SweepMode:
     The first line of a subclass's docstring is its CLI subcommand's help.
     """
 
-    run: Callable[[ExperimentConfig], ExperimentReport]
-
 
 class _HdlssSweep(_SweepMode):
     """Monte Carlo sweep over dimension at fixed sample size.
 
-    n is ``template.n`` and d the grid value, which must be >= n.  The mode
+    n is ``template.n`` and d the grid value, which must be >= n, so
+    ``template.d_over_n`` is refused unless it is left at 1.  The mode
     needs pervasive spikes, d / lambda_m -> 0: a grid point with
     d / lambda_m >= 1 is refused, and one with d / lambda_m >= 0.5 draws a
     warning.
@@ -483,6 +478,9 @@ class _HdlssSweep(_SweepMode):
     def sizes(self, template: SpikeTemplate, grid_value: int) -> tuple[int, int]:
         if template.n is None:
             raise ValueError(f"template.n is required for mode {MODE_HDLSS}")
+        if template.d_over_n != 1.0:
+            raise ValueError(f"mode {MODE_HDLSS} takes d from {self.grid_key}, "
+                             f"so template.d_over_n = {template.d_over_n} would be ignored")
         return int(template.n), int(grid_value)
 
     def ratio(self, spec: SpikeSpec) -> float:
@@ -597,7 +595,10 @@ class _GrowingNSweep(_SweepMode):
         return notes
 
 
-def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
+def _run_sweep(config: ExperimentConfig, mode_name: str) -> ExperimentReport:
+    """Run the sweep of mode ``mode_name``, refusing a config of another mode."""
+    if config.mode != mode_name:
+        raise ValueError(f"config mode is {config.mode!r}, expected {mode_name!r}")
     start = time.perf_counter()
     m = config.template.m
     tasks = [
@@ -633,7 +634,7 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
         )
 
     mode = _MODE_TABLE[config.mode]
-    rows = {"ks": [], "consistency": []}  # the mode fills rows[mode.rows_key]
+    rows = {entry.rows_key: [] for entry in _MODE_TABLE.values()}
     trend = []
     timings = []
     regime = []
@@ -658,11 +659,10 @@ def _run_sweep(config: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(
         mode=config.mode,
-        config_echo=config_to_dict(config),
+        config=config_to_dict(config),
         grid=config.grid,
         records=records,
-        ks_outcomes=rows["ks"],
-        consistency=rows["consistency"],
+        **rows,
         trend=trend,
         timings=timings,
         regime=regime,
@@ -687,9 +687,7 @@ def run_hdlss_sweep(config: ExperimentConfig) -> ExperimentReport:
     lambda_2 / lambda_1 -> 0, so a later spike's row can reject a correct
     model once the replicates are many (see ``_HdlssSweep``).
     """
-    if config.mode != MODE_HDLSS:
-        raise ValueError(f"config mode is {config.mode!r}, expected {MODE_HDLSS!r}")
-    return _run_sweep(config)
+    return _run_sweep(config, MODE_HDLSS)
 
 
 def run_growing_n_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -701,9 +699,7 @@ def run_growing_n_sweep(config: ExperimentConfig) -> ExperimentReport:
     strictly decrease along grid.n, since such a sweep cannot show that
     shrinkage (see ``_GrowingNSweep``).
     """
-    if config.mode != MODE_GROWING_N:
-        raise ValueError(f"config mode is {config.mode!r}, expected {MODE_GROWING_N!r}")
-    return _run_sweep(config)
+    return _run_sweep(config, MODE_GROWING_N)
 
 
 class _ModeTable(dict):
@@ -715,8 +711,8 @@ class _ModeTable(dict):
 
 # One entry per sweep mode, in CLI order; every mode decision reads it.
 _MODE_TABLE = _ModeTable({
-    MODE_HDLSS: _HdlssSweep(run_hdlss_sweep),
-    MODE_GROWING_N: _GrowingNSweep(run_growing_n_sweep),
+    MODE_HDLSS: _HdlssSweep(),
+    MODE_GROWING_N: _GrowingNSweep(),
 })
 _MODES = tuple(_MODE_TABLE)
 

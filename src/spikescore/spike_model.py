@@ -346,11 +346,11 @@ class FrameSample:
         first = v.copy()
         first[0] -= sigma
         z = _reflect(np.array(z, dtype=float), first)
-        q, r = np.linalg.qr(z[1:])
-        if q.shape[1] > self.stiefel.shape[1]:
+        r = np.linalg.qr(z[1:], mode="r")
+        if r.shape[0] > self.stiefel.shape[1]:
             raise ValueError(f"the frame maps at most {self.stiefel.shape[1]} columns at n = "
                              f"{self.n}, got {z.shape[1]}")
-        z[1:] = self.stiefel[:, : q.shape[1]] @ r
+        z[1:] = self.stiefel[:, : r.shape[0]] @ r
         second = np.full(self.n, -1.0 / math.sqrt(self.n))
         second[0] += sigma
         return _reflect(z, second)

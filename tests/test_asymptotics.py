@@ -357,9 +357,9 @@ class TestRatioDecomposition:
             ratio_decomposition(data, pca, 0, 0)
 
     def test_zero_constant_mean_is_the_zero_mean_model(self):
-        # 0.0 adds no mean, so its sample is the zero-mean one.
+        # -0.0, like 0.0, adds no mean, so its sample is the zero-mean one.
         decompositions = []
-        for mean in (0.0, 0.0):
+        for mean in (0.0, -0.0):
             spec = SpikeSpec(spikes=(SpikeProfile.fixed(9.0),), n=4, d=20, mean=mean)
             data = generate_sample(spec, 3)
             decompositions.append(ratio_decomposition(data, dual_pca(data.values, rank=1), 0, 0))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import re
 import subprocess
 import sys
 import time
@@ -415,6 +416,20 @@ class TestConfigValidation:
         assert cli_main([MODE_HDLSS, "--config", str(path)]) == 1
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    def test_hdlss_refuses_template_d_over_n(self, tmp_path):
+        # hdlss-sweep takes d from grid.d, so a coupling factor would run at
+        # d = grid value and be left out of the echo; the config, the spec
+        # and the replicate refuse it, as the file format does.
+        template = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=6, d_over_n=3.0)
+        message = re.escape("mode hdlss-sweep takes d from grid.d, so template.d_over_n = 3.0 "
+                            "would be ignored")
+        with pytest.raises(ValueError, match=f"^grid point 200: {message}$"):
+            tiny_config(tmp_path, template=template)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            template.spec_at(MODE_HDLSS, 200)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_replicate(template, MODE_HDLSS, 200, 0, 314)
+
     def test_mode_checked_by_entrypoints(self, tmp_path):
         cfg = tiny_config(tmp_path)
         with pytest.raises(ValueError, match="mode"):
@@ -477,6 +492,27 @@ class TestSweepOutputs:
         assert payload["versions"]["numpy"] == np.__version__
         assert report.checks["passed"] == payload["checks"]["passed"]
 
+    @pytest.mark.parametrize("mode", [MODE_HDLSS, MODE_GROWING_N], ids=["hdlss", "growing"])
+    def test_report_json_is_the_report(self, tmp_path, mode):
+        # report.json's keys are the report's fields but the records and the
+        # two paths, each value is its field's through JSON (compared as
+        # text, so that NaN equals NaN), and both modes' row lists are
+        # there, the other mode's empty.
+        if mode == MODE_HDLSS:
+            report = run_hdlss_sweep(tiny_config(tmp_path, replicates=10))
+        else:
+            report = run_growing_n_sweep(small_growing_n(tmp_path))
+        payload = json.loads((tmp_path / "report.json").read_text())
+        names = {f.name for f in dataclasses.fields(report)}
+        names -= {"records", "records_path", "report_path"}
+        assert set(payload) == names
+        for name in names:
+            assert json.dumps(payload[name], sort_keys=True) == json.dumps(
+                getattr(report, name), sort_keys=True), name
+        filled, empty = ("ks", "consistency") if mode == MODE_HDLSS else ("consistency", "ks")
+        assert payload[filled]
+        assert payload[empty] == []
+
     def test_ks_rows_carry_one_sided_statistics(self, tmp_path):
         run_hdlss_sweep(tiny_config(tmp_path, replicates=10))
         rows = json.loads((tmp_path / "report.json").read_text())["ks"]
@@ -487,7 +523,7 @@ class TestSweepOutputs:
     def test_ks_skipped_for_tiny_samples(self, tmp_path):
         cfg = tiny_config(tmp_path, replicates=3)
         report = run_hdlss_sweep(cfg)
-        assert report.ks_outcomes[0]["skipped"]
+        assert report.ks[0]["skipped"]
         assert report.checks["passed"]
 
     def test_records_regenerate_identically(self, tmp_path):
@@ -1109,7 +1145,7 @@ class TestFailurePolicy:
         report = run_hdlss_sweep(cfg)
         assert report.failures["count"] == 1
         assert len(report.records) == 149
-        assert report.ks_outcomes[0]["sample_size"] == 149
+        assert report.ks[0]["sample_size"] == 149
 
     def test_grid_point_with_every_replicate_failed(self, tmp_path, monkeypatch):
         # 1 failure in 100 is within the policy, and it empties grid point
@@ -1129,7 +1165,7 @@ class TestFailurePolicy:
         assert report.failures["count"] == 1
         assert len(report.records) == 99
         timing, trend, ks = (rows[50] for rows in (report.timings, report.trend,
-                                                   report.ks_outcomes))
+                                                   report.ks))
         assert timing["grid"] == trend["grid"] == ks["grid"] == 250
         assert timing["replicates"] == 0
         for stage in rn.STAGES:
@@ -1219,7 +1255,7 @@ class TestEmbeddedCheck:
         )
         report = run_hdlss_sweep(cfg)
         assert not report.checks["passed"]
-        assert any(o.get("rejected_at_01") for o in report.ks_outcomes)
+        assert any(o.get("rejected_at_01") for o in report.ks)
 
 
 def small_growing_n(out, **overrides):
