@@ -137,9 +137,8 @@ def _run_scatter_command(args) -> int:
         raise ValueError(f"--components expects A,B, got {args.components!r}")
     components = (int(parts[0]), int(parts[1]))
     x = load_matrix_csv(args.input, header=args.header)
-    path = export_scores_scatter(
-        x, components, args.out, center=args.center, divisor=args.divisor
-    )
+    pca = dual_pca(x, center=args.center, divisor=args.divisor, rank=max(components))
+    path = export_scores_scatter(pca, components, args.out)
     print(f"scatter: {path}")
     return EXIT_OK
 

@@ -90,11 +90,6 @@ def r_quantile(p: float, law: RLaw) -> float:
     return math.sqrt(law.n / chdtri(law.n, p))
 
 
-def _kolmogorov_survival(t: float) -> float:
-    """Two-sided asymptotic Kolmogorov survival function P(K > t)."""
-    return float(kolmogorov(t))
-
-
 def ks_test(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsOutcome:
     """One-sample two-sided Kolmogorov-Smirnov test.
 
@@ -124,6 +119,6 @@ def ks_test(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsOutcome:
         sample_size=m,
         critical_value_01=critical,
         rejected_at_01=stat > critical,
-        p_value_approx=_kolmogorov_survival(math.sqrt(m) * stat),
+        p_value_approx=float(kolmogorov(math.sqrt(m) * stat)),
         p_value_exact=min(1.0, 2.0 * float(smirnov(m, stat))),
     )

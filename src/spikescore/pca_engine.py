@@ -77,8 +77,8 @@ def _resolve_divisor(divisor: Union[str, int, float], n: int) -> float:
             raise ValueError("divisor 'n-1' needs at least two samples")
         return float(n - 1)
     value = float(divisor)
-    if value <= 0:
-        raise ValueError(f"divisor must be positive, got {divisor}")
+    if not 0 < value < np.inf:
+        raise ValueError(f"divisor must be positive and finite, got {divisor}")
     return value
 
 

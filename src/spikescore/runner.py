@@ -82,14 +82,14 @@ from .asymptotics import (
     spike_diagnostics,
 )
 from .limit_dist import RLaw, ks_test
-from .pca_engine import PcaResult, dual_pca, frame_pca
+from .pca_engine import PcaResult, frame_pca
 from .spike_model import (
     BasisChoice,
     CanonicalAxes,
-    DataMatrix,
     RandomOrthogonal,
     SpikeProfile,
     SpikeSpec,
+    _integer,
     frame_sample,
     population_projection,
 )
@@ -146,6 +146,8 @@ class SpikeTemplate:
     d_over_n: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.n is not None:
+            object.__setattr__(self, "n", _integer(self.n, "template.n"))
         if not 0 < self.d_over_n < math.inf:
             raise ValueError(f"d_over_n must be positive and finite, got {self.d_over_n}")
 
@@ -177,7 +179,9 @@ class ExperimentConfig:
     workers: Union[int, str] = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
+        object.__setattr__(self, "grid", tuple(_integer(v, "grid value") for v in self.grid))
+        for name in ("replicates", "master_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "workers", _parse_workers(self.workers))
         self.validate()
 
@@ -300,7 +304,7 @@ def compute_replicate(
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
-    seed = np.random.SeedSequence((int(master_seed), int(grid_value), int(replicate)))
+    seed = np.random.SeedSequence((master_seed, grid_value, replicate))
 
     t0 = time.perf_counter()
     frame = frame_sample(spec, seed)
@@ -320,10 +324,7 @@ def compute_replicate(
     t3 = time.perf_counter()
     timings = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)))
     return ReplicateRecord(
-        grid_value=int(grid_value),
-        replicate=int(replicate),
-        spikes=diags,
-        timings=timings,
+        grid_value=grid_value, replicate=replicate, spikes=diags, timings=timings
     )
 
 
@@ -341,10 +342,6 @@ def _safe_compute(args):
         return ("ok", grid_value, replicate, record)
     except Exception as exc:  # logged and counted by the caller
         return ("err", grid_value, replicate, f"{type(exc).__name__}: {exc}")
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
 
 
 def write_records_csv(records: list, path: Path) -> None:
@@ -481,7 +478,7 @@ class _HdlssSweep(_SweepMode):
         if template.d_over_n != 1.0:
             raise ValueError(f"mode {MODE_HDLSS} takes d from {self.grid_key}, "
                              f"so template.d_over_n = {template.d_over_n} would be ignored")
-        return int(template.n), int(grid_value)
+        return template.n, grid_value
 
     def ratio(self, spec: SpikeSpec) -> float:
         return spec.d / spec.spike_eigenvalues[-1]
@@ -540,8 +537,7 @@ class _GrowingNSweep(_SweepMode):
     rows_key = "consistency"
 
     def sizes(self, template: SpikeTemplate, grid_value: int) -> tuple[int, int]:
-        n = int(grid_value)
-        return n, int(round(template.d_over_n * n))
+        return grid_value, int(round(template.d_over_n * grid_value))
 
     def ratio(self, spec: SpikeSpec) -> float:
         return spec.d / (spec.n * spec.spike_eigenvalues[-1])
@@ -721,40 +717,25 @@ GRID_KEYS = {name: mode.grid_key for name, mode in _MODE_TABLE.items()}
 
 
 def export_scores_scatter(
-    source: Union[DataMatrix, PcaResult, np.ndarray],
-    components: tuple[int, int],
-    out_path: Union[str, Path],
-    *,
-    center: bool = False,
-    divisor: Union[str, int, float] = "n",
+    pca: PcaResult, components: tuple[int, int], out_path: Union[str, Path]
 ) -> Path:
-    """Write a plot-ready CSV of two sample-score columns.
+    """Write a plot-ready CSV of two sample-score columns of ``pca``, the
+    ``PcaResult`` of ``dual_pca`` on a sample or of ``frame_pca`` on a
+    replicate (at any d).
 
-    ``components`` are 1-based component numbers (1 = leading).  ``source``
-    may be a data matrix (d x n array or DataMatrix) on which dual PCA is
-    run, or an existing PcaResult.
+    ``components`` are 1-based component numbers (1 = leading), at most the
+    retained rank.  A score is written as its ``repr``, which reads back to
+    the same bits.
     """
     a, b = components
     if a < 1 or b < 1:
         raise ValueError(f"component numbers are 1-based, got {components}")
-    if isinstance(source, PcaResult):
-        pca = source
-    else:
-        x = source.values if isinstance(source, DataMatrix) else np.asarray(source, dtype=float)
-        max_rank = min(x.shape)
-        if max(a, b) > max_rank:
-            raise ValueError(
-                f"component {max(a, b)} exceeds the available rank {max_rank}"
-            )
-        pca = dual_pca(x, center=center, divisor=divisor, rank=max(a, b))
     if max(a, b) > pca.rank:
         raise ValueError(f"component {max(a, b)} exceeds the retained rank {pca.rank}")
-    scores = pca.score_vectors
+    # Python floats: under numpy 2 a numpy scalar's repr is "np.float64(...)".
+    pairs = pca.score_vectors[:, [a - 1, b - 1]].tolist()
     lines = [f"sample_index,score_{a},score_{b}"]
-    for i in range(pca.n):
-        lines.append(
-            f"{i},{_format_float(scores[i, a - 1])},{_format_float(scores[i, b - 1])}"
-        )
+    lines += [f"{i},{sa!r},{sb!r}" for i, (sa, sb) in enumerate(pairs)]
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(lines) + "\n")

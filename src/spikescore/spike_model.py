@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -42,6 +43,18 @@ import numpy as np
 # Domain-separation tag for the basis RNG stream, so a basis seed can
 # never collide with a (master_seed, grid, replicate) data stream.
 _BASIS_STREAM_TAG = 0x9E3779B9
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, for the integer field ``name``; a numpy integer
+    passes.  A bool, or anything ``operator.index`` refuses (a float or a
+    string, say), is refused with a ValueError, not truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,7 @@ class RandomOrthogonal:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _integer(self.seed, "basis seed"))
         if self.seed < 0:  # SeedSequence takes non-negative entropy only
             raise ValueError(f"basis seed must be >= 0, got {self.seed}")
 
@@ -133,6 +147,8 @@ class SpikeSpec:
             raise ValueError(f"basis must be CanonicalAxes or RandomOrthogonal, got {self.basis!r}")
         if not math.isfinite(self.mean):
             raise ValueError(f"mean value must be finite, got {self.mean}")
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be positive, got n={self.n}, d={self.d}")
         m = len(self.spikes)
@@ -190,7 +206,7 @@ class DataMatrix:
 
 def _basis_draw(seed: int, d: int, m: int) -> np.ndarray:
     """The d x m standard-normal block whose Q factor is the spike basis."""
-    ss = np.random.SeedSequence((int(seed), _BASIS_STREAM_TAG))
+    ss = np.random.SeedSequence((seed, _BASIS_STREAM_TAG))
     return np.random.Generator(np.random.Philox(ss)).standard_normal((d, m))
 
 
@@ -206,19 +222,12 @@ def _cached_spike_basis(seed: int, d: int, m: int) -> tuple[np.ndarray, np.ndarr
     return u, ones_u
 
 
-def _spike_basis(spec: SpikeSpec) -> Optional[np.ndarray]:
-    """The spike directions U_m (d x m), or None on the canonical axes."""
+def _spike_basis(spec: SpikeSpec) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """The spike directions U_m (d x m) and their column sums 1'U_m (m,):
+    on the canonical axes None and ones, else the cached, read-only pair."""
     if isinstance(spec.basis, CanonicalAxes):
-        return None
-    return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)[0]
-
-
-def _ones_u(spec: SpikeSpec) -> np.ndarray:
-    """1'U_m (m,): 1 on the canonical axes, the cached column sums of U_m
-    otherwise."""
-    if isinstance(spec.basis, CanonicalAxes):
-        return np.ones(spec.m)
-    return _cached_spike_basis(int(spec.basis.seed), spec.d, spec.m)[1]
+        return None, np.ones(spec.m)
+    return _cached_spike_basis(spec.basis.seed, spec.d, spec.m)
 
 
 def basis_vectors(spec: SpikeSpec) -> np.ndarray:
@@ -227,7 +236,7 @@ def basis_vectors(spec: SpikeSpec) -> np.ndarray:
     On CanonicalAxes it is the exact 0/1 slice of the identity.  For
     RandomOrthogonal it is the cached, read-only U_m.
     """
-    u = _spike_basis(spec)
+    u = _spike_basis(spec)[0]
     return np.eye(spec.d, spec.m) if u is None else u
 
 
@@ -238,7 +247,7 @@ def _spike_coords(spec: SpikeSpec, g: np.ndarray) -> np.ndarray:
     it is G's first m columns: every other term of the product is an exact
     zero, so the bits are those of the product, and no d x m matrix is
     built."""
-    u = _spike_basis(spec)
+    u = _spike_basis(spec)[0]
     return g[:, : spec.m].copy() if u is None else g @ u
 
 
@@ -267,7 +276,7 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     root_tau = np.sqrt(float(spec.tail_value))
     if root_tau != 1.0:
         z *= root_tau
-    u = _spike_basis(spec)
+    u = _spike_basis(spec)[0]
     x = z.T  # (d, n), Fortran-ordered
     if u is None:
         z[:, : spec.m] = spike * root_lam
@@ -412,7 +421,7 @@ def frame_sample(spec: SpikeSpec, seed) -> FrameSample:
     lead[:, m] = root_tau * a
     mu = spec.mean
     if mu != 0.0:
-        ones_u = _ones_u(spec)
+        ones_u = _spike_basis(spec)[1]
         lead[:, :m] += np.outer(mu * h, ones_u)
         lead[:, m] += mu * math.sqrt(d - ones_u @ ones_u) * h
     return FrameSample(lead=lead, tail_diag=root_tau * diag, tail_sub=root_tau * sub,
@@ -431,7 +440,7 @@ def spike_projection(data: DataMatrix) -> np.ndarray:
 def projection_scores(spec: SpikeSpec, proj: np.ndarray) -> np.ndarray:
     """Population scores S = (P - mu 1'U_m) / sqrt(lambda) from P = X'U_m."""
     if spec.mean != 0.0:
-        proj = proj - spec.mean * _ones_u(spec)
+        proj = proj - spec.mean * _spike_basis(spec)[1]
     return proj / np.sqrt(spec.spike_eigenvalues)
 
 
@@ -441,5 +450,5 @@ def population_projection(spec: SpikeSpec, scores: np.ndarray) -> np.ndarray:
     non-zero mean."""
     proj = scores * np.sqrt(spec.spike_eigenvalues)
     if spec.mean != 0.0:
-        proj += spec.mean * _ones_u(spec)
+        proj += spec.mean * _spike_basis(spec)[1]
     return proj

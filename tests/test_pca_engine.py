@@ -453,6 +453,13 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="positive"):
             dual_pca(np.ones((3, 2)), divisor=-1)
 
+    @pytest.mark.parametrize("divisor", [float("inf"), float("nan")])
+    def test_non_finite_divisor_refused(self, divisor):
+        # inf would divide the Gram to zero eigenvalues; nan would be
+        # refused as if the sample held NaN entries.
+        with pytest.raises(ValueError, match=f"divisor must be positive and finite, got {divisor}"):
+            dual_pca(np.ones((3, 2)), divisor=divisor)
+
     def test_not_a_matrix(self):
         with pytest.raises(ValueError):
             dual_pca(np.ones(5))

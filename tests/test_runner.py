@@ -355,6 +355,47 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="master_seed"):
             tiny_config(tmp_path, master_seed=-1)
 
+    SPIKES = (SpikeProfile.power(1.0, 1.6),)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda out: tiny_config(out, grid=(200.7,)),
+                         "grid value must be an integer, got 200.7", id="grid-float"),
+            pytest.param(lambda out: tiny_config(out, grid=(True,)),
+                         "grid value must be an integer, got True", id="grid-bool"),
+            pytest.param(lambda out: tiny_config(out, master_seed=314.9),
+                         "master_seed must be an integer, got 314.9", id="master_seed-float"),
+            pytest.param(lambda out: tiny_config(out, replicates=2.5),
+                         "replicates must be an integer, got 2.5", id="replicates-float"),
+            pytest.param(lambda out: tiny_config(out, replicates=True),
+                         "replicates must be an integer, got True", id="replicates-bool"),
+            pytest.param(lambda out: SpikeTemplate(spikes=TestConfigValidation.SPIKES, n=6.5),
+                         "template.n must be an integer, got 6.5", id="template-n-float"),
+            pytest.param(lambda out: RandomOrthogonal(seed=1.5),
+                         "basis seed must be an integer, got 1.5", id="basis-seed-float"),
+            pytest.param(lambda out: SpikeSpec(spikes=TestConfigValidation.SPIKES, n=6, d=200.5),
+                         "d must be an integer, got 200.5", id="spec-d-float"),
+            pytest.param(lambda out: SpikeSpec(spikes=TestConfigValidation.SPIKES, n=6.5, d=200),
+                         "n must be an integer, got 6.5", id="spec-n-float"),
+        ],
+    )
+    def test_integer_fields_refuse_bools_and_floats(self, tmp_path, build, message):
+        # Refused where the field is built, not truncated or run as a float.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(tmp_path)
+
+    def test_integer_fields_take_numpy_integers(self, tmp_path):
+        template = SpikeTemplate(spikes=self.SPIKES, n=np.int64(6),
+                                 basis=RandomOrthogonal(seed=np.int64(1)))
+        cfg = tiny_config(tmp_path, template=template, grid=(np.int64(200),),
+                          replicates=np.int32(3), master_seed=np.uint16(314))
+        spec = SpikeSpec(spikes=self.SPIKES, n=np.int64(6), d=np.int64(200))
+        fields = (*cfg.grid, cfg.replicates, cfg.master_seed, template.n, template.basis.seed,
+                  spec.n, spec.d)
+        assert [type(value) for value in fields] == [int] * 7
+        assert json.loads(json.dumps(config_to_dict(cfg)))["master_seed"] == 314
+
     @pytest.mark.parametrize(
         "mode, key, value",
         [
@@ -1189,7 +1230,7 @@ class TestScatterExport:
     def test_from_matrix(self, tmp_path):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((10, 6))
-        out = export_scores_scatter(x, (1, 2), tmp_path / "s.csv")
+        out = export_scores_scatter(dual_pca(x, rank=2), (1, 2), tmp_path / "s.csv")
         lines = out.read_text().splitlines()
         assert lines[0] == "sample_index,score_1,score_2"
         assert len(lines) == 7
@@ -1201,26 +1242,29 @@ class TestScatterExport:
     def test_repeated_component(self, tmp_path):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((8, 5))
-        out = export_scores_scatter(x, (1, 1), tmp_path / "s.csv")
+        out = export_scores_scatter(dual_pca(x, rank=1), (1, 1), tmp_path / "s.csv")
         body = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(body[:, 1], body[:, 2])
 
     def test_component_beyond_rank(self, tmp_path):
-        x = np.random.default_rng(8).standard_normal((4, 3))
+        pca = dual_pca(np.random.default_rng(8).standard_normal((4, 3)), rank=3)
         with pytest.raises(ValueError, match="rank"):
-            export_scores_scatter(x, (1, 4), tmp_path / "s.csv")
+            export_scores_scatter(pca, (1, 4), tmp_path / "s.csv")
         with pytest.raises(ValueError, match="1-based"):
-            export_scores_scatter(x, (0, 1), tmp_path / "s.csv")
+            export_scores_scatter(pca, (0, 1), tmp_path / "s.csv")
 
-    def test_from_data_matrix_and_pca_result(self, tmp_path):
+    def test_frame_replicate_at_d_1e12(self, tmp_path):
+        # The scores plot at the theorem's sizes: one frame replicate of the
+        # benchmark's spikes at n = 50 and d = 1e12, written bit for bit.
         spec = SpikeSpec(
-            spikes=(SpikeProfile.fixed(50.0), SpikeProfile.fixed(10.0)), n=12, d=60
+            spikes=(SpikeProfile.power(2.0, 1.5), SpikeProfile.power(1.0, 1.5)), n=50, d=10**12
         )
-        data = generate_sample(spec, 9)
-        a = export_scores_scatter(data, (1, 2), tmp_path / "a.csv")
-        pca = dual_pca(data.values, rank=2)
-        b = export_scores_scatter(pca, (1, 2), tmp_path / "b.csv")
-        assert a.read_text() == b.read_text()
+        pca = frame_pca(frame_sample(spec, 3))[0]
+        out = export_scores_scatter(pca, (1, 2), tmp_path / "s.csv")
+        assert out.read_text().splitlines()[0] == "sample_index,score_1,score_2"
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], np.arange(50))
+        assert np.array_equal(table[:, 1:], pca.score_vectors)
 
     def test_kmeans_recovers_sign_split(self, tmp_path):
         # Two well-separated spikes: clustering the exported score columns
@@ -1229,7 +1273,7 @@ class TestScatterExport:
             spikes=(SpikeProfile.fixed(400.0), SpikeProfile.fixed(100.0)), n=80, d=300
         )
         data = generate_sample(spec, 7)
-        out = export_scores_scatter(data, (1, 2), tmp_path / "s.csv")
+        out = export_scores_scatter(dual_pca(data.values, rank=2), (1, 2), tmp_path / "s.csv")
         body = np.loadtxt(out, delimiter=",", skiprows=1)
         _, labels = kmeans2(body[:, 1:], 2, seed=99, minit="points")
         truth = data.latent[:, 0] > 0
