@@ -24,7 +24,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .spike_model import (
     CanonicalAxes,

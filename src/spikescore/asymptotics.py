@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pca_engine import PcaResult, loading_norms
-from .spike_model import DataMatrix, basis_vectors
+from .spike_model import DataMatrix, _integer, _real, basis_vectors
 
 DEFAULT_DENOMINATOR_GUARD = 1e-8
 
@@ -91,8 +91,7 @@ def score_ratio_table(
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s.shape}")
     if s_hat.ndim != 2:
         raise ValueError(f"score matrices must be 2-d, got shape {s_hat.shape}")
-    if guard <= 0:
-        raise ValueError(f"guard must be positive, got {guard}")
+    guard = _real(guard, "guard")
 
     n, m = s.shape
     ok = np.abs(s) >= guard
@@ -191,6 +190,7 @@ def ratio_decomposition(
     if pca.centered:
         # The terms project the raw x_i, which a centered PCA did not use.
         raise ValueError("ratio decomposition needs an uncentered PCA (center=False)")
+    i, j, guard = _integer(i, "i"), _integer(j, "j"), _real(guard, "guard")
     if not 0 <= j < min(pca.rank, spec.m):
         raise ValueError(f"j must be in [0, {min(pca.rank, spec.m)}), got {j}")
     if not 0 <= i < spec.n:
@@ -245,6 +245,7 @@ def comparable_sample_scores(pca: PcaResult, m: int) -> np.ndarray:
     to the population scores has the sqrt(n / chi2_n) limit.  Raises if m
     is not in [1, rank].
     """
+    m = _integer(m, "m")
     if not 1 <= m <= pca.rank:
         raise ValueError(f"m must be in [1, {pca.rank}], got {m}")
     return math.sqrt(pca.divisor) * pca.score_vectors[:, :m]

@@ -17,6 +17,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import chdtrc, chdtri, kolmogorov, smirnov
 
+from .spike_model import _integer, _real
+
 # Asymptotic two-sided Kolmogorov critical constant at alpha = 0.01.
 KS_CRITICAL_CONSTANT_01 = 1.628
 
@@ -28,14 +30,10 @@ class RLaw:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"degrees of freedom must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "degrees of freedom", 1))
 
     def cdf(self, r):
         return r_cdf(r, self)
-
-    def quantile(self, p: float) -> float:
-        return r_quantile(p, self)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Monte Carlo draws sqrt(n / chi2_n)."""
@@ -85,8 +83,7 @@ def r_cdf(r, law: RLaw):
 def r_quantile(p: float, law: RLaw) -> float:
     """Inverse of r_cdf: sqrt(n / q), where q is the chi-square upper-tail
     quantile at level p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {p}")
+    p = _real(p, "quantile level", "in (0, 1)")
     return math.sqrt(law.n / chdtri(law.n, p))
 
 

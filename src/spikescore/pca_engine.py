@@ -17,12 +17,12 @@ When fewer than n components are wanted, the leading eigenpairs come from
 implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
 n x n matrix is never tridiagonalized and the result is reproducible.  The
-Krylov size follows the wanted rank (``_krylov_size``: 2 rank + 1 vectors,
-not ``eigsh``'s default of at least 20).  In the spiked spectra the sweeps
-draw, the m spike eigenvalues sit far above the bulk, so a few vectors
-hold them to machine precision: a rank-2 growing-n replicate's eigensolve
-takes 6 operator steps, not 21.  All n components, or those of a zero Gram,
-come from ``np.linalg.eigh``.
+Krylov size follows the wanted rank (``_leading_pairs``: 2 rank + 1
+vectors, not ``eigsh``'s default of at least 20).  In the spiked spectra
+the sweeps draw, the m spike eigenvalues sit far above the bulk, so a few
+vectors hold them to machine precision: a rank-2 growing-n replicate's
+eigensolve takes 6 operator steps, not 21.  All n components, or those of
+a zero Gram, come from ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .spike_model import FrameSample
+from .spike_model import FrameSample, _integer, _real
 
 # Eigenvalues below this fraction of the top one are treated as exactly
 # zero by ``loading_norms``, to avoid dividing by a rounding artifact.
@@ -76,10 +76,7 @@ def _resolve_divisor(divisor: Union[str, int, float], n: int) -> float:
         if n < 2:
             raise ValueError("divisor 'n-1' needs at least two samples")
         return float(n - 1)
-    value = float(divisor)
-    if not 0 < value < np.inf:
-        raise ValueError(f"divisor must be positive and finite, got {divisor}")
-    return value
+    return _real(divisor, "divisor")
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -97,15 +94,10 @@ def _resolve_rank(rank: Optional[int], n: int, d: int) -> int:
     max_rank = min(n, d)
     if rank is None:
         return max_rank
+    rank = _integer(rank, "rank")
     if not 1 <= rank <= max_rank:
         raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
     return rank
-
-
-def _krylov_size(n: int, rank: int) -> int:
-    """The number of Lanczos vectors ``_leading_pairs`` builds for ``rank``
-    eigenpairs of an n x n matrix: 2 rank + 1, at most n."""
-    return min(n, 2 * rank + 1)
 
 
 def _leading_pairs(a, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,9 +109,9 @@ def _leading_pairs(a, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     equal.  The start vector is not ``ones``, a null vector of a centered
     Gram, from which the Krylov space would grow out of rounding noise.
 
-    The Krylov size follows the wanted rank: ``_krylov_size`` = 2 rank + 1
-    vectors, not ``eigsh``'s default max(2 rank + 1, 20), whose first
-    factorization ARPACK always completes.  Where the wanted eigenvalues sit
+    The Krylov size follows the wanted rank: min(n, 2 rank + 1) vectors, not
+    ``eigsh``'s default max(2 rank + 1, 20), whose first factorization
+    ARPACK always completes.  Where the wanted eigenvalues sit
     far above the rest, as the spikes of every sweep replicate do (the
     hdlss guard requires d / lambda_m < 1, and growing-n requires
     d / (n lambda_m) to shrink), that small space already holds them to
@@ -133,7 +125,7 @@ def _leading_pairs(a, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     from scipy.sparse.linalg import eigsh
 
     v0 = np.random.default_rng(0).uniform(-1, 1, n)
-    w, v = eigsh(a, k=rank, which="LA", v0=v0, tol=0, ncv=_krylov_size(n, rank))
+    w, v = eigsh(a, k=rank, which="LA", v0=v0, tol=0, ncv=min(n, 2 * rank + 1))
     order = np.argsort(w)
     return w[order], v[:, order]
 

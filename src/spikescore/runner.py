@@ -60,7 +60,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -90,6 +89,7 @@ from .spike_model import (
     SpikeProfile,
     SpikeSpec,
     _integer,
+    _real,
     frame_sample,
     population_projection,
 )
@@ -136,6 +136,12 @@ class SpikeTemplate:
     not above the spike count is refused; spike power laws resolve against
     that coupled d (the default d_over_n = 1 with exponent 2 gives the
     leading eigenvalue n**2).
+
+    The fields are normalized where the template is built, since the config
+    echo reads them: ``spikes`` becomes a tuple, ``tail_value``, ``mean``
+    and ``d_over_n`` Python floats (``_real``) and ``n`` an int
+    (``_integer``).  A spike that is not a ``SpikeProfile`` is refused by
+    the ``SpikeSpec`` of each grid point.
     """
 
     spikes: tuple[SpikeProfile, ...]
@@ -146,10 +152,11 @@ class SpikeTemplate:
     d_over_n: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n is not None:
-            object.__setattr__(self, "n", _integer(self.n, "template.n"))
-        if not 0 < self.d_over_n < math.inf:
-            raise ValueError(f"d_over_n must be positive and finite, got {self.d_over_n}")
+        object.__setattr__(self, "spikes", tuple(self.spikes))
+        object.__setattr__(self, "tail_value", _real(self.tail_value, "template.tail_value"))
+        object.__setattr__(self, "mean", _real(self.mean, "template.mean", "finite"))
+        object.__setattr__(self, "d_over_n", _real(self.d_over_n, "template.d_over_n"))
+        object.__setattr__(self, "n", None if self.n is None else _integer(self.n, "template.n"))
 
     @property
     def m(self) -> int:
@@ -169,6 +176,20 @@ class SpikeTemplate:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep: its ``mode`` (a key of ``_MODE_TABLE``), the ``template``
+    model, the ``grid`` of d values (hdlss-sweep) or n values
+    (growing-n-sweep), ``replicates`` per grid point, the ``master_seed``
+    of every replicate stream, the denominator ``guard`` of
+    ``score_ratio_table``, the ``output_dir`` of records.csv and
+    report.json, and ``workers``, an integer or ``"auto"``.
+
+    A number is refused where it is built: the grid values, ``replicates``
+    and ``master_seed`` by ``_integer``, ``guard`` by ``_real``, ``workers``
+    by its text rule (``_parse_workers``), and the template's numbers when
+    the template is built.  ``validate``, run last, refuses an empty or
+    unordered grid and a grid point outside the mode's regime.
+    """
+
     mode: str
     template: SpikeTemplate
     grid: tuple[int, ...] = ()  # d values in hdlss-sweep, n values in growing-n-sweep
@@ -180,8 +201,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", tuple(_integer(v, "grid value") for v in self.grid))
-        for name in ("replicates", "master_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, low in (("replicates", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        object.__setattr__(self, "guard", _real(self.guard, "guard"))
         object.__setattr__(self, "workers", _parse_workers(self.workers))
         self.validate()
 
@@ -189,7 +211,7 @@ class ExperimentConfig:
         return usable_cpus() if self.workers == "auto" else self.workers
 
     def validate(self) -> None:
-        """Check the fields, then the regime hypothesis of the sweep mode.
+        """Check the grid, then the regime hypothesis of the sweep mode.
 
         Each mode is held to the hypothesis of its own asymptotics, which
         the ``check`` of its ``_MODE_TABLE`` entry tests on the spec of
@@ -200,12 +222,6 @@ class ExperimentConfig:
             raise ValueError(f"mode {self.mode} needs a non-empty {mode.grid_key}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError(f"grid must be strictly increasing, got {self.grid}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if not 0 < self.guard < math.inf:
-            raise ValueError(f"guard must be positive and finite, got {self.guard}")
         specs = []
         for grid_value in self.grid:
             try:
@@ -537,7 +553,7 @@ class _GrowingNSweep(_SweepMode):
     rows_key = "consistency"
 
     def sizes(self, template: SpikeTemplate, grid_value: int) -> tuple[int, int]:
-        return grid_value, int(round(template.d_over_n * grid_value))
+        return grid_value, round(template.d_over_n * grid_value)
 
     def ratio(self, spec: SpikeSpec) -> float:
         return spec.d / (spec.n * spec.spike_eigenvalues[-1])
@@ -727,7 +743,7 @@ def export_scores_scatter(
     retained rank.  A score is written as its ``repr``, which reads back to
     the same bits.
     """
-    a, b = components
+    a, b = (_integer(c, "component number") for c in components)
     if a < 1 or b < 1:
         raise ValueError(f"component numbers are 1-based, got {components}")
     if max(a, b) > pca.rank:
@@ -758,7 +774,7 @@ def _parse_spike(token: str) -> SpikeProfile:
 
 def _number_str(x: float) -> str:
     # Six significant digits when they give x back exactly, else all of them.
-    return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
 
 
 def _spikes_str(spikes: tuple[SpikeProfile, ...]) -> str:

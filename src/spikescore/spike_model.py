@@ -28,12 +28,20 @@ the two bases differ in how such a product is formed.  The dense sample is
 the reference that ``frame_sample`` matches in law.  The basis and its
 column sums 1'U_m are cached together; under a zero mean ``frame_sample``
 never reads them, so there a replicate does not depend on the basis seed.
+
+Every scalar field of a model or a config, and each rank, divisor, guard,
+component, index, degrees of freedom and quantile level that the other
+modules take, is checked by one of two rules kept here: ``_integer`` for
+an integer and its twin ``_real`` for a real number.  ``workers``, which
+may also be given as text, has its own rule (``runner._parse_workers``),
+and a seed given straight to a draw is read by numpy's ``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -45,16 +53,41 @@ import numpy as np
 _BASIS_STREAM_TAG = 0x9E3779B9
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, for the integer field ``name``; a numpy integer
-    passes.  A bool, or anything ``operator.index`` refuses (a float or a
-    string, say), is refused with a ValueError, not truncated."""
+def _integer(value, name: str, low: Optional[int] = None) -> int:
+    """``value`` as an int, for the integer field or argument ``name``, at
+    least ``low`` unless that is None; a numpy integer passes.  A bool, or
+    anything ``operator.index`` refuses (a float or a string, say), is
+    refused with a ValueError, not truncated, as is a value below ``low``.
+    ``_real`` is its twin for real numbers."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            number = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low is None or number >= low:
+                return number
+            raise ValueError(f"{name} must be >= {low}, got {number}")
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+# The ranges ``_real`` holds a number to, each under the words of its refusal.
+_REAL_RANGES = {"positive and finite": lambda x: 0 < x < math.inf, "finite": math.isfinite,
+                ">= 0 and finite": lambda x: 0 <= x < math.inf, "in (0, 1)": lambda x: 0 < x < 1}
+
+
+def _real(value, name: str, bound: str = "positive and finite") -> float:
+    """``value`` as a Python float, for the real field or argument ``name``,
+    the twin of ``_integer``.  ``bound`` is the range, in the words of the
+    refusal: ``"positive and finite"``, ``">= 0 and finite"``, ``"finite"``
+    or ``"in (0, 1)"``.  A numpy float or integer passes.  A bool,
+    ``np.bool_``, a string or anything else that is not a ``numbers.Real``
+    is refused with a ValueError, as is a value out of range."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        x = float(value)
+        if _REAL_RANGES[bound](x):
+            return x
+    raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,17 +96,18 @@ class SpikeProfile:
 
     A fixed spike is the case exponent = 0 (``SpikeProfile.fixed``), since
     ``d ** 0.0 == 1.0`` at every d; a power law in d is
-    ``SpikeProfile.power``.
+    ``SpikeProfile.power``.  Both numbers are stored as Python floats
+    (``_real``): scale positive, exponent >= 0, both finite.
     """
 
     scale: float
     exponent: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"spike scale must be positive and finite, got {self.scale}")
-        if not 0 <= self.exponent < math.inf:
-            raise ValueError(f"spike exponent must be >= 0 and finite, got {self.exponent}")
+        object.__setattr__(self, "scale", _real(self.scale, "spike scale"))
+        object.__setattr__(
+            self, "exponent", _real(self.exponent, "spike exponent", ">= 0 and finite")
+        )
 
     @classmethod
     def power(cls, scale: float, exponent: float) -> "SpikeProfile":
@@ -86,7 +120,7 @@ class SpikeProfile:
     def resolve(self, d: int) -> float:
         """Concrete eigenvalue at dimension d."""
         try:
-            return float(self.scale) * float(d) ** float(self.exponent)
+            return self.scale * float(d) ** self.exponent
         except OverflowError:  # SpikeSpec refuses the non-finite value
             return math.inf
 
@@ -109,9 +143,8 @@ class RandomOrthogonal:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _integer(self.seed, "basis seed"))
-        if self.seed < 0:  # SeedSequence takes non-negative entropy only
-            raise ValueError(f"basis seed must be >= 0, got {self.seed}")
+        # SeedSequence takes non-negative entropy only.
+        object.__setattr__(self, "seed", _integer(self.seed, "basis seed", 0))
 
 
 BasisChoice = Union[CanonicalAxes, RandomOrthogonal]
@@ -127,7 +160,9 @@ class SpikeSpec:
     ``basis`` is a ``CanonicalAxes`` or a ``RandomOrthogonal``.  Resolved
     eigenvalues must be finite and non-increasing at this d, and m < n,
     m < d; a ValueError names the offending pair otherwise (including a
-    spike falling below the tail).
+    spike falling below the tail).  Each spike must be a ``SpikeProfile``;
+    ``tail_value`` (positive) and ``mean`` are stored as Python floats
+    (``_real``), and n and d as ints (``_integer``).
     """
 
     spikes: tuple[SpikeProfile, ...]
@@ -139,14 +174,12 @@ class SpikeSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spikes", tuple(self.spikes))
-        if len(self.spikes) < 1:
-            raise ValueError("at least one spike is required")
-        if not 0 < self.tail_value < math.inf:
-            raise ValueError(f"tail_value must be positive and finite, got {self.tail_value}")
+        if not self.spikes or not all(isinstance(p, SpikeProfile) for p in self.spikes):
+            raise ValueError(f"spikes must be one or more SpikeProfile, got {self.spikes!r}")
+        object.__setattr__(self, "tail_value", _real(self.tail_value, "tail_value"))
         if not isinstance(self.basis, (CanonicalAxes, RandomOrthogonal)):
             raise ValueError(f"basis must be CanonicalAxes or RandomOrthogonal, got {self.basis!r}")
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean value must be finite, got {self.mean}")
+        object.__setattr__(self, "mean", _real(self.mean, "mean value", "finite"))
         object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.n < 1 or self.d < 1:
@@ -273,7 +306,7 @@ def generate_sample(spec: SpikeSpec, seed) -> DataMatrix:
     z = np.random.Generator(np.random.SFC64(seed)).standard_normal((spec.n, spec.d))
     spike = _spike_coords(spec, z)
     root_lam = np.sqrt(spec.spike_eigenvalues)
-    root_tau = np.sqrt(float(spec.tail_value))
+    root_tau = np.sqrt(spec.tail_value)
     if root_tau != 1.0:
         z *= root_tau
     u = _spike_basis(spec)[0]
