@@ -12,8 +12,9 @@ The package has four layers:
   (Dumitriu & Edelman's Laguerre model).
 - ``pca_engine``: sample eigenvalues and score vectors, from the dense
   sample through its n x n Gram (``dual_pca``, which holds that one n x n
-  array), or from a frame sample (``frame_pca``, Lanczos on A at O(n m)
-  per step, with the score vectors and population scores carried back by
+  array), or from a frame sample (``frame_pca``, a numpy block Lanczos on
+  A at O(n m) memory, with ARPACK for a frame whose spikes sit too near
+  the tail, and the score vectors and population scores carried back by
   K); loadings are never stored.
   A sweep replicate runs ``frame_sample`` -> ``frame_pca`` at every n and d.
 - ``asymptotics``: score-ratio tables, the exact three-term ratio
@@ -24,7 +25,7 @@ The package has four layers:
   Kolmogorov-Smirnov testing, and reproducible Monte Carlo sweeps.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .spike_model import (
     CanonicalAxes,

@@ -5,28 +5,38 @@ and score vectors come from the Gram matrix X'X / divisor.  ``dual_pca``
 forms the Gram of a d x n sample, divides it in place and decomposes it,
 so below rank n the Gram is the one n x n array it holds.  ``frame_pca``
 decomposes a sample drawn in a random frame (``spike_model.frame_sample``,
-X'X = K A K' in law): every sweep replicate takes that route, Lanczos on
-v -> A v at O(n m) per step, so no n x n array is formed at any n.
+X'X = K A K' in law, A = T + LL' with T tridiagonal): every sweep
+replicate takes that route, at O(n m) memory, so no n x n array is formed
+at any n.
 No loading vector is stored: where a diagnostic needs the unit loading
 u_hat_j = X v_j / ||X v_j||, it divides by ``loading_norms``, the one
 place that holds the norm sqrt(divisor) sqrt(eigenvalue) and the
 zero-eigenvalue cut.
 Finiteness is read from the Gram diagonal, or from the trace of A, so no
 d x n mask is built.
-When fewer than n components are wanted, the leading eigenpairs come from
-implicitly restarted Lanczos (ARPACK, through
-``scipy.sparse.linalg.eigsh``) with a fixed start vector, so the whole
-n x n matrix is never tridiagonalized and the result is reproducible.  The
-Krylov size follows the wanted rank (``_leading_pairs``: 2 rank + 1
-vectors, not ``eigsh``'s default of at least 20).  In the spiked spectra
-the sweeps draw, the m spike eigenvalues sit far above the bulk, so a few
-vectors hold them to machine precision: a rank-2 growing-n replicate's
-eigensolve takes 6 operator steps, not 21.  All n components, or those of
-a zero Gram, come from ``np.linalg.eigh``.
+
+A frame's m leading eigenpairs come from a numpy-only block Lanczos
+(``_block_lanczos``) started at L, whose Krylov space holds A's spike
+eigenvectors.  Where the spikes stand far above T's spectrum, as in both
+sweeps' regimes, 2 or 3 blocks hold them to machine precision; the frame
+bounds T's spectrum (``FrameSample.tail_bounds``), so Chebyshev's bound
+tells beforehand whether ``_KRYLOV_BLOCKS`` blocks suffice.  Where they do
+not (a spike near the tail's edge, say), the pairs come from ARPACK.  So a
+sweep in the paper's regimes never imports ``scipy.sparse.linalg``, whose
+import (about 60 ms) cost more than the 12 replicates of a hdlss sweep at
+n = 50, d = 1e6 (about 10 ms).  ARPACK
+(``scipy.sparse.linalg.eigsh``, through ``_leading_pairs``) also takes
+``dual_pca``'s leading eigenpairs when fewer than n components are wanted,
+with a fixed start vector, so the whole n x n matrix is never
+tridiagonalized and the result is reproducible.  Its Krylov size follows
+the wanted rank (2 rank + 1 vectors, not ``eigsh``'s default of at least
+20).  All n components, or those of a zero Gram, come from
+``np.linalg.eigh``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -45,6 +55,18 @@ _NON_FINITE = "the sample contains NaN or Inf entries, or its Gram overflows"
 # Absolute threshold for "first nonzero component" in the sign convention;
 # score vectors have unit norm, so any real entry is far above this.
 _SIGN_EPS = 1e-12
+
+# Block Lanczos on a frame's operator (``_block_lanczos``) builds at most
+# this many blocks of m + 1 columns, so its memory is O(n m), and a frame
+# whose Chebyshev bound asks for more goes to ARPACK.  The sweeps' regimes
+# take 2 to 3 blocks (4 at growing-n's n = 100, 5 near the hdlss warning's
+# d / lambda_m = 0.5); a fixed spike of 10 at d = n = 2000 takes 17, where
+# ARPACK is faster per solve.
+_KRYLOV_BLOCKS = 6
+
+# A block whose squared singular values span more than 1 / this ratio is
+# orthonormalized through an SVD, not Cholesky QR (``_orthonormal_rows``).
+_CHOLESKY_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,7 +124,9 @@ def _resolve_rank(rank: Optional[int], n: int, d: int) -> int:
 
 def _leading_pairs(a, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``rank`` largest eigenpairs of the symmetric n x n ``a``, an array
-    or a ``LinearOperator``, in ascending order.
+    or a ``LinearOperator``, in ascending order.  It serves ``dual_pca``
+    (the CLI's ``pca`` and ``scatter``) and the frames that ``frame_pca``
+    hands over, and imports ARPACK on its first call.
 
     Lanczos (``eigsh``, to machine precision) starts from the fixed vector
     ``default_rng(0).uniform(-1, 1, n)``, so repeated calls are bitwise
@@ -197,29 +221,185 @@ def dual_pca(
     return _result(w, v, div, center, d)
 
 
+def _gram(z: np.ndarray) -> np.ndarray:
+    """z z' for a few long rows z.  ``einsum``, not ``z @ z.T``: numpy sends
+    that to BLAS ``syrk``, which OpenBLAS (one thread, a 2-CPU VM) ran at
+    about half the speed of ``einsum`` on a 3 x n z, n = 1e4 and 1e5."""
+    return np.einsum("ij,kj->ik", z, z)
+
+
+def _orthonormal_rows(z: np.ndarray, gram: np.ndarray, basis: np.ndarray,
+                      floor: float, out: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the directions of the rows of z (b x n)
+    longer than ``floor``, given gram = z z' and a z already orthogonal to
+    the orthonormal rows of ``basis``: the first rows of ``out`` (b x n,
+    which may be z itself), fewer than b where z is (numerically) rank
+    deficient.
+
+    A well-conditioned z takes Cholesky QR twice (CholQR2; Yamamoto et al.,
+    ETNA 44 (2015) 306): the first pass through the eigendecomposition of
+    the Gram with its diagonal scaled to one (SVQB; Stathopoulos & Wu,
+    SIAM J. Sci. Comput. 23 (2002) 2165), which shows z's conditioning
+    whatever the lengths of its rows, and the second through the Cholesky
+    factor of the nearly orthonormal result.  Where the scaled Gram cannot
+    resolve z's shortest direction (an eigenvalue below
+    ``_CHOLESKY_RCOND``), or that direction may be shorter than ``floor``,
+    the first pass is a thin SVD, which drops the directions below
+    ``floor``, and what is kept is projected off ``basis`` once more, since
+    a short direction carries the rounding of its projection at the scale
+    of the long ones.
+    """
+    lengths = np.sqrt(np.diagonal(gram))
+    short = lengths.min() <= floor
+    if not short:
+        s, u = np.linalg.eigh(gram / np.outer(lengths, lengths))
+        short = s[0] <= _CHOLESKY_RCOND or s[0] * lengths.min() ** 2 <= floor**2
+    if short:
+        _, sigma, vt = np.linalg.svd(z, full_matrices=False)
+        q = vt[sigma > floor]
+        q -= (q @ basis.T) @ basis
+    else:
+        q = (u / (lengths[:, None] * np.sqrt(s))).T @ z
+    return np.matmul(np.linalg.inv(np.linalg.cholesky(_gram(q))), q, out=out[: len(q)])
+
+
+def _block_lanczos(tail_rows, tail_bounds: tuple[float, float], lead: np.ndarray, rank: int):
+    """The ``rank`` largest eigenpairs of A = T + LL', for L = ``lead``
+    (n x p) and a symmetric positive semidefinite n x n T given row-wise,
+    ``tail_rows(V', out)`` writing V'T to ``out`` for a b x n V', with its
+    spectrum inside ``tail_bounds`` = (lo, hi), from the block Krylov space
+    of L: ascending eigenvalues and their n x rank orthonormal vectors, or
+    None where that space does not hold them within ``_KRYLOV_BLOCKS``
+    blocks of p columns.
+
+    None is decided before any product with T where the blocks do not
+    fill R^n and Chebyshev's bound (``_chebyshev_blocks``) asks for more:
+    lambda_m(A) >= lambda_m(L'L) + lo (Weyl), and every other eigenvalue
+    of A is at most hi, since LL' has rank p.  It is also returned should
+    the space still pass the cap.
+
+    Block Lanczos (Golub & Underwood 1977) with full reorthogonalization.
+    The Krylov space of A from L is that of T, since LL' maps into the span
+    of L, the first block Q_1: so only T is applied, and LL' enters the
+    projected matrix H = Q'AQ as (Q_1 L)(Q_1 L)' on the first diagonal
+    block (the later blocks are orthogonal to L).  T Q_k, for the newest
+    block Q_k, is projected off every basis vector twice, its coefficients
+    fill H, and what is left, Z_k, is orthonormalized
+    (``_orthonormal_rows``) into the next block.  Rayleigh-Ritz
+    (``np.linalg.eigh`` of H) gives Ritz pairs (theta_j, Q y_j) with
+    residual A Q y_j - theta_j Q y_j = Z_k y_j', y_j' the entries of y_j on
+    the newest block; the leading ``rank`` pairs are returned once each
+    residual norm is at most eps theta_j, the test of ``eigsh(tol=0)``, or
+    once the basis spans R^n.  A direction of Z_k shorter than eps times the
+    smallest wanted Ritz value could not move any wanted residual past that
+    test, so it is dropped (deflation) and a block can narrow; where
+    nothing is left, the space is invariant and its Ritz pairs are exact.
+    The cut must not be relative to the largest Ritz value: at d = 1e12,
+    T's spread is 1e-13 of the spike, and dropping it leaves the vectors
+    1e-13 off.  No random start vector is drawn, so repeated calls are
+    bitwise equal.
+
+    Vectors are the rows of one (cap + p) x n array, cap = min(n,
+    ``_KRYLOV_BLOCKS`` p), so each is contiguous and the memory is O(n p):
+    the basis, and below it Z_k, so that the second projection pass and the
+    Gram of Z_k that orthonormalizes it are one product, and Z_k's rows
+    are overwritten by the next block.
+    """
+    n, width = lead.shape
+    cap = min(n, _KRYLOV_BLOCKS * width)
+    rows = np.empty((cap + width, n))
+    start = rows[:width]
+    start[...] = lead.T
+    gram = _gram(start)
+    lo, hi = tail_bounds
+    if n > cap and _chebyshev_blocks(np.linalg.eigvalsh(gram)[-rank] + lo, lo, hi) > _KRYLOV_BLOCKS:
+        return None
+    h = np.empty((cap, cap))
+    eps = np.finfo(float).eps
+    q = _orthonormal_rows(start, gram, rows[:0], eps * math.sqrt(np.trace(gram)), start)
+    coupling = q @ lead
+    used = 0
+    while len(q) and used + len(q) <= cap:
+        new, ahead = slice(used, used + len(q)), slice(used + len(q), used + 2 * len(q))
+        span, z = rows[: new.stop], rows[ahead]
+        tail_rows(q, z)
+        coef = z @ span.T
+        z -= coef @ span
+        both = z @ rows[: ahead.stop].T
+        again = both[:, : new.stop]
+        z -= again @ span
+        coef += again
+        if not used:
+            coef += coupling @ coupling.T
+        h[new, : new.stop] = coef
+        h[:used, new] = coef[:, :used].T
+        used = new.stop
+        theta, y = np.linalg.eigh(h[:used, :used])
+        if used >= rank:
+            resid = np.linalg.norm(y[new, -rank:].T @ z, axis=1)
+            if used == n or np.all(resid <= eps * theta[-rank:]):
+                return theta[-rank:], span.T @ y[:, -rank:]
+        gram = both[:, new.stop :] - again @ again.T
+        q = _orthonormal_rows(z, gram, span, eps * theta[max(used - rank, 0)], z)
+    if not len(q) and used >= rank:
+        return theta[-rank:], span.T @ y[:, -rank:]
+    return None
+
+
+def _chebyshev_blocks(low: float, lo: float, hi: float) -> float:
+    """Blocks of Krylov space after which Chebyshev's bound (Kaniel-Paige-
+    Saad; Saad, SIAM J. Numer. Anal. 17 (1980) 687) puts each wanted
+    eigenvector within an angle of eps: 1 + acosh(1 / eps) / acosh(1 + 2 g),
+    g = (low - hi) / (hi - lo), for wanted eigenvalues at least ``low`` and
+    the rest of the spectrum inside [lo, hi]; inf where low <= hi.  It
+    bounds block Lanczos's count from above: on frames of both sweeps and of
+    fixed spikes it read 1 to 2 blocks above the count taken (3.4 against 3
+    at n = 50, d = 1e6; 19 against 17 for a fixed spike of 10 at
+    d = n = 2000).
+    """
+    if low <= hi:
+        return math.inf
+    if hi <= lo:
+        return 1.0
+    eps = np.finfo(float).eps
+    return 1.0 + math.acosh(1.0 / eps) / math.acosh(1.0 + 2.0 * (low - hi) / (hi - lo))
+
+
 def frame_pca(frame: FrameSample) -> tuple[PcaResult, np.ndarray]:
     """The m leading eigenpairs of a sample drawn in a random frame, and its
     population scores S, both in the observation frame.
 
-    ``frame`` is a ``spike_model.FrameSample``: X'X = K A K' in law, with A
-    an O(n m) operator.  Lanczos (``_leading_pairs``) finds the m largest
-    eigenpairs (w, V~) of A / n, and one call of ``frame.to_observation``
-    carries [V~ | S~] to [V | S] by the same K, so the result is that of an
-    uncentered ``dual_pca`` of the sample with divisor n, in law, and
-    ``_fix_signs`` acts in the observation frame.  A non-finite or zero
-    trace of A is refused with ``dual_pca``'s ValueError: the trace bounds
-    every entry of A and every Krylov vector, and Lanczos cannot start from
-    A = 0.
+    ``frame`` is a ``spike_model.FrameSample``: X'X = K A K' in law, with
+    A = T + LL', T = tau BB' tridiagonal and L = ``frame.lead`` (n x
+    (m + 1)).  The m largest eigenpairs (w, V~) of A / n come from block
+    Lanczos started at L (``_block_lanczos``): an eigenvector of A with
+    eigenvalue x outside T's spectrum is (xI - T)^{-1} L q, so it lies in
+    L's block Krylov space.  That space is used where Chebyshev's bound,
+    read with T's spectrum bounded by ``frame.tail_bounds``, holds the
+    pairs within ``_KRYLOV_BLOCKS`` blocks, or where those blocks fill
+    R^n.  Elsewhere (a spike near the tail's edge, say), or should the
+    space still fall short, the pairs come from ``_leading_pairs`` on
+    v -> A v / n, which imports ARPACK, with the start vector it always
+    had.  One call of ``frame.to_observation`` carries [V~ | S~] to [V | S]
+    by the same K, so the result is that of an uncentered ``dual_pca`` of
+    the sample with divisor n, in law, and ``_fix_signs`` acts in the
+    observation frame.  A non-finite or zero trace of A is refused with
+    ``dual_pca``'s ValueError: the trace bounds every entry of A and every
+    Krylov vector, and Lanczos cannot start from A = 0.
     """
     n, m = frame.n, frame.spikes.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
         trace = frame.trace()
     if not 0.0 < trace < np.inf:
         raise ValueError(_NON_FINITE)
-    from scipy.sparse.linalg import LinearOperator
+    pairs = _block_lanczos(frame.tail_rows, frame.tail_bounds(), frame.lead, m)
+    if pairs is None:
+        from scipy.sparse.linalg import LinearOperator
 
-    op = LinearOperator((n, n), matvec=lambda v: frame.matvec(v) / n, dtype=float)
-    w, v = _leading_pairs(op, n, m)
+        op = LinearOperator((n, n), matvec=lambda v: frame.matvec(v) / n, dtype=float)
+        w, v = _leading_pairs(op, n, m)
+    else:
+        w, v = pairs[0] / n, pairs[1]
     rotated = frame.to_observation(np.hstack([v, frame.spikes]))
     return _result(w, rotated[:, :m], float(n), False, frame.d), rotated[:, m:]
 

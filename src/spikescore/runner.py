@@ -32,7 +32,7 @@ at O(n m) memory and time.  ``frame_sample`` draws the sample in a random
 frame K of R^n: X'X = K A K' in law, with A = BB' + LL', where B is the
 lower-bidiagonal factor of the tail Gram (Dumitriu & Edelman's Laguerre
 model) and L the n x (m + 1) factor of the spike and mean terms.
-``frame_pca`` runs Lanczos on A and carries the m leading
+``frame_pca`` runs block Lanczos on A and carries the m leading
 score vectors V and the population scores S back to the observation
 frame by one draw of K, and ``population_projection`` gives
 P = X'U_m from S.  No n x n or n x d array is formed.  A record matches
@@ -50,9 +50,10 @@ paths, and each mode's rows go in the field its ``rows_key`` names.
 The sweep owns its parallelism and derives it, with no setting of its
 own: ``workers`` processes take the replicates, one at a time each, and
 ``report.json`` names the count under ``parallelism``; it changes no
-record's bits.  The eigensolver is imported before the pool starts (and
-again in each worker, for a start method that does not fork), so no
-replicate's timings hold that import.
+record's bits.  A sweep imports no eigensolver: in both modes' regimes
+``frame_pca`` decomposes a frame with numpy alone, and it imports ARPACK
+only for a frame it hands over, whose replicate's "pca" stage then holds
+that import, once per process.
 """
 
 from __future__ import annotations
@@ -90,11 +91,15 @@ from .spike_model import (
     SpikeSpec,
     _integer,
     _real,
+    _spike_tuple,
     frame_sample,
     population_projection,
 )
 
 log = logging.getLogger(__name__)
+
+# The top-level modules whose frames _warn_caller skips: this package's.
+_SKIPPED = (__name__.split(".")[0], "dataclasses")
 
 # The sweep modes; each is one entry of _MODE_TABLE, below the entry points.
 MODE_HDLSS = "hdlss-sweep"
@@ -138,10 +143,11 @@ class SpikeTemplate:
     leading eigenvalue n**2).
 
     The fields are normalized where the template is built, since the config
-    echo reads them: ``spikes`` becomes a tuple, ``tail_value``, ``mean``
-    and ``d_over_n`` Python floats (``_real``) and ``n`` an int
-    (``_integer``).  A spike that is not a ``SpikeProfile`` is refused by
-    the ``SpikeSpec`` of each grid point.
+    echo reads them: ``spikes`` becomes a tuple (``_spike_tuple``, which
+    refuses a lone ``SpikeProfile``), ``tail_value``, ``mean`` and
+    ``d_over_n`` Python floats (``_real``) and ``n`` an int (``_integer``).
+    A spike that is not a ``SpikeProfile`` is refused by the ``SpikeSpec``
+    of each grid point.
     """
 
     spikes: tuple[SpikeProfile, ...]
@@ -152,7 +158,7 @@ class SpikeTemplate:
     d_over_n: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spikes", tuple(self.spikes))
+        object.__setattr__(self, "spikes", _spike_tuple(self.spikes))
         object.__setattr__(self, "tail_value", _real(self.tail_value, "template.tail_value"))
         object.__setattr__(self, "mean", _real(self.mean, "template.mean", "finite"))
         object.__setattr__(self, "d_over_n", _real(self.d_over_n, "template.d_over_n"))
@@ -317,10 +323,13 @@ def compute_replicate(
     chain (``generate_sample`` and ``dual_pca``), not its bits; under a
     zero mean it reads no basis, so the basis seed does not change it.
     The record's ``spikes`` holds one row of ``RECORD_DTYPE`` per spike.
+    ``replicate`` and ``master_seed`` are integers >= 0 (``_integer``), as
+    in a config; the grid value is checked where the spec is built.
     """
     spec = template.spec_at(mode, grid_value)
     m = spec.m
-    seed = np.random.SeedSequence((master_seed, grid_value, replicate))
+    replicate = _integer(replicate, "replicate", 0)
+    seed = np.random.SeedSequence((_integer(master_seed, "master_seed", 0), grid_value, replicate))
 
     t0 = time.perf_counter()
     frame = frame_sample(spec, seed)
@@ -342,13 +351,6 @@ def compute_replicate(
     return ReplicateRecord(
         grid_value=grid_value, replicate=replicate, spikes=diags, timings=timings
     )
-
-
-def _start_process() -> None:
-    """Ready this process to run replicates: import the eigensolver that
-    ``frame_pca`` loads on first use, so the first replicate's "pca" stage
-    times the eigensolve, not the import."""
-    import scipy.sparse.linalg  # noqa: F401
 
 
 def _safe_compute(args):
@@ -439,6 +441,19 @@ def _rise_note(a: dict, b: dict) -> str:
     return f"{a['grid']} -> {b['grid']}: +{rise:.3g} ({z:.2g} SE)"
 
 
+def _warn_caller(message: str) -> None:
+    """A UserWarning attributed to the line that built the config: the first
+    frame outside this package and ``dataclasses`` (whose ``replace`` builds
+    one too), however deep the warning is raised.  A frame is placed by its
+    module's name, which for the ``__init__`` that ``dataclasses``
+    generates is this package's.  (``warnings.warn``'s
+    ``skip_file_prefixes`` needs Python 3.12.)"""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] in _SKIPPED:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
+
+
 class _SweepMode:
     """One sweep mode: what the two modes differ in, as one entry of
     ``_MODE_TABLE``.
@@ -513,10 +528,9 @@ class _HdlssSweep(_SweepMode):
                     f"vanishing-ratio regime cannot be probed there"
                 )
             if rate >= 0.5:
-                warnings.warn(
+                _warn_caller(
                     f"grid point {grid_value}: d/lambda_m = {rate:.3g} is close "
-                    f"to 1; the asymptotic regime may be out of reach",
-                    stacklevel=3,
+                    f"to 1; the asymptotic regime may be out of reach"
                 )
 
     def row(self, key: dict, medians: np.ndarray, spec: SpikeSpec, trend: dict) -> dict:
@@ -565,11 +579,10 @@ class _GrowingNSweep(_SweepMode):
         rates = [self.ratio(spec) for spec in specs]
         if any(b >= a for a, b in zip(rates, rates[1:])):
             shown = ", ".join(f"{r:.3g}" for r in rates)
-            warnings.warn(
+            _warn_caller(
                 f"d/(n lambda_m) = {shown} over grid.n = {list(grid)} does not "
                 f"strictly decrease; the sweep cannot show the sample "
-                f"directions becoming consistent",
-                stacklevel=3,
+                f"directions becoming consistent"
             )
 
     def row(self, key: dict, medians: np.ndarray, spec: SpikeSpec, trend: dict) -> dict:
@@ -620,12 +633,10 @@ def _run_sweep(config: ExperimentConfig, mode_name: str) -> ExperimentReport:
     ]
     total = len(tasks)
     workers = min(config.resolved_workers(), total)
-    # Before the pool starts, so forked workers inherit the import.
-    _start_process()
     if workers <= 1:
         outcomes = _collect_with_progress(map(_safe_compute, tasks), config.replicates, total)
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_process) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # Cost grows with the grid value, so dispatch the largest first,
             # one task at a time, and reverse the outcomes back.
             arriving = pool.map(_safe_compute, tasks[::-1], chunksize=1)

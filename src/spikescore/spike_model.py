@@ -90,6 +90,22 @@ def _real(value, name: str, bound: str = "positive and finite") -> float:
     raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
+def _spike_tuple(spikes) -> tuple:
+    """``spikes`` as a tuple: how the ``spikes`` field of a ``SpikeSpec``
+    and of a ``runner.SpikeTemplate`` is stored.  A value that cannot be
+    iterated, a lone ``SpikeProfile`` among them, is refused with the
+    field's ValueError (``_spikes_error``), which ``SpikeSpec`` also raises
+    for an entry that is not a ``SpikeProfile``."""
+    try:
+        return tuple(spikes)
+    except TypeError:
+        raise _spikes_error(spikes) from None
+
+
+def _spikes_error(spikes) -> ValueError:
+    return ValueError(f"spikes must be one or more SpikeProfile, got {spikes!r}")
+
+
 @dataclass(frozen=True)
 class SpikeProfile:
     """One spike eigenvalue, ``scale * d ** exponent`` at dimension d.
@@ -173,9 +189,9 @@ class SpikeSpec:
     mean: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spikes", tuple(self.spikes))
+        object.__setattr__(self, "spikes", _spike_tuple(self.spikes))
         if not self.spikes or not all(isinstance(p, SpikeProfile) for p in self.spikes):
-            raise ValueError(f"spikes must be one or more SpikeProfile, got {self.spikes!r}")
+            raise _spikes_error(self.spikes)
         object.__setattr__(self, "tail_value", _real(self.tail_value, "tail_value"))
         if not isinstance(self.basis, (CanonicalAxes, RandomOrthogonal)):
             raise ValueError(f"basis must be CanonicalAxes or RandomOrthogonal, got {self.basis!r}")
@@ -338,7 +354,9 @@ class FrameSample:
     n x r factor B of the tail Gram, already scaled by sqrt(tau).
     ``stiefel`` is the (n - 1) x min(2m, n - 1) frame W that stands in for
     K's free part (``to_observation``), and ``d`` the sample's dimension.
-    Every array is O(n m).
+    Every array is O(n m).  ``matvec`` applies A to a vector, ``tail_rows``
+    applies BB' to a block of row vectors, and ``tail_bounds`` bounds BB''s
+    spectrum, which is what ``pca_engine.frame_pca`` reads.
     """
 
     lead: np.ndarray
@@ -361,14 +379,42 @@ class FrameSample:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v = B(B'v) + L(L'v), at O(n m)."""
         v = np.ravel(v)
-        diag, sub = self.tail_diag, self.tail_sub
-        r, s = diag.size, sub.size
-        u = diag * v[:r]
-        u[:s] += sub * v[1 : s + 1]
+        u = self._tail_half(v)
         out = self.lead @ (self.lead.T @ v)
-        out[:r] += diag * u
-        out[1 : s + 1] += sub * u[:s]
+        out[: u.size] += self.tail_diag * u
+        out[1 : self.tail_sub.size + 1] += self.tail_sub * u[: self.tail_sub.size]
         return out
+
+    def tail_rows(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """BB' applied to each row of a b x n array, written to ``out``
+        (b x n), at O(n b): the tail part of A, with each vector a
+        contiguous row."""
+        u = self._tail_half(rows)
+        r, s = self.tail_diag.size, self.tail_sub.size
+        np.multiply(self.tail_diag, u, out=out[:, :r])
+        out[:, r:] = 0.0
+        out[:, 1 : s + 1] += self.tail_sub * u[:, :s]
+        return out
+
+    def tail_bounds(self) -> tuple[float, float]:
+        """An interval [lo, hi], lo >= 0, that holds every eigenvalue of BB'.
+        B = D + S, its diagonal and subdiagonal parts, and ||S|| = max sub,
+        so by Weyl's inequality each singular value of B lies within max sub
+        of one of D's: [min diag - max sub, max diag + max sub], squared.  B
+        has fewer columns than rows where r < n, and then lo = 0."""
+        diag, sub = self.tail_diag, self.tail_sub
+        if not diag.size:
+            return 0.0, 0.0
+        shift = float(sub.max(initial=0.0))
+        low = max(0.0, float(diag.min()) - shift) if diag.size == self.n else 0.0
+        return low * low, (float(diag.max()) + shift) ** 2
+
+    def _tail_half(self, v: np.ndarray) -> np.ndarray:
+        """B'v, for the vectors along the last axis of v."""
+        diag, sub = self.tail_diag, self.tail_sub
+        u = diag * v[..., : diag.size]
+        u[..., : sub.size] += sub * v[..., 1 : sub.size + 1]
+        return u
 
     def to_observation(self, z: np.ndarray) -> np.ndarray:
         """K z for an n x c array z of K's frame, with c <= 2m unless

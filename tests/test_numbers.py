@@ -137,6 +137,15 @@ class TestSpikes:
         with pytest.raises(ValueError, match=f"^grid point 200: {message}$"):
             config(tmp_path, SpikeTemplate(spikes=spikes, n=6))
 
+    def test_lone_profile_refused(self):
+        # One SpikeProfile, not a collection of them: the field's ValueError,
+        # not the TypeError of iterating it.
+        message = re.escape(f"spikes must be one or more SpikeProfile, got {SPIKE!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpikeSpec(spikes=SPIKE, n=6, d=200)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpikeTemplate(spikes=SPIKE, n=6)
+
     def test_template_stores_spikes_as_a_tuple(self, tmp_path):
         # So a list-built config equals its echo, parsed back.
         template = SpikeTemplate(spikes=[SPIKE], n=6)

@@ -9,15 +9,20 @@ import pytest
 from scipy.sparse.linalg import LinearOperator
 
 from spikescore.asymptotics import comparable_sample_scores, projection_overlaps
+from spikescore import pca_engine, runner
 from spikescore.pca_engine import (
     ZERO_EIGENVALUE_RTOL,
     PcaResult,
+    _block_lanczos,
+    _chebyshev_blocks,
     _leading_pairs,
+    _result,
     dual_pca,
     frame_pca,
     load_matrix_csv,
     loading_norms,
 )
+from spikescore.runner import MODE_GROWING_N, SpikeTemplate, compute_replicate
 from spikescore.spike_model import (
     RandomOrthogonal,
     SpikeProfile,
@@ -294,6 +299,124 @@ class TestFramePca:
             broken = dataclasses.replace(frame, lead=lead)
         with pytest.raises(ValueError, match="NaN or Inf"):
             frame_pca(broken)
+
+
+def arpack_frame_pca(frame):
+    """frame_pca by ARPACK alone, on the operator and start vector that every
+    frame took before block Lanczos: the route of a frame handed over."""
+    n, m = frame.n, frame.spikes.shape[1]
+    op = LinearOperator((n, n), matvec=lambda v: frame.matvec(v) / n, dtype=float)
+    w, v = _leading_pairs(op, n, m)
+    rotated = frame.to_observation(np.hstack([v, frame.spikes]))
+    return _result(w, rotated[:, :m], float(n), False, frame.d), rotated[:, m:]
+
+
+class TestBlockLanczos:
+    """frame_pca's numpy block Lanczos, and its hand-over to ARPACK."""
+
+    HDLSS = (SpikeProfile.power(2.0, 1.5), SpikeProfile.power(1.0, 1.5))
+
+    @staticmethod
+    def counted(frame):
+        """frame.tail_rows, and the list it appends one entry per block to."""
+        blocks = []
+
+        def tail_rows(rows, out):
+            blocks.append(rows.shape[0])
+            return frame.tail_rows(rows, out)
+
+        return tail_rows, blocks
+
+    @pytest.mark.parametrize("d", [10**6, 10**12])
+    def test_hdlss_frame_converges_in_three_blocks(self, d):
+        # n = 50 and the benchmark's spikes: the two spike eigenpairs, from
+        # at most 3 blocks of m + 1 = 3 vectors, match ARPACK's to rounding.
+        # The vectors are compared entry by entry: at d = 1e12 T's spread is
+        # 1e-13 of the spikes, an error that |cos| would not show.
+        for seed in range(5):
+            frame = frame_sample(SpikeSpec(spikes=self.HDLSS, n=50, d=d), seed)
+            tail_rows, blocks = self.counted(frame)
+            w, v = _block_lanczos(tail_rows, frame.tail_bounds(), frame.lead, 2)
+            assert 1 <= len(blocks) <= 3
+            op = LinearOperator((50, 50), matvec=frame.matvec, dtype=float)
+            ref_w, ref_v = _leading_pairs(op, 50, 2)
+            assert np.allclose(w, ref_w, rtol=1e-13, atol=0)
+            v = v * np.sign(np.sum(v * ref_v, axis=0))
+            assert np.allclose(v, ref_v, rtol=0, atol=1e-14)
+            assert np.allclose(v.T @ v, np.eye(2), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("spikes, n, d", [(HDLSS, 50, 10**6), (HDLSS, 400, 400),
+                                              ((SpikeProfile.fixed(1e4),), 400, 400)])
+    def test_the_chebyshev_bound_is_not_below_the_count(self, spikes, n, d):
+        # The bound decides beforehand, so a frame it keeps must converge
+        # within it.
+        frame = frame_sample(SpikeSpec(spikes=spikes, n=n, d=d), 3)
+        lo, hi = frame.tail_bounds()
+        m = len(spikes)
+        low = np.linalg.eigvalsh(frame.lead.T @ frame.lead)[-m] + lo
+        assert _chebyshev_blocks(low, lo, hi) <= pca_engine._KRYLOV_BLOCKS
+        tail_rows, blocks = self.counted(frame)
+        assert _block_lanczos(tail_rows, (lo, hi), frame.lead, m) is not None
+        assert len(blocks) <= _chebyshev_blocks(low, lo, hi)
+
+    def test_tail_bounds_hold_the_spectrum(self):
+        for d in (45, 30, 8):
+            frame = frame_sample(dataclasses.replace(TestFramePca.SPEC, d=d), 1)
+            lo, hi = frame.tail_bounds()
+            w = np.linalg.eigvalsh(TestFramePca.dense_a(frame) - frame.lead @ frame.lead.T)
+            assert lo - 1e-9 * hi <= w[0] and w[-1] <= hi * (1 + 1e-12)
+
+    def test_two_calls_are_bitwise_equal(self):
+        frame = frame_sample(SpikeSpec(spikes=self.HDLSS, n=50, d=10**6), 4)
+        first, second = frame_pca(frame), frame_pca(frame)
+        assert np.array_equal(first[0].sample_eigenvalues, second[0].sample_eigenvalues)
+        assert np.array_equal(first[0].score_vectors, second[0].score_vectors)
+        assert np.array_equal(first[1], second[1])
+
+    def test_sub_threshold_frame_goes_to_arpack(self, monkeypatch):
+        # A fixed spike of 1.5 at d = n = 400 is below the tail's edge
+        # (1 + sqrt(d / n) = 2): no Krylov space of 6 blocks holds it.
+        frame = frame_sample(SpikeSpec(spikes=(SpikeProfile.fixed(1.5),), n=400, d=400), 2)
+        assert _block_lanczos(frame.tail_rows, frame.tail_bounds(), frame.lead, 1) is None
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _leading_pairs(*args)
+
+        monkeypatch.setattr(pca_engine, "_leading_pairs", counting)
+        res, scores = frame_pca(frame)
+        assert calls == [1]
+        w, v = np.linalg.eigh(TestFramePca.dense_a(frame) / 400)
+        assert res.sample_eigenvalues[0] == pytest.approx(w[-1], rel=1e-13)
+        # K is orthogonal: V'S is V~'S~ up to the sign of V~.
+        cross = res.score_vectors.T @ scores
+        assert np.allclose(np.abs(cross), np.abs(v[:, -1:].T @ frame.spikes), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("spikes, n, d", [(HDLSS, 50, 10**6), (HDLSS, 400, 400)])
+    def test_spiked_frames_stay_in_numpy(self, monkeypatch, spikes, n, d):
+        monkeypatch.setattr(pca_engine, "_leading_pairs", None)
+        frame_pca(frame_sample(SpikeSpec(spikes=spikes, n=n, d=d), 5))
+
+    def test_replicate_handed_over_keeps_arpacks_record(self, monkeypatch):
+        # A growing-n replicate with a fixed spike of 1.5 at d = n = 400:
+        # its record is that of the ARPACK route, bit for bit.
+        template = SpikeTemplate(spikes=(SpikeProfile.fixed(1.5),))
+        record = compute_replicate(template, MODE_GROWING_N, 400, 2, master_seed=9)
+        monkeypatch.setattr(runner, "frame_pca", arpack_frame_pca)
+        reference = compute_replicate(template, MODE_GROWING_N, 400, 2, master_seed=9)
+        assert record.spikes.tobytes() == reference.spikes.tobytes()
+
+    def test_a_frame_handed_over_keeps_arpacks_bits(self, monkeypatch):
+        # Also when the Chebyshev bound lets a frame in that block Lanczos
+        # then cannot finish: the failed attempt leaves no trace.
+        frame = frame_sample(SpikeSpec(spikes=self.HDLSS, n=50, d=10**6), 6)
+        monkeypatch.setattr(pca_engine, "_block_lanczos", lambda *args: None)
+        res, scores = frame_pca(frame)
+        ref, ref_scores = arpack_frame_pca(frame)
+        assert np.array_equal(res.sample_eigenvalues, ref.sample_eigenvalues)
+        assert np.array_equal(res.score_vectors, ref.score_vectors)
+        assert np.array_equal(scores, ref_scores)
 
 
 class TestKrylovSize:

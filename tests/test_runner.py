@@ -905,9 +905,10 @@ class TestWorkerCount:
 
 
 class TestEigensolverImport:
-    def test_imported_before_the_first_replicate(self, tmp_path):
-        # In a fresh process the eigensolver import must not land in the
-        # first replicate's "pca" stage.
+    def test_never_imported_by_a_sweep(self, tmp_path):
+        # In a fresh process a sweep in the paper's regime decomposes every
+        # frame with numpy alone: scipy.sparse.linalg is loaded neither
+        # before a replicate nor after the sweep.
         src = str(Path(rn.__file__).resolve().parents[1])
         code = (
             f"import json, sys; sys.path.insert(0, {src!r})\n"
@@ -918,12 +919,13 @@ class TestEigensolverImport:
             "    return real(*args)\n"
             "rn.frame_sample = wrapper\n"
             f"rn.run_hdlss_sweep(rn.parse_config({TINY_CONFIG.format(out=tmp_path)!r}))\n"
+            "seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "print(json.dumps(seen))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert json.loads(out.stdout) == [True] * 3
+        assert json.loads(out.stdout) == [False] * 4
 
 
 class TestGrowingNReplicateMemory:
@@ -940,6 +942,50 @@ class TestGrowingNReplicateMemory:
             tracemalloc.stop()
         assert peak < 8e6
         assert all(np.isfinite(d.median_ratio) for d in record.spikes)
+
+
+class TestComputeReplicateIntegers:
+    TEMPLATE = SpikeTemplate(spikes=(SpikeProfile.power(1.0, 1.6),), n=6)
+
+    @pytest.mark.parametrize("field", ["replicate", "master_seed"])
+    def test_bool_refused(self, field):
+        # True is not seed 1: it is refused as in a config.
+        args = {"replicate": 0, "master_seed": 1, field: True}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got True$"):
+            compute_replicate(self.TEMPLATE, MODE_HDLSS, 200, **args)
+
+    def test_numpy_integers_accepted(self):
+        record = compute_replicate(self.TEMPLATE, MODE_HDLSS, 200, np.int64(1), np.int64(1))
+        again = compute_replicate(self.TEMPLATE, MODE_HDLSS, 200, 1, 1)
+        assert record.replicate == 1 and type(record.replicate) is int
+        assert record.spikes.tobytes() == again.spikes.tobytes()
+
+    def test_negative_refused(self):
+        with pytest.raises(ValueError, match="^replicate must be >= 0, got -1$"):
+            compute_replicate(self.TEMPLATE, MODE_HDLSS, 200, -1, 1)
+
+
+class TestRegimeWarningLine:
+    """The regime warning names the line that built the config."""
+
+    def test_hdlss_warning(self, tmp_path):
+        with pytest.warns(UserWarning, match="close to 1") as caught:
+            ExperimentConfig(mode=MODE_HDLSS, grid=(210,), output_dir=tmp_path,
+                             template=SpikeTemplate(spikes=(SpikeProfile.fixed(400.0),), n=6))
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_hdlss_warning_through_replace(self, tmp_path):
+        config = ExperimentConfig(mode=MODE_HDLSS, grid=(200,), output_dir=tmp_path,
+                                  template=SpikeTemplate(spikes=(SpikeProfile.fixed(410.0),), n=6))
+        with pytest.warns(UserWarning, match="close to 1") as caught:
+            dataclasses.replace(config, grid=(210,))
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_growing_n_warning_through_a_config_file(self, tmp_path):
+        text = "mode = growing-n-sweep\ntemplate.spikes = literal:400\ngrid.n = 20,40\n"
+        with pytest.warns(UserWarning, match="does not strictly decrease") as caught:
+            parse_config(text)
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestFrameReuse:
